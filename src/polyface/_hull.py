@@ -12,71 +12,38 @@ Two implementations of the same contract:
   hyperplane, keeping the supporting ones.  O(n^dim); used as an oracle
   in tests and usable directly on small inputs.
 
-Both work on integer-scaled copies of the points (a uniform scaling, so
-the combinatorics are untouched) and return facets as primitive integer
-hyperplanes expressed in the original coordinates, together with the set
-of input points lying exactly on each facet hyperplane.
+Both work on integer-scaled copies of the points (``exact.integer_scaled``:
+a uniform scaling, so the combinatorics are untouched) and return facets as
+primitive integer hyperplanes expressed in the original coordinates,
+together with the set of input points lying exactly on each facet
+hyperplane.  All linear algebra is the exact kernel's one fraction-free
+elimination: a facet normal is the null vector of the edge differences,
+and the seed simplex is the greedy affine basis of the points.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 from typing import Sequence
 
 from .errors import PolyfaceError
-from .exact import Vector
+from .exact import Vector, affine_basis_indices, integer_scaled, null_space
 
 # A facet in integer working coordinates: (sorted defining vertex indices,
 # primitive outward normal, offset).
 _IntFacet = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-def _int_points(points: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
-    denoms = [c.denominator for p in points for c in p]
-    mult = lcm(*denoms) if denoms else 1
-    return [tuple(int(c * mult) for c in p) for p in points], mult
-
-
-def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of a small integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def cross_normal(diffs: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:
     """Primitive integer normal of the span of dim-1 difference vectors.
 
-    Generalized cross product via cofactor expansion.  Returns None when
-    the differences do not span a hyperplane (rank < dim-1).
+    The single null vector of the differences, from one fraction-free
+    elimination.  Returns None when the differences do not span a
+    hyperplane (rank < dim-1, so the null space is larger than a line).
+    The sign is not normalized: every caller orients the normal itself.
     """
-    if dim == 1:
-        return (1,)
-    normal = []
-    for j in range(dim):
-        minor = [[row[c] for c in range(dim) if c != j] for row in diffs]
-        normal.append((-1) ** j * det_int(minor))
-    if all(c == 0 for c in normal):
-        return None
-    g = gcd(*normal)
-    return tuple(c // g for c in normal)
+    basis = null_space(diffs, dim)
+    return basis[0] if len(basis) == 1 else None
 
 
 def _idot(n: tuple[int, ...], p: tuple[int, ...]) -> int:
@@ -119,23 +86,7 @@ def _check_two_regular(facets: list[_IntFacet], dim: int) -> None:
 def _simplicial_hull(pts: list[tuple[int, ...]], dim: int) -> list[_IntFacet]:
     n = len(pts)
     # Greedy affinely independent seed simplex.
-    chosen = [0]
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for i in range(1, n):
-        work = [Fraction(a - b) for a, b in zip(pts[i], pts[0])]
-        for erow, p in zip(echelon, pivots):
-            if work[p] != 0:
-                f = work[p] / erow[p]
-                for j in range(dim):
-                    work[j] -= f * erow[j]
-        p = next((j for j in range(dim) if work[j] != 0), None)
-        if p is not None:
-            chosen.append(i)
-            echelon.append(work)
-            pivots.append(p)
-        if len(chosen) == dim + 1:
-            break
+    chosen = affine_basis_indices(pts)
     if len(chosen) != dim + 1:
         raise PolyfaceError("points do not span the stated dimension")
 
@@ -212,7 +163,7 @@ def incremental_facets(
     oriented outward (inside means normal . x <= offset) and on_set the
     indices of ALL input points lying on the hyperplane.
     """
-    pts, mult = _int_points(points)
+    pts, mult = integer_scaled(points)
     return _merge_and_verify(pts, _simplicial_hull(pts, dim), mult)
 
 
@@ -220,7 +171,7 @@ def brute_force_facets(
     points: Sequence[Vector], dim: int
 ) -> list[tuple[Vector, Fraction, frozenset[int]]]:
     """Oracle-grade facet enumeration over all dim-subsets of the points."""
-    pts, mult = _int_points(points)
+    pts, mult = integer_scaled(points)
     n = len(pts)
     planes = set()
     for combo in combinations(range(n), dim):

@@ -12,9 +12,10 @@ Subcommands:
   corpus         batch bound verification over families x dimensions (CSV)
 
 Exit code 0 means every hard check passed (WARN verdicts do not fail a
-run).  Failures print a JSON counterexample dump to stderr and exit 1.
-Parallelism for the corpus command is capped by POLYFACE_THREADS; output
-is byte-identical for a given seed regardless of thread count.
+run).  Failures, including malformed input and out-of-range options, print
+a JSON error line to stderr and exit 1.  POLYFACE_THREADS caps the worker
+threads of solid-angle sampling only; output is byte-identical for a given
+seed regardless of thread count.
 """
 from __future__ import annotations
 
@@ -23,9 +24,8 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from ._rng import derive_seed, thread_count
+from ._rng import derive_seed
 from .angles import (
     angle_sum,
     angle_sum_lower_check,
@@ -38,7 +38,7 @@ from .bounds import (
     unimodality_check,
     verify_main_bounds,
 )
-from .errors import PolyfaceError, TooLargeError
+from .errors import OutOfRangeError, PolyfaceError, TooLargeError
 from .generators import FamilySpec, generate
 from .polytope import Polytope, load_polytope, save_polytope
 from .projection import (
@@ -68,6 +68,12 @@ def _load(args) -> Polytope:
     if not args.family or args.dim is None:
         raise PolyfaceError("need either --in FILE or --family and --dim")
     return generate(FamilySpec(args.family, args.dim, args.n, args.seed))
+
+
+def _require_positive(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise OutOfRangeError(f"--{name} must be at least 1, got {value}")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -125,6 +131,7 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_angles(args) -> int:
+    _require_positive(samples=args.samples, directions=args.directions)
     p = _load(args)
     samples = args.samples
     seed = args.seed
@@ -164,6 +171,7 @@ def cmd_angles(args) -> int:
 
 
 def cmd_project(args) -> int:
+    _require_positive(directions=args.directions)
     p = _load(args)
     if p.dim < 2:
         raise PolyfaceError("projection reports need dim >= 2")
@@ -221,14 +229,10 @@ def _corpus_entry_rows(spec: FamilySpec) -> list[dict]:
 def cmd_corpus(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     dims = _parse_dims(args.dims)
-    specs = _corpus_grid(families, dims, args.seed)
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_corpus_entry_rows, specs))
-    else:
-        results = [_corpus_entry_rows(s) for s in specs]
-    rows = [row for batch in results for row in batch]
+    # Serial on purpose: this work holds the interpreter lock, and a thread
+    # pool measured slower than one thread.
+    rows = [row for spec in _corpus_grid(families, dims, args.seed)
+            for row in _corpus_entry_rows(spec)]
     rows.sort(key=lambda r: (r["family"], r["dim"], r["n"], r["k"]))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")

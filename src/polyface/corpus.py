@@ -98,9 +98,3 @@ def flat_extras() -> list[CorpusEntry]:
 
 def extended_corpus(include_random: bool = True) -> list[CorpusEntry]:
     return standard_corpus(include_random) + flat_extras()
-
-
-def corpus_polytopes(min_dim: int = 1, max_dim: int = 7,
-                     include_random: bool = True) -> list[CorpusEntry]:
-    return [e for e in standard_corpus(include_random)
-            if min_dim <= e.dim <= max_dim]

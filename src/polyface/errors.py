@@ -34,6 +34,10 @@ class NotAFaceError(PolyfaceError):
     """A vertex set does not describe a (suitable) face of the polytope."""
 
 
+class BadInputError(PolyfaceError):
+    """A polytope input file is unreadable or is not polytope JSON."""
+
+
 class BadSpecError(PolyfaceError):
     """A family specification is malformed or unsupported."""
 

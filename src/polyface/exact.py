@@ -6,6 +6,13 @@ exact: arbitrary-precision rationals, no floats, no tolerances.  Scalars
 are ``fractions.Fraction`` values, which are always stored in lowest terms
 with a positive denominator.  Vectors are plain tuples of scalars.
 
+All linear algebra runs through one kernel, ``echelon``: fraction-free
+Gauss-Jordan elimination on Python ints.  Rational input is first scaled
+to integers by ``integer_scaled`` (one lcm of denominators, which changes
+no rank, span or null space).  Rank is the number of pivots, null spaces
+are read off the reduced rows, and greedy bases of rows are the pivot
+columns of the transposed matrix.
+
 Hyperplane normals are kept unnormalized; all geometric sign tests in the
 package are scale invariant, which is what keeps coordinates rational.
 """
@@ -26,9 +33,8 @@ def scalar(value: int | str | float | Fraction) -> Fraction:
     """Coerce a value to an exact scalar. Strings use the "p/q" form."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        # Floats are accepted for convenience but converted exactly.
-        return Fraction(value).limit_denominator(10**12)
+    # Floats are accepted for convenience but converted exactly, so 0.1
+    # becomes the binary fraction it stores, not 1/10.
     return Fraction(value)
 
 
@@ -98,131 +104,109 @@ def primitive(v: Vector) -> Vector:
     """Scale a nonzero rational vector to coprime integers (sign kept)."""
     if is_zero(v):
         raise ZeroVectorError("cannot reduce the zero vector")
-    mult = lcm(*(a.denominator for a in v))
-    ints = [int(a * mult) for a in v]
+    (ints,), _ = integer_scaled([v])
     g = gcd(*ints)
     return tuple(Fraction(a // g) for a in ints)
+
+
+def integer_scaled(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
+    """(integer rows, multiplier): every entry times one common multiplier,
+    the lcm of all denominators.
+
+    Rows may hold Fractions or ints.  The scaling is uniform, so it keeps
+    ranks, null spaces, spans and the side of every point relative to a
+    hyperplane through scaled points: the combinatorics are untouched.
+    """
+    mult = lcm(*(c.denominator for row in rows for c in row))
+    return [tuple(c.numerator * (mult // c.denominator) for c in row)
+            for row in rows], mult
+
+
+def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer
+    matrix: (reduced rows, pivot columns).
+
+    There is one reduced row per pivot, and all share a common pivot value
+    D, which is plus or minus the determinant of the pivot rows and columns
+    of the input.  The reduced rows are D times the reduced row echelon
+    form: row i holds D at pivots[i] and 0 at every other pivot column.
+    Each step replaces a row by (D_new * row - f * pivot row) / D_old, and
+    Sylvester's identity makes that division exact, so every entry stays
+    an integer minor of the input rather than growing without bound.
+    Pivot columns are the first columns independent of those before them.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        if r == len(work):
+            break
+        p = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        prow = work[r]
+        piv = prow[col]
+        for i, row in enumerate(work):
+            if i != r:
+                f = row[col]
+                work[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = piv
+        pivots.append(col)
+    return work[:len(pivots)], pivots
 
 
 def rank(rows: Sequence[Vector]) -> int:
     """Exact rank of a list of row vectors over the rationals."""
     if not rows:
         return 0
-    dim = _check_same_dim(rows)
-    work = [list(r) for r in rows]
-    r = 0
-    for col in range(dim):
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        for i in range(r + 1, len(work)):
-            if work[i][col] != 0:
-                f = work[i][col] / prow[col]
-                row = work[i]
-                for j in range(col, dim):
-                    row[j] -= f * prow[j]
-        r += 1
-        if r == len(work):
-            break
-    return r
+    _check_same_dim(rows)
+    return len(echelon(integer_scaled(rows)[0])[1])
+
+
+def _independent(rows: Sequence[Sequence]) -> list[int]:
+    """Indices of the rows independent of all rows before them: the pivot
+    columns of the transposed matrix."""
+    return echelon(list(zip(*integer_scaled(rows)[0])))[1]
 
 
 def span_basis(rows: Sequence[Vector]) -> list[Vector]:
-    """A subset of the given rows forming a basis of their span."""
+    """A subset of the given rows forming a basis of their span: each row
+    that is independent of the rows before it."""
     if not rows:
         return []
     _check_same_dim(rows)
-    basis: list[Vector] = []
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        work = list(row)
-        for erow, p in zip(echelon, pivots):
-            if work[p] != 0:
-                f = work[p] / erow[p]
-                for j in range(len(work)):
-                    work[j] -= f * erow[j]
-        p = next((j for j, a in enumerate(work) if a != 0), None)
-        if p is not None:
-            basis.append(row)
-            echelon.append(work)
-            pivots.append(p)
-    return basis
+    return [rows[i] for i in _independent(rows)]
 
 
-def null_space(rows: Sequence[Vector], dim: int | None = None) -> list[Vector]:
-    """Basis of {x : r . x = 0 for every row r}, as primitive vectors."""
+def null_space(rows: Sequence[Vector], dim: int | None = None) -> list[tuple[int, ...]]:
+    """Basis of {x : r . x = 0 for every row r}, as primitive integer vectors.
+
+    Rows may be rational or integer.  There is one basis vector per free
+    (non-pivot) column c of the reduced rows: D at c, minus row i's entry
+    at c at pivot i, and 0 elsewhere, made primitive with a positive entry
+    at c.  The reduced row echelon form is unique, so the basis is too.
+    """
     if dim is None:
         dim = _check_same_dim(rows)
     elif rows:
         if _check_same_dim(rows) != dim:
             raise MixedDimensionsError("rows do not match the stated dimension")
-    work = [list(r) for r in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(dim):
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col] / prow[col]
-                row = work[i]
-                for j in range(dim):
-                    row[j] -= f * prow[j]
-        pivot_cols.append(col)
-        r += 1
-    free_cols = [c for c in range(dim) if c not in pivot_cols]
+    reduced, pivots = echelon(integer_scaled(rows)[0])
+    common = reduced[0][pivots[0]] if pivots else 1
+    sign = 1 if common > 0 else -1
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -work[i][fc] / work[i][pc]
-        basis.append(primitive(tuple(vec)))
-    return basis
-
-
-def solve_unique(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Vector | None:
-    """Solve a linear system, returning the solution only if it is unique.
-
-    Returns None when the system is inconsistent or underdetermined.
-    """
-    if len(rows) != len(rhs):
-        raise MixedDimensionsError("system rows and right-hand side differ")
-    if not rows:
-        return None
-    dim = _check_same_dim(rows)
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(dim):
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
+    for free in range(dim):
+        if free in pivots:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col] / prow[col]
-                row = work[i]
-                for j in range(col, dim + 1):
-                    row[j] -= f * prow[j]
-        pivot_cols.append(col)
-        r += 1
-    for i in range(r, len(work)):
-        if work[i][dim] != 0:
-            return None  # inconsistent
-    if r < dim:
-        return None  # not unique
-    sol = [Fraction(0)] * dim
-    for i, pc in enumerate(pivot_cols):
-        sol[pc] = work[i][dim] / work[i][pc]
-    return tuple(sol)
+        vec = [0] * dim
+        vec[free] = common
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free]
+        g = gcd(*vec) * sign
+        basis.append(tuple(c // g for c in vec))
+    return basis
 
 
 def affine_dim(points: Sequence[Vector]) -> int:
@@ -242,23 +226,9 @@ def affine_basis_indices(points: Sequence[Vector]) -> list[int]:
     if not points:
         return []
     _check_same_dim(points)
-    chosen = [0]
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
     base = points[0]
-    for i in range(1, len(points)):
-        work = list(vsub(points[i], base))
-        for erow, p in zip(echelon, pivots):
-            if work[p] != 0:
-                f = work[p] / erow[p]
-                for j in range(len(work)):
-                    work[j] -= f * erow[j]
-        p = next((j for j, a in enumerate(work) if a != 0), None)
-        if p is not None:
-            chosen.append(i)
-            echelon.append(work)
-            pivots.append(p)
-    return chosen
+    return [0] + [i + 1 for i in
+                  _independent([vsub(p, base) for p in points[1:]])]
 
 
 def orthogonal_complement_basis(

@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import _hull
 from .errors import (
+    BadInputError,
     EmptyInputError,
     MixedDimensionsError,
     NotAFaceError,
@@ -93,8 +94,18 @@ class Polytope:
         self.metric = tuple(metric)
         self._lattice: FaceLattice | None = None
         self._facet_polytopes: dict[int, "Polytope"] = {}
-        self._gp_normals: tuple[tuple[int, ...], ...] | None = None
-        self._aff_cache: dict = {}
+        self._memo: dict = {}
+
+    def memo(self, key, build: Callable[[], Any]) -> Any:
+        """The value cached under key, computed once by build().
+
+        Other modules keep data derived from this immutable polytope here
+        (general-position normals, integer geometry, per-face affine
+        data) instead of in attributes of their own on it.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- basic combinatorics -------------------------------------------------
 
@@ -303,10 +314,6 @@ def face_lattice(p: Polytope) -> FaceLattice:
     return p.face_lattice()
 
 
-def f_vector_of(p: Polytope) -> FVector:
-    return p.f_vector()
-
-
 # -- serialization ----------------------------------------------------------
 
 
@@ -323,15 +330,14 @@ def polytope_to_json(p: Polytope) -> dict:
 
 
 def polytope_from_json(data: dict) -> Polytope:
-    ambient = int(data["ambient_dim"])
-    verts = []
-    for row in data["vertices"]:
-        if len(row) != ambient:
-            raise MixedDimensionsError(
-                "vertex length does not match ambient_dim"
-            )
-        verts.append(tuple(parse_scalar(c) for c in row))
-    return hull_from_points(verts)
+    try:
+        ambient = int(data["ambient_dim"])
+        rows = [tuple(parse_scalar(c) for c in row) for row in data["vertices"]]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BadInputError(f"malformed polytope JSON: {exc!r}") from exc
+    if any(len(row) != ambient for row in rows):
+        raise MixedDimensionsError("vertex length does not match ambient_dim")
+    return hull_from_points(rows)
 
 
 def save_polytope(p: Polytope, path: str) -> None:
@@ -341,5 +347,10 @@ def save_polytope(p: Polytope, path: str) -> None:
 
 
 def load_polytope(path: str) -> Polytope:
-    with open(path, "r", encoding="utf-8") as fh:
-        return polytope_from_json(json.load(fh))
+    # JSONDecodeError and UnicodeDecodeError are both ValueErrors.
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadInputError(f"cannot read polytope JSON {path}: {exc}") from exc
+    return polytope_from_json(data)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
@@ -37,9 +37,12 @@ from .errors import (
 from .exact import (
     Vector,
     dot,
+    echelon,
+    integer_scaled,
     is_zero,
     null_space,
     orthogonal_complement_basis,
+    primitive,
     span_basis,
     vector,
     wdot,
@@ -71,35 +74,34 @@ def spanned_hyperplane_normals(
     Cached on the polytope.  Raises TooLargeError when the number of
     dim-subsets exceeds the budget.
     """
-    if q._gp_normals is not None:
-        return q._gp_normals
-    n, d = q.n_vertices, q.dim
-    if d < 1:
-        raise OutOfRangeError("directions need dimension >= 1")
-    total = comb(n, d)
-    if total > max_subsets:
-        raise TooLargeError(
-            f"general-position verification needs {total} subset checks "
-            f"(budget {max_subsets})"
-        )
-    mult = lcm(*(c.denominator for v in q.vertices for c in v))
-    pts = [tuple(int(c * mult) for c in v) for v in q.vertices]
-    normals: set[tuple[int, ...]] = set()
-    if d == 1:
-        normals.add((1,))
-    else:
-        for combo in combinations(range(n), d):
-            base = pts[combo[0]]
-            diffs = [tuple(a - b for a, b in zip(pts[i], base))
-                     for i in combo[1:]]
-            nrm = cross_normal(diffs, d)
-            if nrm is None:
-                continue  # does not span a hyperplane; covered by supersets
-            if nrm[next(i for i, c in enumerate(nrm) if c != 0)] < 0:
-                nrm = tuple(-c for c in nrm)
-            normals.add(nrm)
-    q._gp_normals = tuple(sorted(normals))
-    return q._gp_normals
+    def build() -> tuple[tuple[int, ...], ...]:
+        n, d = q.n_vertices, q.dim
+        if d < 1:
+            raise OutOfRangeError("directions need dimension >= 1")
+        total = comb(n, d)
+        if total > max_subsets:
+            raise TooLargeError(
+                f"general-position verification needs {total} subset checks "
+                f"(budget {max_subsets})"
+            )
+        pts, _ = integer_scaled(q.vertices)
+        normals: set[tuple[int, ...]] = set()
+        if d == 1:
+            normals.add((1,))
+        else:
+            for combo in combinations(range(n), d):
+                base = pts[combo[0]]
+                diffs = [tuple(a - b for a, b in zip(pts[i], base))
+                         for i in combo[1:]]
+                nrm = cross_normal(diffs, d)
+                if nrm is None:
+                    continue  # does not span a hyperplane; covered by supersets
+                if nrm[next(i for i, c in enumerate(nrm) if c != 0)] < 0:
+                    nrm = tuple(-c for c in nrm)
+                normals.add(nrm)
+        return tuple(sorted(normals))
+
+    return q.memo("gp-normals", build)
 
 
 def is_general_position(q: Polytope, v: Vector,
@@ -298,42 +300,29 @@ def _int_geometry(q: Polytope):
     point y given as numerators Y over a positive denominator DEN (in the
     scaled space) satisfies facet (a, num, den) iff den*(a.Y) <= num*DEN.
     """
-    cached = q._aff_cache.get("int-geometry")
-    if cached is None:
-        scale = lcm(*(c.denominator for v in q.vertices for c in v))
-        verts = [tuple(int(c * scale) for c in v) for v in q.vertices]
+    def build():
+        verts, scale = integer_scaled(q.vertices)
         facets = []
         for f in q.facets:
             a = tuple(int(c) for c in f.plane.normal)
             off = f.plane.offset * scale
             facets.append((a, off.numerator, off.denominator))
-        cached = (scale, verts, facets)
-        q._aff_cache["int-geometry"] = cached
-    return cached
+        return (scale, verts, facets)
+
+    return q.memo("int-geometry", build)
 
 
 def _aff_data_int(q: Polytope, face: Face, verts):
     """(base, spanning diffs, hull equations) of a face's affine hull in
     the integer-scaled space, cached per face (direction independent)."""
-    cached = q._aff_cache.get(face.vertex_set)
-    if cached is None:
+    def build():
         idx = sorted(face.vertex_set)
         base = verts[idx[0]]
         diffs = [tuple(a - b for a, b in zip(verts[i], base))
                  for i in idx[1:]]
-        span = [tuple(int(c) for c in row) for row in span_basis(
-            [tuple(Fraction(c) for c in d) for d in diffs])]
-        eqs = [tuple(int(c) for c in row) for row in null_space(
-            [tuple(Fraction(c) for c in d) for d in diffs], q.dim)]
-        cached = (base, tuple(span), tuple(eqs))
-        q._aff_cache[face.vertex_set] = cached
-    return cached
+        return (base, tuple(span_basis(diffs)), tuple(null_space(diffs, q.dim)))
 
-
-def _det(m: list[list[int]]) -> int:
-    from ._hull import det_int
-
-    return det_int(m)
+    return q.memo(("face-affine", face.vertex_set), build)
 
 
 def diagram_vertices(q: Polytope, v,
@@ -371,18 +360,16 @@ def diagram_vertices(q: Polytope, v,
             lower_faces.setdefault(face.dim, []).append(face)
 
     scale, iverts, ifacets = _int_geometry(q)
-    from .exact import primitive as _primitive
-
-    v_int = tuple(int(c) for c in _primitive(vec))
+    v_int = tuple(int(c) for c in primitive(vec))
     dim = q.dim
     # Integer form of the projection onto the complement basis: coordinate
     # j of a scaled point Y/D is (proj_rows[j] . Y) / (D * proj_dens[j]).
     proj_rows = []
     proj_dens = []
     for b, nb in zip(sh.basis, sh.basis_norms):
-        row = [bk * gk / nb for bk, gk in zip(b, q.metric)]
-        mult = lcm(*(c.denominator for c in row))
-        proj_rows.append(tuple(int(c * mult) for c in row))
+        (row,), mult = integer_scaled(
+            [[bk * gk / nb for bk, gk in zip(b, q.metric)]])
+        proj_rows.append(row)
         proj_dens.append(mult * scale)
     out = []
     for l_plus in range(0, dim):
@@ -399,22 +386,20 @@ def diagram_vertices(q: Polytope, v,
                 base_m, _, eqs_m = _aff_data_int(q, x_minus, iverts)
                 # One equation per hull equation of x_minus in the unknowns
                 # (coefficients along aff(x_plus), step along v); square
-                # because the witness dimensions are complementary.
-                rows = [[sum(a * b for a, b in zip(eq, col)) for col in cols]
-                        for eq in eqs_m]
-                rhs = [sum(a * (bm - bp) for a, bm, bp in
-                           zip(eq, base_m, base_p)) for eq in eqs_m]
-                den = _det(rows)
-                if den == 0:
+                # because the witness dimensions are complementary.  The
+                # augmented rows [A | b] reduce to D * [I | x] with
+                # D = +-det A exactly when A is nonsingular, so D and the
+                # last column are Cramer's denominator and numerators up to
+                # one common sign.
+                reduced, pivots = echelon([
+                    [sum(a * b for a, b in zip(eq, col)) for col in cols]
+                    + [sum(a * (bm - bp) for a, bm, bp in
+                           zip(eq, base_m, base_p))]
+                    for eq in eqs_m])
+                if pivots != list(range(m)):
                     continue  # projected hulls parallel or overlapping
-                nums = []
-                for j in range(m):
-                    col_save = [rows[i][j] for i in range(m)]
-                    for i in range(m):
-                        rows[i][j] = rhs[i]
-                    nums.append(_det(rows))
-                    for i in range(m):
-                        rows[i][j] = col_save[i]
+                den = reduced[0][0]
+                nums = [row[m] for row in reduced]
                 if den < 0:
                     den = -den
                     nums = [-x for x in nums]

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from polyface.cli import main
 
 PKG_ENV = dict(os.environ)
@@ -39,6 +41,42 @@ class TestGenDescribe:
         proc = run_cli("describe")
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+
+# (name, file content or None for a missing file, extra argv, error type)
+BAD_INPUTS = [
+    ("missing-file", None, ["describe"], "BadInputError"),
+    ("bad-json", "{not json", ["describe"], "BadInputError"),
+    ("json-list", "[[0, 0], [1, 0]]", ["describe"], "BadInputError"),
+    ("missing-key", '{"ambient_dim": 2}', ["describe"], "BadInputError"),
+    ("zero-denominator",
+     '{"ambient_dim": 1, "vertices": [["0"], ["1/0"]]}', ["describe"],
+     "BadInputError"),
+    ("angles-zero-directions", None,
+     ["angles", "--family", "simplex", "--dim", "2", "--directions", "0"],
+     "OutOfRangeError"),
+    ("angles-zero-samples", None,
+     ["angles", "--family", "simplex", "--dim", "2", "--samples", "0"],
+     "OutOfRangeError"),
+    ("project-negative-directions", None,
+     ["project", "--family", "cube", "--dim", "3", "--directions", "-1"],
+     "OutOfRangeError"),
+]
+
+
+@pytest.mark.parametrize("name,content,argv,error", BAD_INPUTS,
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_ends_in_json_error_line(name, content, argv, error,
+                                           tmp_path, capsys):
+    if argv == ["describe"]:
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        argv = argv + ["--in", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == error
 
 
 class TestVerifyBounds:

@@ -1,22 +1,26 @@
 """Exact linear algebra: ranks, affine dimensions, complements."""
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyface._hull import cross_normal
 from polyface.errors import MixedDimensionsError, ZeroVectorError
 from polyface.exact import (
     Hyperplane,
     affine_dim,
     dot,
+    echelon,
     format_scalar,
     null_space,
     orthogonal_complement_basis,
     parse_scalar,
     primitive,
     rank,
-    solve_unique,
+    scalar,
     span_basis,
     vector,
     wdot,
@@ -124,20 +128,13 @@ class TestSolvers:
         ns = null_space(vecs((1, 2, 3)), 3)
         assert len(ns) == 2
         assert all(dot(n, vector((1, 2, 3))) == 0 for n in ns)
+        # One vector per free column, positive there: the basis is canonical.
+        assert ns == [(-2, 1, 0), (-3, 0, 1)]
+        assert null_space(vecs((-2, 0, 4)), 3) == [(0, 1, 0), (2, 0, 1)]
 
     def test_null_space_empty_rows(self):
         ns = null_space([], 2)
         assert len(ns) == 2
-
-    def test_solve_unique(self):
-        sol = solve_unique(vecs((2, 0), (1, 1)), [Fraction(4), Fraction(3)])
-        assert sol == vector((2, 1))
-
-    def test_solve_singular(self):
-        assert solve_unique(vecs((1, 1), (2, 2)), [Fraction(1), Fraction(2)]) is None
-
-    def test_solve_inconsistent(self):
-        assert solve_unique(vecs((1, 1), (2, 2)), [Fraction(1), Fraction(3)]) is None
 
     def test_span_basis(self):
         rows = vecs((1, 0, 0), (2, 0, 0), (0, 1, 0))
@@ -145,10 +142,129 @@ class TestSolvers:
         assert basis == [rows[0], rows[2]]
 
 
+# -- oracles independent of the elimination kernel ---------------------------
+
+
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(n) for j in range(i + 1, n))
+        for i, p in enumerate(perm):
+            term *= m[i][p]
+        total += term
+    return total
+
+
+def minor_rank(rows, ncols):
+    """Rank as the size of the largest nonzero minor."""
+    for k in range(min(len(rows), ncols), 0, -1):
+        for ri in combinations(range(len(rows)), k):
+            for ci in combinations(range(ncols), k):
+                if leibniz_det([[rows[i][j] for j in ci] for i in ri]):
+                    return k
+    return 0
+
+
+ENTRY = st.one_of(st.just(0), st.integers(-3, 3),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def matrices(entry=ENTRY, max_rows=4):
+    """(rows, ncols): up to max_rows rows of 1 to 4 entries, many of them
+    zero or repeated, so that rank deficiency is common."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(entry, min_size=n, max_size=n).map(vector),
+                 min_size=0, max_size=max_rows),
+        st.just(n)))
+
+
+def is_primitive(v):
+    return all(isinstance(c, int) or c.denominator == 1 for c in v) and \
+        gcd(*(int(c) for c in v)) == 1
+
+
+class TestKernelOracles:
+    @given(matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_is_largest_nonzero_minor(self, case):
+        rows, n = case
+        assert rank(rows) == minor_rank(rows, n)
+
+    @given(matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_null_space_primitive_orthogonal_and_complete(self, case):
+        rows, n = case
+        ns = null_space(rows, n)
+        assert len(ns) == n - minor_rank(rows, n)
+        assert minor_rank(ns, n) == len(ns)
+        for v in ns:
+            assert is_primitive(v)
+            assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+
+    @given(matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_span_basis_is_independent_and_spans(self, case):
+        rows, n = case
+        basis = span_basis(rows)
+        assert all(b in rows for b in basis)
+        assert minor_rank(basis, n) == len(basis)
+        for r in rows:
+            assert minor_rank(basis + [r], n) == len(basis)
+
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+                 .map(tuple), min_size=d - 1, max_size=d - 1),
+        st.just(d))))
+    @settings(max_examples=200, deadline=None)
+    def test_cross_normal(self, case):
+        diffs, d = case
+        normal = cross_normal(diffs, d)
+        if minor_rank(diffs, d) < d - 1:
+            assert normal is None
+            return
+        assert normal is not None and is_primitive(normal)
+        assert all(sum(a * b for a, b in zip(r, normal)) == 0 for r in diffs)
+
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                 min_size=m, max_size=m),
+        st.lists(st.integers(-5, 5), min_size=m, max_size=m))))
+    @settings(max_examples=200, deadline=None)
+    def test_augmented_solve_is_cramer(self, case):
+        a, b = case
+        m = len(a)
+        reduced, pivots = echelon([row + [x] for row, x in zip(a, b)])
+        det = leibniz_det(a)
+        assert (pivots == list(range(m))) == (det != 0)
+        if det == 0:
+            return
+        # D * [I | x] with D = +-det A; flipping to a positive D must give
+        # exactly Cramer's (|det A|, sign(det A) * det A_j).
+        den = reduced[0][0]
+        assert all(reduced[i][j] == (den if i == j else 0)
+                   for i in range(m) for j in range(m))
+        nums = [row[m] for row in reduced]
+        if den < 0:
+            den, nums = -den, [-x for x in nums]
+        sign = 1 if det > 0 else -1
+        cramer = [sign * leibniz_det([row[:j] + [x] + row[j + 1:]
+                                      for row, x in zip(a, b)])
+                  for j in range(m)]
+        assert (den, nums) == (abs(det), cramer)
+
+
 class TestScalarsAndPlanes:
     def test_scalar_round_trip(self):
         for text in ("3/2", "-7/3", "5", "0"):
             assert format_scalar(parse_scalar(text)) == text
+
+    def test_scalar_converts_floats_exactly(self):
+        assert scalar(0.1) == Fraction(0.1)
+        assert scalar(0.1) != Fraction(1, 10)
+        assert scalar(0.375) == Fraction(3, 8)
 
     def test_primitive(self):
         assert primitive(vector((Fraction(1, 2), Fraction(3, 4)))) == vector((2, 3))

@@ -1,0 +1,55 @@
+"""Golden outputs: byte-identity of fast exact CLI commands.
+
+Each case runs one command in-process and compares the sha256 of its
+stdout with a hash recorded before the exact kernel was rewritten, so any
+change to the combinatorics, the ordering of facets or faces, or the
+formatting of exact scalars shows up here.  Solid angles are left out:
+their floats are seeded but depend on numpy's generator.
+"""
+import hashlib
+import json
+
+import pytest
+
+from polyface.cli import main
+
+# A planar rational hexagon embedded at height 1/2 in 3-space: exercises
+# the affine restriction path and the integer scaling of rational inputs.
+FLAT_HEXAGON = {"ambient_dim": 3, "vertices": [
+    ["0", "0", "1/2"], ["3/2", "0", "1/2"], ["0", "2/3", "1/2"],
+    ["3/2", "2/3", "1/2"], ["1/3", "1/3", "1/2"], ["7/4", "1/3", "1/2"],
+]}
+
+CASES = [
+    (["describe", "--family", "cube", "--dim", "4"],
+     "69003698322ba12660dcdcdae3212ebdcb35a0dc9cafdef5135098e8d9aaa992"),
+    (["describe", "--family", "random-sphere", "--dim", "4", "--n", "12",
+      "--seed", "3"],
+     "7af8f70bb0f470c7b1a0f4c8b649ac48a9eadd0ca15c296cf47949f2fa0a17ee"),
+    (["describe", "--in", "{flat}"],
+     "31ea605d6abb89d29fd04ee7301f089877c81c204b73040bad7f05784cead79a"),
+    (["verify-bounds", "--family", "cyclic", "--dim", "5", "--n", "9"],
+     "e72960a3b063aa14a49f836384092b512e9823fc02651d783badbfa4b86a964e"),
+    (["verify-bounds", "--family", "prism", "--dim", "4"],
+     "1d2d3509da2c442321b3f37628fdbb1906fc00d079f7e6cd4332eb5e4f28647b"),
+    (["project", "--family", "cross", "--dim", "3", "--directions", "2"],
+     "4a139af5a4925dcc6f36c2de24f3dbcaa2b5d3196d8d6bb2b3387ec8b87fa353"),
+    (["project", "--family", "random-sphere", "--dim", "3", "--n", "10",
+      "--seed", "1", "--directions", "2"],
+     "b344b50285f8c88e072c8750033ac7c90e90bfa976f1d7ea2d40e368f7ffbeaf"),
+    (["project", "--family", "pyramid", "--dim", "4", "--directions", "2"],
+     "9132add9a3ace8ae46d6f1f2d0d3bc62993ebbf3d2f80a4545ffdb323759c741"),
+    (["corpus", "--dims", "2..4"],
+     "b8113ccd24297e0697e9155a1c738202c0b98c7544178a3bc738b2b8394fb22e"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CASES,
+                         ids=[" ".join(a[:3]) for a, _ in CASES])
+def test_stdout_matches_golden_hash(argv, digest, tmp_path, capsys):
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps(FLAT_HEXAGON))
+    argv = [str(flat) if a == "{flat}" else a for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

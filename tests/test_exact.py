@@ -172,18 +172,17 @@ ENTRY = st.one_of(st.just(0), st.integers(-3, 3),
                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
 
-def matrices(entry=ENTRY, max_rows=4):
-    """(rows, ncols): up to max_rows rows of 1 to 4 entries, many of them
-    zero or repeated, so that rank deficiency is common."""
+def matrices():
+    """(rows, ncols): up to 4 rows of 1 to 4 entries, many of them zero or
+    repeated, so that rank deficiency is common."""
     return st.integers(1, 4).flatmap(lambda n: st.tuples(
-        st.lists(st.lists(entry, min_size=n, max_size=n).map(vector),
-                 min_size=0, max_size=max_rows),
+        st.lists(st.lists(ENTRY, min_size=n, max_size=n).map(vector),
+                 min_size=0, max_size=4),
         st.just(n)))
 
 
 def is_primitive(v):
-    return all(isinstance(c, int) or c.denominator == 1 for c in v) and \
-        gcd(*(int(c) for c in v)) == 1
+    return all(isinstance(c, int) for c in v) and gcd(*v) == 1
 
 
 class TestKernelOracles:

@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import chunk_generator, chunk_sizes, derive_seed, thread_count
+from .bounds import ratio_bound
 from .errors import (
     NotAFaceError,
     OutOfRangeError,
@@ -37,6 +38,7 @@ from .errors import (
 from .exact import Vector
 from .lattice import Face
 from .polytope import Polytope
+from .projection import sample_direction, shadow
 
 DEFAULT_SAMPLES = 1_000_000
 SIGMA_FACTOR = 4.0
@@ -354,8 +356,6 @@ def angle_sum_lower_check(q: Polytope, k: int,
                           samples: int = DEFAULT_SAMPLES,
                           seed: int = 0,
                           sigma: float = SIGMA_FACTOR) -> AngleSumBoundReport:
-    from .bounds import ratio_bound
-
     if not 0 <= k <= q.dim - 1:
         raise OutOfRangeError(f"angle-sum floor needs 0 <= k < dim, got {k}")
     report = angle_sum(q, k, samples, seed)
@@ -401,8 +401,6 @@ def projection_angle_check(p: Polytope, k: int, directions=20,
     """Check the projection lower bound on the k-th angle sum using
     sampled general-position directions (or a supplied list of them,
     optionally with their precomputed shadows)."""
-    from .projection import sample_direction, shadow
-
     if not 0 <= k <= p.dim - 1:
         raise OutOfRangeError(f"projection angle check needs 0 <= k < dim")
     if isinstance(directions, int):

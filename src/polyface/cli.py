@@ -24,9 +24,12 @@ import csv
 import io
 import json
 import sys
+from typing import Sequence
 
 from ._rng import derive_seed
 from .angles import (
+    DEFAULT_SAMPLES,
+    SIGMA_FACTOR,
     angle_sum,
     angle_sum_lower_check,
     curvature_check,
@@ -38,7 +41,7 @@ from .bounds import (
     unimodality_check,
     verify_main_bounds,
 )
-from .errors import OutOfRangeError, PolyfaceError, TooLargeError
+from .errors import BadSpecError, OutOfRangeError, PolyfaceError, TooLargeError
 from .generators import FamilySpec, generate
 from .polytope import Polytope, load_polytope, save_polytope
 from .projection import (
@@ -46,7 +49,6 @@ from .projection import (
     sample_direction,
 )
 
-DEFAULT_SAMPLES = 1_000_000
 DEFAULT_DIRECTIONS = 20
 
 CSV_COLUMNS = ["family", "dim", "n", "k", "f_k", "ratio_vertices",
@@ -188,7 +190,7 @@ def cmd_project(args) -> int:
     return 0 if ok else 1
 
 
-def _corpus_grid(families: list[str], dims: list[int], seed: int):
+def _corpus_grid(families: list[str], dims: Sequence[int], seed: int):
     specs = []
     for fam in families:
         for d in dims:
@@ -229,10 +231,13 @@ def _corpus_entry_rows(spec: FamilySpec) -> list[dict]:
 def cmd_corpus(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     dims = _parse_dims(args.dims)
+    specs = _corpus_grid(families, dims, args.seed)
+    if not specs:
+        raise BadSpecError(f"empty corpus grid: families {args.families!r}, "
+                           f"dims {args.dims!r}")
     # Serial on purpose: this work holds the interpreter lock, and a thread
     # pool measured slower than one thread.
-    rows = [row for spec in _corpus_grid(families, dims, args.seed)
-            for row in _corpus_entry_rows(spec)]
+    rows = [row for spec in specs for row in _corpus_entry_rows(spec)]
     rows.sort(key=lambda r: (r["family"], r["dim"], r["n"], r["k"]))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
@@ -248,12 +253,18 @@ def cmd_corpus(args) -> int:
     return 1 if violated else 0
 
 
-def _parse_dims(text: str) -> list[int]:
+def _parse_dims(text: str) -> Sequence[int]:
+    # A lazy range: the dimension guard in FamilySpec stops a huge range
+    # before its first out-of-range member is built.
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",") if t.strip()]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return range(int(lo), int(hi) + 1)
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise BadSpecError(f"--dims must be LO..HI or a comma list of "
+                           f"integers, got {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--directions", type=int, default=DEFAULT_DIRECTIONS)
-    p.add_argument("--tolerance-sigma", type=float, default=4.0)
+    p.add_argument("--tolerance-sigma", type=float, default=SIGMA_FACTOR)
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("project", help="shadows and diagram checks")

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadSpecError
+from .errors import BadSpecError, TooLargeError
 from .exact import Vector
-from .polytope import Polytope, _build, hull_from_points
+from .polytope import MAX_DIM, MAX_POINTS, Polytope, _build, hull_from_points
 
 FAMILIES = ("simplex", "cube", "cross", "cyclic", "pyramid", "prism",
             "random-sphere")
@@ -23,7 +23,8 @@ RANDOM_DENOMINATOR = 10**4
 @dataclass(frozen=True)
 class FamilySpec:
     """A named family instance.  ``n`` is the vertex count where it applies
-    (cyclic, random-sphere); ``seed`` only matters for random-sphere."""
+    (cyclic, random-sphere); ``seed`` only matters for random-sphere.
+    Specs past the guards fail here, before any point is generated."""
 
     family: str
     dim: int
@@ -35,6 +36,13 @@ class FamilySpec:
             raise BadSpecError(f"unknown family {self.family!r}")
         if self.dim < 1:
             raise BadSpecError("dim must be >= 1")
+        if self.dim > MAX_DIM:
+            raise TooLargeError(
+                f"dimension {self.dim} exceeds the guard of {MAX_DIM}")
+        if self.family in ("cyclic", "random-sphere") and \
+                self.n is not None and self.n > MAX_POINTS:
+            raise TooLargeError(
+                f"{self.n} points exceeds the guard of {MAX_POINTS}")
         if self.family == "cyclic":
             if self.n is None or self.n <= self.dim:
                 raise BadSpecError("cyclic needs n > dim")
@@ -92,8 +100,10 @@ def random_sphere(dim: int, n: int, seed: int = 0) -> Polytope:
     Directions are standard normal draws from PCG64(seed), normalized and
     then rounded to rationals with denominator 10^4.  Identical seeds give
     byte-identical vertex lists.  Points that end up inside the hull are
-    dropped silently by construction.
+    dropped silently by construction.  The 0-sphere has only two points.
     """
+    if dim == 1 and n > 2:
+        raise BadSpecError("the 0-sphere has only 2 points: need n <= 2")
     rng = np.random.Generator(np.random.PCG64(seed & (2**64 - 1)))
     pts: list[Vector] = []
     while len(pts) < n:

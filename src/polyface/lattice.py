@@ -1,12 +1,13 @@
 """Face lattices: construction from vertex-facet incidences, f-vectors,
 duals and quotients.
 
-A face of a polytope is recovered combinatorially as an intersection of
-facet vertex sets (the closure property: a vertex set is a face iff it
-equals the intersection of all facets containing it).  The lattice is
-built by closing the facet vertex sets under intersection, using integer
-bitmasks, then grading each face by the exact affine dimension of its
-vertices.
+Every lattice here comes from one incidence-only construction (Kaibel and
+Pfetsch, "Computing the face lattice of a polytope from its vertex-facet
+incidences", CGTA 2002).  Working top down on vertex bitmasks, the facets
+of a face F are the inclusion-maximal sets among the intersections of F
+with the polytope's facets, so each pass yields the faces one dimension
+lower together with their covers; no face needs arithmetic.  The dual and
+the quotients reuse the same construction on relabelled incidences.
 """
 from __future__ import annotations
 
@@ -118,63 +119,50 @@ class FaceLattice:
         return FVector(self.dim, counts)
 
 
-def _canonical_faces(face_dims: dict[frozenset[int], int]) -> list[Face]:
-    return [
-        Face(vs, d)
-        for vs, d in sorted(face_dims.items(), key=lambda t: (t[1], sorted(t[0])))
-    ]
+def _lattice(n: int, coatom_sets: Iterable[Iterable[int]],
+             dim: int) -> FaceLattice:
+    """The face lattice of a dim-polytope on atoms 0..n-1 whose facets
+    have the given atom sets, from the incidences alone.
 
+    Top down on bitmasks: the facets of a face F are the inclusion-maximal
+    sets among F & G over the facets G not containing F, or the empty face
+    when there is none.  Each pass is one dimension lower, so it yields the
+    grading and the covers together.
+    """
+    coatoms = {sum(1 << a for a in atoms) for atoms in coatom_sets}
+    level = {(1 << n) - 1}
+    levels = [level]
+    edges = []
+    for _ in range(dim + 1):
+        below = set()
+        for f in level:
+            kept = []
+            for c in sorted({f & g for g in coatoms} - {f},
+                            key=int.bit_count, reverse=True):
+                if all(c & k != c for k in kept):
+                    kept.append(c)
+            for c in kept or [0]:
+                below.add(c)
+                edges.append((c, f))
+        level = below
+        levels.append(level)
 
-def _cover_pairs(faces: Sequence[Face]) -> list[tuple[int, int]]:
-    by_dim: dict[int, list[int]] = {}
-    for i, f in enumerate(faces):
-        by_dim.setdefault(f.dim, []).append(i)
-    covers = []
-    for d in sorted(by_dim):
-        for i in by_dim.get(d, ()):
-            for j in by_dim.get(d + 1, ()):
-                if faces[i].vertex_set <= faces[j].vertex_set:
-                    covers.append((i, j))
-    return covers
+    faces: list[Face] = []
+    index: dict[int, int] = {}
+    for d, masks in zip(range(-1, dim + 1), reversed(levels)):
+        for bits, m in sorted((tuple(i for i in range(n) if m >> i & 1), m)
+                              for m in masks):
+            index[m] = len(faces)
+            faces.append(Face(frozenset(bits), d))
+    covers = sorted((index[lo], index[hi]) for lo, hi in edges)
+    return FaceLattice(faces, covers, dim, n)
 
 
 def build_face_lattice(vertices: Sequence[Vector],
                        facet_vertex_sets: Sequence[frozenset[int]]) -> FaceLattice:
-    """Close the facet vertex sets under intersection and grade the result."""
-    n = len(vertices)
-    full = (1 << n) - 1
-    facet_masks = []
-    for vs in facet_vertex_sets:
-        m = 0
-        for v in vs:
-            m |= 1 << v
-        facet_masks.append(m)
-
-    masks = set(facet_masks)
-    queue = list(masks)
-    while queue:
-        m = queue.pop()
-        for fm in facet_masks:
-            x = m & fm
-            if x not in masks:
-                masks.add(x)
-                queue.append(x)
-    masks.add(full)
-    masks.add(0)
-
-    dim = affine_dim(vertices)
-    face_dims: dict[frozenset[int], int] = {}
-    for m in masks:
-        vs = frozenset(i for i in range(n) if m >> i & 1)
-        if m == 0:
-            d = -1
-        elif m == full:
-            d = dim
-        else:
-            d = affine_dim([vertices[i] for i in vs])
-        face_dims[vs] = d
-    faces = _canonical_faces(face_dims)
-    return FaceLattice(faces, _cover_pairs(faces), dim, n)
+    """The face lattice from the vertex-facet incidences; the polytope's
+    dimension is the only arithmetic."""
+    return _lattice(len(vertices), facet_vertex_sets, affine_dim(vertices))
 
 
 def f_vector(lattice: FaceLattice) -> FVector:
@@ -185,26 +173,16 @@ def dual(lattice: FaceLattice) -> FaceLattice:
     """Order-reversed lattice: faces relabeled by the facets containing them.
 
     Purely combinatorial (no polarity), so no interior-point requirement.
-    The dual's vertices are the original facets, in canonical order.
+    The dual's vertices are the original facets, in canonical order; its
+    facets are the original vertices.
     """
-    facets = lattice.faces_of_dim(lattice.dim - 1)
-    face_dims: dict[frozenset[int], int] = {}
-    mapping: dict[frozenset[int], frozenset[int]] = {}
-    for f in lattice.faces:
-        label = frozenset(
-            i for i, ft in enumerate(facets) if f.vertex_set <= ft.vertex_set
-        )
-        mapping[f.vertex_set] = label
-        face_dims[label] = lattice.dim - 1 - f.dim
-    faces = _canonical_faces(face_dims)
-    index = {f.vertex_set: i for i, f in enumerate(faces)}
-    covers = []
-    for lo, hi in lattice.covers:
-        a = index[mapping[lattice.faces[hi].vertex_set]]
-        b = index[mapping[lattice.faces[lo].vertex_set]]
-        covers.append((a, b))
-    covers.sort()
-    return FaceLattice(faces, covers, lattice.dim, len(facets))
+    facets = [f.vertex_set for f in lattice.faces_of_dim(lattice.dim - 1)]
+    return _lattice(
+        len(facets),
+        ([i for i, ft in enumerate(facets) if v in ft]
+         for v in range(lattice.n_vertices)),
+        lattice.dim,
+    )
 
 
 def quotient(lattice: FaceLattice, base) -> FaceLattice:
@@ -212,26 +190,20 @@ def quotient(lattice: FaceLattice, base) -> FaceLattice:
 
     ``base`` is a Face or a vertex set naming a nonempty proper face G.
     The interval is regraded so the quotient has dimension
-    dim P - dim G - 1; its vertices are the faces covering G.
+    dim P - dim G - 1; its vertices are the faces covering G, in canonical
+    order, and its facets are the facets of P containing G.
     """
-    if isinstance(base, Face):
-        g = lattice.find(base.vertex_set)
-    else:
-        g = lattice.find(base)
+    g = lattice.find(base.vertex_set if isinstance(base, Face) else base)
     if g.dim == -1 or g.dim == lattice.dim:
         raise NotAFaceError("quotient needs a nonempty proper face")
 
-    interval = [f for f in lattice.faces if g.vertex_set < f.vertex_set]
-    atoms = sorted(
-        (f for f in interval if f.dim == g.dim + 1),
-        key=lambda f: sorted(f.vertex_set),
+    gs = g.vertex_set
+    atoms = [f.vertex_set for f in lattice.faces_of_dim(g.dim + 1)
+             if gs < f.vertex_set]
+    return _lattice(
+        len(atoms),
+        ([i for i, a in enumerate(atoms) if a <= ft.vertex_set]
+         for ft in lattice.faces_of_dim(lattice.dim - 1)
+         if gs <= ft.vertex_set),
+        lattice.dim - g.dim - 1,
     )
-    face_dims: dict[frozenset[int], int] = {frozenset(): -1}
-    for f in interval:
-        label = frozenset(
-            i for i, a in enumerate(atoms) if a.vertex_set <= f.vertex_set
-        )
-        face_dims[label] = f.dim - g.dim - 1
-    faces = _canonical_faces(face_dims)
-    return FaceLattice(faces, _cover_pairs(faces), lattice.dim - g.dim - 1,
-                       len(atoms))

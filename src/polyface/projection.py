@@ -47,7 +47,7 @@ from .exact import (
     vector,
     wdot,
 )
-from .lattice import Face
+from .lattice import Face, quotient
 from .polytope import Polytope, _build
 
 MAX_GP_SUBSETS = 3_000_000
@@ -199,11 +199,14 @@ def shadow(q: Polytope, v) -> ShadowPolytope:
 
 @dataclass(frozen=True)
 class ShadowComplexes:
-    """Facet partition by the sign of the pairing with v, plus the faces
-    lying in both generated subcomplexes (the shadow boundary)."""
+    """Facet partition by the sign of the pairing with v, the proper faces
+    of the two subcomplexes the parts generate (in lattice order), and the
+    faces lying in both (the shadow boundary)."""
 
     upper: tuple[int, ...]
     lower: tuple[int, ...]
+    upper_faces: tuple[Face, ...]
+    lower_faces: tuple[Face, ...]
     boundary_faces: tuple[Face, ...]
 
     def to_json(self) -> dict:
@@ -231,14 +234,19 @@ def upper_lower(q: Polytope, v) -> ShadowComplexes:
             )
     upper_sets = [q.facets[i].vertex_set for i in upper]
     lower_sets = [q.facets[i].vertex_set for i in lower]
-    boundary = []
+    upper_faces, lower_faces = [], []
     for face in q.face_lattice().faces:
         if face.dim < 0 or face.dim == q.dim:
             continue
         vs = face.vertex_set
-        if any(vs <= u for u in upper_sets) and any(vs <= l for l in lower_sets):
-            boundary.append(face)
-    return ShadowComplexes(tuple(upper), tuple(lower), tuple(boundary))
+        if any(vs <= u for u in upper_sets):
+            upper_faces.append(face)
+        if any(vs <= l for l in lower_sets):
+            lower_faces.append(face)
+    in_lower = set(lower_faces)
+    boundary = tuple(f for f in upper_faces if f in in_lower)
+    return ShadowComplexes(tuple(upper), tuple(lower), tuple(upper_faces),
+                           tuple(lower_faces), boundary)
 
 
 def shadow_boundary_check(q: Polytope, v, sh: ShadowPolytope | None = None,
@@ -346,18 +354,12 @@ def diagram_vertices(q: Polytope, v,
     if sh is None:
         sh = shadow(q, vec)
 
-    lattice = q.face_lattice()
-    upper_sets = [q.facets[i].vertex_set for i in complexes.upper]
-    lower_sets = [q.facets[i].vertex_set for i in complexes.lower]
     upper_faces: dict[int, list[Face]] = {}
     lower_faces: dict[int, list[Face]] = {}
-    for face in lattice.faces:
-        if face.dim < 0 or face.dim == q.dim:
-            continue
-        if any(face.vertex_set <= u for u in upper_sets):
-            upper_faces.setdefault(face.dim, []).append(face)
-        if any(face.vertex_set <= l for l in lower_sets):
-            lower_faces.setdefault(face.dim, []).append(face)
+    for face in complexes.upper_faces:
+        upper_faces.setdefault(face.dim, []).append(face)
+    for face in complexes.lower_faces:
+        lower_faces.setdefault(face.dim, []).append(face)
 
     scale, iverts, ifacets = _int_geometry(q)
     v_int = tuple(int(c) for c in primitive(vec))
@@ -465,8 +467,6 @@ class QuotientWitnessReport:
 
 
 def quotient_dimension_report(q: Polytope, dv: DiagramVertex) -> QuotientWitnessReport:
-    from .lattice import quotient
-
     if not dv.interior:
         raise NotInteriorError("witness checks need an interior diagram vertex")
     lattice = q.face_lattice()

@@ -61,6 +61,27 @@ BAD_INPUTS = [
     ("project-negative-directions", None,
      ["project", "--family", "cube", "--dim", "3", "--directions", "-1"],
      "OutOfRangeError"),
+    # Refused before any point is generated: the 0-sphere has two points,
+    # and the guards stop specs that would exhaust memory first.
+    ("zero-sphere-three-points", None,
+     ["describe", "--family", "random-sphere", "--dim", "1", "--n", "3"],
+     "BadSpecError"),
+    ("cyclic-too-many-points", None,
+     ["describe", "--family", "cyclic", "--dim", "3", "--n", "100000000"],
+     "TooLargeError"),
+    ("random-sphere-too-many-points", None,
+     ["describe", "--family", "random-sphere", "--dim", "3", "--n", "65"],
+     "TooLargeError"),
+    ("cube-too-high-dim", None,
+     ["describe", "--family", "cube", "--dim", "40"], "TooLargeError"),
+    ("corpus-unparsable-dims", None, ["corpus", "--dims", "x"],
+     "BadSpecError"),
+    ("corpus-empty-dim-range", None, ["corpus", "--dims", "5..2"],
+     "BadSpecError"),
+    ("corpus-no-families", None, ["corpus", "--families", ""],
+     "BadSpecError"),
+    ("corpus-dim-past-guard", None, ["corpus", "--dims", "2..8"],
+     "TooLargeError"),
 ]
 
 

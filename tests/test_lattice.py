@@ -1,7 +1,12 @@
 """Face lattices, f-vectors, duals, quotients."""
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyface.errors import EulerViolationError, NotAFaceError
+from polyface.exact import affine_dim
 from polyface.generators import (
     cross_polytope,
     cube,
@@ -10,6 +15,125 @@ from polyface.generators import (
     simplex,
 )
 from polyface.lattice import FVector, dual, f_vector, quotient
+from polyface.polytope import hull_from_points
+
+
+def reference_lattice(p):
+    """The face lattice by definition: the facet vertex sets closed under
+    intersection, each face graded by the affine dimension of its vertices,
+    covers the subset pairs one dimension apart.  Returns ({vertex set:
+    dim}, {(lower set, upper set)})."""
+    facet_sets = [f.vertex_set for f in p.facets]
+    faces = {frozenset(range(p.n_vertices)), frozenset(), *facet_sets}
+    queue = list(facet_sets)
+    while queue:
+        face = queue.pop()
+        for g in facet_sets:
+            if face & g not in faces:
+                faces.add(face & g)
+                queue.append(face & g)
+    dims = {f: affine_dim([p.vertices[i] for i in f]) for f in faces}
+    covers = {(a, b) for a in faces for b in faces
+              if a < b and dims[b] == dims[a] + 1}
+    return dims, covers
+
+
+def as_sets(lattice):
+    """({vertex set: dim}, {(lower set, upper set)}) of a lattice."""
+    dims = {f.vertex_set: f.dim for f in lattice.faces}
+    covers = {(lattice.faces[lo].vertex_set, lattice.faces[hi].vertex_set)
+              for lo, hi in lattice.covers}
+    return dims, covers
+
+
+def check_canonical_graded(lattice):
+    """Canonical order, sorted covers, the diamond property and Euler."""
+    keys = [(f.dim, sorted(f.vertex_set)) for f in lattice.faces]
+    assert keys == sorted(keys)
+    assert list(lattice.covers) == sorted(set(lattice.covers))
+    up: dict[int, list[int]] = {}
+    for lo, hi in lattice.covers:
+        up.setdefault(lo, []).append(hi)
+    # Every interval of length 2 has exactly two faces strictly inside.
+    for i in range(len(lattice.faces)):
+        between = Counter(k for j in up.get(i, ()) for k in up.get(j, ()))
+        assert set(between.values()) <= {2}
+    # Euler-Poincare over the whole lattice, f_-1 and f_dim included.
+    assert sum((-1) ** f.dim for f in lattice.faces) == 0
+    lattice.f_vector()  # asserts the Euler relation itself
+
+
+def random_hulls():
+    """Hulls of a few small integer points in dimension 2 to 4; lower
+    dimensional inputs are restricted to their affine hull."""
+    return st.integers(2, 4).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d),
+        min_size=1, max_size=9, unique=True,
+    )).map(hull_from_points)
+
+
+def quotient_by_interval(lattice, g):
+    """The interval (G, P] relabelled by its atoms (the faces covering G),
+    with G itself as the empty face; same form as as_sets."""
+    atoms = [f.vertex_set for f in lattice.faces_of_dim(g.dim + 1)
+             if g.vertex_set < f.vertex_set]
+
+    def label(vs):
+        return frozenset(i for i, a in enumerate(atoms) if a <= vs)
+
+    dims = {label(f.vertex_set): f.dim - g.dim - 1
+            for f in lattice.faces if g.vertex_set <= f.vertex_set}
+    covers = {(label(lattice.faces[lo].vertex_set),
+               label(lattice.faces[hi].vertex_set))
+              for lo, hi in lattice.covers
+              if g.vertex_set <= lattice.faces[lo].vertex_set}
+    return dims, covers
+
+
+def dual_by_labels(lattice):
+    """Each face relabelled by the facets containing it, order reversed;
+    same form as as_sets."""
+    facets = lattice.faces_of_dim(lattice.dim - 1)
+
+    def label(vs):
+        return frozenset(i for i, f in enumerate(facets) if vs <= f.vertex_set)
+
+    dims = {label(f.vertex_set): lattice.dim - 1 - f.dim
+            for f in lattice.faces}
+    covers = {(label(lattice.faces[hi].vertex_set),
+               label(lattice.faces[lo].vertex_set))
+              for lo, hi in lattice.covers}
+    return dims, covers
+
+
+def check_against_oracles(p):
+    lattice = p.face_lattice()
+    assert lattice.dim == p.dim and lattice.n_vertices == p.n_vertices
+    assert as_sets(lattice) == reference_lattice(p)
+    check_canonical_graded(lattice)
+    d = dual(lattice)
+    assert d.dim == p.dim and d.n_vertices == len(lattice.faces_of_dim(p.dim - 1))
+    assert as_sets(d) == dual_by_labels(lattice)
+    check_canonical_graded(d)
+    for g in lattice.faces:
+        if 0 <= g.dim < p.dim:
+            q = quotient(lattice, g)
+            assert q.dim == p.dim - g.dim - 1
+            assert as_sets(q) == quotient_by_interval(lattice, g)
+            check_canonical_graded(q)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("p", [cyclic(10, 4), cube(3), pyramid(cube(2)),
+                                   cross_polytope(3), simplex(1),
+                                   hull_from_points([(2, 5)])], ids=str)
+    def test_fixed_polytopes(self, p):
+        check_against_oracles(p)
+
+    @given(random_hulls())
+    @settings(max_examples=40, deadline=None)
+    def test_random_hulls(self, p):
+        check_against_oracles(p)
 
 
 class TestLatticeConstruction:
@@ -97,11 +221,27 @@ class TestDual:
         assert dv == fv[::-1] == fv
 
     def test_double_dual_involution(self):
-        lattice = cyclic(6, 4).face_lattice()
-        dd = dual(dual(lattice))
-        assert tuple(dd.f_vector().counts) == tuple(lattice.f_vector().counts)
-        assert len(dd) == len(lattice)
-        assert len(dd.covers) == len(lattice.covers)
+        # dual(dual(L)) is L relabelled: its vertex j is the facet j of
+        # dual(L), i.e. the set of facets of L through one vertex v of L.
+        for p in (cyclic(6, 4), cyclic(10, 4), cube(3), pyramid(cube(2))):
+            lattice = p.face_lattice()
+            facets = lattice.faces_of_dim(lattice.dim - 1)
+            vertex_of = {
+                frozenset(i for i, f in enumerate(facets) if v in f.vertex_set): v
+                for v in range(lattice.n_vertices)
+            }
+            assert len(vertex_of) == lattice.n_vertices
+            sigma = [vertex_of[f.vertex_set]
+                     for f in dual(lattice).faces_of_dim(lattice.dim - 1)]
+            assert sorted(sigma) == list(range(lattice.n_vertices))
+            dd = dual(dual(lattice))
+            assert dd.dim == lattice.dim
+            dims, covers = as_sets(dd)
+            relabel = {vs: frozenset(sigma[i] for i in vs) for vs in dims}
+            assert {relabel[vs]: d for vs, d in dims.items()} == \
+                as_sets(lattice)[0]
+            assert {(relabel[a], relabel[b]) for a, b in covers} == \
+                as_sets(lattice)[1]
 
     def test_dual_reverses_covers(self):
         lattice = cube(2).face_lattice()

@@ -39,7 +39,7 @@ for dv in diagram.interior_vertices:
 print()
 print("== the exact projection gap ==")
 for k in range(p.dim):
-    g = gap_check(p, direction, k, sh)
+    g = gap_check(p, direction, k)
     print(f"  k={k}: f_k={g.f_k}, proper k-faces of the shadow:"
           f" {g.shadow_f_k}; gap {g.gap} >= {g.bound}: {g.ok}")
 

@@ -40,10 +40,9 @@ from .generators import (
     random_sphere,
     simplex,
 )
-from .lattice import Face, FaceLattice, FVector, dual, f_vector, quotient
+from .lattice import Face, FaceLattice, FVector, dual, quotient
 from .polytope import (
     Polytope,
-    face_lattice,
     hull_from_points,
     load_polytope,
     polytope_from_json,

@@ -396,11 +396,10 @@ class ProjectionAngleReport:
 
 def projection_angle_check(p: Polytope, k: int, directions=20,
                            samples: int = DEFAULT_SAMPLES,
-                           seed: int = 0, shadows=None,
+                           seed: int = 0,
                            sigma: float = SIGMA_FACTOR) -> ProjectionAngleReport:
     """Check the projection lower bound on the k-th angle sum using
-    sampled general-position directions (or a supplied list of them,
-    optionally with their precomputed shadows)."""
+    sampled general-position directions (or a supplied list of them)."""
     if not 0 <= k <= p.dim - 1:
         raise OutOfRangeError(f"projection angle check needs 0 <= k < dim")
     if isinstance(directions, int):
@@ -408,9 +407,7 @@ def projection_angle_check(p: Polytope, k: int, directions=20,
             sample_direction(p, derive_seed(seed, "dir", i))
             for i in range(directions)
         ]
-    if shadows is None:
-        shadows = [shadow(p, d) for d in directions]
-    counts = [sh.poly.f_vector().count(k) for sh in shadows]
+    counts = [shadow(p, d).poly.f_vector().count(k) for d in directions]
     fk = p.f_vector().count(k)
     bound = Fraction(fk - max(counts), 2)
     report = angle_sum(p, k, samples, seed)

@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -134,10 +135,13 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_angles(args) -> int:
     _require_positive(samples=args.samples, directions=args.directions)
+    sigma = args.tolerance_sigma
+    if not 0 < sigma < math.inf:  # also refuses nan
+        raise OutOfRangeError(
+            f"--tolerance-sigma must be finite and positive, got {sigma}")
     p = _load(args)
     samples = args.samples
     seed = args.seed
-    sigma = args.tolerance_sigma
     sums = [angle_sum(p, k, samples, derive_seed(seed, "sum", k)).to_json()
             for k in range(p.dim)]
     floors = [

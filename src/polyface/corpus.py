@@ -1,8 +1,9 @@
 """The verification corpora.
 
-``standard_corpus`` is the fixed desk-scale collection shared by the test
-suite and the batch CLI: every generator family through dimension 6 plus
-20 seeded random hulls.  Its members are chosen so that every statistical
+``standard_corpus`` is the fixed desk-scale collection the acceptance
+suite runs over (the ``corpus`` command builds its own family x dimension
+grid instead): every generator family through dimension 6 plus 20 seeded
+random hulls.  Its members are chosen so that every statistical
 acceptance margin is comfortably observable; in particular, faces of
 codimension >= 3 of every member have facet-angle sums bounded away from 1
 (moment-curve polytopes of dimension >= 3 and random 4-dimensional hulls
@@ -49,7 +50,7 @@ def _entry(name: str, family: str, p: Polytope) -> CorpusEntry:
     return CorpusEntry(name, family, p.dim, p.n_vertices, p)
 
 
-def standard_corpus(include_random: bool = True) -> list[CorpusEntry]:
+def standard_corpus() -> list[CorpusEntry]:
     """Deterministic: identical across runs and platforms."""
     entries: list[CorpusEntry] = []
     for d in range(1, 7):
@@ -73,12 +74,11 @@ def standard_corpus(include_random: bool = True) -> list[CorpusEntry]:
                           pyramid(prism(simplex(2)))))
     entries.append(_entry("prism-pyramid-square", "prism",
                           prism(pyramid(cube(2)))))
-    if include_random:
-        for seed in range(RANDOM_COUNT):
-            d = 2 + seed % 2  # dimensions 2 and 3
-            n = 8 + seed % 5  # 8..12 requested points
-            p = random_sphere(d, n, seed)
-            entries.append(_entry(f"random-{d}-{n}-s{seed}", "random-sphere", p))
+    for seed in range(RANDOM_COUNT):
+        d = 2 + seed % 2  # dimensions 2 and 3
+        n = 8 + seed % 5  # 8..12 requested points
+        p = random_sphere(d, n, seed)
+        entries.append(_entry(f"random-{d}-{n}-s{seed}", "random-sphere", p))
     return entries
 
 
@@ -96,5 +96,5 @@ def flat_extras() -> list[CorpusEntry]:
     return entries
 
 
-def extended_corpus(include_random: bool = True) -> list[CorpusEntry]:
-    return standard_corpus(include_random) + flat_extras()
+def extended_corpus() -> list[CorpusEntry]:
+    return standard_corpus() + flat_extras()

@@ -101,17 +101,6 @@ class FaceLattice:
             raise NotAFaceError(f"{sorted(key)} is not a face of this lattice")
         return self.faces[i]
 
-    def has_face(self, vertex_set: Iterable[int]) -> bool:
-        return frozenset(vertex_set) in self._index
-
-    @property
-    def top(self) -> Face:
-        return self._by_dim[self.dim][0]
-
-    @property
-    def bottom(self) -> Face:
-        return self._by_dim[-1][0]
-
     def f_vector(self) -> FVector:
         counts = tuple(len(self._by_dim.get(k, ())) for k in range(self.dim))
         if len(self._by_dim.get(-1, ())) != 1 or len(self._by_dim.get(self.dim, ())) != 1:
@@ -163,10 +152,6 @@ def build_face_lattice(vertices: Sequence[Vector],
     """The face lattice from the vertex-facet incidences; the polytope's
     dimension is the only arithmetic."""
     return _lattice(len(vertices), facet_vertex_sets, affine_dim(vertices))
-
-
-def f_vector(lattice: FaceLattice) -> FVector:
-    return lattice.f_vector()
 
 
 def dual(lattice: FaceLattice) -> FaceLattice:

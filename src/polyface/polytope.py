@@ -92,16 +92,16 @@ class Polytope:
         self.facets = tuple(facets)
         self.embedding = embedding
         self.metric = tuple(metric)
-        self._lattice: FaceLattice | None = None
-        self._facet_polytopes: dict[int, "Polytope"] = {}
         self._memo: dict = {}
 
     def memo(self, key, build: Callable[[], Any]) -> Any:
         """The value cached under key, computed once by build().
 
-        Other modules keep data derived from this immutable polytope here
-        (general-position normals, integer geometry, per-face affine
-        data) instead of in attributes of their own on it.
+        Everything derived from this immutable polytope lives here: its
+        face lattice and facet polytopes, and from projection the
+        general-position normals, integer geometry, per-face affine data,
+        and the shadow and facet partition of each direction.  A build
+        that raises stores nothing, so it raises again on the next call.
         """
         if key not in self._memo:
             self._memo[key] = build()
@@ -118,11 +118,8 @@ class Polytope:
         return len(self.facets)
 
     def face_lattice(self) -> FaceLattice:
-        if self._lattice is None:
-            self._lattice = build_face_lattice(
-                self.vertices, [f.vertex_set for f in self.facets]
-            )
-        return self._lattice
+        return self.memo("lattice", lambda: build_face_lattice(
+            self.vertices, [f.vertex_set for f in self.facets]))
 
     def f_vector(self) -> FVector:
         return self.face_lattice().f_vector()
@@ -195,13 +192,9 @@ class Polytope:
         coordinates; its ambient space is this polytope's intrinsic space."""
         if not 0 <= index < len(self.facets):
             raise IndexError(f"facet index {index} out of range")
-        cached = self._facet_polytopes.get(index)
-        if cached is None:
-            verts = [self.vertices[i]
-                     for i in sorted(self.facets[index].vertex_set)]
-            cached = _build(verts, self.metric)
-            self._facet_polytopes[index] = cached
-        return cached
+        return self.memo(("facet", index), lambda: _build(
+            [self.vertices[i] for i in sorted(self.facets[index].vertex_set)],
+            self.metric))
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, vertices={self.n_vertices}, "
@@ -237,8 +230,7 @@ def _restrict(points: list[Vector], metric: tuple[Fraction, ...], dim: int):
     return intrinsic, embedding, tuple(norms)
 
 
-def _build(points: Sequence[Vector], metric: Sequence[Fraction],
-           max_points: int = MAX_POINTS, max_dim: int = MAX_DIM) -> Polytope:
+def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
     """Shared construction path: dedupe, restrict, enumerate facets, drop
     non-vertex points, assemble the Polytope."""
     if not points:
@@ -254,14 +246,14 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction],
         if p not in seen:
             seen[p] = len(distinct)
             distinct.append(p)
-    if len(distinct) > max_points:
+    if len(distinct) > MAX_POINTS:
         raise TooLargeError(
-            f"{len(distinct)} points exceeds the guard of {max_points}"
+            f"{len(distinct)} points exceeds the guard of {MAX_POINTS}"
         )
 
     dim = affine_dim(distinct)
-    if dim > max_dim:
-        raise TooLargeError(f"dimension {dim} exceeds the guard of {max_dim}")
+    if dim > MAX_DIM:
+        raise TooLargeError(f"dimension {dim} exceeds the guard of {MAX_DIM}")
 
     if dim == ambient:
         intrinsic = distinct
@@ -294,8 +286,7 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction],
     return Polytope(ambient, dim, vertices, facets, embedding, child_metric)
 
 
-def hull_from_points(points: Sequence, *, max_points: int = MAX_POINTS,
-                     max_dim: int = MAX_DIM) -> Polytope:
+def hull_from_points(points: Sequence) -> Polytope:
     """Convex hull of a finite point set, exactly.
 
     Coordinates may be ints, strings ("p/q") or Fractions.  Lower
@@ -307,11 +298,7 @@ def hull_from_points(points: Sequence, *, max_points: int = MAX_POINTS,
         raise EmptyInputError("a polytope needs at least one point")
     pts = [vector(p) for p in points]
     ones = tuple(Fraction(1) for _ in range(len(pts[0])))
-    return _build(pts, ones, max_points=max_points, max_dim=max_dim)
-
-
-def face_lattice(p: Polytope) -> FaceLattice:
-    return p.face_lattice()
+    return _build(pts, ones)
 
 
 # -- serialization ----------------------------------------------------------
@@ -331,9 +318,16 @@ def polytope_to_json(p: Polytope) -> dict:
 
 def polytope_from_json(data: dict) -> Polytope:
     try:
-        ambient = int(data["ambient_dim"])
-        rows = [tuple(parse_scalar(c) for c in row) for row in data["vertices"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        ambient, rows = data["ambient_dim"], data["vertices"]
+        # JSON true/false load as 1 and 0; a string row splits into digits.
+        if type(ambient) is not int or any(
+                type(row) is not list or any(type(c) is bool for c in row)
+                for row in rows):
+            raise TypeError("ambient_dim must be an integer and each vertex "
+                            "a list of non-boolean coordinates")
+        rows = [tuple(parse_scalar(c) for c in row) for row in rows]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
         raise BadInputError(f"malformed polytope JSON: {exc!r}") from exc
     if any(len(row) != ambient for row in rows):
         raise MixedDimensionsError("vertex length does not match ambient_dim")

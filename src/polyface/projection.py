@@ -11,6 +11,8 @@ cross products, deduplicated) and test v against each.  The normal set
 depends only on the polytope and is cached on it, which makes verifying
 many directions cheap.  The enumeration is guarded by a subset budget;
 desk-scale polytopes fit comfortably except the very largest vertex counts.
+Shadows and facet partitions are cached on the polytope too, per direction
+vector, so the checks of one direction share them.
 """
 from __future__ import annotations
 
@@ -51,6 +53,7 @@ from .lattice import Face, quotient
 from .polytope import Polytope, _build
 
 MAX_GP_SUBSETS = 3_000_000
+MAX_DIRECTION_DRAWS = 64
 DIRECTION_RANGE = 10**4
 
 
@@ -66,23 +69,21 @@ class Direction:
         return {"v": [str(c) for c in self.v], "verified": self.verified}
 
 
-def spanned_hyperplane_normals(
-    q: Polytope, max_subsets: int = MAX_GP_SUBSETS
-) -> tuple[tuple[int, ...], ...]:
+def spanned_hyperplane_normals(q: Polytope) -> tuple[tuple[int, ...], ...]:
     """Distinct primitive normals of all hyperplanes spanned by vertices.
 
     Cached on the polytope.  Raises TooLargeError when the number of
-    dim-subsets exceeds the budget.
+    dim-subsets exceeds MAX_GP_SUBSETS.
     """
     def build() -> tuple[tuple[int, ...], ...]:
         n, d = q.n_vertices, q.dim
         if d < 1:
             raise OutOfRangeError("directions need dimension >= 1")
         total = comb(n, d)
-        if total > max_subsets:
+        if total > MAX_GP_SUBSETS:
             raise TooLargeError(
                 f"general-position verification needs {total} subset checks "
-                f"(budget {max_subsets})"
+                f"(budget {MAX_GP_SUBSETS})"
             )
         pts, _ = integer_scaled(q.vertices)
         normals: set[tuple[int, ...]] = set()
@@ -104,48 +105,44 @@ def spanned_hyperplane_normals(
     return q.memo("gp-normals", build)
 
 
-def is_general_position(q: Polytope, v: Vector,
-                        max_subsets: int = MAX_GP_SUBSETS) -> bool:
+def is_general_position(q: Polytope, v: Vector) -> bool:
     """Exact test that v is parallel to no vertex-spanned proper subspace."""
     if is_zero(v):
         return False
     return all(
         sum(a * b for a, b in zip(nrm, v)) != 0
-        for nrm in spanned_hyperplane_normals(q, max_subsets)
+        for nrm in spanned_hyperplane_normals(q)
     )
 
 
-def verify_direction(q: Polytope, v, max_subsets: int = MAX_GP_SUBSETS) -> Direction:
+def verify_direction(q: Polytope, v) -> Direction:
     vec = vector(v)
     if len(vec) != q.dim:
         raise OutOfRangeError("direction dimension must match the polytope")
-    if not is_general_position(q, vec, max_subsets):
+    if not is_general_position(q, vec):
         raise GeneralPositionError(f"{v} is not in general position")
     return Direction(vec, True)
 
 
-def sample_direction(q: Polytope, seed: int = 0, max_retries: int = 64,
-                     max_subsets: int = MAX_GP_SUBSETS) -> Direction:
+def sample_direction(q: Polytope, seed: int = 0) -> Direction:
     """Seeded random integer direction, resampled until verified.
 
     Coordinates are drawn uniformly from [-10^4, 10^4]; failures (a zero
     vector or a general-position violation) trigger a redraw from the same
-    stream, so the result is deterministic in (polytope, seed).
+    stream, for at most MAX_DIRECTION_DRAWS draws in all, so the result is
+    deterministic in (polytope, seed).
     """
     if q.dim < 1:
         raise OutOfRangeError("directions need dimension >= 1")
-    normals = spanned_hyperplane_normals(q, max_subsets)
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((seed & SEED_MASK, 0x61))))
-    for _ in range(max_retries):
+    for _ in range(MAX_DIRECTION_DRAWS):
         draw = rng.integers(-DIRECTION_RANGE, DIRECTION_RANGE + 1, size=q.dim)
         v = tuple(Fraction(int(c)) for c in draw)
-        if is_zero(v):
-            continue
-        if all(sum(a * b for a, b in zip(nrm, v)) != 0 for nrm in normals):
+        if is_general_position(q, v):
             return Direction(v, True)
     raise RetriesExhaustedError(
-        f"no general-position direction found in {max_retries} draws"
+        f"no general-position direction found in {MAX_DIRECTION_DRAWS} draws"
     )
 
 
@@ -169,32 +166,27 @@ class ShadowPolytope:
     vertex_map: tuple[int | None, ...]
     basis: tuple[Vector, ...]
     basis_norms: tuple[Fraction, ...]
-    source_metric: tuple[Fraction, ...]
-    direction: Vector
-
-    def project(self, point: Vector) -> Vector:
-        """Shadow coordinates of a point given in source coordinates."""
-        return tuple(
-            wdot(point, b, self.source_metric) / nb
-            for b, nb in zip(self.basis, self.basis_norms)
-        )
 
 
 def shadow(q: Polytope, v) -> ShadowPolytope:
     """Project q along a (verified) direction and rebuild the hull."""
     vec = _direction_vector(v)
-    if is_zero(vec):
-        raise ZeroVectorError("projection direction must be nonzero")
-    basis = orthogonal_complement_basis(vec, q.metric)
-    norms = tuple(wdot(b, b, q.metric) for b in basis)
-    projected = [
-        tuple(wdot(p, b, q.metric) / nb for b, nb in zip(basis, norms))
-        for p in q.vertices
-    ]
-    poly = _build(projected, norms)
-    locate = {p: i for i, p in enumerate(poly.vertices)}
-    vmap = tuple(locate.get(p) for p in projected)
-    return ShadowPolytope(poly, vmap, tuple(basis), norms, q.metric, vec)
+
+    def build() -> ShadowPolytope:
+        if is_zero(vec):
+            raise ZeroVectorError("projection direction must be nonzero")
+        basis = orthogonal_complement_basis(vec, q.metric)
+        norms = tuple(wdot(b, b, q.metric) for b in basis)
+        projected = [
+            tuple(wdot(p, b, q.metric) / nb for b, nb in zip(basis, norms))
+            for p in q.vertices
+        ]
+        poly = _build(projected, norms)
+        locate = {p: i for i, p in enumerate(poly.vertices)}
+        vmap = tuple(locate.get(p) for p in projected)
+        return ShadowPolytope(poly, vmap, tuple(basis), norms)
+
+    return q.memo(("shadow", vec), build)
 
 
 @dataclass(frozen=True)
@@ -219,44 +211,45 @@ class ShadowComplexes:
 
 def upper_lower(q: Polytope, v) -> ShadowComplexes:
     """Exact sign partition of the facets; a zero pairing means the
-    direction was not verified and is rejected."""
+    direction was not verified and is rejected (on every call)."""
     vec = _direction_vector(v)
-    upper, lower = [], []
-    for i, f in enumerate(q.facets):
-        s = dot(f.plane.normal, vec)
-        if s > 0:
-            upper.append(i)
-        elif s < 0:
-            lower.append(i)
-        else:
-            raise ZeroDotProductError(
-                f"direction orthogonal to facet {i}: not in general position"
-            )
-    upper_sets = [q.facets[i].vertex_set for i in upper]
-    lower_sets = [q.facets[i].vertex_set for i in lower]
-    upper_faces, lower_faces = [], []
-    for face in q.face_lattice().faces:
-        if face.dim < 0 or face.dim == q.dim:
-            continue
-        vs = face.vertex_set
-        if any(vs <= u for u in upper_sets):
-            upper_faces.append(face)
-        if any(vs <= l for l in lower_sets):
-            lower_faces.append(face)
-    in_lower = set(lower_faces)
-    boundary = tuple(f for f in upper_faces if f in in_lower)
-    return ShadowComplexes(tuple(upper), tuple(lower), tuple(upper_faces),
-                           tuple(lower_faces), boundary)
+
+    def build() -> ShadowComplexes:
+        upper, lower = [], []
+        for i, f in enumerate(q.facets):
+            s = dot(f.plane.normal, vec)
+            if s > 0:
+                upper.append(i)
+            elif s < 0:
+                lower.append(i)
+            else:
+                raise ZeroDotProductError(
+                    f"direction orthogonal to facet {i}: not in general position"
+                )
+        upper_sets = [q.facets[i].vertex_set for i in upper]
+        lower_sets = [q.facets[i].vertex_set for i in lower]
+        upper_faces, lower_faces = [], []
+        for face in q.face_lattice().faces:
+            if face.dim < 0 or face.dim == q.dim:
+                continue
+            vs = face.vertex_set
+            if any(vs <= u for u in upper_sets):
+                upper_faces.append(face)
+            if any(vs <= l for l in lower_sets):
+                lower_faces.append(face)
+        in_lower = set(lower_faces)
+        boundary = tuple(f for f in upper_faces if f in in_lower)
+        return ShadowComplexes(tuple(upper), tuple(lower), tuple(upper_faces),
+                               tuple(lower_faces), boundary)
+
+    return q.memo(("upper-lower", vec), build)
 
 
-def shadow_boundary_check(q: Polytope, v, sh: ShadowPolytope | None = None,
-                          complexes: ShadowComplexes | None = None) -> bool:
+def shadow_boundary_check(q: Polytope, v) -> bool:
     """Combinatorial homeomorphism check: the projections of the shadow
     boundary faces are exactly the proper nonempty faces of the shadow."""
-    if sh is None:
-        sh = shadow(q, v)
-    if complexes is None:
-        complexes = upper_lower(q, v)
+    sh = shadow(q, v)
+    complexes = upper_lower(q, v)
     shadow_faces = {
         f.vertex_set: f.dim
         for f in sh.poly.face_lattice().faces
@@ -333,9 +326,7 @@ def _aff_data_int(q: Polytope, face: Face, verts):
     return q.memo(("face-affine", face.vertex_set), build)
 
 
-def diagram_vertices(q: Polytope, v,
-                     complexes: ShadowComplexes | None = None,
-                     sh: ShadowPolytope | None = None) -> tuple[DiagramVertex, ...]:
+def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     """All crossing vertices of the overlay of the projected upper and
     lower complexes.
 
@@ -349,10 +340,8 @@ def diagram_vertices(q: Polytope, v,
     if q.dim < 2:
         raise DimensionTooLowError("diagram construction needs dim >= 2")
     vec = _direction_vector(v)
-    if complexes is None:
-        complexes = upper_lower(q, vec)
-    if sh is None:
-        sh = shadow(q, vec)
+    complexes = upper_lower(q, vec)
+    sh = shadow(q, vec)
 
     upper_faces: dict[int, list[Face]] = {}
     lower_faces: dict[int, list[Face]] = {}
@@ -511,8 +500,7 @@ class GapReport:
                 "gap": self.gap, "bound": str(self.bound), "ok": self.ok}
 
 
-def gap_check(q: Polytope, v, k: int,
-              sh: ShadowPolytope | None = None) -> GapReport:
+def gap_check(q: Polytope, v, k: int) -> GapReport:
     """f_k(Q) - (proper k-faces of the shadow), exactly at least
     2 * ratio_bound(dim+1, dim-k).
 
@@ -524,8 +512,7 @@ def gap_check(q: Polytope, v, k: int,
         raise DimensionTooLowError("gap check needs dim >= 2")
     if not 0 <= k <= q.dim - 1:
         raise OutOfRangeError(f"gap check needs 0 <= k < dim, got {k}")
-    if sh is None:
-        sh = shadow(q, v)
+    sh = shadow(q, v)
     fk = q.f_vector().count(k)
     sk = sh.poly.f_vector().count(k) if k < sh.poly.dim else 0
     gap = fk - sk
@@ -567,9 +554,9 @@ def build_shadow_diagram(q: Polytope, direction: Direction) -> ShadowDiagram:
         raise DimensionTooLowError("diagrams need dim >= 2")
     sh = shadow(q, direction)
     complexes = upper_lower(q, direction)
-    verts = diagram_vertices(q, direction, complexes, sh)
-    gaps = tuple(gap_check(q, direction, k, sh) for k in range(q.dim))
-    ok = shadow_boundary_check(q, direction, sh, complexes)
+    verts = diagram_vertices(q, direction)
+    gaps = tuple(gap_check(q, direction, k) for k in range(q.dim))
+    ok = shadow_boundary_check(q, direction)
     return ShadowDiagram(direction if isinstance(direction, Direction)
                          else Direction(_direction_vector(direction), False),
                          complexes, sh, verts, ok, gaps)

@@ -37,7 +37,6 @@ from polyface.projection import (
     diagram_vertices,
     gap_check,
     sample_direction,
-    shadow,
     spanned_hyperplane_normals,
 )
 
@@ -64,7 +63,8 @@ def full_corpus():
 @pytest.fixture(scope="module")
 def projection_corpus(full_corpus):
     """Corpus entries of dim >= 2 whose direction verification fits the
-    budget, with 20 verified directions and their shadows each."""
+    budget, with 20 verified directions each (their shadows are cached on
+    the polytopes, so the criteria below share them)."""
     feasible = []
     excluded = []
     for entry in full_corpus:
@@ -79,10 +79,9 @@ def projection_corpus(full_corpus):
     assert set(excluded) <= {"cube-6"}, excluded
     data = {}
     for entry in feasible:
-        dirs = [sample_direction(entry.polytope, derive_seed(0, entry.name, i))
-                for i in range(DIRECTIONS)]
-        shadows = [shadow(entry.polytope, d) for d in dirs]
-        data[entry.name] = (entry.polytope, dirs, shadows)
+        data[entry.name] = (entry.polytope, [
+            sample_direction(entry.polytope, derive_seed(0, entry.name, i))
+            for i in range(DIRECTIONS)])
     return data
 
 
@@ -234,20 +233,17 @@ def test_criterion_08_angle_sum_floor(corpus):
 
 
 def test_criterion_09_projection_angle_bound(projection_corpus):
-    hexa, hex_dirs, hex_shadows = projection_corpus["cyclic-6-2"]
-    rep = projection_angle_check(hexa, 0, hex_dirs, FULL_SAMPLES, seed=9,
-                                 shadows=hex_shadows)
+    hexa, hex_dirs = projection_corpus["cyclic-6-2"]
+    rep = projection_angle_check(hexa, 0, hex_dirs, FULL_SAMPLES, seed=9)
     assert rep.verdict == "PASS" and rep.equality and rep.bound == 2
-    cube3, cube_dirs, cube_shadows = projection_corpus["cube-3"]
-    rep = projection_angle_check(cube3, 1, cube_dirs, FULL_SAMPLES, seed=9,
-                                 shadows=cube_shadows)
+    cube3, cube_dirs = projection_corpus["cube-3"]
+    rep = projection_angle_check(cube3, 1, cube_dirs, FULL_SAMPLES, seed=9)
     assert rep.verdict == "PASS" and rep.equality and rep.bound == 3
     outcomes = {"PASS": 0, "WARN": 0}
-    for name, (p, dirs, shadows) in projection_corpus.items():
+    for name, (p, dirs) in projection_corpus.items():
         for k in range(p.dim):
             rep = projection_angle_check(p, k, dirs, SWEEP_SAMPLES,
-                                         seed=derive_seed(9, name, k),
-                                         shadows=shadows)
+                                         seed=derive_seed(9, name, k))
             assert rep.verdict in ("PASS", "WARN"), (name, k)
             outcomes[rep.verdict] += 1
     _report(9, "projection angle bound", f"two equalities at 1e6 samples; "
@@ -256,10 +252,10 @@ def test_criterion_09_projection_angle_bound(projection_corpus):
 
 def test_criterion_10_projection_gap(projection_corpus):
     checks = 0
-    for name, (q, dirs, shadows) in projection_corpus.items():
-        for d, sh in zip(dirs, shadows):
+    for name, (q, dirs) in projection_corpus.items():
+        for d in dirs:
             for k in range(q.dim):
-                rep = gap_check(q, d, k, sh)
+                rep = gap_check(q, d, k)
                 assert rep.ok, (name, k, rep)
                 checks += 1
     _report(10, "projection gap", f"{checks} exact checks "
@@ -268,10 +264,10 @@ def test_criterion_10_projection_gap(projection_corpus):
 
 def test_criterion_11_interior_vertex(projection_corpus):
     trials = 0
-    for name, (q, dirs, shadows) in projection_corpus.items():
+    for name, (q, dirs) in projection_corpus.items():
         budget = 6 if q.dim <= 3 else (4 if q.dim == 4 else 2)
-        for d, sh in zip(dirs[:budget], shadows[:budget]):
-            dvs = diagram_vertices(q, d, sh=sh)
+        for d in dirs[:budget]:
+            dvs = diagram_vertices(q, d)
             assert any(dv.interior for dv in dvs), (name, d)
             trials += 1
     assert trials >= 200
@@ -282,6 +278,7 @@ def test_criterion_12_deterministic_corpus_output(tmp_path):
     import os
 
     outputs = []
+    angle_outputs = []
     for threads in ("1", "4"):
         out = tmp_path / f"corpus-{threads}.csv"
         env = dict(os.environ, POLYFACE_THREADS=threads)
@@ -293,8 +290,18 @@ def test_criterion_12_deterministic_corpus_output(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
+        # corpus never samples; this run splits each solid angle into
+        # three chunks, which four threads estimate in parallel.
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyface", "angles", "--family", "simplex",
+             "--dim", "2", "--samples", "140000", "--directions", "1"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        angle_outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+    assert angle_outputs[0] == angle_outputs[1]
     rows = outputs[0].decode().splitlines()
     assert all("VIOLATED" not in r for r in rows)
-    _report(12, "deterministic corpus runs", f"{len(rows) - 1} CSV rows "
-            f"byte-identical across thread counts")
+    _report(12, "deterministic runs", f"{len(rows) - 1} CSV rows and a "
+            f"3-chunk angles run byte-identical across thread counts")

@@ -52,12 +52,45 @@ BAD_INPUTS = [
     ("zero-denominator",
      '{"ambient_dim": 1, "vertices": [["0"], ["1/0"]]}', ["describe"],
      "BadInputError"),
+    ("overflowing-coordinate",
+     '{"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1e400]]}',
+     ["describe"], "BadInputError"),
+    ("infinite-coordinate",
+     '{"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, Infinity]]}',
+     ["describe"], "BadInputError"),
+    ("nan-coordinate",
+     '{"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, NaN]]}',
+     ["describe"], "BadInputError"),
+    ("string-vertex-row",
+     '{"ambient_dim": 2, "vertices": ["00", "10", "01"]}', ["describe"],
+     "BadInputError"),
+    ("boolean-coordinate",
+     '{"ambient_dim": 1, "vertices": [[false], [true]]}', ["describe"],
+     "BadInputError"),
+    ("overflowing-ambient-dim",
+     '{"ambient_dim": 1e400, "vertices": [[0, 0], [1, 0], [0, 1]]}',
+     ["describe"], "BadInputError"),
+    ("fractional-ambient-dim",
+     '{"ambient_dim": 2.5, "vertices": [[0, 0], [1, 0], [0, 1]]}',
+     ["describe"], "BadInputError"),
+    ("boolean-ambient-dim",
+     '{"ambient_dim": true, "vertices": [[0], [1]]}', ["describe"],
+     "BadInputError"),
     ("angles-zero-directions", None,
      ["angles", "--family", "simplex", "--dim", "2", "--directions", "0"],
      "OutOfRangeError"),
     ("angles-zero-samples", None,
      ["angles", "--family", "simplex", "--dim", "2", "--samples", "0"],
      "OutOfRangeError"),
+    ("angles-infinite-sigma", None,
+     ["angles", "--family", "simplex", "--dim", "2", "--samples", "2000",
+      "--directions", "1", "--tolerance-sigma", "inf"], "OutOfRangeError"),
+    ("angles-negative-sigma", None,
+     ["angles", "--family", "simplex", "--dim", "2", "--samples", "2000",
+      "--directions", "1", "--tolerance-sigma", "-1"], "OutOfRangeError"),
+    ("angles-nan-sigma", None,
+     ["angles", "--family", "simplex", "--dim", "2", "--samples", "2000",
+      "--directions", "1", "--tolerance-sigma", "nan"], "OutOfRangeError"),
     ("project-negative-directions", None,
      ["project", "--family", "cube", "--dim", "3", "--directions", "-1"],
      "OutOfRangeError"),
@@ -123,6 +156,18 @@ class TestAngles:
         data = json.loads(out.read_text())
         assert all(f["passed"] for f in data["floors"])
         assert all(c["ok"] for c in data["curvature"])
+
+    def test_byte_identical_across_thread_counts(self):
+        # 140,000 samples per face is three sampling chunks, so four
+        # threads really do split each estimate.
+        outs = []
+        for threads in (1, 4):
+            proc = run_cli("angles", "--family", "simplex", "--dim", "2",
+                           "--samples", "140000", "--directions", "1",
+                           threads=threads)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestProject:

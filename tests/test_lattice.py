@@ -14,7 +14,7 @@ from polyface.generators import (
     pyramid,
     simplex,
 )
-from polyface.lattice import FVector, dual, f_vector, quotient
+from polyface.lattice import FVector, dual, quotient
 from polyface.polytope import hull_from_points
 
 
@@ -293,8 +293,3 @@ class TestQuotient:
         lattice = cube(4).face_lattice()
         for face in lattice.faces_of_dim(1):
             quotient(lattice, face).f_vector()  # Euler asserted inside
-
-
-def test_f_vector_helper_matches_method():
-    lattice = cube(3).face_lattice()
-    assert tuple(f_vector(lattice).counts) == tuple(lattice.f_vector().counts)

@@ -32,6 +32,27 @@ class TestFlags:
         assert p.is_simple() and p.is_simplicial()
 
 
+class TestMemo:
+    def test_face_lattice_cached(self):
+        p = cyclic(7, 4)
+        assert p.face_lattice() is p.face_lattice()
+
+    def test_failed_build_is_not_stored(self):
+        p = cube(2)
+        calls = []
+
+        def failing():
+            calls.append(1)
+            raise ValueError("no value")
+
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                p.memo("failing", failing)
+        assert len(calls) == 2
+        assert p.memo("failing", lambda: 7) == 7
+        assert p.memo("failing", failing) == 7 and len(calls) == 2
+
+
 class TestFaceQueries:
     def test_is_face(self):
         p = cube(2)
@@ -80,6 +101,11 @@ class TestFacetAsPolytope:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             cube(3).facet_as_polytope(99)
+
+    def test_cached_on_the_polytope(self):
+        p = cube(3)
+        assert p.facet_as_polytope(2) is p.facet_as_polytope(2)
+        assert p.facet_as_polytope(2) is not p.facet_as_polytope(3)
 
     def test_metric_preserves_lengths(self):
         # Squared edge lengths measured in the facet's intrinsic

@@ -1,16 +1,18 @@
 """Projections: direction verification, shadows, diagrams, gap checks."""
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from polyface import projection
 from polyface.errors import (
     DimensionTooLowError,
     GeneralPositionError,
     NotInteriorError,
+    RetriesExhaustedError,
     TooLargeError,
     ZeroDotProductError,
 )
-from polyface.exact import rank, vector, vsub, wdot
+from polyface.exact import rank, vector, vscale, vsub, wdot
 from polyface.generators import cross_polytope, cube, cyclic, pyramid, simplex
 from polyface.polytope import hull_from_points
 from polyface.projection import (
@@ -85,14 +87,15 @@ class TestGeneralPosition:
         with pytest.raises(GeneralPositionError):
             verify_direction(cube(2), (1, 0))
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(projection, "MAX_GP_SUBSETS", 10)
         with pytest.raises(TooLargeError):
-            spanned_hyperplane_normals(cube(4), max_subsets=10)
+            spanned_hyperplane_normals(cube(4))
 
-    def test_retries_exhausted(self):
-        from polyface.errors import RetriesExhaustedError
+    def test_retries_exhausted(self, monkeypatch):
+        monkeypatch.setattr(projection, "MAX_DIRECTION_DRAWS", 0)
         with pytest.raises(RetriesExhaustedError):
-            sample_direction(cube(2), seed=0, max_retries=0)
+            sample_direction(cube(2), seed=0)
 
 
 class TestShadow:
@@ -121,16 +124,63 @@ class TestShadow:
         assert 4 in shapes
 
     def test_projection_exactness(self):
-        # The projected coordinates reproduce every pairwise pairing with
-        # the complement basis exactly.
+        # Each vertex minus its shadow point (read in the complement basis)
+        # is parallel to the direction, and it lands on the shadow vertex
+        # vertex_map names, or strictly inside the shadow when it has none.
+        # The facet of the octahedron carries a non-trivial metric.
+        polytopes = [cube(3), cross_polytope(3),
+                     cross_polytope(3).facet_as_polytope(0)]
+        for q, seed in product(polytopes, range(3)):
+            d = sample_direction(q, seed=seed)
+            sh = shadow(q, d)
+            for p, image in zip(q.vertices, sh.vertex_map):
+                coords = tuple(wdot(p, b, q.metric) / nb
+                               for b, nb in zip(sh.basis, sh.basis_norms))
+                lifted = p
+                for c, b in zip(coords, sh.basis):
+                    lifted = vsub(lifted, vscale(c, b))
+                assert rank([lifted, d.v]) == 1
+                if image is None:
+                    assert sh.poly.contains(coords, strict=True)
+                else:
+                    assert sh.poly.vertices[image] == coords
+
+
+class TestMemo:
+    def test_shadow_cached_per_direction(self):
         q = cube(3)
-        d = sample_direction(q, seed=2)
+        d = sample_direction(q, seed=4)
         sh = shadow(q, d)
-        ones = q.metric
-        for i, p in enumerate(q.vertices):
-            coords = sh.project(p)
-            for c, b, nb in zip(coords, sh.basis, sh.basis_norms):
-                assert wdot(p, b, ones) == c * nb
+        assert shadow(q, d) is sh
+        assert shadow(q, tuple(int(c) for c in d.v)) is sh
+        assert shadow(q, sample_direction(q, seed=5)) is not sh
+
+    def test_upper_lower_cached_per_direction(self):
+        q = cross_polytope(3)
+        d = sample_direction(q, seed=4)
+        parts = upper_lower(q, d)
+        assert upper_lower(q, d) is parts
+        assert upper_lower(q, tuple(int(c) for c in d.v)) is parts
+
+    def test_zero_pairing_raises_on_every_call(self):
+        q = cube(2)
+        for v in (Direction(vector((1, 0)), False), (1, 0)):
+            for _ in range(2):
+                with pytest.raises(ZeroDotProductError):
+                    upper_lower(q, v)
+
+    def test_diagram_builds_each_shadow_once(self, monkeypatch):
+        q = cube(3)
+        d = sample_direction(q, seed=6)
+        hulls = []
+        build = projection._build
+        monkeypatch.setattr(projection, "_build",
+                            lambda *args: hulls.append(args) or build(*args))
+        diagram = build_shadow_diagram(q, d)
+        assert len(hulls) == 1
+        assert diagram.shadow is shadow(q, d)
+        assert diagram.complexes is upper_lower(q, d)
+        assert len(hulls) == 1
 
 
 class TestUpperLower:
@@ -193,7 +243,7 @@ class TestDiagramVertices:
         p = cube(3)
         d = sample_direction(p, seed=7)
         sh = shadow(p, d)
-        for dv in diagram_vertices(p, d, sh=sh):
+        for dv in diagram_vertices(p, d):
             strict = all(f.plane.side(dv.point) < 0 for f in sh.poly.facets)
             assert strict == dv.interior
             assert sh.poly.contains(dv.point)
@@ -236,12 +286,12 @@ class TestQuotientWitness:
 
 class TestGap:
     def test_cube_values(self):
-        d = sample_direction(cube(3), seed=1)
-        sh = shadow(cube(3), d)
-        g1 = gap_check(cube(3), d, 1, sh)
+        q = cube(3)
+        d = sample_direction(q, seed=1)
+        g1 = gap_check(q, d, 1)
         assert (g1.f_k, g1.shadow_f_k, g1.gap, g1.bound) == (12, 6, 6, 2)
         assert g1.ok
-        g2 = gap_check(cube(3), d, 2, sh)
+        g2 = gap_check(q, d, 2)
         assert (g2.f_k, g2.shadow_f_k, g2.gap, g2.bound) == (6, 0, 6, 4)
         assert g2.ok
 
@@ -263,9 +313,8 @@ class TestGap:
     def test_holds_everywhere(self, p):
         for seed in range(3):
             d = sample_direction(p, seed=seed)
-            sh = shadow(p, d)
             for k in range(p.dim):
-                assert gap_check(p, d, k, sh).ok
+                assert gap_check(p, d, k).ok
 
 
 class TestShadowDiagramBundle:

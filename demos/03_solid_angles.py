@@ -55,10 +55,12 @@ print(f"  cube at a corner: sum = {rep.total:.4f} < 1 strictly")
 print()
 print("== angle-sum floors ==")
 seg = hull_from_points([(0,), (1,)])
-rep = angle_sum_lower_check(seg, 0)
+rep = angle_sum_lower_check(seg, angle_sum(seg, 0))
 print(f"  segment, k=0: {rep.total} >= {rep.bound} (exact equality)")
-rep = angle_sum_lower_check(simplex(2), 0, SAMPLES, seed=4)
+tri = simplex(2)
+rep = angle_sum_lower_check(tri, angle_sum(tri, 0, SAMPLES, seed=4))
 print(f"  triangle, k=0: {rep.total:.4f} >= {rep.bound} "
       f"(equality within noise: {rep.equality})")
-rep = angle_sum_lower_check(cube(3), 1, SAMPLES, seed=4)
+c3 = cube(3)
+rep = angle_sum_lower_check(c3, angle_sum(c3, 1, SAMPLES, seed=4))
 print(f"  3-cube, k=1: {rep.total:.4f} >= {rep.bound}")

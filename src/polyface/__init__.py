@@ -47,7 +47,6 @@ from .polytope import (
     load_polytope,
     polytope_from_json,
     polytope_to_json,
-    save_polytope,
 )
 from .projection import (
     Direction,

@@ -33,14 +33,16 @@ from .errors import (
     NotAFaceError,
     OutOfRangeError,
     PolyfaceError,
+    TooLargeError,
     UnsupportedDimensionError,
 )
 from .exact import Vector
 from .lattice import Face
 from .polytope import Polytope
-from .projection import sample_direction, shadow
+from .projection import shadow
 
 DEFAULT_SAMPLES = 1_000_000
+MAX_SAMPLES = 10**9
 SIGMA_FACTOR = 4.0
 
 
@@ -115,6 +117,8 @@ def solid_angle(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
     """
     if samples < 1:
         raise OutOfRangeError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise TooLargeError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     cone = tangent_cone(p, face)
     if not cone.normals:
         return AngleEstimate(1.0, 0.0, 0, seed)
@@ -352,13 +356,12 @@ class AngleSumBoundReport:
                 "equality": self.equality}
 
 
-def angle_sum_lower_check(q: Polytope, k: int,
-                          samples: int = DEFAULT_SAMPLES,
-                          seed: int = 0,
+def angle_sum_lower_check(q: Polytope, report: AngleSumReport,
                           sigma: float = SIGMA_FACTOR) -> AngleSumBoundReport:
+    """Check an estimated k-th angle sum (k = report.k) against its floor."""
+    k = report.k
     if not 0 <= k <= q.dim - 1:
         raise OutOfRangeError(f"angle-sum floor needs 0 <= k < dim, got {k}")
-    report = angle_sum(q, k, samples, seed)
     bound = ratio_bound(q.dim + 1, q.dim - k)
     tol = sigma * report.stderr
     return AngleSumBoundReport(
@@ -394,23 +397,19 @@ class ProjectionAngleReport:
                 "equality": self.equality}
 
 
-def projection_angle_check(p: Polytope, k: int, directions=20,
-                           samples: int = DEFAULT_SAMPLES,
-                           seed: int = 0,
+def projection_angle_check(p: Polytope, report: AngleSumReport,
+                           directions: list,
                            sigma: float = SIGMA_FACTOR) -> ProjectionAngleReport:
-    """Check the projection lower bound on the k-th angle sum using
-    sampled general-position directions (or a supplied list of them)."""
+    """Check the projection lower bound on the estimated k-th angle sum of
+    p (k = report.k) over the given general-position directions."""
+    k = report.k
     if not 0 <= k <= p.dim - 1:
         raise OutOfRangeError(f"projection angle check needs 0 <= k < dim")
-    if isinstance(directions, int):
-        directions = [
-            sample_direction(p, derive_seed(seed, "dir", i))
-            for i in range(directions)
-        ]
     counts = [shadow(p, d).poly.f_vector().count(k) for d in directions]
+    if not counts:
+        raise OutOfRangeError("projection angle check needs a direction")
     fk = p.f_vector().count(k)
     bound = Fraction(fk - max(counts), 2)
-    report = angle_sum(p, k, samples, seed)
     tol = sigma * report.stderr
     passed = report.total >= float(bound) - tol
     return ProjectionAngleReport(

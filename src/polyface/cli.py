@@ -5,15 +5,19 @@ Subcommands:
   describe       f-vector, dimension, simple/simplicial flags, Euler check
   verify-bounds  exact ratio-bound report plus the minimum-count,
                  few-vertex and unimodality checks
-  angles         angle sums, curvature checks, angle-sum floors, and the
-                 projection angle bound
+  angles         angle sums and curvature checks, plus the angle-sum floors
+                 and the projection angle bound checked against those sums
   project        shadow, facet partition, diagram vertices, interior-vertex
                  and gap checks for sampled directions
   corpus         batch bound verification over families x dimensions (CSV)
 
+`angles --directions N` samples the N directions that `project` samples at
+the same --seed, and shares them across every k.
+
 Exit code 0 means every hard check passed (WARN verdicts do not fail a
-run).  Failures, including malformed input and out-of-range options, print
-a JSON error line to stderr and exit 1.  POLYFACE_THREADS caps the worker
+run).  Failures, including malformed input and out-of-range options
+(--directions or --samples below 1, --samples above 10^9), print a JSON
+error line to stderr and exit 1.  POLYFACE_THREADS caps the worker
 threads of solid-angle sampling only; output is byte-identical for a given
 seed regardless of thread count.
 """
@@ -44,11 +48,8 @@ from .bounds import (
 )
 from .errors import BadSpecError, OutOfRangeError, PolyfaceError, TooLargeError
 from .generators import FamilySpec, generate
-from .polytope import Polytope, load_polytope, save_polytope
-from .projection import (
-    build_shadow_diagram,
-    sample_direction,
-)
+from .polytope import Polytope, load_polytope, polytope_to_json
+from .projection import build_shadow_diagram, sample_direction
 
 DEFAULT_DIRECTIONS = 20
 
@@ -88,14 +89,14 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _directions(p: Polytope, seed: int, count: int) -> list:
+    """The run's directions: the i-th is drawn from (seed, "dir", i)."""
+    return [sample_direction(p, derive_seed(seed, "dir", i))
+            for i in range(count)]
+
+
 def cmd_gen(args) -> int:
-    p = _load(args)
-    if args.out:
-        save_polytope(p, args.out)
-    else:
-        _emit({"ambient_dim": p.ambient_dim,
-               "vertices": [[str(c) for c in v] for v in p.ambient_vertices()]},
-              None)
+    _emit(polytope_to_json(_load(args)), args.out)
     return 0
 
 
@@ -142,13 +143,10 @@ def cmd_angles(args) -> int:
     p = _load(args)
     samples = args.samples
     seed = args.seed
-    sums = [angle_sum(p, k, samples, derive_seed(seed, "sum", k)).to_json()
+    sums = [angle_sum(p, k, samples, derive_seed(seed, "sum", k))
             for k in range(p.dim)]
-    floors = [
-        angle_sum_lower_check(p, k, samples, derive_seed(seed, "floor", k),
-                              sigma=sigma).to_json()
-        for k in range(p.dim)
-    ]
+    floors = [angle_sum_lower_check(p, s, sigma=sigma).to_json()
+              for s in sums]
     curvature = []
     lattice = p.face_lattice()
     for k in range(0, p.dim - 1):
@@ -156,17 +154,17 @@ def cmd_angles(args) -> int:
             rep = curvature_check(p, face, samples,
                                   derive_seed(seed, "curv", k), sigma=sigma)
             curvature.append(rep.to_json())
-    projection = []
     try:
-        for k in range(p.dim):
-            projection.append(projection_angle_check(
-                p, k, args.directions, samples,
-                derive_seed(seed, "proj", k), sigma=sigma).to_json())
+        # A point has no angle sums to check and no directions to sample.
+        directions = _directions(p, seed, args.directions) if sums else []
+        projection = [projection_angle_check(p, s, directions,
+                                             sigma=sigma).to_json()
+                      for s in sums]
         projection_skipped = False
     except TooLargeError as exc:
         projection = str(exc)
         projection_skipped = True
-    payload = {"angle_sums": sums, "floors": floors,
+    payload = {"angle_sums": [s.to_json() for s in sums], "floors": floors,
                "curvature": curvature, "projection_bound": projection}
     _emit(payload, args.out)
     ok = (all(f["passed"] for f in floors)
@@ -183,8 +181,7 @@ def cmd_project(args) -> int:
         raise PolyfaceError("projection reports need dim >= 2")
     diagrams = []
     ok = True
-    for i in range(args.directions):
-        d = sample_direction(p, derive_seed(args.seed, "dir", i))
+    for d in _directions(p, args.seed, args.directions):
         diagram = build_shadow_diagram(p, d)
         ok = ok and diagram.boundary_ok
         ok = ok and all(g.ok for g in diagram.gap_reports)

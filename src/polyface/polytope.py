@@ -334,12 +334,6 @@ def polytope_from_json(data: dict) -> Polytope:
     return hull_from_points(rows)
 
 
-def save_polytope(p: Polytope, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(polytope_to_json(p), fh, indent=2)
-        fh.write("\n")
-
-
 def load_polytope(path: str) -> Polytope:
     # JSONDecodeError and UnicodeDecodeError are both ValueErrors.
     try:

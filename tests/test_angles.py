@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from polyface._rng import derive_seed
 from polyface.angles import (
+    MAX_SAMPLES,
     angle_sum,
     angle_sum_lower_check,
     curvature_check,
@@ -18,12 +20,21 @@ from polyface.angles import (
 from polyface.errors import (
     NotAFaceError,
     OutOfRangeError,
+    TooLargeError,
     UnsupportedDimensionError,
 )
 from polyface.generators import cross_polytope, cube, cyclic, simplex
 from polyface.polytope import hull_from_points
+from polyface.projection import sample_direction
 
 SAMPLES = 120_000
+
+def _directions(p, seed, count):
+    """Directions sampled as the CLI samples them: the i-th from the seed
+    derived from (seed, "dir", i)."""
+    return [sample_direction(p, derive_seed(seed, "dir", i))
+            for i in range(count)]
+
 
 # Rational-coordinate regular tetrahedron (all edges sqrt(2)).
 REGULAR_TETRA = hull_from_points([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
@@ -84,6 +95,14 @@ class TestSolidAngle:
         assert abs(oracle - math.acos(23.0 / 27.0) / (4 * math.pi)) < 1e-12
         assert round(oracle, 4) == 0.0439
         assert within(est, oracle)
+
+    def test_sample_count_guards(self):
+        # Checked before any cone is built, so exact cones refuse them too.
+        for face in (frozenset([0]), frozenset(range(4))):
+            with pytest.raises(OutOfRangeError):
+                solid_angle(cube(2), face, 0)
+            with pytest.raises(TooLargeError):
+                solid_angle(cube(2), face, MAX_SAMPLES + 1)
 
     def test_deterministic_given_seed(self):
         a = solid_angle(cube(3), frozenset([0]), 70_000, seed=9)
@@ -214,36 +233,63 @@ class TestCurvature:
 class TestAngleSumFloor:
     def test_segment_equality_exact(self):
         seg = hull_from_points([(0,), (1,)])
-        rep = angle_sum_lower_check(seg, 0)
+        rep = angle_sum_lower_check(seg, angle_sum(seg, 0))
         assert rep.total == 1.0 and rep.bound == 1 and rep.passed
         assert rep.equality and rep.stderr == 0.0
 
     def test_triangle_equality(self):
-        rep = angle_sum_lower_check(simplex(2), 0, SAMPLES, seed=8)
+        tri = simplex(2)
+        rep = angle_sum_lower_check(tri, angle_sum(tri, 0, SAMPLES, seed=8))
         assert rep.passed and rep.equality
         assert rep.bound == 0.5
 
     def test_cube_strict(self):
-        rep = angle_sum_lower_check(cube(3), 1, SAMPLES, seed=8)
+        p = cube(3)
+        rep = angle_sum_lower_check(p, angle_sum(p, 1, SAMPLES, seed=8))
         assert rep.passed and rep.bound == 1 and not rep.equality
 
 
 class TestProjectionAngleBound:
     def test_hexagon_equality(self):
         hexa = cyclic(6, 2)
-        rep = projection_angle_check(hexa, 0, directions=5,
-                                     samples=300_000, seed=3)
+        rep = projection_angle_check(hexa, angle_sum(hexa, 0, 300_000, seed=3),
+                                     _directions(hexa, 3, 5))
         assert rep.verdict == "PASS" and rep.equality
         assert rep.bound == 2 and all(c == 2 for c in rep.shadow_counts)
 
     def test_cube_edges_equality(self):
-        rep = projection_angle_check(cube(3), 1, directions=5,
-                                     samples=300_000, seed=3)
+        p = cube(3)
+        rep = projection_angle_check(p, angle_sum(p, 1, 300_000, seed=3),
+                                     _directions(p, 3, 5))
         assert rep.verdict == "PASS" and rep.equality
         assert rep.bound == 3 and all(c == 6 for c in rep.shadow_counts)
 
     def test_tetrahedron_never_errors(self):
+        p = simplex(3)
+        dirs = _directions(p, 5, 6)
         for k in range(3):
-            rep = projection_angle_check(simplex(3), k, directions=6,
-                                         samples=60_000, seed=5)
+            rep = projection_angle_check(p, angle_sum(p, k, 60_000, seed=5),
+                                         dirs)
             assert rep.verdict in ("PASS", "WARN")
+
+    def test_no_directions_is_refused(self):
+        p = cube(3)
+        with pytest.raises(OutOfRangeError):
+            projection_angle_check(p, angle_sum(p, 1, 1000, seed=3), [])
+
+    def test_reads_k_from_the_report(self):
+        p = cube(3)
+        report = angle_sum(p, 1, 1000, seed=3)
+        floor = angle_sum_lower_check(p, report)
+        proj = projection_angle_check(p, report, _directions(p, 3, 2))
+        for rep in (floor, proj):
+            assert (rep.k, rep.total, rep.stderr) == (1, report.total,
+                                                      report.stderr)
+
+    def test_top_dimensional_sum_is_refused(self):
+        p = cube(3)
+        report = angle_sum(p, 3, 1000)
+        with pytest.raises(OutOfRangeError):
+            angle_sum_lower_check(p, report)
+        with pytest.raises(OutOfRangeError):
+            projection_angle_check(p, report, _directions(p, 3, 1))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import polyface.cli
 from polyface.cli import main
 
 PKG_ENV = dict(os.environ)
@@ -91,6 +92,10 @@ BAD_INPUTS = [
     ("angles-nan-sigma", None,
      ["angles", "--family", "simplex", "--dim", "2", "--samples", "2000",
       "--directions", "1", "--tolerance-sigma", "nan"], "OutOfRangeError"),
+    ("angles-too-many-samples", None,
+     ["angles", "--family", "simplex", "--dim", "2",
+      "--samples", "1000000000000000000", "--directions", "1"],
+     "TooLargeError"),
     ("project-negative-directions", None,
      ["project", "--family", "cube", "--dim", "3", "--directions", "-1"],
      "OutOfRangeError"),
@@ -168,6 +173,48 @@ class TestAngles:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+    def test_checks_read_the_reported_angle_sums(self, capsys):
+        assert main(["angles", "--family", "cube", "--dim", "3",
+                     "--samples", "2000", "--directions", "2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for key in ("floors", "projection_bound"):
+            assert [(r["k"], r["total"], r["stderr"]) for r in data[key]] == [
+                (s["k"], s["total"], s["stderr"]) for s in data["angle_sums"]]
+
+    def test_one_direction_list_per_run(self, monkeypatch, capsys):
+        original = polyface.cli.sample_direction
+        calls = []
+
+        def counting(p, seed=0):
+            calls.append(seed)
+            return original(p, seed)
+
+        monkeypatch.setattr(polyface.cli, "sample_direction", counting)
+        assert main(["angles", "--family", "cube", "--dim", "3",
+                     "--samples", "2000", "--directions", "2"]) == 0
+        assert len(calls) == 2
+
+    def test_shadow_counts_match_project(self, capsys):
+        common = ["--family", "random-sphere", "--dim", "3", "--n", "9",
+                  "--seed", "5", "--directions", "3"]
+        assert main(["project", *common]) == 0
+        fvs = [d["shadow_f_vector"]
+               for d in json.loads(capsys.readouterr().out)["diagrams"]]
+        assert main(["angles", *common, "--samples", "2000"]) == 0
+        rows = json.loads(capsys.readouterr().out)["projection_bound"]
+        # A shadow's own dimension counts one face: the shadow itself.
+        expected = [[(fv + [1])[r["k"]] for fv in fvs] for r in rows]
+        assert [r["shadow_counts"] for r in rows] == expected
+
+    def test_point_has_no_checks(self, tmp_path, capsys):
+        path = tmp_path / "point.json"
+        path.write_text('{"ambient_dim": 2, "vertices": [[1, 1]]}')
+        assert main(["angles", "--in", str(path), "--samples", "100",
+                     "--directions", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "angle_sums": [], "curvature": [], "floors": [],
+            "projection_bound": []}
 
 
 class TestProject:

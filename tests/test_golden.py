@@ -1,9 +1,10 @@
 """Golden outputs: byte-identity of fast exact CLI commands.
 
 Each case runs one command in-process and compares the sha256 of its
-stdout with a hash recorded before the exact kernel was rewritten, so any
-change to the combinatorics, the ordering of facets or faces, or the
-formatting of exact scalars shows up here.  Solid angles are left out:
+stdout with a hash recorded before the code behind it was rewritten (the
+exact kernel; for `gen`, its one serialization path), so any change to the
+combinatorics, the ordering of facets or faces, or the formatting of exact
+scalars shows up here.  Solid angles are left out:
 their floats are seeded but depend on numpy's generator.
 """
 import hashlib
@@ -41,6 +42,10 @@ CASES = [
      "9132add9a3ace8ae46d6f1f2d0d3bc62993ebbf3d2f80a4545ffdb323759c741"),
     (["corpus", "--dims", "2..4"],
      "b8113ccd24297e0697e9155a1c738202c0b98c7544178a3bc738b2b8394fb22e"),
+    (["gen", "--family", "cross", "--dim", "3"],
+     "1762e9e9bc123c411e7d4b82361555121dfac8ec4f262130ba99eb99ef1c1f0e"),
+    (["gen", "--in", "{flat}"],
+     "b892600715f8a6fa6e2a56d30469639d47bd454af38906116099166331e38321"),
 ]
 
 

@@ -56,13 +56,11 @@ from .projection import (
     diagram_vertices,
     gap_check,
     has_interior_vertex,
-    is_general_position,
     quotient_dimension_report,
     sample_direction,
     shadow,
     shadow_boundary_check,
     upper_lower,
-    verify_direction,
 )
 
 __version__ = "0.1.0"

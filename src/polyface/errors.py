@@ -61,11 +61,7 @@ class GeneralPositionError(PolyfaceError):
 
 
 class ZeroDotProductError(GeneralPositionError):
-    """A direction is orthogonal to a facet normal (unverified direction)."""
-
-
-class RetriesExhaustedError(PolyfaceError):
-    """Direction sampling failed to verify within the retry budget."""
+    """A direction is orthogonal to a facet normal: not in general position."""
 
 
 class DimensionTooLowError(PolyfaceError):

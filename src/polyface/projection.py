@@ -3,36 +3,30 @@ shadows, upper/lower facet complexes, refinement-diagram vertices, and the
 face-count gap against the shadow.
 
 A direction v is in general position when it is parallel to no proper
-affine subspace spanned by vertices.  Verification is exact and reduces to
-finitely many dot products: every violating subspace extends to a
-vertex-spanned hyperplane, so it is enough to enumerate the distinct
-normals of hyperplanes spanned by dim-subsets of the vertices (generalized
-cross products, deduplicated) and test v against each.  The normal set
-depends only on the polytope and is cached on it, which makes verifying
-many directions cheap.  The enumeration is guarded by a subset budget;
-desk-scale polytopes fit comfortably except the very largest vertex counts.
-Shadows and facet partitions are cached on the polytope too, per direction
-vector, so the checks of one direction share them.
+affine subspace spanned by vertices; equivalently, n.v != 0 for the normal
+n of every hyperplane spanned by vertices.  `sample_direction` builds such
+a direction in one step, by simulation of simplicity with an explicit
+epsilon (Edelsbrunner & Muecke, ACM TOG 1990): a rounded Gaussian vector,
+scaled up, plus a perturbation in powers of a modulus that exceeds twice
+every possible normal coordinate.  No normal is enumerated, and the
+direction is isotropic up to the rounding.  Shadows and facet partitions
+are cached on the polytope, per direction vector, so the checks of one
+direction share them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
-from ._hull import cross_normal
 from ._rng import SEED_MASK
 from .bounds import ratio_bound
 from .errors import (
     DimensionTooLowError,
-    GeneralPositionError,
     NotInteriorError,
     OutOfRangeError,
-    RetriesExhaustedError,
-    TooLargeError,
     ZeroDotProductError,
     ZeroVectorError,
 )
@@ -52,15 +46,11 @@ from .exact import (
 from .lattice import Face, quotient
 from .polytope import Polytope, _build
 
-MAX_GP_SUBSETS = 3_000_000
-MAX_DIRECTION_DRAWS = 64
-DIRECTION_RANGE = 10**4
-
 
 @dataclass(frozen=True)
 class Direction:
-    """A rational direction, flagged once exact general-position
-    verification has passed."""
+    """A rational direction, flagged when it is in general position by
+    construction."""
 
     v: Vector
     verified: bool
@@ -69,81 +59,33 @@ class Direction:
         return {"v": [str(c) for c in self.v], "verified": self.verified}
 
 
-def spanned_hyperplane_normals(q: Polytope) -> tuple[tuple[int, ...], ...]:
-    """Distinct primitive normals of all hyperplanes spanned by vertices.
-
-    Cached on the polytope.  Raises TooLargeError when the number of
-    dim-subsets exceeds MAX_GP_SUBSETS.
-    """
-    def build() -> tuple[tuple[int, ...], ...]:
-        n, d = q.n_vertices, q.dim
-        if d < 1:
-            raise OutOfRangeError("directions need dimension >= 1")
-        total = comb(n, d)
-        if total > MAX_GP_SUBSETS:
-            raise TooLargeError(
-                f"general-position verification needs {total} subset checks "
-                f"(budget {MAX_GP_SUBSETS})"
-            )
-        pts, _ = integer_scaled(q.vertices)
-        normals: set[tuple[int, ...]] = set()
-        if d == 1:
-            normals.add((1,))
-        else:
-            for combo in combinations(range(n), d):
-                base = pts[combo[0]]
-                diffs = [tuple(a - b for a, b in zip(pts[i], base))
-                         for i in combo[1:]]
-                nrm = cross_normal(diffs, d)
-                if nrm is None:
-                    continue  # does not span a hyperplane; covered by supersets
-                if nrm[next(i for i, c in enumerate(nrm) if c != 0)] < 0:
-                    nrm = tuple(-c for c in nrm)
-                normals.add(nrm)
-        return tuple(sorted(normals))
-
-    return q.memo("gp-normals", build)
-
-
-def is_general_position(q: Polytope, v: Vector) -> bool:
-    """Exact test that v is parallel to no vertex-spanned proper subspace."""
-    if is_zero(v):
-        return False
-    return all(
-        sum(a * b for a, b in zip(nrm, v)) != 0
-        for nrm in spanned_hyperplane_normals(q)
-    )
-
-
-def verify_direction(q: Polytope, v) -> Direction:
-    vec = vector(v)
-    if len(vec) != q.dim:
-        raise OutOfRangeError("direction dimension must match the polytope")
-    if not is_general_position(q, vec):
-        raise GeneralPositionError(f"{v} is not in general position")
-    return Direction(vec, True)
-
-
 def sample_direction(q: Polytope, seed: int = 0) -> Direction:
-    """Seeded random integer direction, resampled until verified.
+    """Seeded direction in general position for q, deterministic in
+    (polytope, seed).
 
-    Coordinates are drawn uniformly from [-10^4, 10^4]; failures (a zero
-    vector or a general-position violation) trigger a redraw from the same
-    stream, for at most MAX_DIRECTION_DRAWS draws in all, so the result is
-    deterministic in (polytope, seed).
+    u = round(10^6 g) for a standard Gaussian g, and
+    v = M^d u + (1, M, ..., M^(d-1)) with M = 2H + 1.
     """
-    if q.dim < 1:
+    d = q.dim
+    if d < 1:
         raise OutOfRangeError("directions need dimension >= 1")
+    pts, _ = integer_scaled(q.vertices)
+    spread = max(max(col) - min(col) for col in zip(*pts))
+    # The primitive normal n of a hyperplane spanned by vertices is the
+    # vector of (d-1)-minors of d-1 vertex differences over their gcd; the
+    # rows have norm at most sqrt(d) * spread, so by Hadamard's inequality
+    # |n_i| <= H = ceil(sqrt(d) * spread)^(d-1).  If n.u != 0 then
+    # |M^d n.u| >= M^d > H (M^d - 1) / (M - 1) >= |sum n_i M^i|; otherwise
+    # n.v = sum n_i M^i, a balanced base-M expansion with digits below M/2,
+    # which is nonzero because n is.  Either way n.v != 0.
+    h = (isqrt(d * spread * spread - 1) + 1) ** (d - 1)
+    m = 2 * h + 1
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((seed & SEED_MASK, 0x61))))
-    for _ in range(MAX_DIRECTION_DRAWS):
-        draw = rng.integers(-DIRECTION_RANGE, DIRECTION_RANGE + 1, size=q.dim)
-        v = tuple(Fraction(int(c)) for c in draw)
-        if is_general_position(q, v):
-            return Direction(v, True)
-    raise RetriesExhaustedError(
-        f"no general-position direction found in {MAX_DIRECTION_DRAWS} draws"
-    )
+    u = [int(c) for c in np.rint(rng.standard_normal(d) * 1e6)]
+    scale = m ** d
+    return Direction(tuple(Fraction(scale * ui + m ** i)
+                           for i, ui in enumerate(u)), True)
 
 
 def _direction_vector(v) -> Vector:
@@ -169,7 +111,7 @@ class ShadowPolytope:
 
 
 def shadow(q: Polytope, v) -> ShadowPolytope:
-    """Project q along a (verified) direction and rebuild the hull."""
+    """Project q along a general-position direction and rebuild the hull."""
     vec = _direction_vector(v)
 
     def build() -> ShadowPolytope:
@@ -211,7 +153,7 @@ class ShadowComplexes:
 
 def upper_lower(q: Polytope, v) -> ShadowComplexes:
     """Exact sign partition of the facets; a zero pairing means the
-    direction was not verified and is rejected (on every call)."""
+    direction is not in general position and is rejected (on every call)."""
     vec = _direction_vector(v)
 
     def build() -> ShadowComplexes:
@@ -412,8 +354,9 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                     for row, pden in zip(proj_rows, proj_dens)
                 )
                 # A fiber over a shadow-boundary point meets the polytope in
-                # a single point, so under a verified direction a crossing is
-                # interior exactly when its two lifts are distinct (t < 0).
+                # a single point, so under a general-position direction a
+                # crossing is interior exactly when its two lifts are
+                # distinct (t < 0).
                 interior = nums[-1] < 0
                 out.append(DiagramVertex(point, x_plus, x_minus,
                                          l_plus, l_minus, interior))
@@ -431,8 +374,8 @@ def _contains_int(ifacets, y: list[int], den: int) -> bool:
 
 
 def has_interior_vertex(q: Polytope, v) -> bool:
-    """The overlay diagram of any verified direction contains an interior
-    vertex; a False here indicates a toolkit bug."""
+    """The overlay diagram of any general-position direction contains an
+    interior vertex; a False here indicates a toolkit bug."""
     return any(dv.interior for dv in diagram_vertices(q, v))
 
 
@@ -549,7 +492,7 @@ class ShadowDiagram:
 
 def build_shadow_diagram(q: Polytope, direction: Direction) -> ShadowDiagram:
     """Shadow, facet partition, boundary check, diagram vertices and all
-    gap checks for one verified direction."""
+    gap checks for one general-position direction."""
     if q.dim < 2:
         raise DimensionTooLowError("diagrams need dim >= 2")
     sh = shadow(q, direction)

@@ -2,10 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Exact criteria use
 zero tolerance; statistical criteria use 4 standard errors at the stated
-sample counts.  Projection criteria run over every corpus polytope whose
-general-position verification fits the documented subset budget; the only
-exclusion at desk scale is the 6-cube (64 vertices), whose exact
-verification would need ~7.5e7 subset checks per direction.
+sample counts.  Projection criteria run over every corpus polytope of
+dimension at least 2, the 6-cube included, with 20 seeded directions
+each, all in general position by construction.
 """
 import math
 import subprocess
@@ -32,13 +31,11 @@ from polyface.bounds import (
     verify_main_bounds,
 )
 from polyface.corpus import extended_corpus, standard_corpus
-from polyface.errors import TooLargeError
 from polyface.generators import cross_polytope, cube, cyclic, simplex
 from polyface.projection import (
     diagram_vertices,
     gap_check,
     sample_direction,
-    spanned_hyperplane_normals,
 )
 
 SIGMA = 4.0
@@ -63,27 +60,15 @@ def full_corpus():
 
 @pytest.fixture(scope="module")
 def projection_corpus(full_corpus):
-    """Corpus entries of dim >= 2 whose direction verification fits the
-    budget, with 20 verified directions each (their shadows are cached on
-    the polytopes, so the criteria below share them)."""
-    feasible = []
-    excluded = []
-    for entry in full_corpus:
-        if entry.polytope.dim < 2:
-            continue
-        try:
-            spanned_hyperplane_normals(entry.polytope)
-        except TooLargeError:
-            excluded.append(entry.name)
-            continue
-        feasible.append(entry)
-    assert set(excluded) <= {"cube-6"}, excluded
-    data = {}
-    for entry in feasible:
-        data[entry.name] = (entry.polytope, [
+    """Every corpus entry of dim >= 2 with 20 directions each (their
+    shadows are cached on the polytopes, so the criteria below share
+    them)."""
+    return {
+        entry.name: (entry.polytope, [
             sample_direction(entry.polytope, derive_seed(0, entry.name, i))
             for i in range(DIRECTIONS)])
-    return data
+        for entry in full_corpus if entry.polytope.dim >= 2
+    }
 
 
 def _report(n, name, detail):

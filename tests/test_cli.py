@@ -207,6 +207,17 @@ class TestAngles:
         expected = [[(fv + [1])[r["k"]] for fv in fvs] for r in rows]
         assert [r["shadow_counts"] for r in rows] == expected
 
+    def test_curvature_seeded_per_face(self, capsys):
+        # Each square facet's four quadrant angles sum to exactly 1 when
+        # its vertices share one Gaussian stream, and so would the cube's
+        # eight vertex curvature totals (to 6); per-face seeds break that.
+        assert main(["angles", "--family", "cube", "--dim", "3",
+                     "--samples", "20000", "--directions", "1"]) == 0
+        rows = json.loads(capsys.readouterr().out)["curvature"]
+        totals = [r["total"] for r in rows if r["face_dim"] == 0]
+        assert len(totals) == 8
+        assert sum(totals) != 6.0
+
     def test_point_has_no_checks(self, tmp_path, capsys):
         path = tmp_path / "point.json"
         path.write_text('{"ambient_dim": 2, "vertices": [[1, 1]]}')

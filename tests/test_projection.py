@@ -1,18 +1,28 @@
-"""Projections: direction verification, shadows, diagrams, gap checks."""
+"""Projections: general-position directions, shadows, diagrams, gap checks."""
 from itertools import combinations, product
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyface import projection
+from polyface._hull import cross_normal
+from polyface.corpus import extended_corpus
 from polyface.errors import (
     DimensionTooLowError,
-    GeneralPositionError,
     NotInteriorError,
-    RetriesExhaustedError,
-    TooLargeError,
     ZeroDotProductError,
 )
-from polyface.exact import rank, vector, vscale, vsub, wdot
+from polyface.exact import (
+    integer_scaled,
+    is_zero,
+    rank,
+    vector,
+    vscale,
+    vsub,
+    wdot,
+)
 from polyface.generators import cross_polytope, cube, cyclic, pyramid, simplex
 from polyface.polytope import hull_from_points
 from polyface.projection import (
@@ -21,14 +31,11 @@ from polyface.projection import (
     diagram_vertices,
     gap_check,
     has_interior_vertex,
-    is_general_position,
     quotient_dimension_report,
     sample_direction,
     shadow,
     shadow_boundary_check,
-    spanned_hyperplane_normals,
     upper_lower,
-    verify_direction,
 )
 
 
@@ -44,6 +51,45 @@ def gp_oracle(p, v):
             if r < p.dim and rank(diffs + [v]) == r:
                 return False
     return True
+
+
+def spanned_hyperplane_normals(p):
+    """Distinct primitive normals of the hyperplanes spanned by dim-subsets
+    of the vertices (C(n, dim) subsets).  Every vertex-spanned proper
+    subspace extends to one of these hyperplanes, so a direction is in
+    general position exactly when it pairs to nonzero with each normal."""
+    if p.dim == 1:
+        return {(1,)}
+    pts, _ = integer_scaled(p.vertices)
+    normals = set()
+    for combo in combinations(range(p.n_vertices), p.dim):
+        base = pts[combo[0]]
+        diffs = [tuple(a - b for a, b in zip(pts[i], base)) for i in combo[1:]]
+        nrm = cross_normal(diffs, p.dim)
+        if nrm is None:
+            continue  # does not span a hyperplane; covered by supersets
+        if next(c for c in nrm if c != 0) < 0:
+            nrm = tuple(-c for c in nrm)
+        normals.add(nrm)
+    return normals
+
+
+def pairs_nonzero(normals, v):
+    return not is_zero(v) and all(
+        sum(a * b for a, b in zip(nrm, v)) != 0 for nrm in normals)
+
+
+def is_general_position(p, v):
+    return pairs_nonzero(spanned_hyperplane_normals(p), v)
+
+
+def integer_hulls():
+    """Hulls of a few small integer points in dimension 2 to 4; lower
+    dimensional inputs are restricted to their affine hull."""
+    return st.integers(2, 4).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d),
+        min_size=2, max_size=9, unique=True,
+    )).map(hull_from_points)
 
 
 class TestGeneralPosition:
@@ -62,7 +108,6 @@ class TestGeneralPosition:
     @pytest.mark.parametrize("p", [cube(3), simplex(3), cyclic(6, 2),
                                    cross_polytope(3)], ids=str)
     def test_matches_exhaustive_oracle(self, p):
-        spanned_hyperplane_normals(p)
         probes = [
             vector((1, 0, 0))[:p.dim] if p.dim == 3 else vector((1, 0)),
             vector(tuple(range(7, 7 + p.dim))),
@@ -83,19 +128,26 @@ class TestGeneralPosition:
         b = sample_direction(cyclic(6, 4), seed=12)
         assert a == b
 
-    def test_verify_direction_rejects(self):
-        with pytest.raises(GeneralPositionError):
-            verify_direction(cube(2), (1, 0))
+    def test_certified_on_corpus(self):
+        # Every corpus member whose enumeration fits: all but cube-5 and
+        # cube-6 (C(32, 5) and C(64, 6) subsets).
+        checked = 0
+        for entry in extended_corpus():
+            p = entry.polytope
+            if p.dim < 1 or comb(p.n_vertices, p.dim) > 10**5:
+                continue
+            normals = spanned_hyperplane_normals(p)
+            for seed in range(5):
+                assert pairs_nonzero(normals, sample_direction(p, seed).v), (
+                    entry.name, seed)
+                checked += 1
+        assert checked >= 300
 
-    def test_budget_guard(self, monkeypatch):
-        monkeypatch.setattr(projection, "MAX_GP_SUBSETS", 10)
-        with pytest.raises(TooLargeError):
-            spanned_hyperplane_normals(cube(4))
-
-    def test_retries_exhausted(self, monkeypatch):
-        monkeypatch.setattr(projection, "MAX_DIRECTION_DRAWS", 0)
-        with pytest.raises(RetriesExhaustedError):
-            sample_direction(cube(2), seed=0)
+    @given(integer_hulls(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_oracle_accepts_sampled_direction(self, p, seed):
+        assume(p.dim >= 1)
+        assert gp_oracle(p, sample_direction(p, seed).v)
 
 
 class TestShadow:

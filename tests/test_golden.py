@@ -43,6 +43,12 @@ CASES = [
      "3497f940276dab4e2f111891746626965746a09d63c843f12618a2ab5e13846b"),
     (["project", "--family", "pyramid", "--dim", "4", "--directions", "2"],
      "cd1e267459b05c32ff3191ddd0ff8cf954282a87a990fd040d9098e17028c4db"),
+    # pyramid-5 has upper/lower face pairs that share one vertex and yet
+    # project to parallel hulls: the singular case of a shared vertex.
+    (["project", "--family", "pyramid", "--dim", "5", "--directions", "1"],
+     "9fa1c924b9900f6f06870edbbb5f05ff2caf504d9610df1676dafcdbfce4cc20"),
+    (["project", "--family", "cube", "--dim", "4", "--directions", "2"],
+     "3934f071d67d39b4ae59ffdc769753f9f1547a02a21b48c28d09ff0e9db952cb"),
     (["corpus", "--dims", "2..4"],
      "b8113ccd24297e0697e9155a1c738202c0b98c7544178a3bc738b2b8394fb22e"),
     (["gen", "--family", "cross", "--dim", "3"],
@@ -52,8 +58,17 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", CASES,
-                         ids=[" ".join(a[:3]) for a, _ in CASES])
+def _case_ids():
+    """The first three words of each command, or five where three would
+    repeat an earlier id."""
+    ids = []
+    for argv, _ in CASES:
+        short = " ".join(argv[:3])
+        ids.append(short if short not in ids else " ".join(argv[:5]))
+    return ids
+
+
+@pytest.mark.parametrize("argv,digest", CASES, ids=_case_ids())
 def test_stdout_matches_golden_hash(argv, digest, tmp_path, capsys):
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps(FLAT_HEXAGON))

@@ -55,8 +55,6 @@ from .projection import (
     build_shadow_diagram,
     diagram_vertices,
     gap_check,
-    has_interior_vertex,
-    quotient_dimension_report,
     sample_direction,
     shadow,
     shadow_boundary_check,

@@ -66,7 +66,3 @@ class ZeroDotProductError(GeneralPositionError):
 
 class DimensionTooLowError(PolyfaceError):
     """Shadow-diagram construction needs a polytope of dimension >= 2."""
-
-
-class NotInteriorError(PolyfaceError):
-    """A diagram vertex was required to be interior but is not."""

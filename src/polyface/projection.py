@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
+from operator import mul
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from ._rng import SEED_MASK
 from .bounds import ratio_bound
 from .errors import (
     DimensionTooLowError,
-    NotInteriorError,
     OutOfRangeError,
     ZeroDotProductError,
     ZeroVectorError,
@@ -43,7 +43,7 @@ from .exact import (
     vector,
     wdot,
 )
-from .lattice import Face, quotient
+from .lattice import Face
 from .polytope import Polytope, _build
 
 
@@ -255,15 +255,20 @@ def _int_geometry(q: Polytope):
     return q.memo("int-geometry", build)
 
 
-def _aff_data_int(q: Polytope, face: Face, verts):
-    """(base, spanning diffs, hull equations) of a face's affine hull in
-    the integer-scaled space, cached per face (direction independent)."""
+def _aff_data_int(q: Polytope, face: Face, verts, ifacets):
+    """(base, spanning diffs, hull equations, facet triples not containing
+    the face) of a face's affine hull in the integer-scaled space, cached
+    per face (direction independent).  The facets that contain the face
+    hold with equality on its whole affine hull."""
     def build():
         idx = sorted(face.vertex_set)
         base = verts[idx[0]]
         diffs = [tuple(a - b for a, b in zip(verts[i], base))
                  for i in idx[1:]]
-        return (base, tuple(span_basis(diffs)), tuple(null_space(diffs, q.dim)))
+        outside = tuple(t for f, t in zip(q.facets, ifacets)
+                        if not face.vertex_set <= f.vertex_set)
+        return (base, tuple(span_basis(diffs)), tuple(null_space(diffs, q.dim)),
+                outside)
 
     return q.memo(("face-affine", face.vertex_set), build)
 
@@ -273,11 +278,28 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     lower complexes.
 
     Pairs of faces with complementary dimensions (summing to dim-1) are
-    solved exactly: the projections of their affine hulls meet in at most
-    one point, and the point qualifies when its two lifts land inside the
-    polytope (equivalently, inside the witness faces).  The inner loop runs
-    in fraction-free integer arithmetic on a uniformly scaled copy of the
-    geometry.
+    classified by the vertices they share, and only pairs that can give an
+    interior crossing are solved.  The unknowns are a point of aff(x_plus)
+    and a step t along v onto aff(x_minus); the system is square, and a
+    nonsingular one gives the single common point of the projected hulls.
+    The point qualifies when both lifts lie in the polytope (equivalently,
+    in the witness faces) with the upper lift at or above the lower one.
+
+    * Two or more shared vertices: the hulls share a line, so the system
+      is singular and the pair never crosses.
+    * Exactly one shared vertex w: w solves the system with t = 0, so the
+      pair crosses iff the system is nonsingular (one rank test), and the
+      crossing is w's shadow, a boundary crossing.
+    * No shared vertex: the faces are disjoint, so a crossing needs t < 0,
+      and under a general-position direction distinct lifts put it inside
+      the shadow.  A crossing lies in both projected faces, so pairs whose
+      projected vertices have disjoint bounding boxes are skipped.  The
+      rest are solved, and each lift is tested only against the facets
+      not containing its witness face; the others hold with equality on
+      the face's affine hull.
+
+    The arithmetic is fraction-free on a uniformly scaled integer copy of
+    the geometry, so every decision is exact.
     """
     if q.dim < 2:
         raise DimensionTooLowError("diagram construction needs dim >= 2")
@@ -304,31 +326,55 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
             [[bk * gk / nb for bk, gk in zip(b, q.metric)]])
         proj_rows.append(row)
         proj_dens.append(mult * scale)
+    # Shadow coordinate j of vertex i is pv[i][j] / proj_dens[j], one
+    # positive denominator per coordinate, so comparing numerators is exact.
+    pv = [tuple(sum(map(mul, row, p)) for row in proj_rows) for p in iverts]
+
+    def prepared(face):
+        coords = list(zip(*(pv[i] for i in face.vertex_set)))
+        return (face, sum(1 << i for i in face.vertex_set),
+                _aff_data_int(q, face, iverts, ifacets),
+                tuple(map(min, coords)), tuple(map(max, coords)))
+
     out = []
     for l_plus in range(0, dim):
         l_minus = dim - 1 - l_plus
-        uppers = upper_faces.get(l_plus, ())
-        lowers = lower_faces.get(l_minus, ())
-        if not uppers or not lowers:
+        if l_plus not in upper_faces or l_minus not in lower_faces:
             continue
-        for x_plus in uppers:
-            base_p, span_p, _ = _aff_data_int(q, x_plus, iverts)
+        lowers = [prepared(f) for f in lower_faces[l_minus]]
+        for x_plus, mask_p, aff_p, lo_p, hi_p in map(prepared,
+                                                     upper_faces[l_plus]):
+            base_p, span_p, _, outside_p = aff_p
             cols = span_p + (v_int,)
             m = len(cols)
-            for x_minus in lowers:
-                base_m, _, eqs_m = _aff_data_int(q, x_minus, iverts)
+            for x_minus, mask_m, aff_m, lo_m, hi_m in lowers:
+                shared = mask_p & mask_m
+                if shared & (shared - 1):
+                    continue  # two or more shared: the hulls share a line
+                if not shared and any(hp < lm or hm < lp for lp, hp, lm, hm
+                                      in zip(lo_p, hi_p, lo_m, hi_m)):
+                    continue  # disjoint faces whose shadows' boxes miss
+                base_m, _, eqs_m, outside_m = aff_m
+                rows = [[sum(map(mul, eq, col)) for col in cols]
+                        for eq in eqs_m]
+                if shared:
+                    if len(echelon(rows)[1]) == m:
+                        point = tuple(map(Fraction, pv[shared.bit_length() - 1],
+                                          proj_dens))
+                        out.append(DiagramVertex(point, x_plus, x_minus,
+                                                 l_plus, l_minus, False))
+                    continue
                 # One equation per hull equation of x_minus in the unknowns
-                # (coefficients along aff(x_plus), step along v); square
+                # (coefficients along aff(x_plus), step t along v); square
                 # because the witness dimensions are complementary.  The
                 # augmented rows [A | b] reduce to D * [I | x] with
                 # D = +-det A exactly when A is nonsingular, so D and the
                 # last column are Cramer's denominator and numerators up to
                 # one common sign.
-                reduced, pivots = echelon([
-                    [sum(a * b for a, b in zip(eq, col)) for col in cols]
-                    + [sum(a * (bm - bp) for a, bm, bp in
-                           zip(eq, base_m, base_p))]
-                    for eq in eqs_m])
+                for row, eq in zip(rows, eqs_m):
+                    row.append(sum(map(mul, eq, base_m))
+                               - sum(map(mul, eq, base_p)))
+                reduced, pivots = echelon(rows)
                 if pivots != list(range(m)):
                     continue  # projected hulls parallel or overlapping
                 den = reduced[0][0]
@@ -336,8 +382,9 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                 if den < 0:
                     den = -den
                     nums = [-x for x in nums]
-                # The upper lift sits at or above the lower one.
-                if nums[-1] > 0:
+                # Disjoint faces cannot share a lift, and the upper lift
+                # must sit strictly above the lower one: t < 0.
+                if nums[-1] >= 0:
                     continue
                 y_plus = [den * c for c in base_p]
                 for coeff, b in zip(nums[:-1], span_p):
@@ -345,21 +392,13 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                         for j in range(dim):
                             y_plus[j] += coeff * b[j]
                 y_minus = [yj + nums[-1] * vj for yj, vj in zip(y_plus, v_int)]
-                if not _contains_int(ifacets, y_plus, den) or \
-                   not _contains_int(ifacets, y_minus, den):
+                if not _contains_int(outside_p, y_plus, den) or \
+                   not _contains_int(outside_m, y_minus, den):
                     continue
-                point = tuple(
-                    Fraction(sum(rj * yj for rj, yj in zip(row, y_plus)),
-                             den * pden)
-                    for row, pden in zip(proj_rows, proj_dens)
-                )
-                # A fiber over a shadow-boundary point meets the polytope in
-                # a single point, so under a general-position direction a
-                # crossing is interior exactly when its two lifts are
-                # distinct (t < 0).
-                interior = nums[-1] < 0
+                point = tuple(Fraction(sum(map(mul, row, y_plus)), den * pden)
+                              for row, pden in zip(proj_rows, proj_dens))
                 out.append(DiagramVertex(point, x_plus, x_minus,
-                                         l_plus, l_minus, interior))
+                                         l_plus, l_minus, True))
     return tuple(out)
 
 
@@ -371,55 +410,6 @@ def _contains_int(ifacets, y: list[int], den: int) -> bool:
         if fden * s > num * den:
             return False
     return True
-
-
-def has_interior_vertex(q: Polytope, v) -> bool:
-    """The overlay diagram of any general-position direction contains an
-    interior vertex; a False here indicates a toolkit bug."""
-    return any(dv.interior for dv in diagram_vertices(q, v))
-
-
-@dataclass(frozen=True)
-class QuotientWitnessReport:
-    """Dimension and face-count witnesses for an interior diagram vertex:
-    the quotients at the two witness faces have complementary dimensions
-    and at least the face counts of a simplex."""
-
-    ok: bool
-    dim_plus: int
-    dim_minus: int
-    l_plus: int
-    l_minus: int
-    rows: tuple[dict, ...]
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "dim_plus": self.dim_plus,
-                "dim_minus": self.dim_minus, "l_plus": self.l_plus,
-                "l_minus": self.l_minus, "rows": list(self.rows)}
-
-
-def quotient_dimension_report(q: Polytope, dv: DiagramVertex) -> QuotientWitnessReport:
-    if not dv.interior:
-        raise NotInteriorError("witness checks need an interior diagram vertex")
-    lattice = q.face_lattice()
-    qp = quotient(lattice, dv.x_plus)
-    qm = quotient(lattice, dv.x_minus)
-    ok = qp.dim == dv.l_minus and qm.dim == dv.l_plus
-    rows = []
-    for name, quot, l_wit, l_other in (
-        ("plus", qp, dv.l_plus, dv.l_minus),
-        ("minus", qm, dv.l_minus, dv.l_plus),
-    ):
-        fv = quot.f_vector()
-        for k in range(l_wit, q.dim):
-            bound = comb(l_other + 1, q.dim - k)
-            have = fv.count(k - l_wit - 1)
-            good = have >= bound
-            ok = ok and good
-            rows.append({"side": name, "k": k, "count": have,
-                         "bound": bound, "ok": good})
-    return QuotientWitnessReport(ok, qp.dim, qm.dim, dv.l_plus, dv.l_minus,
-                                 tuple(rows))
 
 
 @dataclass(frozen=True)

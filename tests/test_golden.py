@@ -7,7 +7,9 @@ combinatorics, the ordering of facets or faces, or the formatting of exact
 scalars shows up here.  The `project` hashes were re-recorded when
 directions became general position by construction (a deliberate change
 of every direction), after the benchmark's `check_project` validator
-accepted each new output.  Solid angles are left out:
+accepted each new output.  The pyramid-5 and cube-4 `project` hashes
+were recorded before the diagram-vertex pair loop was restructured.
+Solid angles are left out:
 their floats are seeded but depend on numpy's generator.
 """
 import hashlib

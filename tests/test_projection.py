@@ -1,4 +1,6 @@
 """Projections: general-position directions, shadows, diagrams, gap checks."""
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -9,29 +11,34 @@ from hypothesis import strategies as st
 from polyface import projection
 from polyface._hull import cross_normal
 from polyface.corpus import extended_corpus
-from polyface.errors import (
-    DimensionTooLowError,
-    NotInteriorError,
-    ZeroDotProductError,
-)
+from polyface.errors import DimensionTooLowError, ZeroDotProductError
 from polyface.exact import (
+    echelon,
     integer_scaled,
     is_zero,
+    primitive,
     rank,
     vector,
     vscale,
     vsub,
     wdot,
 )
-from polyface.generators import cross_polytope, cube, cyclic, pyramid, simplex
+from polyface.generators import (
+    cross_polytope,
+    cube,
+    cyclic,
+    prism,
+    pyramid,
+    simplex,
+)
+from polyface.lattice import quotient
 from polyface.polytope import hull_from_points
 from polyface.projection import (
+    DiagramVertex,
     Direction,
     build_shadow_diagram,
     diagram_vertices,
     gap_check,
-    has_interior_vertex,
-    quotient_dimension_report,
     sample_direction,
     shadow,
     shadow_boundary_check,
@@ -90,6 +97,112 @@ def integer_hulls():
         st.tuples(*[st.integers(-3, 3)] * d),
         min_size=2, max_size=9, unique=True,
     )).map(hull_from_points)
+
+
+def all_pairs_diagram_vertices(q, v):
+    """Reference for `diagram_vertices`: solve every upper x lower pair of
+    complementary dimensions, with no classification or prefilter, and
+    test both lifts against every facet."""
+    vec = v.v if isinstance(v, Direction) else vector(v)
+    complexes = upper_lower(q, vec)
+    sh = shadow(q, vec)
+    scale, iverts, ifacets = projection._int_geometry(q)
+    v_int = tuple(int(c) for c in primitive(vec))
+    dim = q.dim
+    proj_rows, proj_dens = [], []
+    for b, nb in zip(sh.basis, sh.basis_norms):
+        (row,), mult = integer_scaled(
+            [[bk * gk / nb for bk, gk in zip(b, q.metric)]])
+        proj_rows.append(row)
+        proj_dens.append(mult * scale)
+
+    def contains(y, den):
+        return all(fden * sum(a * b for a, b in zip(nrm, y)) <= num * den
+                   for nrm, num, fden in ifacets)
+
+    out = []
+    for l_plus in range(dim):
+        l_minus = dim - 1 - l_plus
+        for x_plus in (f for f in complexes.upper_faces if f.dim == l_plus):
+            base_p, span_p, _, _ = projection._aff_data_int(
+                q, x_plus, iverts, ifacets)
+            cols = span_p + (v_int,)
+            m = len(cols)
+            for x_minus in (f for f in complexes.lower_faces
+                            if f.dim == l_minus):
+                base_m, _, eqs_m, _ = projection._aff_data_int(
+                    q, x_minus, iverts, ifacets)
+                reduced, pivots = echelon([
+                    [sum(a * b for a, b in zip(eq, col)) for col in cols]
+                    + [sum(a * (bm - bp) for a, bm, bp in
+                           zip(eq, base_m, base_p))]
+                    for eq in eqs_m])
+                if pivots != list(range(m)):
+                    continue
+                den = reduced[0][0]
+                nums = [row[m] for row in reduced]
+                if den < 0:
+                    den, nums = -den, [-x for x in nums]
+                if nums[-1] > 0:
+                    continue  # the upper lift must not sit below the lower
+                y_plus = [den * c for c in base_p]
+                for coeff, b in zip(nums[:-1], span_p):
+                    y_plus = [y + coeff * bj for y, bj in zip(y_plus, b)]
+                y_minus = [y + nums[-1] * vj for y, vj in zip(y_plus, v_int)]
+                if not (contains(y_plus, den) and contains(y_minus, den)):
+                    continue
+                point = tuple(
+                    Fraction(sum(rj * yj for rj, yj in zip(row, y_plus)),
+                             den * pden)
+                    for row, pden in zip(proj_rows, proj_dens))
+                out.append(DiagramVertex(point, x_plus, x_minus,
+                                         l_plus, l_minus, nums[-1] < 0))
+    return tuple(out)
+
+
+def complementary_pairs(q, v):
+    complexes = upper_lower(q, v)
+    return sum(
+        sum(f.dim == l for f in complexes.upper_faces)
+        * sum(f.dim == q.dim - 1 - l for f in complexes.lower_faces)
+        for l in range(q.dim))
+
+
+def has_interior_vertex(q, v):
+    """The overlay diagram of any general-position direction contains an
+    interior vertex."""
+    return any(dv.interior for dv in diagram_vertices(q, v))
+
+
+@dataclass(frozen=True)
+class QuotientWitnessReport:
+    """Dimension and face-count witnesses for an interior diagram vertex:
+    the quotients at the two witness faces have complementary dimensions
+    and at least the face counts of a simplex."""
+
+    ok: bool
+    dim_plus: int
+    dim_minus: int
+    rows: tuple
+
+
+def quotient_dimension_report(q, dv):
+    if not dv.interior:
+        raise ValueError("witness checks need an interior diagram vertex")
+    lattice = q.face_lattice()
+    qp = quotient(lattice, dv.x_plus)
+    qm = quotient(lattice, dv.x_minus)
+    ok = qp.dim == dv.l_minus and qm.dim == dv.l_plus
+    rows = []
+    for quot, l_wit, l_other in ((qp, dv.l_plus, dv.l_minus),
+                                 (qm, dv.l_minus, dv.l_plus)):
+        fv = quot.f_vector()
+        for k in range(l_wit, q.dim):
+            bound = comb(l_other + 1, q.dim - k)
+            have = fv.count(k - l_wit - 1)
+            ok = ok and have >= bound
+            rows.append({"k": k, "count": have, "bound": bound})
+    return QuotientWitnessReport(ok, qp.dim, qm.dim, tuple(rows))
 
 
 class TestGeneralPosition:
@@ -307,6 +420,36 @@ class TestDiagramVertices:
         for seed in range(4):
             assert has_interior_vertex(p, sample_direction(p, seed=seed))
 
+    def test_matches_all_pairs_reference_on_corpus(self):
+        polytopes = [e.polytope for e in extended_corpus()
+                     if 2 <= e.polytope.dim <= 4]
+        polytopes += [pyramid(cube(4)), prism(simplex(4))]
+        for p, seed in product(polytopes, range(2)):
+            d = sample_direction(p, seed=seed)
+            assert diagram_vertices(p, d) == all_pairs_diagram_vertices(p, d), (
+                p, seed)
+
+    @given(integer_hulls(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_all_pairs_reference(self, p, seed):
+        assume(p.dim >= 2)
+        d = sample_direction(p, seed=seed)
+        assert diagram_vertices(p, d) == all_pairs_diagram_vertices(p, d)
+
+    def test_solves_at_most_half_the_pairs(self, monkeypatch):
+        # Pairs sharing two or more vertices, and disjoint pairs whose
+        # projected bounding boxes miss, are decided without elimination.
+        q = cube(4)
+        calls = []
+        solve = projection.echelon
+        monkeypatch.setattr(projection, "echelon",
+                            lambda rows: calls.append(1) or solve(rows))
+        for seed in range(3):
+            d = sample_direction(q, seed=seed)
+            calls.clear()
+            diagram_vertices(q, d)
+            assert 0 < len(calls) <= complementary_pairs(q, d) // 2, seed
+
 
 class TestQuotientWitness:
     def test_cube_witnesses(self):
@@ -332,7 +475,7 @@ class TestQuotientWitness:
         d = sample_direction(cube(3), seed=1)
         boundary = next(dv for dv in diagram_vertices(cube(3), d)
                         if not dv.interior)
-        with pytest.raises(NotInteriorError):
+        with pytest.raises(ValueError):
             quotient_dimension_report(cube(3), boundary)
 
 

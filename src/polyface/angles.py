@@ -30,14 +30,12 @@ import numpy as np
 from ._rng import chunk_generator, chunk_sizes, derive_seed, thread_count
 from .bounds import ratio_bound
 from .errors import (
-    NotAFaceError,
     OutOfRangeError,
     PolyfaceError,
     TooLargeError,
     UnsupportedDimensionError,
 )
 from .exact import Vector
-from .lattice import Face
 from .polytope import Polytope
 from .projection import shadow
 
@@ -82,7 +80,7 @@ class AngleEstimate:
 
 def tangent_cone(p: Polytope, face) -> TangentCone:
     """The tangent cone of p at a nonempty face (Face or vertex set)."""
-    vs = p.require_face(face)
+    vs = p.require_face(face).vertex_set
     idx = tuple(p.facets_containing(vs))
     apex = p.centroid_of(vs)
     for i in idx:
@@ -223,8 +221,8 @@ def solid_angle_exact(p: Polytope, face) -> float:
     """
     if p.dim > 3:
         raise UnsupportedDimensionError("closed forms stop at dimension 3")
-    vs = p.require_face(face)
-    k = p.face_dim(vs)
+    face = p.require_face(face)
+    vs, k = face.vertex_set, face.dim
     if k == p.dim:
         return 1.0
     if k == p.dim - 1:
@@ -244,12 +242,11 @@ def solid_angle_exact(p: Polytope, face) -> float:
 def facet_angle(p: Polytope, facet_index: int, face,
                 samples: int = DEFAULT_SAMPLES, seed: int = 0) -> AngleEstimate:
     """Solid angle of a facet (as a polytope in its own hyperplane) at a
-    face of p.  Exactly 0 when the face is not a face of that facet."""
+    nonempty face of p.  Exactly 0 when the face is not in that facet;
+    NotAFaceError when the vertex set is no face of p."""
     if not 0 <= facet_index < p.n_facets:
         raise IndexError(f"facet index {facet_index} out of range")
-    vs = frozenset(face.vertex_set if isinstance(face, Face) else face)
-    if not vs:
-        raise NotAFaceError("the empty face has no angle")
+    vs = p.require_face(face).vertex_set
     record = p.facets[facet_index]
     if not vs <= record.vertex_set:
         return AngleEstimate(0.0, 0.0, 0, seed)
@@ -311,8 +308,8 @@ class CurvatureReport:
 def curvature_check(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
                     seed: int = 0, sigma: float = SIGMA_FACTOR) -> CurvatureReport:
     """Verify the facet-angle sum bound at a face of dimension <= dim-2."""
-    vs = p.require_face(face)
-    k = p.face_dim(vs)
+    face = p.require_face(face)
+    vs, k = face.vertex_set, face.dim
     d = p.dim
     if not 0 <= k <= d - 2:
         raise OutOfRangeError(f"curvature check needs 0 <= dim G <= {d - 2}")
@@ -324,7 +321,7 @@ def curvature_check(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
             raise PolyfaceError("ridge not contained in exactly two facets")
         return CurvatureReport(tuple(sorted(vs)), k, 1.0, 0.0, True, True, True)
     estimates = [
-        facet_angle(p, i, vs, samples, derive_seed(seed, "facet", i))
+        facet_angle(p, i, face, samples, derive_seed(seed, "facet", i))
         for i in containing
     ]
     total = sum(e.mean for e in estimates)

@@ -27,7 +27,6 @@ from fractions import Fraction
 from math import ceil, comb, floor
 
 from .errors import BoundViolationError, OutOfRangeError
-from .exact import format_scalar
 from .polytope import Polytope, polytope_to_json
 
 
@@ -75,13 +74,13 @@ class BoundRow:
         return {
             "k": self.k,
             "f_k": self.f_k,
-            "ratio_to_vertices": format_scalar(self.ratio_to_vertices),
-            "bound_vertices": format_scalar(self.bound_vertices),
+            "ratio_to_vertices": str(self.ratio_to_vertices),
+            "bound_vertices": str(self.bound_vertices),
             "satisfied_vertices": self.satisfied_vertices,
             "equality_vertices": self.equality_vertices,
             "predicted_equality_vertices": self.predicted_equality_vertices,
-            "ratio_to_facets": format_scalar(self.ratio_to_facets),
-            "bound_facets": format_scalar(self.bound_facets),
+            "ratio_to_facets": str(self.ratio_to_facets),
+            "bound_facets": str(self.bound_facets),
             "satisfied_facets": self.satisfied_facets,
             "equality_facets": self.equality_facets,
             "predicted_equality_facets": self.predicted_equality_facets,
@@ -112,10 +111,10 @@ class BoundReport:
             out.append({
                 "k": r.k,
                 "f_k": r.f_k,
-                "ratio_vertices": format_scalar(r.ratio_to_vertices),
-                "rho_vertices": format_scalar(r.bound_vertices),
-                "ratio_facets": format_scalar(r.ratio_to_facets),
-                "rho_facets": format_scalar(r.bound_facets),
+                "ratio_vertices": str(r.ratio_to_vertices),
+                "rho_vertices": str(r.bound_vertices),
+                "ratio_facets": str(r.ratio_to_facets),
+                "rho_facets": str(r.bound_facets),
                 "equality_flags": f"v={int(r.equality_vertices)};"
                                   f"f={int(r.equality_facets)}",
                 "verdicts": "ok" if r.ok() else "VIOLATED",

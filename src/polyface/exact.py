@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MixedDimensionsError, ZeroVectorError
 
@@ -29,26 +30,12 @@ Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 
-def scalar(value: int | str | float | Fraction) -> Fraction:
-    """Coerce a value to an exact scalar. Strings use the "p/q" form."""
-    if isinstance(value, Fraction):
-        return value
-    # Floats are accepted for convenience but converted exactly, so 0.1
-    # becomes the binary fraction it stores, not 1/10.
-    return Fraction(value)
-
-
-def format_scalar(value: Fraction) -> str:
-    """Serialize a scalar as "p/q", or "p" when the denominator is 1."""
-    return str(value)
-
-
-def parse_scalar(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def vector(coords: Iterable) -> Vector:
-    v = tuple(scalar(c) for c in coords)
+    """Exact coordinates from ints, "p/q" strings, Fractions or floats.
+
+    Floats convert exactly, so 0.1 becomes the binary fraction it stores,
+    not 1/10."""
+    v = tuple(Fraction(c) for c in coords)
     if not v:
         raise MixedDimensionsError("a vector needs at least one coordinate")
     return v
@@ -231,15 +218,36 @@ def affine_basis_indices(points: Sequence[Vector]) -> list[int]:
                   _independent([vsub(p, base) for p in points[1:]])]
 
 
+def gram_schmidt(vectors: Iterable[Vector], weights: Sequence[Fraction]
+                 ) -> Iterator[tuple[Vector, Fraction]]:
+    """Unnormalized Gram-Schmidt under a diagonal metric.
+
+    Yields (b, |b|^2) for each vector that is independent of the vectors
+    before it: b is its part orthogonal to them, made primitive, so every
+    coordinate stays rational (unit vectors would force square roots).
+    Vectors dependent on earlier ones yield nothing.
+    """
+    basis: list[tuple[Vector, Fraction]] = []
+    for b in vectors:
+        for prev, nb in basis:
+            c = wdot(b, prev, weights) / nb
+            if c != 0:
+                b = vsub(b, vscale(c, prev))
+        if not is_zero(b):
+            b = primitive(b)
+            basis.append((b, wdot(b, b, weights)))
+            yield basis[-1]
+
+
 def orthogonal_complement_basis(
     v: Vector, weights: Sequence[Fraction] | None = None
 ) -> list[Vector]:
     """Rational basis of the orthogonal complement of a nonzero vector.
 
-    Unnormalized Gram-Schmidt over the standard basis: the returned dim-1
-    vectors are pairwise orthogonal and orthogonal to v, but not unit
-    length (unit vectors would force irrational coordinates).  A diagonal
-    metric may be supplied; orthogonality is then with respect to it.
+    Gram-Schmidt over v and then the standard basis, with v's own output
+    dropped: the returned dim-1 vectors are pairwise orthogonal and
+    orthogonal to v, but not unit length.  A diagonal metric may be
+    supplied; orthogonality is then with respect to it.
     """
     if is_zero(v):
         raise ZeroVectorError("complement of the zero vector is undefined")
@@ -247,23 +255,9 @@ def orthogonal_complement_basis(
     w = tuple(weights) if weights is not None else tuple(Fraction(1) for _ in v)
     if len(w) != dim:
         raise MixedDimensionsError("metric does not match vector dimension")
-    basis: list[Vector] = [v]
-    norms: list[Fraction] = [wdot(v, v, w)]
-    out: list[Vector] = []
-    for axis in range(dim):
-        e = tuple(Fraction(1 if j == axis else 0) for j in range(dim))
-        for b, nb in zip(basis, norms):
-            c = wdot(e, b, w) / nb
-            if c != 0:
-                e = vsub(e, vscale(c, b))
-        if not is_zero(e):
-            e = primitive(e)
-            out.append(e)
-            basis.append(e)
-            norms.append(wdot(e, e, w))
-        if len(out) == dim - 1:
-            break
-    return out
+    units = (tuple(Fraction(1 if j == axis else 0) for j in range(dim))
+             for axis in range(dim))
+    return [b for b, _ in islice(gram_schmidt(chain([v], units), w), 1, dim)]
 
 
 @dataclass(frozen=True)

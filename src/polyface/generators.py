@@ -49,14 +49,6 @@ class FamilySpec:
         if self.family == "random-sphere" and (self.n is None or self.n < 1):
             raise BadSpecError("random-sphere needs n >= 1")
 
-    def label(self) -> str:
-        parts = [self.family, f"d{self.dim}"]
-        if self.n is not None:
-            parts.append(f"n{self.n}")
-        if self.family == "random-sphere":
-            parts.append(f"s{self.seed}")
-        return "-".join(parts)
-
 
 def simplex(dim: int) -> Polytope:
     """The standard simplex: the origin plus the dim unit points."""

@@ -6,8 +6,9 @@ Pfetsch, "Computing the face lattice of a polytope from its vertex-facet
 incidences", CGTA 2002).  Working top down on vertex bitmasks, the facets
 of a face F are the inclusion-maximal sets among the intersections of F
 with the polytope's facets, so each pass yields the faces one dimension
-lower together with their covers; no face needs arithmetic.  The dual and
-the quotients reuse the same construction on relabelled incidences.
+lower together with their covers.  The polytope's dimension is given, so
+the lattice does no arithmetic at all.  The dual and the quotients reuse
+the same construction on relabelled incidences.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EulerViolationError, NotAFaceError
-from .exact import Vector, affine_dim
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,10 @@ class FaceLattice:
     def faces_of_dim(self, k: int) -> tuple[Face, ...]:
         return tuple(self._by_dim.get(k, ()))
 
-    def find(self, vertex_set: Iterable[int]) -> Face:
-        key = frozenset(vertex_set)
+    def find(self, face: Face | Iterable[int]) -> Face:
+        """This lattice's face with the vertex set of a Face or vertex
+        collection; NotAFaceError when there is none."""
+        key = frozenset(face.vertex_set if isinstance(face, Face) else face)
         i = self._index.get(key)
         if i is None:
             raise NotAFaceError(f"{sorted(key)} is not a face of this lattice")
@@ -147,11 +149,12 @@ def _lattice(n: int, coatom_sets: Iterable[Iterable[int]],
     return FaceLattice(faces, covers, dim, n)
 
 
-def build_face_lattice(vertices: Sequence[Vector],
-                       facet_vertex_sets: Sequence[frozenset[int]]) -> FaceLattice:
-    """The face lattice from the vertex-facet incidences; the polytope's
-    dimension is the only arithmetic."""
-    return _lattice(len(vertices), facet_vertex_sets, affine_dim(vertices))
+def build_face_lattice(n_vertices: int,
+                       facet_vertex_sets: Sequence[frozenset[int]],
+                       dim: int) -> FaceLattice:
+    """The face lattice of a dim-polytope from its vertex-facet incidences
+    alone; no arithmetic."""
+    return _lattice(n_vertices, facet_vertex_sets, dim)
 
 
 def dual(lattice: FaceLattice) -> FaceLattice:
@@ -178,7 +181,7 @@ def quotient(lattice: FaceLattice, base) -> FaceLattice:
     dim P - dim G - 1; its vertices are the faces covering G, in canonical
     order, and its facets are the facets of P containing G.
     """
-    g = lattice.find(base.vertex_set if isinstance(base, Face) else base)
+    g = lattice.find(base)
     if g.dim == -1 or g.dim == lattice.dim:
         raise NotAFaceError("quotient needs a nonempty proper face")
 

@@ -28,9 +28,7 @@ from .exact import (
     Vector,
     affine_basis_indices,
     affine_dim,
-    format_scalar,
-    parse_scalar,
-    primitive,
+    gram_schmidt,
     rank,
     vadd,
     vector,
@@ -98,10 +96,10 @@ class Polytope:
         """The value cached under key, computed once by build().
 
         Everything derived from this immutable polytope lives here: its
-        face lattice and facet polytopes, and from projection the
-        general-position normals, integer geometry, per-face affine data,
-        and the shadow and facet partition of each direction.  A build
-        that raises stores nothing, so it raises again on the next call.
+        face lattice and facet polytopes, and from projection the integer
+        geometry, per-face affine data, and the shadow and facet partition
+        of each direction.  A build that raises stores nothing, so it
+        raises again on the next call.
         """
         if key not in self._memo:
             self._memo[key] = build()
@@ -119,7 +117,7 @@ class Polytope:
 
     def face_lattice(self) -> FaceLattice:
         return self.memo("lattice", lambda: build_face_lattice(
-            self.vertices, [f.vertex_set for f in self.facets]))
+            self.n_vertices, [f.vertex_set for f in self.facets], self.dim))
 
     def f_vector(self) -> FVector:
         return self.face_lattice().f_vector()
@@ -141,40 +139,18 @@ class Polytope:
             i for i, f in enumerate(self.facets) if vertex_set <= f.vertex_set
         ]
 
-    def is_face(self, vertex_set: Iterable[int]) -> bool:
-        """Closure test: a vertex set is a face iff it equals the
-        intersection of the vertex sets of all facets containing it."""
-        vs = frozenset(vertex_set)
-        if not vs <= set(range(self.n_vertices)):
-            return False
-        if vs == frozenset(range(self.n_vertices)):
-            return True
-        containing = self.facets_containing(vs)
-        if not containing:
-            return False
-        inter = frozenset.intersection(*(self.facets[i].vertex_set
-                                         for i in containing))
-        return inter == vs
-
-    def require_face(self, face) -> frozenset[int]:
-        """Coerce a Face or vertex collection to a validated vertex set."""
-        vs = frozenset(face.vertex_set if isinstance(face, Face) else face)
-        if not vs:
+    def require_face(self, face: Face | Iterable[int]) -> Face:
+        """The lattice's own nonempty Face for a Face or vertex collection;
+        NotAFaceError when it names no face or the empty one."""
+        found = self.face_lattice().find(face)
+        if not found.vertex_set:
             raise NotAFaceError("the empty face is not allowed here")
-        if not self.is_face(vs):
-            raise NotAFaceError(f"{sorted(vs)} is not a face of this polytope")
-        return vs
-
-    def face_dim(self, vertex_set: Iterable[int]) -> int:
-        vs = frozenset(vertex_set)
-        return affine_dim([self.vertices[i] for i in vs])
+        return found
 
     # -- geometry ------------------------------------------------------------
 
-    def contains(self, point: Vector, strict: bool = False) -> bool:
+    def contains(self, point: Vector) -> bool:
         """Exact membership test in intrinsic coordinates."""
-        if strict:
-            return all(f.plane.side(point) < 0 for f in self.facets)
         return all(f.plane.side(point) <= 0 for f in self.facets)
 
     def centroid_of(self, vertex_set: Iterable[int]) -> Vector:
@@ -201,7 +177,7 @@ class Polytope:
                 f"facets={self.n_facets})")
 
 
-def _restrict(points: list[Vector], metric: tuple[Fraction, ...], dim: int):
+def _restrict(points: list[Vector], metric: tuple[Fraction, ...]):
     """Orthogonal affine restriction onto the hull of the points.
 
     Returns (intrinsic points, embedding, child metric).  The basis is
@@ -210,24 +186,13 @@ def _restrict(points: list[Vector], metric: tuple[Fraction, ...], dim: int):
     """
     idx = affine_basis_indices(points)
     base = points[idx[0]]
-    basis: list[Vector] = []
-    norms: list[Fraction] = []
-    for i in idx[1:]:
-        b = vsub(points[i], base)
-        for prev, nb in zip(basis, norms):
-            c = wdot(b, prev, metric) / nb
-            if c != 0:
-                b = vsub(b, vscale(c, prev))
-        b = primitive(b)
-        basis.append(b)
-        norms.append(wdot(b, b, metric))
+    pairs = list(gram_schmidt((vsub(points[i], base) for i in idx[1:]), metric))
     intrinsic = [
-        tuple(wdot(vsub(p, base), b, metric) / nb
-              for b, nb in zip(basis, norms))
+        tuple(wdot(vsub(p, base), b, metric) / nb for b, nb in pairs)
         for p in points
     ]
-    embedding = AffineEmbedding(base, tuple(basis))
-    return intrinsic, embedding, tuple(norms)
+    embedding = AffineEmbedding(base, tuple(b for b, _ in pairs))
+    return intrinsic, embedding, tuple(nb for _, nb in pairs)
 
 
 def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
@@ -260,7 +225,7 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
         embedding = AffineEmbedding.identity(ambient)
         child_metric = metric
     else:
-        intrinsic, embedding, child_metric = _restrict(distinct, metric, dim)
+        intrinsic, embedding, child_metric = _restrict(distinct, metric)
 
     if dim == 0:
         return Polytope(ambient, 0, intrinsic, (), embedding, child_metric)
@@ -311,7 +276,7 @@ def polytope_to_json(p: Polytope) -> dict:
     return {
         "ambient_dim": p.ambient_dim,
         "vertices": [
-            [format_scalar(c) for c in v] for v in p.ambient_vertices()
+            [str(c) for c in v] for v in p.ambient_vertices()
         ],
     }
 
@@ -325,7 +290,7 @@ def polytope_from_json(data: dict) -> Polytope:
                 for row in rows):
             raise TypeError("ambient_dim must be an integer and each vertex "
                             "a list of non-boolean coordinates")
-        rows = [tuple(parse_scalar(c) for c in row) for row in rows]
+        rows = [tuple(Fraction(c) for c in row) for row in rows]
     except (KeyError, TypeError, ValueError, ZeroDivisionError,
             OverflowError) as exc:
         raise BadInputError(f"malformed polytope JSON: {exc!r}") from exc

@@ -174,6 +174,18 @@ class TestFacetAngle:
         est = facet_angle(p, 0, frozenset([outside]))
         assert est.mean == 0.0 and est.exact
 
+    def test_non_face_is_refused(self):
+        p = cube(3)
+        facet = p.facets[0].vertex_set
+        faces = {f.vertex_set for f in p.face_lattice().faces}
+        # A vertex of the facet and a vertex off it that is not its
+        # neighbour: a diagonal, in no face of the cube.
+        diagonal = next(frozenset([min(facet), v]) for v in range(8)
+                        if v not in facet
+                        and frozenset([min(facet), v]) not in faces)
+        with pytest.raises(NotAFaceError):
+            facet_angle(p, 0, diagonal)
+
     def test_cube_facet_at_edge(self):
         p = cube(3)
         facet = p.facets[0].vertex_set

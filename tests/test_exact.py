@@ -14,16 +14,18 @@ from polyface.exact import (
     affine_dim,
     dot,
     echelon,
-    format_scalar,
     null_space,
     orthogonal_complement_basis,
-    parse_scalar,
     primitive,
     rank,
-    scalar,
     span_basis,
     vector,
     wdot,
+)
+from polyface.polytope import (
+    hull_from_points,
+    polytope_from_json,
+    polytope_to_json,
 )
 
 
@@ -256,13 +258,15 @@ class TestKernelOracles:
 
 class TestScalarsAndPlanes:
     def test_scalar_round_trip(self):
-        for text in ("3/2", "-7/3", "5", "0"):
-            assert format_scalar(parse_scalar(text)) == text
+        rows = [["3/2", "-7/3"], ["5", "0"], ["0", "0"]]
+        data = polytope_to_json(hull_from_points(rows))
+        assert data["vertices"] == rows
+        assert polytope_to_json(polytope_from_json(data)) == data
 
     def test_scalar_converts_floats_exactly(self):
-        assert scalar(0.1) == Fraction(0.1)
-        assert scalar(0.1) != Fraction(1, 10)
-        assert scalar(0.375) == Fraction(3, 8)
+        assert vector((0.1,)) == (Fraction(0.1),)
+        assert vector((0.1,)) != (Fraction(1, 10),)
+        assert vector((0.375,)) == (Fraction(3, 8),)
 
     def test_primitive(self):
         assert primitive(vector((Fraction(1, 2), Fraction(3, 4)))) == vector((2, 3))

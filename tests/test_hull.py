@@ -129,4 +129,5 @@ class TestFacetInvariants:
     @pytest.mark.parametrize("p", [cube(3), cross_polytope(4)], ids=str)
     def test_facet_dimension(self, p):
         for f in p.facets:
-            assert p.face_dim(f.vertex_set) == p.dim - 1
+            points = [p.vertices[i] for i in f.vertex_set]
+            assert affine_dim(points) == p.dim - 1

@@ -56,15 +56,20 @@ class TestMemo:
 class TestFaceQueries:
     def test_is_face(self):
         p = cube(2)
-        assert p.is_face(frozenset([0]))
-        assert p.is_face(frozenset(range(4)))
+        assert p.require_face(frozenset([0])).dim == 0
+        assert p.require_face(frozenset(range(4))).dim == 2
         edges = [f.vertex_set for f in p.facets]
-        assert all(p.is_face(e) for e in edges)
+        lattice_edges = p.face_lattice().faces_of_dim(1)
+        for e in edges:
+            assert any(p.require_face(e) is f for f in lattice_edges)
         diagonal = next(
             frozenset([0, j]) for j in range(1, 4)
             if frozenset([0, j]) not in edges
         )
-        assert not p.is_face(diagonal)
+        with pytest.raises(NotAFaceError):
+            p.require_face(diagonal)
+        with pytest.raises(NotAFaceError):
+            p.require_face(frozenset([4]))
 
     def test_require_face_rejects_empty(self):
         with pytest.raises(NotAFaceError):
@@ -73,9 +78,8 @@ class TestFaceQueries:
     def test_contains(self):
         p = cube(2)
         inside = (Fraction(1, 2), Fraction(1, 2))
-        assert p.contains(inside, strict=True)
+        assert p.contains(inside)
         assert p.contains((Fraction(0), Fraction(0)))
-        assert not p.contains((Fraction(0), Fraction(0)), strict=True)
         assert not p.contains((Fraction(2), Fraction(0)))
 
 

@@ -306,7 +306,8 @@ class TestShadow:
                     lifted = vsub(lifted, vscale(c, b))
                 assert rank([lifted, d.v]) == 1
                 if image is None:
-                    assert sh.poly.contains(coords, strict=True)
+                    assert all(f.plane.side(coords) < 0
+                               for f in sh.poly.facets)
                 else:
                     assert sh.poly.vertices[image] == coords
 

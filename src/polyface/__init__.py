@@ -1,8 +1,10 @@
 """polyface: exact-arithmetic analysis of convex polytopes.
 
 Face lattices, f-vectors and their proved lower bounds, Monte Carlo solid
-angles, and orthogonal-projection shadow diagrams, all at desk scale with
-rational arithmetic for every combinatorial decision.
+angles, and shadow diagrams, all at desk scale with rational arithmetic
+for every combinatorial decision.  A shadow is the parallel projection
+along v onto x_j = 0 (j the last index with v_j != 0); it has the same
+combinatorial type as any other projection along v.
 """
 from .angles import (
     AngleEstimate,

@@ -18,11 +18,11 @@ every k; the curvature check of the i-th k-face has the seed path
 (--seed, "curv", k, i).
 
 Exit code 0 means every hard check passed (WARN verdicts do not fail a
-run).  Failures, including malformed input and out-of-range options
-(--directions or --samples below 1, --samples above 10^9), print a JSON
-error line to stderr and exit 1.  POLYFACE_THREADS caps the worker
-threads of solid-angle sampling only; output is byte-identical for a given
-seed regardless of thread count.
+run).  Failures (malformed input, an unwritable --out path, --directions
+or --samples below 1, --samples above 10^9) print a JSON error line to
+stderr and exit 1.  POLYFACE_THREADS caps the worker threads of
+solid-angle sampling only; output is byte-identical for a given seed
+regardless of thread count.
 """
 from __future__ import annotations
 
@@ -50,7 +50,8 @@ from .bounds import (
     unimodality_check,
     verify_main_bounds,
 )
-from .errors import BadSpecError, OutOfRangeError, PolyfaceError
+from .errors import (BadOutputError, BadSpecError, OutOfRangeError,
+                     PolyfaceError)
 from .generators import FamilySpec, generate
 from .polytope import Polytope, load_polytope, polytope_to_json
 from .projection import build_shadow_diagram, sample_direction
@@ -84,10 +85,17 @@ def _require_positive(**counts: int) -> None:
             raise OutOfRangeError(f"--{name} must be at least 1, got {value}")
 
 
+def _open_out(path: str, newline: str | None = None):
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:  # a missing directory, a directory, no access
+        raise BadOutputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload: dict, out: str | None) -> None:
     # Streamed: json.dumps with indent keeps every chunk in a list before
     # joining them, and diagram output runs to megabytes.
-    sink = open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout)
+    sink = _open_out(out) if out else nullcontext(sys.stdout)
     with sink as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -194,7 +202,8 @@ def _corpus_grid(families: list[str], dims: Sequence[int], seed: int):
             if fam == "cyclic":
                 specs.append(FamilySpec(fam, d, n=d + 2, seed=seed))
             elif fam == "random-sphere":
-                specs.append(FamilySpec(fam, d, n=min(12, 2 * d + 4), seed=seed))
+                n = 2 if d == 1 else min(12, 2 * d + 4)  # 0-sphere: 2 points
+                specs.append(FamilySpec(fam, d, n=n, seed=seed))
             else:
                 if fam in ("pyramid", "prism") and d < 2:
                     continue
@@ -242,7 +251,7 @@ def cmd_corpus(args) -> int:
     writer.writerows(rows)
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(args.out, newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

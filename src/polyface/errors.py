@@ -38,6 +38,10 @@ class BadInputError(PolyfaceError):
     """A polytope input file is unreadable or is not polytope JSON."""
 
 
+class BadOutputError(PolyfaceError):
+    """An --out path cannot be opened for writing."""
+
+
 class BadSpecError(PolyfaceError):
     """A family specification is malformed or unsupported."""
 

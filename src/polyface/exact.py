@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -237,27 +236,6 @@ def gram_schmidt(vectors: Iterable[Vector], weights: Sequence[Fraction]
             b = primitive(b)
             basis.append((b, wdot(b, b, weights)))
             yield basis[-1]
-
-
-def orthogonal_complement_basis(
-    v: Vector, weights: Sequence[Fraction] | None = None
-) -> list[Vector]:
-    """Rational basis of the orthogonal complement of a nonzero vector.
-
-    Gram-Schmidt over v and then the standard basis, with v's own output
-    dropped: the returned dim-1 vectors are pairwise orthogonal and
-    orthogonal to v, but not unit length.  A diagonal metric may be
-    supplied; orthogonality is then with respect to it.
-    """
-    if is_zero(v):
-        raise ZeroVectorError("complement of the zero vector is undefined")
-    dim = len(v)
-    w = tuple(weights) if weights is not None else tuple(Fraction(1) for _ in v)
-    if len(w) != dim:
-        raise MixedDimensionsError("metric does not match vector dimension")
-    units = (tuple(Fraction(1 if j == axis else 0) for j in range(dim))
-             for axis in range(dim))
-    return [b for b, _ in islice(gram_schmidt(chain([v], units), w), 1, dim)]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
-"""Orthogonal projections of polytopes: general-position directions,
-shadows, upper/lower facet complexes, refinement-diagram vertices, and the
+"""Projections of polytopes: general-position directions, shadows,
+upper/lower facet complexes, refinement-diagram vertices, and the
 face-count gap against the shadow.
+
+The shadow is the parallel projection along v onto x_j = 0, j the last
+index with v_j != 0, with coordinate j dropped: it has the same
+combinatorial type as any other projection along v, and everything checked
+here is combinatorial.
 
 A direction v is in general position when it is parallel to no proper
 affine subspace spanned by vertices; equivalently, n.v != 0 for the normal
@@ -26,22 +31,19 @@ from ._rng import SEED_MASK
 from .bounds import ratio_bound
 from .errors import (
     DimensionTooLowError,
+    MixedDimensionsError,
     OutOfRangeError,
     ZeroDotProductError,
-    ZeroVectorError,
 )
 from .exact import (
     Vector,
     dot,
     echelon,
     integer_scaled,
-    is_zero,
     null_space,
-    orthogonal_complement_basis,
     primitive,
     span_basis,
     vector,
-    wdot,
 )
 from .lattice import Face
 from .polytope import Polytope, _build
@@ -69,7 +71,7 @@ def sample_direction(q: Polytope, seed: int = 0) -> Direction:
     d = q.dim
     if d < 1:
         raise OutOfRangeError("directions need dimension >= 1")
-    pts, _ = integer_scaled(q.vertices)
+    _, pts, _ = _int_geometry(q)
     spread = max(max(col) - min(col) for col in zip(*pts))
     # The primitive normal n of a hyperplane spanned by vertices is the
     # vector of (d-1)-minors of d-1 vertex differences over their gcd; the
@@ -96,37 +98,51 @@ def _direction_vector(v) -> Vector:
 
 @dataclass(frozen=True)
 class ShadowPolytope:
-    """The image of a polytope under orthogonal projection along v.
+    """The image of a polytope under the parallel projection along v onto
+    x_j = 0 (j the last index with v_j != 0), coordinate j dropped: the
+    same combinatorial type as any other projection along v.
 
-    ``poly`` lives in coordinates over a rational orthogonal basis of the
-    complement of v; ``vertex_map[i]`` gives the shadow vertex index that
-    vertex i of the source projects to, or None when the projection lands
-    inside the shadow (not a vertex of it).
+    ``poly`` has the unit metric; ``vertex_map[i]`` gives the shadow vertex
+    index that vertex i of the source projects to, or None when the
+    projection lands inside the shadow (not a vertex of it).
     """
 
     poly: Polytope
     vertex_map: tuple[int | None, ...]
-    basis: tuple[Vector, ...]
-    basis_norms: tuple[Fraction, ...]
+
+
+def _shadow_map(v: tuple[int, ...]):
+    """The shadow map x -> x - (x_j / v_j) v, coordinate j dropped, for a
+    primitive integer v: (image, den), image(y) being the numerators of the
+    shadow of the integer point y over den = |v_j|, negated when v_j < 0 so
+    that all share one positive denominator and compare exactly."""
+    j = max(i for i, c in enumerate(v) if c)
+    den = abs(v[j])
+    rest = tuple(c if v[j] > 0 else -c for c in v[:j] + v[j + 1:])
+
+    def image(y) -> tuple[int, ...]:
+        return tuple(den * yi - y[j] * c
+                     for yi, c in zip(y[:j] + y[j + 1:], rest))
+
+    return image, den
 
 
 def shadow(q: Polytope, v) -> ShadowPolytope:
-    """Project q along a general-position direction and rebuild the hull."""
+    """Project q along v and rebuild the hull; v = 0 is a ZeroVectorError."""
     vec = _direction_vector(v)
 
     def build() -> ShadowPolytope:
-        if is_zero(vec):
-            raise ZeroVectorError("projection direction must be nonzero")
-        basis = orthogonal_complement_basis(vec, q.metric)
-        norms = tuple(wdot(b, b, q.metric) for b in basis)
-        projected = [
-            tuple(wdot(p, b, q.metric) / nb for b, nb in zip(basis, norms))
-            for p in q.vertices
-        ]
-        poly = _build(projected, norms)
+        if len(vec) != q.dim:
+            raise MixedDimensionsError(
+                f"direction of dim {len(vec)} for a {q.dim}-polytope")
+        scale, iverts, _ = _int_geometry(q)
+        image, den = _shadow_map(tuple(int(c) for c in primitive(vec)))
+        projected = [tuple(Fraction(c, den * scale) for c in image(p))
+                     for p in iverts]
+        poly = _build(projected, (Fraction(1),) * (q.dim - 1))
         locate = {p: i for i, p in enumerate(poly.vertices)}
         vmap = tuple(locate.get(p) for p in projected)
-        return ShadowPolytope(poly, vmap, tuple(basis), norms)
+        return ShadowPolytope(poly, vmap)
 
     return q.memo(("shadow", vec), build)
 
@@ -305,7 +321,6 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
         raise DimensionTooLowError("diagram construction needs dim >= 2")
     vec = _direction_vector(v)
     complexes = upper_lower(q, vec)
-    sh = shadow(q, vec)
 
     upper_faces: dict[int, list[Face]] = {}
     lower_faces: dict[int, list[Face]] = {}
@@ -317,18 +332,9 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     scale, iverts, ifacets = _int_geometry(q)
     v_int = tuple(int(c) for c in primitive(vec))
     dim = q.dim
-    # Integer form of the projection onto the complement basis: coordinate
-    # j of a scaled point Y/D is (proj_rows[j] . Y) / (D * proj_dens[j]).
-    proj_rows = []
-    proj_dens = []
-    for b, nb in zip(sh.basis, sh.basis_norms):
-        (row,), mult = integer_scaled(
-            [[bk * gk / nb for bk, gk in zip(b, q.metric)]])
-        proj_rows.append(row)
-        proj_dens.append(mult * scale)
-    # Shadow coordinate j of vertex i is pv[i][j] / proj_dens[j], one
-    # positive denominator per coordinate, so comparing numerators is exact.
-    pv = [tuple(sum(map(mul, row, p)) for row in proj_rows) for p in iverts]
+    image, vden = _shadow_map(v_int)
+    pden = vden * scale
+    pv = [image(p) for p in iverts]
 
     def prepared(face):
         coords = list(zip(*(pv[i] for i in face.vertex_set)))
@@ -359,8 +365,8 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                         for eq in eqs_m]
                 if shared:
                     if len(echelon(rows)[1]) == m:
-                        point = tuple(map(Fraction, pv[shared.bit_length() - 1],
-                                          proj_dens))
+                        point = tuple(Fraction(c, pden)
+                                      for c in pv[shared.bit_length() - 1])
                         out.append(DiagramVertex(point, x_plus, x_minus,
                                                  l_plus, l_minus, False))
                     continue
@@ -395,8 +401,7 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                 if not _contains_int(outside_p, y_plus, den) or \
                    not _contains_int(outside_m, y_minus, den):
                     continue
-                point = tuple(Fraction(sum(map(mul, row, y_plus)), den * pden)
-                              for row, pden in zip(proj_rows, proj_dens))
+                point = tuple(Fraction(c, den * pden) for c in image(y_plus))
                 out.append(DiagramVertex(point, x_plus, x_minus,
                                          l_plus, l_minus, True))
     return tuple(out)

@@ -138,6 +138,21 @@ def test_bad_input_ends_in_json_error_line(name, content, argv, error,
     assert json.loads(captured.err)["error"] == error
 
 
+@pytest.mark.parametrize("argv", [
+    ["describe", "--family", "cube", "--dim", "3"],
+    ["corpus", "--dims", "2..3"],
+], ids=["describe", "corpus"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_ends_in_json_error_line(argv, target, tmp_path,
+                                                capsys):
+    out = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "BadOutputError"
+    assert not (tmp_path / "missing").exists()
+
+
 class TestVerifyBounds:
     def test_octahedron_equalities(self, tmp_path):
         out = tmp_path / "report.json"
@@ -249,6 +264,13 @@ class TestCorpus:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("family,dim,n,k,f_k")
         assert all("VIOLATED" not in line for line in lines)
+
+    def test_random_sphere_from_dim_one(self, capsys):
+        # The 0-sphere has two points, so dimension 1 asks for two.
+        assert main(["corpus", "--families", "random-sphere",
+                     "--dims", "1..3"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].startswith("random-sphere,1,2,")
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         texts = []

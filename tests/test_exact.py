@@ -1,10 +1,10 @@
-"""Exact linear algebra: ranks, affine dimensions, complements."""
+"""Exact linear algebra: ranks, affine dimensions, null spaces."""
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyface._hull import cross_normal
@@ -15,12 +15,10 @@ from polyface.exact import (
     dot,
     echelon,
     null_space,
-    orthogonal_complement_basis,
     primitive,
     rank,
     span_basis,
     vector,
-    wdot,
 )
 from polyface.polytope import (
     hull_from_points,
@@ -83,45 +81,6 @@ class TestAffineDim:
         pts = [vector(r) for r in rows]
         k = data.draw(st.integers(1, len(pts)))
         assert affine_dim(pts[:k]) <= affine_dim(pts)
-
-
-class TestComplement:
-    def test_axis_direction(self):
-        basis = orthogonal_complement_basis(vector((0, 0, 1)))
-        assert basis == [vector((1, 0, 0)), vector((0, 1, 0))]
-
-    def test_plane_diagonal(self):
-        (b,) = orthogonal_complement_basis(vector((1, 1)))
-        assert dot(b, vector((1, 1))) == 0
-
-    def test_generic_direction_exact(self):
-        v = vector((1, 2, 3))
-        basis = orthogonal_complement_basis(v)
-        assert len(basis) == 2
-        for b in basis:
-            assert dot(b, v) == 0
-        assert dot(basis[0], basis[1]) == 0
-        assert rank(basis) == 2
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            orthogonal_complement_basis(vector((0, 0)))
-
-    def test_weighted_complement(self):
-        weights = (Fraction(2), Fraction(3))
-        v = vector((1, 1))
-        (b,) = orthogonal_complement_basis(v, weights)
-        assert wdot(b, v, weights) == 0
-
-    @given(st.lists(st.integers(-9, 9), min_size=2, max_size=5))
-    @settings(max_examples=80, deadline=None)
-    def test_complement_properties(self, coords):
-        assume(any(c != 0 for c in coords))
-        v = vector(coords)
-        basis = orthogonal_complement_basis(v)
-        assert len(basis) == len(coords) - 1
-        assert all(dot(b, v) == 0 for b in basis)
-        assert rank(basis) == len(coords) - 1
 
 
 class TestSolvers:

@@ -21,7 +21,6 @@ from polyface.exact import (
     vector,
     vscale,
     vsub,
-    wdot,
 )
 from polyface.generators import (
     cross_polytope,
@@ -105,16 +104,10 @@ def all_pairs_diagram_vertices(q, v):
     test both lifts against every facet."""
     vec = v.v if isinstance(v, Direction) else vector(v)
     complexes = upper_lower(q, vec)
-    sh = shadow(q, vec)
     scale, iverts, ifacets = projection._int_geometry(q)
     v_int = tuple(int(c) for c in primitive(vec))
     dim = q.dim
-    proj_rows, proj_dens = [], []
-    for b, nb in zip(sh.basis, sh.basis_norms):
-        (row,), mult = integer_scaled(
-            [[bk * gk / nb for bk, gk in zip(b, q.metric)]])
-        proj_rows.append(row)
-        proj_dens.append(mult * scale)
+    image, vden = projection._shadow_map(v_int)
 
     def contains(y, den):
         return all(fden * sum(a * b for a, b in zip(nrm, y)) <= num * den
@@ -151,10 +144,8 @@ def all_pairs_diagram_vertices(q, v):
                 y_minus = [y + nums[-1] * vj for y, vj in zip(y_plus, v_int)]
                 if not (contains(y_plus, den) and contains(y_minus, den)):
                     continue
-                point = tuple(
-                    Fraction(sum(rj * yj for rj, yj in zip(row, y_plus)),
-                             den * pden)
-                    for row, pden in zip(proj_rows, proj_dens))
+                point = tuple(Fraction(c, den * vden * scale)
+                              for c in image(y_plus))
                 out.append(DiagramVertex(point, x_plus, x_minus,
                                          l_plus, l_minus, nums[-1] < 0))
     return tuple(out)
@@ -288,28 +279,37 @@ class TestShadow:
         assert shapes <= {3, 4}
         assert 4 in shapes
 
+    def test_parallel_projection_onto_last_coordinate(self):
+        # Along v = (1, 2, 3) the shadow drops z: (x, y, z) maps to
+        # (x - z/3, y - 2z/3).  The corners 0 and (1, 1, 1) land inside.
+        q = cube(3)
+        sh = shadow(q, (1, 2, 3))
+        assert set(sh.poly.vertices) == {
+            (x - z / 3, y - 2 * z / 3) for x, y, z in q.vertices
+            if len({x, y, z}) == 2}
+        assert sh.poly.metric == (1, 1)
+
     def test_projection_exactness(self):
-        # Each vertex minus its shadow point (read in the complement basis)
-        # is parallel to the direction, and it lands on the shadow vertex
-        # vertex_map names, or strictly inside the shadow when it has none.
-        # The facet of the octahedron carries a non-trivial metric.
+        # A shadow point lifted back by re-inserting coordinate j as 0 (j
+        # the last index with v_j != 0) differs from its vertex by a
+        # multiple of the direction.  Vertices that vertex_map sends to no
+        # shadow vertex land strictly inside the shadow.
         polytopes = [cube(3), cross_polytope(3),
                      cross_polytope(3).facet_as_polytope(0)]
         for q, seed in product(polytopes, range(3)):
             d = sample_direction(q, seed=seed)
+            j = max(i for i, c in enumerate(d.v) if c)
             sh = shadow(q, d)
             for p, image in zip(q.vertices, sh.vertex_map):
-                coords = tuple(wdot(p, b, q.metric) / nb
-                               for b, nb in zip(sh.basis, sh.basis_norms))
-                lifted = p
-                for c, b in zip(coords, sh.basis):
-                    lifted = vsub(lifted, vscale(c, b))
-                assert rank([lifted, d.v]) == 1
                 if image is None:
+                    on_plane = vsub(p, vscale(p[j] / d.v[j], d.v))
+                    coords = on_plane[:j] + on_plane[j + 1:]
                     assert all(f.plane.side(coords) < 0
                                for f in sh.poly.facets)
                 else:
-                    assert sh.poly.vertices[image] == coords
+                    coords = sh.poly.vertices[image]
+                lifted = coords[:j] + (Fraction(0),) + coords[j:]
+                assert rank([vsub(p, lifted), d.v]) == 1
 
 
 class TestMemo:

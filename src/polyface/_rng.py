@@ -43,9 +43,11 @@ def chunk_sizes(samples: int) -> list[int]:
 
 
 def thread_count() -> int:
-    """Worker cap from POLYFACE_THREADS; defaults to 1 (serial)."""
+    """Worker cap from POLYFACE_THREADS, at most os.cpu_count(); defaults
+    to 1 (serial)."""
     raw = os.environ.get("POLYFACE_THREADS", "")
     try:
-        return max(1, int(raw))
+        wanted = int(raw)
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))

@@ -4,10 +4,11 @@ The solid angle at a face G is the fraction of a small ball centered in
 the relative interior of G that the polytope occupies.  Because the local
 geometry at a face is a cone, the ball never has to be materialized: the
 angle equals the probability that a uniformly random direction lies in the
-tangent cone, which is cut out by exactly the facets containing G.  That
-probability is estimated by Monte Carlo over isotropic Gaussian directions
-(seeded, chunked, bit-reproducible; see _rng) and, in dimension <= 3,
-cross-checked against closed forms.
+tangent cone, which is cut out by exactly the facets containing G.  Those
+facets are read off the hull's exact vertex-facet incidences, so building
+a cone does no arithmetic.  The probability is estimated by Monte Carlo
+over isotropic Gaussian directions (seeded, chunked, bit-reproducible; see
+_rng) and, in dimension <= 3, cross-checked against closed forms.
 
 Restricted polytopes carry a diagonal metric; the sampler folds the metric
 into the facet normals so that the sampled directions are isotropic with
@@ -45,21 +46,6 @@ SIGMA_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
-class TangentCone:
-    """The local cone of a polytope at a face.
-
-    ``normals`` are the stored facet covectors of exactly the facets
-    containing the face; a direction u points into the polytope iff
-    n . u <= 0 for each of them.  The apex (the centroid of the face's
-    vertices) satisfies every listed facet equation exactly.
-    """
-
-    apex: Vector
-    normals: tuple[Vector, ...]
-    facet_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class AngleEstimate:
     """A solid-angle value.  samples == 0 marks an exact (unsampled) value,
     in which case stderr is 0 by construction."""
@@ -78,22 +64,21 @@ class AngleEstimate:
                 "samples": self.samples, "seed": self.seed}
 
 
-def tangent_cone(p: Polytope, face) -> TangentCone:
-    """The tangent cone of p at a nonempty face (Face or vertex set)."""
+def tangent_cone(p: Polytope, face) -> tuple[Vector, ...]:
+    """The tangent cone of p at a nonempty face (Face or vertex set): the
+    normals of exactly the facets containing the face.  A direction u
+    points into p from the face's relative interior iff n . u <= 0 for
+    each of them; the face itself has no normals."""
     vs = p.require_face(face).vertex_set
-    idx = tuple(p.facets_containing(vs))
-    apex = p.centroid_of(vs)
-    for i in idx:
-        if not p.facets[i].plane.contains(apex):
-            raise PolyfaceError("tangent cone apex off its facet hyperplane")
-    return TangentCone(apex, tuple(p.facets[i].plane.normal for i in idx), idx)
+    return tuple(p.facets[i].plane.normal for i in p.facets_containing(vs))
 
 
-def _euclidean_normal_matrix(p: Polytope, cone: TangentCone) -> np.ndarray:
+def _euclidean_normal_matrix(p: Polytope,
+                             normals: tuple[Vector, ...]) -> np.ndarray:
     """Facet covectors rescaled so that plain-dot tests against standard
     Gaussian draws are isotropic in the original geometry."""
     scale = np.array([1.0 / math.sqrt(float(g)) for g in p.metric])
-    mat = np.array([[float(c) for c in n] for n in cone.normals])
+    mat = np.array([[float(c) for c in n] for n in normals])
     return mat * scale
 
 
@@ -117,16 +102,16 @@ def solid_angle(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
         raise OutOfRangeError("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise TooLargeError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
-    cone = tangent_cone(p, face)
-    if not cone.normals:
+    normals = tangent_cone(p, face)
+    if not normals:
         return AngleEstimate(1.0, 0.0, 0, seed)
     if p.dim <= 1:
         # The 0-sphere has two directions; one of them is in the halfline.
         return AngleEstimate(0.5, 0.0, 0, seed)
-    matrix = _euclidean_normal_matrix(p, cone)
+    matrix = _euclidean_normal_matrix(p, normals)
     sizes = chunk_sizes(samples)
-    workers = thread_count()
-    if workers > 1 and len(sizes) > 1:
+    workers = min(thread_count(), len(sizes))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(
                 lambda ic: _chunk_hits(matrix, p.dim, seed, ic[0], ic[1]),

@@ -18,11 +18,11 @@ every k; the curvature check of the i-th k-face has the seed path
 (--seed, "curv", k, i).
 
 Exit code 0 means every hard check passed (WARN verdicts do not fail a
-run).  Failures (malformed input, an unwritable --out path, --directions
-or --samples below 1, --samples above 10^9) print a JSON error line to
-stderr and exit 1.  POLYFACE_THREADS caps the worker threads of
-solid-angle sampling only; output is byte-identical for a given seed
-regardless of thread count.
+run).  Failures (malformed input, an --out path that cannot be opened or
+written, --directions or --samples below 1, --samples above 10^9) print
+a JSON error line to stderr and exit 1.  POLYFACE_THREADS caps the
+worker threads of solid-angle sampling only, at most os.cpu_count();
+output is byte-identical for a given seed regardless of thread count.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import io
 import json
 import math
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from typing import Sequence
 
 from ._rng import derive_seed
@@ -85,18 +85,25 @@ def _require_positive(**counts: int) -> None:
             raise OutOfRangeError(f"--{name} must be at least 1, got {value}")
 
 
-def _open_out(path: str, newline: str | None = None):
+@contextmanager
+def _writing(path: str | None, newline: str | None = None):
+    """A text sink: stdout when path is None, else the file at path.  An
+    OSError from opening, writing or closing the file (a missing
+    directory, a directory, no access, a full disk) is BadOutputError."""
+    if not path:
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
-    except OSError as exc:  # a missing directory, a directory, no access
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
         raise BadOutputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(payload: dict, out: str | None) -> None:
     # Streamed: json.dumps with indent keeps every chunk in a list before
     # joining them, and diagram output runs to megabytes.
-    sink = _open_out(out) if out else nullcontext(sys.stdout)
-    with sink as fh:
+    with _writing(out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -220,9 +227,9 @@ def _corpus_entry_rows(spec: FamilySpec) -> list[dict]:
     extra = []
     if not minf.ok:
         extra.append("min-face:VIOLATED")
-    if few.get("applicable") and not few.get("ok", True):
+    if not few.get("ok", True):
         extra.append("few-vertex:VIOLATED")
-    if uni.get("applicable") and not uni.get("ok", True):
+    if not uni.get("ok", True):
         extra.append("unimodality:VIOLATED")
     rows = []
     for r in report.csv_rows():
@@ -250,11 +257,8 @@ def cmd_corpus(args) -> int:
     writer.writeheader()
     writer.writerows(rows)
     text = buf.getvalue()
-    if args.out:
-        with _open_out(args.out, newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _writing(args.out, newline="") as fh:
+        fh.write(text)
     violated = [r for r in rows if "VIOLATED" in r["verdicts"]]
     return 1 if violated else 0
 

@@ -260,6 +260,3 @@ class Hyperplane:
         """-1 strictly inside, 0 on the hyperplane, +1 strictly outside."""
         value = self.evaluate(point)
         return (value > 0) - (value < 0)
-
-    def contains(self, point: Vector) -> bool:
-        return self.evaluate(point) == 0

@@ -29,7 +29,6 @@ from .exact import (
     affine_basis_indices,
     affine_dim,
     gram_schmidt,
-    rank,
     vadd,
     vector,
     vscale,
@@ -232,14 +231,14 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
 
     raw = _hull.incremental_facets(intrinsic, dim)
 
-    # A point is a vertex iff the normals of the facets through it span
-    # the whole space (its normal cone is full dimensional).
-    normals_at: dict[int, list[Vector]] = {i: [] for i in range(len(intrinsic))}
-    for normal, _, on in raw:
+    # A point is a vertex iff the facets through it meet in that point
+    # alone: every nonempty proper face is the intersection of the facets
+    # containing it.  A point on no facet is interior.
+    meet: dict[int, frozenset[int]] = {}
+    for _, _, on in raw:
         for i in on:
-            normals_at[i].append(normal)
-    keep = [i for i in range(len(intrinsic))
-            if len(normals_at[i]) >= dim and rank(normals_at[i]) == dim]
+            meet[i] = meet[i] & on if i in meet else on
+    keep = [i for i in range(len(intrinsic)) if meet.get(i) == {i}]
     remap = {old: new for new, old in enumerate(keep)}
     vertices = [intrinsic[i] for i in keep]
 

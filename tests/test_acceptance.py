@@ -7,6 +7,7 @@ dimension at least 2, the 6-cube included, with 20 seeded directions
 each, all in general position by construction.
 """
 import math
+import os
 import subprocess
 import sys
 import time
@@ -263,9 +264,9 @@ def test_criterion_11_interior_vertex(projection_corpus):
     _report(11, "interior-vertex lemma", f"{trials} trials, zero failures")
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one CPU: the thread cap makes every run serial")
 def test_criterion_12_deterministic_corpus_output(tmp_path):
-    import os
-
     outputs = []
     angle_outputs = []
     for threads in ("1", "4"):

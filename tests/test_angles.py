@@ -1,11 +1,13 @@
 """Solid angles: tangent cones, Monte Carlo vs closed forms, angle sums."""
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from polyface._rng import derive_seed
+import polyface.angles
+from polyface._rng import derive_seed, thread_count
 from polyface.angles import (
     MAX_SAMPLES,
     angle_sum,
@@ -46,18 +48,19 @@ def within(est, value, sigmas=4.0):
 
 class TestTangentCone:
     def test_cube_vertex_three_normals(self):
-        cone = tangent_cone(cube(3), frozenset([0]))
-        assert len(cone.normals) == 3
+        p = cube(3)
+        normals = tangent_cone(p, frozenset([0]))
+        assert len(normals) == 3
+        assert set(normals) == {f.plane.normal for f in p.facets
+                                if 0 in f.vertex_set}
 
     def test_cube_facet_one_normal(self):
         p = cube(3)
-        cone = tangent_cone(p, p.facets[0].vertex_set)
-        assert len(cone.normals) == 1
+        assert tangent_cone(p, p.facets[0].vertex_set) == (
+            p.facets[0].plane.normal,)
 
     def test_whole_polytope_empty_cone(self):
-        p = cube(3)
-        cone = tangent_cone(p, frozenset(range(8)))
-        assert cone.normals == ()
+        assert tangent_cone(cube(3), frozenset(range(8))) == ()
 
     def test_not_a_face(self):
         with pytest.raises(NotAFaceError):
@@ -114,6 +117,8 @@ class TestSolidAngle:
         b = solid_angle(cube(3), frozenset([0]), 70_000, seed=2)
         assert a.mean != b.mean
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="one CPU: the thread cap makes every run serial")
     def test_thread_count_invariance(self):
         # Chunked integer aggregation: same bits regardless of pool size.
         code = (
@@ -128,6 +133,38 @@ class TestSolidAngle:
             for threads in ("1", "4")
         ]
         assert outs[0] == outs[1]
+
+    def test_pool_capped_by_cpus_and_chunks(self, monkeypatch):
+        # A spy pool that maps serially: no thread is started.
+        sizes = []
+
+        class SpyPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(polyface.angles, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("POLYFACE_THREADS", "100000")
+        assert thread_count() == 4
+        pooled = [solid_angle(cube(3), frozenset([0]), n, seed=4)
+                  for n in (140_000, 700_000)]  # 3 and 11 chunks
+        assert sizes == [3, 4]
+        monkeypatch.setenv("POLYFACE_THREADS", "1")
+        assert pooled == [solid_angle(cube(3), frozenset([0]), n, seed=4)
+                          for n in (140_000, 700_000)]
+        assert sizes == [3, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setenv("POLYFACE_THREADS", "8")
+        assert thread_count() == 1
 
 
 class TestExactLowDim:

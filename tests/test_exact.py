@@ -236,7 +236,7 @@ class TestScalarsAndPlanes:
         assert plane.side(vector((0, 5))) == -1
         assert plane.side(vector((1, -2))) == 0
         assert plane.side(vector((2, 0))) == 1
-        assert plane.contains(vector((1, 7)))
+        assert plane.side(vector((1, 7))) == 0
 
     def test_hyperplane_zero_normal_rejected(self):
         with pytest.raises(ZeroVectorError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polyface._hull import brute_force_facets, incremental_facets
 from polyface.errors import EmptyInputError, TooLargeError
-from polyface.exact import affine_dim, vector
+from polyface.exact import affine_dim, rank, vector
 from polyface.generators import cross_polytope, cube, cyclic, simplex
 from polyface.polytope import hull_from_points
 
@@ -114,6 +114,57 @@ class TestHullFromPoints:
         assert q.n_vertices == p.n_vertices
         assert [f.vertex_set for f in q.facets] == \
             [f.vertex_set for f in p.facets]
+
+
+def rank_rule_vertices(pts, dim):
+    """An independent vertex rule on the brute-force facets: a point is a
+    vertex iff the normals of the facets through it have rank dim (its
+    normal cone is full dimensional)."""
+    facets = brute_force_facets(pts, dim)
+    return {p for i, p in enumerate(pts)
+            if rank([n for n, _, on in facets if i in on]) == dim}
+
+
+@st.composite
+def grid_points_with_extras(draw):
+    """Points of {0,1,2}^dim (many on the boundary of their hull), plus a
+    duplicate, the centroid (interior) and the midpoint of two of them."""
+    dim = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 2)] * dim),
+                         min_size=dim + 1, max_size=8))
+    pts = points_of(rows)
+    i = draw(st.integers(0, len(pts) - 1))
+    j = draw(st.integers(0, len(pts) - 1))
+    centroid = tuple(sum(c) / len(pts) for c in zip(*pts))
+    midpoint = tuple((a + b) / 2 for a, b in zip(pts[i], pts[j]))
+    return dim, pts + [pts[0], centroid, midpoint]
+
+
+class TestVertexRule:
+    """hull_from_points keeps the points whose facets meet in that point
+    alone; the rank rule on the brute-force facets must agree."""
+
+    @given(grid_points_with_extras())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rank_rule(self, case):
+        dim, pts = case
+        assume(affine_dim(pts) == dim)
+        assert set(hull_from_points(pts).vertices) == \
+            rank_rule_vertices(pts, dim)
+
+    @pytest.mark.parametrize("rows,dim", [
+        (SQUARE + [(Fraction(1, 2), 0)], 2),                   # edge
+        (CUBE3 + [(Fraction(1, 2), 0, 0)], 3),                 # edge
+        (CUBE3 + [(Fraction(1, 2), Fraction(1, 2), 0)], 3),    # 2-face
+        (CUBE3 + [(Fraction(1, 2), 0, 0),
+                  (Fraction(1, 2), Fraction(1, 2), 1),
+                  (Fraction(1, 2),) * 3], 3),                  # all three
+    ])
+    def test_midpoints_are_not_vertices(self, rows, dim):
+        pts = points_of(rows)
+        vertices = set(hull_from_points(pts).vertices)
+        assert vertices == rank_rule_vertices(pts, dim) == \
+            set(points_of(rows[:2 ** dim]))
 
 
 class TestFacetInvariants:

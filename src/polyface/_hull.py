@@ -1,29 +1,23 @@
 """Exact facet enumeration for full-dimensional point sets.
 
-Two implementations of the same contract:
+``incremental_facets`` is beneath-beyond insertion over a simplicial facet
+complex, with coplanar simplices merged at the end.  Output sensitive; it
+handles every degenerate input (points on facet hyperplanes, interior
+points, duplicated hyperplanes) because all side tests are exact.
 
-* ``incremental_facets`` -- beneath-beyond insertion over a simplicial
-  facet complex, with coplanar simplices merged at the end.  Output
-  sensitive; handles every degenerate input (points on facet hyperplanes,
-  interior points, duplicated hyperplanes) because all side tests are
-  exact.  This is the production path.
-
-* ``brute_force_facets`` -- enumeration of all dim-subsets spanning a
-  hyperplane, keeping the supporting ones.  O(n^dim); used as an oracle
-  in tests and usable directly on small inputs.
-
-Both work on integer-scaled copies of the points (``exact.integer_scaled``:
-a uniform scaling, so the combinatorics are untouched) and return facets as
+It works on integer-scaled copies of the points (``exact.integer_scaled``:
+a uniform scaling, so the combinatorics are untouched) and returns facets as
 primitive integer hyperplanes expressed in the original coordinates,
 together with the set of input points lying exactly on each facet
-hyperplane.  All linear algebra is the exact kernel's one fraction-free
-elimination: a facet normal is the null vector of the edge differences,
-and the seed simplex is the greedy affine basis of the points.
+hyperplane.  Only the seed simplex's d+1 facets need elimination (a normal
+is the null vector of the edge differences, from the exact kernel); every
+later facet is the plane of a neighbouring facet rotated about a horizon
+ridge, in integer arithmetic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 from .errors import PolyfaceError
@@ -41,6 +35,7 @@ def cross_normal(diffs: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | No
     elimination.  Returns None when the differences do not span a
     hyperplane (rank < dim-1, so the null space is larger than a line).
     The sign is not normalized: every caller orients the normal itself.
+    The hull runs it only on the seed simplex's d+1 facets.
     """
     basis = null_space(diffs, dim)
     return basis[0] if len(basis) == 1 else None
@@ -70,21 +65,48 @@ def _facet_through(
     return (verts, normal, offset)
 
 
-def _check_two_regular(facets: list[_IntFacet], dim: int) -> None:
-    counts: dict[tuple[int, ...], int] = {}
-    for verts, _, _ in facets:
-        for j in range(dim):
-            ridge = verts[:j] + verts[j + 1:]
-            counts[ridge] = counts.get(ridge, 0) + 1
-    bad = [r for r, c in counts.items() if c != 2]
-    if bad:
-        raise PolyfaceError(
-            f"hull invariant violated: {len(bad)} ridges not in exactly 2 facets"
-        )
+def _ridges(verts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return [verts[:j] + verts[j + 1:] for j in range(len(verts))]
+
+
+def _check_two_regular(owners: dict[tuple[int, ...], list[tuple[int, ...]]],
+                       touched: set[tuple[int, ...]]) -> None:
+    """Every ridge an insertion touched (a ridge of a removed or of a new
+    facet) must lie in exactly 2 facets or in none.  That is as strong as
+    recounting every ridge: an untouched ridge's facets did not change, so
+    it still lies in 2, by induction from the seed simplex, whose ridges
+    are all touched."""
+    counts = [len(owners.get(ridge, ())) for ridge in touched]
+    if any(c > 2 for c in counts):
+        raise PolyfaceError("hull invariant violated: overcounted ridge")
+    if 1 in counts:
+        raise PolyfaceError(f"hull invariant violated: {counts.count(1)} "
+                            f"ridges not in exactly 2 facets")
+
+
+def _rotated(ridge: tuple[int, ...], idx: int, p: tuple[int, ...],
+             visible: _IntFacet, hidden: _IntFacet,
+             centroid_sum: tuple[int, ...], centroid_count: int) -> _IntFacet:
+    """The facet through a horizon ridge and the new point p: the visible
+    facet's plane rotated about the ridge towards the hidden one's (gift
+    wrapping).  Both planes contain the ridge, so (a*n1 + b*n2).x =
+    a*c1 + b*c2 does too, and p lies on it.  a > 0 (p is strictly beneath
+    the hidden facet) and b >= 0, so the normal is a nonnegative mix of
+    outward normals; b = 0 gives back the visible plane (a coplanar point,
+    joined by the final merge)."""
+    (_, n1, c1), (_, n2, c2) = visible, hidden
+    a, b = c2 - _idot(n2, p), _idot(n1, p) - c1
+    normal = tuple(a * x + b * y for x, y in zip(n1, n2))
+    g = gcd(*normal)
+    if g == 0:
+        raise PolyfaceError("degenerate facet candidate in hull construction")
+    normal, offset = tuple(c // g for c in normal), (a * c1 + b * c2) // g
+    if _idot(normal, centroid_sum) >= offset * centroid_count:
+        raise PolyfaceError("interior reference point on a facet hyperplane")
+    return (tuple(sorted(ridge + (idx,))), normal, offset)
 
 
 def _simplicial_hull(pts: list[tuple[int, ...]], dim: int) -> list[_IntFacet]:
-    n = len(pts)
     # Greedy affinely independent seed simplex.
     chosen = affine_basis_indices(pts)
     if len(chosen) != dim + 1:
@@ -92,41 +114,46 @@ def _simplicial_hull(pts: list[tuple[int, ...]], dim: int) -> list[_IntFacet]:
 
     centroid_sum = tuple(sum(pts[i][j] for i in chosen) for j in range(dim))
     cc = dim + 1
-    facets = [
-        _facet_through(pts, tuple(v for v in chosen if v != drop), dim,
-                       centroid_sum, cc)
-        for drop in chosen
-    ]
+    # The facets by vertex tuple, and the facets through each ridge.
+    facets: dict[tuple[int, ...], _IntFacet] = {}
+    owners: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
+    def add(new: list[_IntFacet], touched: set[tuple[int, ...]]) -> None:
+        for facet in new:
+            facets[facet[0]] = facet
+            for ridge in _ridges(facet[0]):
+                owners.setdefault(ridge, []).append(facet[0])
+                touched.add(ridge)
+        _check_two_regular(owners, touched)
+
+    add([_facet_through(pts, tuple(v for v in chosen if v != drop), dim,
+                        centroid_sum, cc) for drop in chosen], set())
     seeded = set(chosen)
-    for idx in range(n):
+    for idx, p in enumerate(pts):
         if idx in seeded:
             continue
-        p = pts[idx]
-        visible: list[_IntFacet] = []
-        hidden: list[_IntFacet] = []
-        for f in facets:
-            # Equality counts as visible: coplanar facets get retriangulated
-            # from the new point, which is what makes the final coplanar
-            # merge produce complete facet vertex sets.
-            (visible if _idot(f[1], p) >= f[2] else hidden).append(f)
+        # Equality counts as visible: coplanar facets get retriangulated
+        # from the new point, which is what makes the final coplanar
+        # merge produce complete facet vertex sets.
+        visible = {verts for verts, normal, offset in facets.values()
+                   if _idot(normal, p) >= offset}
         if not visible:
             continue  # inside or on the current hull, never a new vertex
-        ridge_count: dict[tuple[int, ...], int] = {}
-        for verts, _, _ in visible:
-            for j in range(dim):
-                ridge = verts[:j] + verts[j + 1:]
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        if any(c > 2 for c in ridge_count.values()):
-            raise PolyfaceError("hull invariant violated: overcounted ridge")
-        horizon = [r for r, c in ridge_count.items() if c == 1]
-        new = [
-            _facet_through(pts, tuple(sorted(r + (idx,))), dim, centroid_sum, cc)
-            for r in horizon
-        ]
-        facets = hidden + new
-        _check_two_regular(facets, dim)
-    return facets
+        new: list[_IntFacet] = []
+        touched: set[tuple[int, ...]] = set()
+        for verts in visible:
+            facet = facets.pop(verts)
+            for ridge in _ridges(verts):
+                pair = owners[ridge]
+                pair.remove(verts)
+                touched.add(ridge)
+                if not pair:
+                    del owners[ridge]
+                elif pair[0] not in visible:  # a horizon ridge
+                    new.append(_rotated(ridge, idx, p, facet, facets[pair[0]],
+                                        centroid_sum, cc))
+        add(new, touched)
+    return list(facets.values())
 
 
 def _merge_and_verify(
@@ -165,43 +192,3 @@ def incremental_facets(
     """
     pts, mult = integer_scaled(points)
     return _merge_and_verify(pts, _simplicial_hull(pts, dim), mult)
-
-
-def brute_force_facets(
-    points: Sequence[Vector], dim: int
-) -> list[tuple[Vector, Fraction, frozenset[int]]]:
-    """Oracle-grade facet enumeration over all dim-subsets of the points."""
-    pts, mult = integer_scaled(points)
-    n = len(pts)
-    planes = set()
-    for combo in combinations(range(n), dim):
-        base = pts[combo[0]]
-        diffs = [tuple(a - b for a, b in zip(pts[v], base)) for v in combo[1:]]
-        normal = cross_normal(diffs, dim)
-        if normal is None:
-            continue
-        offset = _idot(normal, base)
-        low = high = False
-        for p in pts:
-            value = _idot(normal, p)
-            if value < offset:
-                low = True
-            elif value > offset:
-                high = True
-            if low and high:
-                break
-        if low and high:
-            continue
-        if high:  # flip so that every point satisfies n.x <= b
-            normal = tuple(-c for c in normal)
-            offset = -offset
-        planes.add((normal, offset))
-    out = []
-    for normal, offset in sorted(planes):
-        on = frozenset(i for i, p in enumerate(pts) if _idot(normal, p) == offset)
-        out.append((
-            tuple(Fraction(c) for c in normal),
-            Fraction(offset, mult),
-            on,
-        ))
-    return out

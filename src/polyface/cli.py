@@ -89,9 +89,16 @@ def _require_positive(**counts: int) -> None:
 def _writing(path: str | None, newline: str | None = None):
     """A text sink: stdout when path is None, else the file at path.  An
     OSError from opening, writing or closing the file (a missing
-    directory, a directory, no access, a full disk) is BadOutputError."""
+    directory, a directory, no access, a full disk), or from writing or
+    flushing stdout, is BadOutputError."""
     if not path:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            # Flush here: a short output would otherwise first fail at
+            # interpreter shutdown, past the error handling.
+            sys.stdout.flush()
+        except OSError as exc:
+            raise BadOutputError(f"cannot write to stdout: {exc}") from exc
         return
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as fh:

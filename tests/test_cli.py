@@ -157,6 +157,25 @@ def test_unwritable_out_ends_in_json_error_line(argv, target, tmp_path,
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "cube", "--dim", "3"],
+    ["corpus", "--dims", "2..3"],
+    ["project", "--family", "cube", "--dim", "3", "--directions", "1"],
+], ids=["gen", "corpus", "project"])
+def test_full_stdout_ends_in_json_error_line(argv):
+    # gen and corpus print less than stdout's buffer, so only the final
+    # flush fails; project's 16 kB fail in the write itself.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "polyface", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=PKG_ENV)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "BadOutputError"
+
+
 class TestVerifyBounds:
     def test_octahedron_equalities(self, tmp_path):
         out = tmp_path / "report.json"

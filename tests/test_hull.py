@@ -1,15 +1,45 @@
 """Facet enumeration: the incremental hull against the brute-force oracle."""
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyface._hull import brute_force_facets, incremental_facets
-from polyface.errors import EmptyInputError, TooLargeError
-from polyface.exact import affine_dim, rank, vector
+from polyface._hull import (_check_two_regular, _facet_through,
+                            _simplicial_hull, cross_normal, incremental_facets)
+from polyface.errors import EmptyInputError, PolyfaceError, TooLargeError
+from polyface.exact import (affine_basis_indices, affine_dim, integer_scaled,
+                            rank, vector)
 from polyface.generators import cross_polytope, cube, cyclic, simplex
 from polyface.polytope import hull_from_points
+
+
+def dot(n, p):
+    return sum(a * b for a, b in zip(n, p))
+
+
+def brute_force_facets(points, dim):
+    """The hull oracle: every dim-subset spanning a hyperplane with all
+    points on one side gives a facet, as incremental_facets returns them."""
+    pts, mult = integer_scaled(points)
+    planes = set()
+    for combo in combinations(range(len(pts)), dim):
+        base = pts[combo[0]]
+        diffs = [tuple(a - b for a, b in zip(pts[v], base)) for v in combo[1:]]
+        normal = cross_normal(diffs, dim)
+        if normal is None:
+            continue
+        offset = dot(normal, base)
+        values = [dot(normal, p) for p in pts]
+        if min(values) < offset < max(values):
+            continue
+        if max(values) > offset:  # flip so that every point satisfies n.x <= b
+            normal, offset = tuple(-c for c in normal), -offset
+        planes.add((normal, offset))
+    return [(tuple(Fraction(c) for c in normal), Fraction(offset, mult),
+             frozenset(i for i, p in enumerate(pts) if dot(normal, p) == offset))
+            for normal, offset in sorted(planes)]
 
 
 def canon(facets):
@@ -38,21 +68,55 @@ class TestAgainstOracle:
         assert canon(incremental_facets(pts, dim)) == \
             canon(brute_force_facets(pts, dim))
 
-    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
-                              st.integers(-4, 4)),
-                    min_size=4, max_size=9, unique=True))
-    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda dim: st.lists(
+        st.tuples(*[st.integers(-2, 2)] * dim),
+        min_size=dim + 1, max_size=dim + 6, unique=True)))
+    @settings(max_examples=60, deadline=None)
     def test_random_integer_points(self, rows):
-        pts = points_of(rows)
-        assume(affine_dim(pts) == 3)
-        assert canon(incremental_facets(pts, 3)) == \
-            canon(brute_force_facets(pts, 3))
+        # Small grids: many points on facet hyperplanes, so rotations with
+        # b = 0 (a coplanar new point) come up often.
+        pts, dim = points_of(rows), len(rows[0])
+        assume(affine_dim(pts) == dim)
+        assert canon(incremental_facets(pts, dim)) == \
+            canon(brute_force_facets(pts, dim))
 
     def test_three_cube_has_six_facets(self):
         # Independent support-hyperplane enumeration agrees.
         oracle = brute_force_facets(points_of(CUBE3), 3)
         assert len(oracle) == 6
         assert len(incremental_facets(points_of(CUBE3), 3)) == 6
+
+
+class TestRotation:
+    """Facets after the seed simplex come from rotating a neighbour's plane
+    about a horizon ridge; elimination on the vertex tuple is the oracle."""
+
+    @pytest.mark.parametrize("rows,dim", [
+        (list(product((0, 1), repeat=5)), 5),
+        ([tuple(s * (i == j) for j in range(5)) for i in range(5)
+          for s in (1, -1)], 5),
+        ([tuple(t ** k for k in range(1, 7)) for t in range(1, 13)], 6),
+        (list(product((-1, 0, 1), repeat=4)), 4),  # degenerate grid
+    ], ids=["cube-5", "cross-5", "cyclic-6-12", "grid-4"])
+    def test_facets_match_elimination(self, rows, dim):
+        pts, _ = integer_scaled(points_of(rows))
+        chosen = affine_basis_indices(pts)
+        centroid_sum = tuple(map(sum, zip(*(pts[i] for i in chosen))))
+        facets = _simplicial_hull(pts, dim)
+        assert len(facets) > dim + 1
+        for facet in facets:
+            assert facet == _facet_through(pts, facet[0], dim, centroid_sum,
+                                           dim + 1)
+
+    def test_touched_ridge_check(self):
+        owners = {(0, 1): [(0, 1, 2), (0, 1, 3)],
+                  (0, 2): [(0, 1, 2), (0, 2, 3), (0, 2, 4)],
+                  (1, 2): [(0, 1, 2)]}
+        _check_two_regular(owners, {(0, 1), (3, 4)})  # in 2 facets, in none
+        with pytest.raises(PolyfaceError, match="overcounted ridge"):
+            _check_two_regular(owners, {(0, 1), (0, 2)})
+        with pytest.raises(PolyfaceError, match="1 ridges not in exactly 2"):
+            _check_two_regular(owners, {(0, 1), (1, 2)})
 
 
 class TestHullFromPoints:

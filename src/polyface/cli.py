@@ -31,6 +31,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from typing import Sequence
@@ -98,6 +99,9 @@ def _writing(path: str | None, newline: str | None = None):
             # interpreter shutdown, past the error handling.
             sys.stdout.flush()
         except OSError as exc:
+            # Send what stdout still buffers to the null device, or the flush
+            # at interpreter shutdown fails on it again and exits with 120.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise BadOutputError(f"cannot write to stdout: {exc}") from exc
         return
     try:

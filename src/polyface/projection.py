@@ -305,10 +305,7 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
       is singular and the pair never crosses.
     * Exactly one shared vertex w: w solves the system with t = 0, so the
       pair crosses iff the system is nonsingular (one rank test), and the
-      crossing is w's shadow, a boundary crossing.  When x_plus or x_minus
-      is w itself (m = 1 or m = dim unknowns), the other face is a facet,
-      and the system is nonsingular exactly when that facet's normal pairs
-      nonzero with v, which ``upper_lower`` has enforced: no rank test.
+      crossing is w's shadow, a boundary crossing.
     * No shared vertex: the faces are disjoint, so a crossing needs t < 0,
       and under a general-position direction distinct lifts put it inside
       the shadow.  A crossing lies in both projected faces, so pairs whose
@@ -367,7 +364,7 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                 rows = [[sum(map(mul, eq, col)) for col in cols]
                         for eq in eqs_m]
                 if shared:
-                    if m in (1, dim) or len(echelon(rows)[1]) == m:
+                    if len(echelon(rows)[1]) == m:
                         point = tuple(Fraction(c, pden)
                                       for c in pv[shared.bit_length() - 1])
                         out.append(DiagramVertex(point, x_plus, x_minus,

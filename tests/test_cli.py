@@ -157,20 +157,27 @@ def test_unwritable_out_ends_in_json_error_line(argv, target, tmp_path,
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "cube", "--dim", "3"],
     ["corpus", "--dims", "2..3"],
     ["project", "--family", "cube", "--dim", "3", "--directions", "1"],
 ], ids=["gen", "corpus", "project"])
-def test_full_stdout_ends_in_json_error_line(argv):
-    # gen and corpus print less than stdout's buffer, so only the final
-    # flush fails; project's 16 kB fail in the write itself.
+def test_full_stdout_ends_in_json_error_line(argv, unbuffered):
+    # Buffered, gen and corpus print less than stdout's buffer, so only
+    # the final flush fails, and the bytes it leaves behind must not fail
+    # again at interpreter shutdown (exit code 120); project's 16 kB fail
+    # in the write itself.  Unbuffered, every write goes to the device.
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
+    env = {k: v for k, v in PKG_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "polyface", *argv],
                               stdout=full, stderr=subprocess.PIPE, text=True,
-                              env=PKG_ENV)
+                              env=env)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == "BadOutputError"

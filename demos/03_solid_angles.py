@@ -11,6 +11,7 @@ sum of an m-polytope is at least ratio_bound(m+1, m-k).
 from polyface import (
     angle_sum,
     angle_sum_lower_check,
+    angle_sums,
     cube,
     curvature_check,
     hull_from_points,
@@ -39,10 +40,13 @@ print(f"  regular tetrahedron corner: estimate {corner.mean:.4f},"
       f" closed form {oracle:.4f}")
 
 print()
-print("== angle sums ==")
-for k in range(3):
-    rep = angle_sum(cube(3), k, SAMPLES, seed=2)
-    print(f"  3-cube angle sum at dim {k}: {rep.total:.3f} +- {rep.stderr:.3f}")
+print("== angle sums, all from one stream, Gram's relation on every sample ==")
+for rep in angle_sums(cube(3), SAMPLES, seed=2):
+    print(f"  3-cube angle sum at dim {rep.k}: {rep.total} +- {rep.stderr}"
+          f" (the same count on every sample)")
+for rep in angle_sums(simplex(3), SAMPLES, seed=2):
+    print(f"  tetrahedron angle sum at dim {rep.k}: {rep.total:.4f}"
+          f" +- {rep.stderr:.4f}")
 
 print()
 print("== facet angles around a face sum to at most 1 ==")

@@ -11,6 +11,7 @@ from .angles import (
     AngleSumReport,
     angle_sum,
     angle_sum_lower_check,
+    angle_sums,
     curvature_check,
     facet_angle,
     projection_angle_check,
@@ -20,7 +21,6 @@ from .angles import (
 )
 from .bounds import (
     BoundReport,
-    binomial_convexity_check,
     few_vertex_bound,
     few_vertex_check,
     min_face_check,
@@ -28,7 +28,6 @@ from .bounds import (
     unimodality_check,
     verify_main_bounds,
 )
-from .corpus import CorpusEntry, standard_corpus
 from .errors import PolyfaceError
 from .exact import Hyperplane, Scalar, Vector, affine_dim, rank
 from .generators import (

@@ -5,11 +5,12 @@ estimate with a requested seed s draws its i-th chunk of samples from
 
     Generator(PCG64(SeedSequence((s mod 2**64, i))))
 
-with a fixed chunk size, and aggregates integer hit counts, so results are
-bit-identical across runs and across thread counts.  Sub-tasks (per-face,
-per-direction) derive their own 64-bit seeds from the parent seed and a
-textual path via BLAKE2b, which keeps independent streams decoupled
-without any global state.
+with a fixed chunk size, and aggregates integer counts, so results are
+bit-identical across runs and across thread counts.  Sub-tasks (the angle
+sums of a polytope, the facet angles of a curvature check, a direction)
+derive their own 64-bit seeds from the parent seed and a textual path via
+BLAKE2b, which keeps independent streams decoupled without any global
+state.
 """
 from __future__ import annotations
 

@@ -18,6 +18,13 @@ Two cases are exact by construction and never sampled: the cone with no
 constraints (the angle at the polytope itself, which is 1) and any cone in
 an ambient dimension <= 1, where the unit sphere is the two-point set
 {-1, +1} (an endpoint of a segment gets exactly 1/2).
+
+Angle sums sample one stream per polytope: the signs of every facet normal
+against each draw are computed once, and a face's cone holds the draw iff
+all facets through the face say so.  For every direction off the facet
+hyperplanes, the faces whose cones hold it satisfy Gram's relation
+sum_F (-1)^dim F = 0, the polytope itself included (Welzl, "Gram's
+equation -- a probabilistic proof", 1994); that is checked on every sample.
 """
 from __future__ import annotations
 
@@ -31,6 +38,7 @@ import numpy as np
 from ._rng import chunk_generator, chunk_sizes, derive_seed, thread_count
 from .bounds import ratio_bound
 from .errors import (
+    GramViolationError,
     OutOfRangeError,
     PolyfaceError,
     TooLargeError,
@@ -43,6 +51,11 @@ from .projection import shadow
 DEFAULT_SAMPLES = 1_000_000
 MAX_SAMPLES = 10**9
 SIGMA_FACTOR = 4.0
+# Each chunk is drawn whole and then tested in blocks of rows, so the
+# stream does not depend on the block size; matrices wider than 64 normals
+# get proportionally fewer rows per block.
+ROW_BLOCK = 8192
+BLOCK_CELLS = ROW_BLOCK * 64
 
 
 @dataclass(frozen=True)
@@ -82,26 +95,57 @@ def _euclidean_normal_matrix(p: Polytope,
     return mat * scale
 
 
-def _chunk_hits(matrix: np.ndarray, dim: int, seed: int, index: int,
-                count: int) -> int:
-    rng = chunk_generator(seed, index)
-    z = rng.standard_normal((count, dim))
-    inside = (z @ matrix.T <= 0.0).all(axis=1)
-    return int(np.count_nonzero(inside))
-
-
-def solid_angle(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
-                seed: int = 0) -> AngleEstimate:
-    """Monte Carlo solid angle of p at a face; deterministic given seed.
-
-    The sample space is split into fixed-size chunks, each with its own
-    derived generator; integer hit counts are aggregated, so parallel and
-    serial runs agree bit for bit.
-    """
+def _check_samples(samples: int) -> None:
     if samples < 1:
         raise OutOfRangeError("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise TooLargeError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+
+
+def _estimate(hits: int, samples: int, seed: int) -> AngleEstimate:
+    mean = hits / samples
+    return AngleEstimate(mean, math.sqrt(mean * (1.0 - mean) / samples),
+                         samples, seed)
+
+
+def _chunk_tally(matrix: np.ndarray, seed: int, index: int, count: int,
+                 tally) -> np.ndarray:
+    """tally's integer vector, summed over the row blocks of the signs
+    (z . n <= 0) of chunk `index` against every row n of matrix."""
+    z = chunk_generator(seed, index).standard_normal((count, matrix.shape[1]))
+    rows = max(1, min(ROW_BLOCK, BLOCK_CELLS // len(matrix)))
+    return sum(tally(z[lo:lo + rows] @ matrix.T <= 0.0)
+               for lo in range(0, count, rows))
+
+
+def _sample(matrix: np.ndarray, samples: int, seed: int,
+            tally) -> list[np.ndarray]:
+    """The tally of each chunk of the stream, in chunk order.
+
+    The sample space is split into fixed-size chunks, each with its own
+    derived generator, on a pool of at most POLYFACE_THREADS threads; the
+    tallies are integers, so parallel and serial runs agree bit for bit.
+    """
+    sizes = chunk_sizes(samples)
+
+    def run(chunk: tuple[int, int]) -> np.ndarray:
+        return _chunk_tally(matrix, seed, chunk[0], chunk[1], tally)
+
+    workers = min(thread_count(), len(sizes))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, enumerate(sizes)))
+    return [run(chunk) for chunk in enumerate(sizes)]
+
+
+def _cone_tally(signs: np.ndarray) -> np.ndarray:
+    return np.array([np.count_nonzero(signs.all(axis=1))])
+
+
+def solid_angle(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
+                seed: int = 0) -> AngleEstimate:
+    """Monte Carlo solid angle of p at a face; deterministic given seed."""
+    _check_samples(samples)
     normals = tangent_cone(p, face)
     if not normals:
         return AngleEstimate(1.0, 0.0, 0, seed)
@@ -109,20 +153,8 @@ def solid_angle(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
         # The 0-sphere has two directions; one of them is in the halfline.
         return AngleEstimate(0.5, 0.0, 0, seed)
     matrix = _euclidean_normal_matrix(p, normals)
-    sizes = chunk_sizes(samples)
-    workers = min(thread_count(), len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(
-                lambda ic: _chunk_hits(matrix, p.dim, seed, ic[0], ic[1]),
-                enumerate(sizes),
-            ))
-    else:
-        hits = sum(_chunk_hits(matrix, p.dim, seed, i, c)
-                   for i, c in enumerate(sizes))
-    mean = hits / samples
-    stderr = math.sqrt(mean * (1.0 - mean) / samples)
-    return AngleEstimate(mean, stderr, samples, seed)
+    hits = sum(int(t[0]) for t in _sample(matrix, samples, seed, _cone_tally))
+    return _estimate(hits, samples, seed)
 
 
 # -- closed forms in dimension <= 3 ------------------------------------------
@@ -243,7 +275,9 @@ def facet_angle(p: Polytope, facet_index: int, face,
 
 @dataclass(frozen=True)
 class AngleSumReport:
-    """Sum of solid angles over all k-faces, with quadrature stderr."""
+    """Sum of solid angles over all k-faces.  The faces of a polytope share
+    one stream, so stderr is that of the per-sample count of k-faces whose
+    cone holds the sample, not a quadrature of the per-face stderrs."""
 
     k: int
     total: float
@@ -255,18 +289,78 @@ class AngleSumReport:
                 "faces": [e.to_json() for e in self.estimates]}
 
 
+def _face_tally(cones: list[list[int]], dims: list[int], dim: int):
+    """A tally of per-face hits, then per-k sums of X_k^2, then the number
+    of samples that break Gram's relation; X_k counts the k-faces whose
+    cone (the facets listed in cones) holds the sample."""
+    def tally(signs: np.ndarray) -> np.ndarray:
+        by_facet = np.ascontiguousarray(signs.T)
+        counts = np.zeros((dim, len(signs)), dtype=np.int64)
+        hits = []
+        for cone, k in zip(cones, dims):
+            inside = by_facet[cone].all(axis=0)
+            hits.append(np.count_nonzero(inside))
+            counts[k] += inside
+        gram = (-1) ** dim + counts[0::2].sum(axis=0) - counts[1::2].sum(axis=0)
+        return np.array(hits + (counts * counts).sum(axis=1).tolist()
+                        + [np.count_nonzero(gram)])
+    return tally
+
+
+def angle_sums(p: Polytope, samples: int = DEFAULT_SAMPLES,
+               seed: int = 0) -> list[AngleSumReport]:
+    """The angle sums of p for k = 0..dim-1 from one stream of `samples`
+    Gaussian draws; deterministic given seed.
+
+    A k-sum's total is its faces' hits over the sample count, one division,
+    so a sum that is constant per sample comes out exact.  Its stderr is
+    sqrt(var(X_k) / samples).  A sample that breaks Gram's relation raises
+    GramViolationError.
+    """
+    _check_samples(samples)
+    lattice = p.face_lattice()
+    levels = [lattice.faces_of_dim(k) for k in range(p.dim)]
+    if p.dim <= 1:
+        # A point has no sums.  A segment's directions are the 0-sphere,
+        # and each endpoint holds one of its two.
+        half = AngleEstimate(0.5, 0.0, 0, seed)
+        return [AngleSumReport(0, 1.0, 0.0, (half,) * len(level))
+                for level in levels]
+    faces = [face for level in levels for face in level]
+    cones = [p.facets_containing(face.vertex_set) for face in faces]
+    matrix = _euclidean_normal_matrix(p, [f.plane.normal for f in p.facets])
+    tallies = _sample(matrix, samples, seed,
+                      _face_tally(cones, [f.dim for f in faces], p.dim))
+    for i, t in enumerate(tallies):
+        if t[-1]:
+            raise GramViolationError(
+                f"Gram's relation fails on {int(t[-1])} samples of chunk {i} "
+                f"of seed {seed}")
+    totals = [sum(col) for col in zip(*(t.tolist() for t in tallies))]
+    hits, squares = totals[:len(faces)], totals[len(faces):-1]
+    reports, start = [], 0
+    for k, level in enumerate(levels):
+        level_hits = hits[start:start + len(level)]
+        start += len(level)
+        h = sum(level_hits)
+        # Exact integers until the square root: var = (n*S2 - H^2) / n^2.
+        stderr = math.sqrt((samples * squares[k] - h * h) / samples ** 3)
+        reports.append(AngleSumReport(
+            k, h / samples, stderr,
+            tuple(_estimate(x, samples, seed) for x in level_hits)))
+    return reports
+
+
 def angle_sum(p: Polytope, k: int, samples: int = DEFAULT_SAMPLES,
               seed: int = 0) -> AngleSumReport:
+    """The k-th report of angle_sums; k = dim is the polytope's own angle,
+    exactly 1."""
     if not 0 <= k <= p.dim:
         raise OutOfRangeError(f"angle sum needs 0 <= k <= dim, got {k}")
-    estimates = []
-    for i, face in enumerate(p.face_lattice().faces_of_dim(k)):
-        estimates.append(
-            solid_angle(p, face, samples, derive_seed(seed, "face", k, i))
-        )
-    total = sum(e.mean for e in estimates)
-    stderr = math.sqrt(sum(e.stderr ** 2 for e in estimates))
-    return AngleSumReport(k, total, stderr, tuple(estimates))
+    if k == p.dim:
+        _check_samples(samples)
+        return AngleSumReport(k, 1.0, 0.0, (AngleEstimate(1.0, 0.0, 0, seed),))
+    return angle_sums(p, samples, seed)[k]
 
 
 @dataclass(frozen=True)

@@ -37,17 +37,6 @@ def ratio_bound(d: int, k: int) -> Fraction:
     return Fraction(comb(ceil(d / 2), k) + comb(floor(d / 2), k), 2)
 
 
-def binomial_convexity_check(a: int, b: int, c: int) -> bool:
-    """True iff C(a,c) + C(b,c) >= C(ceil((a+b)/2), c) + C(floor((a+b)/2), c).
-
-    Holds for all nonnegative integers; exposed as a self-test."""
-    if min(a, b, c) < 0:
-        raise OutOfRangeError("arguments must be nonnegative")
-    lhs = comb(a, c) + comb(b, c)
-    rhs = comb((a + b + 1) // 2, c) + comb((a + b) // 2, c)
-    return lhs >= rhs
-
-
 @dataclass(frozen=True)
 class BoundRow:
     """One k-slice of the main bound report."""

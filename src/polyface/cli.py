@@ -14,13 +14,15 @@ Subcommands:
 The i-th direction of a run has the seed path (--seed, "dir", i) and is
 in general position by construction.  `angles --directions N` uses the N
 directions that `project` uses at the same --seed, and shares them across
-every k; the curvature check of the i-th k-face has the seed path
+every k.  All angle sums share one stream with the seed path (--seed,
+"sum"); the curvature check of the i-th k-face has the seed path
 (--seed, "curv", k, i).
 
 Exit code 0 means every hard check passed (WARN verdicts do not fail a
 run).  Failures (malformed input, an --out path that cannot be opened or
-written, --directions or --samples below 1, --samples above 10^9) print
-a JSON error line to stderr and exit 1.  POLYFACE_THREADS caps the
+written, --directions or --samples below 1, --samples above 10^9, a
+sample that breaks Gram's relation) print a JSON error line to stderr and
+exit 1.  POLYFACE_THREADS caps the
 worker threads of solid-angle sampling only, at most os.cpu_count();
 output is byte-identical for a given seed regardless of thread count.
 """
@@ -40,8 +42,8 @@ from ._rng import derive_seed
 from .angles import (
     DEFAULT_SAMPLES,
     SIGMA_FACTOR,
-    angle_sum,
     angle_sum_lower_check,
+    angle_sums,
     curvature_check,
     projection_angle_check,
 )
@@ -172,8 +174,7 @@ def cmd_angles(args) -> int:
     p = _load(args)
     samples = args.samples
     seed = args.seed
-    sums = [angle_sum(p, k, samples, derive_seed(seed, "sum", k))
-            for k in range(p.dim)]
+    sums = angle_sums(p, samples, derive_seed(seed, "sum"))
     floors = [angle_sum_lower_check(p, s, sigma=sigma).to_json()
               for s in sums]
     curvature = []

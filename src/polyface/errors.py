@@ -70,3 +70,9 @@ class ZeroDotProductError(GeneralPositionError):
 
 class DimensionTooLowError(PolyfaceError):
     """Shadow-diagram construction needs a polytope of dimension >= 2."""
+
+
+class GramViolationError(PolyfaceError):
+    """A sampled direction broke Gram's relation: the faces whose tangent
+    cones hold it must have alternating dimension sum zero, so a violation
+    means a wrong cone or a floating-point tie, never noise."""

@@ -1,4 +1,4 @@
-"""The verification corpora.
+"""The verification corpora of the acceptance and projection tests.
 
 ``standard_corpus`` is the fixed desk-scale collection the acceptance
 suite runs over (the ``corpus`` command builds its own family x dimension
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .generators import (
+from polyface.generators import (
     cross_polytope,
     cube,
     cyclic,
@@ -28,7 +28,7 @@ from .generators import (
     random_sphere,
     simplex,
 )
-from .polytope import Polytope, hull_from_points
+from polyface.polytope import Polytope, hull_from_points
 
 RANDOM_COUNT = 20
 

@@ -25,19 +25,16 @@ from polyface.angles import (
     solid_angle,
     solid_angle_exact,
 )
-from polyface.bounds import (
-    binomial_convexity_check,
-    min_face_check,
-    ratio_bound,
-    verify_main_bounds,
-)
-from polyface.corpus import extended_corpus, standard_corpus
+from polyface.bounds import min_face_check, ratio_bound, verify_main_bounds
 from polyface.generators import cross_polytope, cube, cyclic, simplex
 from polyface.projection import (
     diagram_vertices,
     gap_check,
     sample_direction,
 )
+
+from corpus import extended_corpus, standard_corpus
+from test_bounds import binomial_convexity_check
 
 SIGMA = 4.0
 FULL_SAMPLES = 1_000_000

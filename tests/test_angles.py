@@ -1,17 +1,21 @@
 """Solid angles: tangent cones, Monte Carlo vs closed forms, angle sums."""
+import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import polyface.angles
-from polyface._rng import derive_seed, thread_count
+from polyface._rng import chunk_generator, chunk_sizes, derive_seed, thread_count
 from polyface.angles import (
     MAX_SAMPLES,
+    _euclidean_normal_matrix,
     angle_sum,
     angle_sum_lower_check,
+    angle_sums,
     curvature_check,
     facet_angle,
     projection_angle_check,
@@ -19,14 +23,16 @@ from polyface.angles import (
     solid_angle_exact,
     tangent_cone,
 )
+from polyface.cli import main
 from polyface.errors import (
+    GramViolationError,
     NotAFaceError,
     OutOfRangeError,
     TooLargeError,
     UnsupportedDimensionError,
 )
 from polyface.generators import cross_polytope, cube, cyclic, simplex
-from polyface.polytope import hull_from_points
+from polyface.polytope import Polytope, hull_from_points
 from polyface.projection import sample_direction
 
 SAMPLES = 120_000
@@ -40,6 +46,9 @@ def _directions(p, seed, count):
 
 # Rational-coordinate regular tetrahedron (all edges sqrt(2)).
 REGULAR_TETRA = hull_from_points([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
+# Centrally symmetric, so exactly three of its edges face any direction.
+SYMMETRIC_HEXAGON = hull_from_points(
+    [(2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)])
 
 
 def within(est, value, sigmas=4.0):
@@ -238,7 +247,117 @@ class TestFacetAngle:
         assert within(est, 0.25)
 
 
+def sums_oracle(p, samples, seed):
+    """Per-face hits and per-k sums of X_k and X_k^2 (X_k the number of
+    k-faces whose cone holds a sample), redrawing every chunk and testing
+    each face against its own tangent cone."""
+    lattice = p.face_lattice()
+    hits = {k: [0] * len(lattice.faces_of_dim(k)) for k in range(p.dim)}
+    sums = [0] * p.dim
+    squares = [0] * p.dim
+    for index, count in enumerate(chunk_sizes(samples)):
+        z = chunk_generator(seed, index).standard_normal((count, p.dim))
+        for k in range(p.dim):
+            x = np.zeros(count, dtype=np.int64)
+            for i, face in enumerate(lattice.faces_of_dim(k)):
+                matrix = _euclidean_normal_matrix(p, tangent_cone(p, face))
+                inside = (z @ matrix.T <= 0.0).all(axis=1)
+                hits[k][i] += int(np.count_nonzero(inside))
+                x += inside
+            sums[k] += int(x.sum())
+            squares[k] += int((x * x).sum())
+    return hits, sums, squares
+
+
+def drop_one_facet(monkeypatch, victim):
+    """Make every caller see one facet fewer through the vertex set
+    victim: a mutant whose tangent cone at that face is too wide."""
+    original = Polytope.facets_containing
+
+    def mutated(self, vertex_set):
+        found = original(self, vertex_set)
+        return found[1:] if vertex_set == victim else found
+
+    monkeypatch.setattr(Polytope, "facets_containing", mutated)
+
+
 class TestAngleSums:
+    @pytest.mark.parametrize("p,samples", [
+        (simplex(3), 70_000),
+        (cross_polytope(4), 20_000),
+        (cyclic(7, 3), 9_000),
+        # A restricted polytope: its metric scales the normals.
+        (REGULAR_TETRA.facet_as_polytope(0), 5_000),
+    ], ids=("simplex-3", "cross-4", "cyclic-7-3", "tetra-facet"))
+    def test_matches_per_face_oracle(self, p, samples):
+        hits, sums, squares = sums_oracle(p, samples, seed=12)
+        reports = angle_sums(p, samples, seed=12)
+        assert [r.k for r in reports] == list(range(p.dim))
+        for r in reports:
+            k = r.k
+            assert [round(e.mean * samples) for e in r.estimates] == hits[k]
+            assert all(e.samples == samples and e.seed == 12
+                       for e in r.estimates)
+            assert r.total == sums[k] / samples
+            assert r.stderr == math.sqrt(
+                (samples * squares[k] - sums[k] ** 2) / samples ** 3)
+
+    def test_constant_sums_are_exact(self):
+        assert [(r.total, r.stderr) for r in angle_sums(cube(4), 20_000, 1)
+                ] == [(1.0, 0.0), (4.0, 0.0), (6.0, 0.0), (4.0, 0.0)]
+        rep = angle_sum(cube(3), 1, 20_000, seed=1)
+        assert (rep.total, rep.stderr) == (3.0, 0.0)
+        rep = angle_sum(SYMMETRIC_HEXAGON, 0, 20_000, seed=1)
+        assert (rep.total, rep.stderr) == (2.0, 0.0)
+
+    def test_top_dimension_is_exact_one(self):
+        for p in (simplex(1), cube(3), cross_polytope(4)):
+            rep = angle_sum(p, p.dim, 1000, seed=4)
+            assert (rep.total, rep.stderr) == (1.0, 0.0)
+            assert [e.exact for e in rep.estimates] == [True]
+
+    def test_reports_are_angle_sums(self):
+        p = simplex(3)
+        assert [angle_sum(p, k, 5_000, seed=3) for k in range(3)] == \
+            angle_sums(p, 5_000, seed=3)
+
+    def test_sample_count_guards(self):
+        for p in (cube(2), simplex(1)):
+            with pytest.raises(OutOfRangeError):
+                angle_sums(p, 0)
+            with pytest.raises(TooLargeError):
+                angle_sums(p, MAX_SAMPLES + 1)
+
+    def test_wrong_cone_breaks_gram(self, monkeypatch):
+        drop_one_facet(monkeypatch, frozenset([0]))
+        with pytest.raises(GramViolationError, match="chunk 0 of seed 5"):
+            angle_sums(cube(3), 2_000, seed=5)
+
+    def test_wrong_cone_is_a_json_error_line(self, monkeypatch, capsys):
+        drop_one_facet(monkeypatch, frozenset([0]))
+        assert main(["angles", "--family", "cube", "--dim", "3",
+                     "--samples", "2000", "--directions", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "GramViolationError"
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="one CPU: the thread cap makes every run serial")
+    def test_thread_count_invariance(self):
+        code = (
+            "import os; os.environ['POLYFACE_THREADS'] = '%s'\n"
+            "from polyface.angles import angle_sums\n"
+            "from polyface.generators import cross_polytope\n"
+            "print(repr(angle_sums(cross_polytope(4), 140000, seed=4)))\n"
+        )
+        outs = [
+            subprocess.run([sys.executable, "-c", code % threads],
+                           capture_output=True, text=True, check=True).stdout
+            for threads in ("1", "4")
+        ]
+        assert outs[0] == outs[1]
+
     def test_segment_exact_one(self):
         seg = hull_from_points([(0,), (1,)])
         rep = angle_sum(seg, 0)

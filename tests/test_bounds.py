@@ -1,12 +1,12 @@
 """Exact face-count bounds: values, equality classification, comparators."""
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyface.bounds import (
-    binomial_convexity_check,
     few_vertex_bound,
     few_vertex_check,
     min_face_check,
@@ -23,6 +23,15 @@ from polyface.generators import (
     pyramid,
     simplex,
 )
+
+
+def binomial_convexity_check(a: int, b: int, c: int) -> bool:
+    """True iff C(a,c) + C(b,c) >= C(ceil((a+b)/2), c) + C(floor((a+b)/2), c),
+    which holds for all nonnegative integers: the convexity behind
+    ratio_bound's balanced split."""
+    lhs = comb(a, c) + comb(b, c)
+    rhs = comb((a + b + 1) // 2, c) + comb((a + b) // 2, c)
+    return lhs >= rhs
 
 
 class TestRatioBound:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from polyface import projection
 from polyface._hull import cross_normal
-from polyface.corpus import extended_corpus
 from polyface.errors import DimensionTooLowError, ZeroDotProductError
 from polyface.exact import (
     echelon,
@@ -43,6 +42,8 @@ from polyface.projection import (
     shadow_boundary_check,
     upper_lower,
 )
+
+from corpus import extended_corpus
 
 
 def gp_oracle(p, v):

@@ -9,7 +9,6 @@ more than 1, with equality exactly in codimension 2; and the k-th angle
 sum of an m-polytope is at least ratio_bound(m+1, m-k).
 """
 from polyface import (
-    angle_sum,
     angle_sum_lower_check,
     angle_sums,
     cube,
@@ -59,12 +58,12 @@ print(f"  cube at a corner: sum = {rep.total:.4f} < 1 strictly")
 print()
 print("== angle-sum floors ==")
 seg = hull_from_points([(0,), (1,)])
-rep = angle_sum_lower_check(seg, angle_sum(seg, 0))
+rep = angle_sum_lower_check(seg, angle_sums(seg)[0])
 print(f"  segment, k=0: {rep.total} >= {rep.bound} (exact equality)")
 tri = simplex(2)
-rep = angle_sum_lower_check(tri, angle_sum(tri, 0, SAMPLES, seed=4))
+rep = angle_sum_lower_check(tri, angle_sums(tri, SAMPLES, seed=4)[0])
 print(f"  triangle, k=0: {rep.total:.4f} >= {rep.bound} "
       f"(equality within noise: {rep.equality})")
 c3 = cube(3)
-rep = angle_sum_lower_check(c3, angle_sum(c3, 1, SAMPLES, seed=4))
+rep = angle_sum_lower_check(c3, angle_sums(c3, SAMPLES, seed=4)[1])
 print(f"  3-cube, k=1: {rep.total:.4f} >= {rep.bound}")

@@ -9,7 +9,6 @@ combinatorial type as any other projection along v.
 from .angles import (
     AngleEstimate,
     AngleSumReport,
-    angle_sum,
     angle_sum_lower_check,
     angle_sums,
     curvature_check,

@@ -90,10 +90,10 @@ def _rotated(ridge: tuple[int, ...], idx: int, p: tuple[int, ...],
     """The facet through a horizon ridge and the new point p: the visible
     facet's plane rotated about the ridge towards the hidden one's (gift
     wrapping).  Both planes contain the ridge, so (a*n1 + b*n2).x =
-    a*c1 + b*c2 does too, and p lies on it.  a > 0 (p is strictly beneath
-    the hidden facet) and b >= 0, so the normal is a nonnegative mix of
-    outward normals; b = 0 gives back the visible plane (a coplanar point,
-    joined by the final merge)."""
+    a*c1 + b*c2 does too, and p lies on it.  a >= 0 (p is not beyond the
+    hidden facet) and b > 0 (p is beyond the visible one), so the normal
+    is a nonnegative mix of outward normals; a = 0 gives back the hidden
+    plane (a coplanar point, joined by the final merge)."""
     (_, n1, c1), (_, n2, c2) = visible, hidden
     a, b = c2 - _idot(n2, p), _idot(n1, p) - c1
     normal = tuple(a * x + b * y for x, y in zip(n1, n2))
@@ -132,11 +132,10 @@ def _simplicial_hull(pts: list[tuple[int, ...]], dim: int) -> list[_IntFacet]:
     for idx, p in enumerate(pts):
         if idx in seeded:
             continue
-        # Equality counts as visible: coplanar facets get retriangulated
-        # from the new point, which is what makes the final coplanar
-        # merge produce complete facet vertex sets.
+        # Strictly beyond only: a point on a facet's plane leaves it alone,
+        # and the final merge scans every point against every plane.
         visible = {verts for verts, normal, offset in facets.values()
-                   if _idot(normal, p) >= offset}
+                   if _idot(normal, p) > offset}
         if not visible:
             continue  # inside or on the current hull, never a new vertex
         new: list[_IntFacet] = []

@@ -261,6 +261,7 @@ def facet_angle(p: Polytope, facet_index: int, face,
     """Solid angle of a facet (as a polytope in its own hyperplane) at a
     nonempty face of p.  Exactly 0 when the face is not in that facet;
     NotAFaceError when the vertex set is no face of p."""
+    _check_samples(samples)
     if not 0 <= facet_index < p.n_facets:
         raise IndexError(f"facet index {facet_index} out of range")
     vs = p.require_face(face).vertex_set
@@ -351,18 +352,6 @@ def angle_sums(p: Polytope, samples: int = DEFAULT_SAMPLES,
     return reports
 
 
-def angle_sum(p: Polytope, k: int, samples: int = DEFAULT_SAMPLES,
-              seed: int = 0) -> AngleSumReport:
-    """The k-th report of angle_sums; k = dim is the polytope's own angle,
-    exactly 1."""
-    if not 0 <= k <= p.dim:
-        raise OutOfRangeError(f"angle sum needs 0 <= k <= dim, got {k}")
-    if k == p.dim:
-        _check_samples(samples)
-        return AngleSumReport(k, 1.0, 0.0, (AngleEstimate(1.0, 0.0, 0, seed),))
-    return angle_sums(p, samples, seed)[k]
-
-
 @dataclass(frozen=True)
 class CurvatureReport:
     """Sum of facet angles at a face: at most 1, with equality exactly at
@@ -385,8 +374,9 @@ class CurvatureReport:
 
 
 def curvature_check(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
-                    seed: int = 0, sigma: float = SIGMA_FACTOR) -> CurvatureReport:
+                    seed: int = 0) -> CurvatureReport:
     """Verify the facet-angle sum bound at a face of dimension <= dim-2."""
+    _check_samples(samples)
     face = p.require_face(face)
     vs, k = face.vertex_set, face.dim
     d = p.dim
@@ -405,7 +395,7 @@ def curvature_check(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
     ]
     total = sum(e.mean for e in estimates)
     stderr = math.sqrt(sum(e.stderr ** 2 for e in estimates))
-    tol = sigma * stderr
+    tol = SIGMA_FACTOR * stderr
     return CurvatureReport(
         tuple(sorted(vs)), k, total, stderr,
         exact=all(e.exact for e in estimates),
@@ -432,14 +422,14 @@ class AngleSumBoundReport:
                 "equality": self.equality}
 
 
-def angle_sum_lower_check(q: Polytope, report: AngleSumReport,
-                          sigma: float = SIGMA_FACTOR) -> AngleSumBoundReport:
+def angle_sum_lower_check(q: Polytope,
+                          report: AngleSumReport) -> AngleSumBoundReport:
     """Check an estimated k-th angle sum (k = report.k) against its floor."""
     k = report.k
     if not 0 <= k <= q.dim - 1:
         raise OutOfRangeError(f"angle-sum floor needs 0 <= k < dim, got {k}")
     bound = ratio_bound(q.dim + 1, q.dim - k)
-    tol = sigma * report.stderr
+    tol = SIGMA_FACTOR * report.stderr
     return AngleSumBoundReport(
         k, report.total, report.stderr, bound,
         passed=report.total >= float(bound) - tol,
@@ -474,8 +464,7 @@ class ProjectionAngleReport:
 
 
 def projection_angle_check(p: Polytope, report: AngleSumReport,
-                           directions: list,
-                           sigma: float = SIGMA_FACTOR) -> ProjectionAngleReport:
+                           directions: list) -> ProjectionAngleReport:
     """Check the projection lower bound on the estimated k-th angle sum of
     p (k = report.k) over the given general-position directions."""
     k = report.k
@@ -486,7 +475,7 @@ def projection_angle_check(p: Polytope, report: AngleSumReport,
         raise OutOfRangeError("projection angle check needs a direction")
     fk = p.f_vector().count(k)
     bound = Fraction(fk - max(counts), 2)
-    tol = sigma * report.stderr
+    tol = SIGMA_FACTOR * report.stderr
     passed = report.total >= float(bound) - tol
     return ProjectionAngleReport(
         k, report.total, report.stderr, fk, tuple(counts), bound,

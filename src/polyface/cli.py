@@ -5,8 +5,8 @@ Subcommands:
   describe       f-vector, dimension, simple/simplicial flags, Euler check
   verify-bounds  exact ratio-bound report plus the minimum-count,
                  few-vertex and unimodality checks
-  angles         angle sums and curvature checks, plus the angle-sum floors
-                 and the projection angle bound checked against those sums
+  angles         angle sums, then the curvature checks, the angle-sum floors
+                 and the projection angle bound, each at 4 standard errors
   project        shadow, facet partition, diagram vertices, interior-vertex
                  and gap checks for seeded directions
   corpus         batch bound verification over families x dimensions (CSV)
@@ -19,12 +19,13 @@ every k.  All angle sums share one stream with the seed path (--seed,
 (--seed, "curv", k, i).
 
 Exit code 0 means every hard check passed (WARN verdicts do not fail a
-run).  Failures (malformed input, an --out path that cannot be opened or
-written, --directions or --samples below 1, --samples above 10^9, a
-sample that breaks Gram's relation) print a JSON error line to stderr and
-exit 1.  POLYFACE_THREADS caps the
-worker threads of solid-angle sampling only, at most os.cpu_count();
-output is byte-identical for a given seed regardless of thread count.
+run).  Failures (a malformed or unknown option or a missing subcommand,
+malformed input, an --out path that cannot be opened or written,
+--directions or --samples below 1, --samples above 10^9, a sample that
+breaks Gram's relation) print a JSON error line to stderr and exit 1.
+POLYFACE_THREADS caps the worker threads of solid-angle sampling only,
+at most os.cpu_count(); output is byte-identical for a given seed
+regardless of thread count.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -41,7 +41,6 @@ from typing import Sequence
 from ._rng import derive_seed
 from .angles import (
     DEFAULT_SAMPLES,
-    SIGMA_FACTOR,
     angle_sum_lower_check,
     angle_sums,
     curvature_check,
@@ -167,27 +166,21 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_angles(args) -> int:
     _require_positive(samples=args.samples, directions=args.directions)
-    sigma = args.tolerance_sigma
-    if not 0 < sigma < math.inf:  # also refuses nan
-        raise OutOfRangeError(
-            f"--tolerance-sigma must be finite and positive, got {sigma}")
     p = _load(args)
     samples = args.samples
     seed = args.seed
     sums = angle_sums(p, samples, derive_seed(seed, "sum"))
-    floors = [angle_sum_lower_check(p, s, sigma=sigma).to_json()
-              for s in sums]
+    floors = [angle_sum_lower_check(p, s).to_json() for s in sums]
     curvature = []
     lattice = p.face_lattice()
     for k in range(0, p.dim - 1):
         for i, face in enumerate(lattice.faces_of_dim(k)):
             rep = curvature_check(p, face, samples,
-                                  derive_seed(seed, "curv", k, i), sigma=sigma)
+                                  derive_seed(seed, "curv", k, i))
             curvature.append(rep.to_json())
     # A point has no angle sums to check and no directions to sample.
     directions = _directions(p, seed, args.directions) if sums else []
-    projection = [projection_angle_check(p, s, directions,
-                                         sigma=sigma).to_json()
+    projection = [projection_angle_check(p, s, directions).to_json()
                   for s in sums]
     payload = {"angle_sums": [s.to_json() for s in sums], "floors": floors,
                "curvature": curvature, "projection_bound": projection}
@@ -289,8 +282,16 @@ def _parse_dims(text: str) -> Sequence[int]:
                            f"integers, got {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is BadSpecError, so it ends in a JSON error line like
+    every other failure; subparsers inherit the class.  -h still exits 0."""
+
+    def error(self, message: str):
+        raise BadSpecError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polyface",
         description="Exact polytope analysis: f-vectors, face-count bounds, "
                     "solid angles, projections.",
@@ -317,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--directions", type=int, default=DEFAULT_DIRECTIONS)
-    p.add_argument("--tolerance-sigma", type=float, default=SIGMA_FACTOR)
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("project", help="shadows and diagram checks")
@@ -337,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PolyfaceError as exc:
         sys.stderr.write(json.dumps({

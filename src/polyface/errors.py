@@ -43,7 +43,8 @@ class BadOutputError(PolyfaceError):
 
 
 class BadSpecError(PolyfaceError):
-    """A family specification is malformed or unsupported."""
+    """A family specification or a command line is malformed or
+    unsupported."""
 
 
 class OutOfRangeError(PolyfaceError):

@@ -166,7 +166,7 @@ def span_basis(rows: Sequence[Vector]) -> list[Vector]:
     return [rows[i] for i in _independent(rows)]
 
 
-def null_space(rows: Sequence[Vector], dim: int | None = None) -> list[tuple[int, ...]]:
+def null_space(rows: Sequence[Vector], dim: int) -> list[tuple[int, ...]]:
     """Basis of {x : r . x = 0 for every row r}, as primitive integer vectors.
 
     Rows may be rational or integer.  There is one basis vector per free
@@ -174,11 +174,8 @@ def null_space(rows: Sequence[Vector], dim: int | None = None) -> list[tuple[int
     at c at pivot i, and 0 elsewhere, made primitive with a positive entry
     at c.  The reduced row echelon form is unique, so the basis is too.
     """
-    if dim is None:
-        dim = _check_same_dim(rows)
-    elif rows:
-        if _check_same_dim(rows) != dim:
-            raise MixedDimensionsError("rows do not match the stated dimension")
+    if rows and _check_same_dim(rows) != dim:
+        raise MixedDimensionsError("rows do not match the stated dimension")
     reduced, pivots = echelon(integer_scaled(rows)[0])
     common = reduced[0][pivots[0]] if pivots else 1
     sign = 1 if common > 0 else -1

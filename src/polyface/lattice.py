@@ -114,10 +114,10 @@ class FaceLattice:
         return FVector(self.dim, counts)
 
 
-def _lattice(n: int, coatom_sets: Iterable[Iterable[int]],
-             dim: int) -> FaceLattice:
+def build_face_lattice(n: int, coatom_sets: Iterable[Iterable[int]],
+                       dim: int) -> FaceLattice:
     """The face lattice of a dim-polytope on atoms 0..n-1 whose facets
-    have the given atom sets, from the incidences alone.
+    have the given atom sets, from the incidences alone; no arithmetic.
 
     Top down on bitmasks: the facets of a face F are the inclusion-maximal
     sets among F & G over the facets G not containing F, or the empty face
@@ -153,14 +153,6 @@ def _lattice(n: int, coatom_sets: Iterable[Iterable[int]],
     return FaceLattice(faces, covers, dim, n)
 
 
-def build_face_lattice(n_vertices: int,
-                       facet_vertex_sets: Sequence[frozenset[int]],
-                       dim: int) -> FaceLattice:
-    """The face lattice of a dim-polytope from its vertex-facet incidences
-    alone; no arithmetic."""
-    return _lattice(n_vertices, facet_vertex_sets, dim)
-
-
 def dual(lattice: FaceLattice) -> FaceLattice:
     """Order-reversed lattice: faces relabeled by the facets containing them.
 
@@ -169,7 +161,7 @@ def dual(lattice: FaceLattice) -> FaceLattice:
     facets are the original vertices.
     """
     facets = [f.vertex_set for f in lattice.faces_of_dim(lattice.dim - 1)]
-    return _lattice(
+    return build_face_lattice(
         len(facets),
         ([i for i, ft in enumerate(facets) if v in ft]
          for v in range(lattice.n_vertices)),
@@ -192,7 +184,7 @@ def quotient(lattice: FaceLattice, base) -> FaceLattice:
     gs = g.vertex_set
     atoms = [f.vertex_set for f in lattice.faces_of_dim(g.dim + 1)
              if gs < f.vertex_set]
-    return _lattice(
+    return build_face_lattice(
         len(atoms),
         ([i for i, a in enumerate(atoms) if a <= ft.vertex_set]
          for ft in lattice.faces_of_dim(lattice.dim - 1)

@@ -27,7 +27,7 @@ from operator import mul
 
 import numpy as np
 
-from ._rng import SEED_MASK
+from ._rng import chunk_generator
 from .bounds import ratio_bound
 from .errors import (
     DimensionTooLowError,
@@ -82,9 +82,8 @@ def sample_direction(q: Polytope, seed: int = 0) -> Direction:
     # which is nonzero because n is.  Either way n.v != 0.
     h = (isqrt(d * spread * spread - 1) + 1) ** (d - 1)
     m = 2 * h + 1
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((seed & SEED_MASK, 0x61))))
-    u = [int(c) for c in np.rint(rng.standard_normal(d) * 1e6)]
+    g = chunk_generator(seed, 0x61).standard_normal(d)
+    u = [int(c) for c in np.rint(g * 1e6)]
     scale = m ** d
     return Direction(tuple(Fraction(scale * ui + m ** i)
                            for i, ui in enumerate(u)), True)

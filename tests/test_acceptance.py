@@ -18,8 +18,8 @@ import pytest
 
 from polyface._rng import derive_seed
 from polyface.angles import (
-    angle_sum,
     angle_sum_lower_check,
+    angle_sums,
     curvature_check,
     projection_angle_check,
     solid_angle,
@@ -197,21 +197,20 @@ def test_criterion_07_curvature_bound(corpus):
 
 
 def test_criterion_08_angle_sum_floor(corpus):
-    seg = angle_sum_lower_check(simplex(1), angle_sum(simplex(1), 0))
+    seg = angle_sum_lower_check(simplex(1), angle_sums(simplex(1))[0])
     assert seg.total == 1.0 and seg.bound == 1 and seg.stderr == 0.0
     assert seg.passed and seg.equality
     tri = angle_sum_lower_check(
-        simplex(2), angle_sum(simplex(2), 0, 400_000, seed=8))
+        simplex(2), angle_sums(simplex(2), 400_000, seed=8)[0])
     assert tri.passed and tri.equality and tri.bound == Fraction(1, 2)
     checked = 0
     for entry in corpus:
         q = entry.polytope
         if not 1 <= q.dim <= 3:
             continue
-        for k in range(q.dim):
-            rep = angle_sum_lower_check(q, angle_sum(
-                q, k, 100_000, seed=derive_seed(8, entry.name, k)))
-            assert rep.passed, (entry.name, k, rep)
+        for report in angle_sums(q, 100_000, seed=derive_seed(8, entry.name)):
+            rep = angle_sum_lower_check(q, report)
+            assert rep.passed, (entry.name, rep)
             checked += 1
     _report(8, "angle-sum floors", f"segment and triangle equalities, "
             f"{checked} low-dim cases at 4 sigma")
@@ -220,18 +219,17 @@ def test_criterion_08_angle_sum_floor(corpus):
 def test_criterion_09_projection_angle_bound(projection_corpus):
     hexa, hex_dirs = projection_corpus["cyclic-6-2"]
     rep = projection_angle_check(
-        hexa, angle_sum(hexa, 0, FULL_SAMPLES, seed=9), hex_dirs)
+        hexa, angle_sums(hexa, FULL_SAMPLES, seed=9)[0], hex_dirs)
     assert rep.verdict == "PASS" and rep.equality and rep.bound == 2
     cube3, cube_dirs = projection_corpus["cube-3"]
     rep = projection_angle_check(
-        cube3, angle_sum(cube3, 1, FULL_SAMPLES, seed=9), cube_dirs)
+        cube3, angle_sums(cube3, FULL_SAMPLES, seed=9)[1], cube_dirs)
     assert rep.verdict == "PASS" and rep.equality and rep.bound == 3
     outcomes = {"PASS": 0, "WARN": 0}
     for name, (p, dirs) in projection_corpus.items():
-        for k in range(p.dim):
-            rep = projection_angle_check(p, angle_sum(
-                p, k, SWEEP_SAMPLES, seed=derive_seed(9, name, k)), dirs)
-            assert rep.verdict in ("PASS", "WARN"), (name, k)
+        for report in angle_sums(p, SWEEP_SAMPLES, seed=derive_seed(9, name)):
+            rep = projection_angle_check(p, report, dirs)
+            assert rep.verdict in ("PASS", "WARN"), (name, rep.k)
             outcomes[rep.verdict] += 1
     _report(9, "projection angle bound", f"two equalities at 1e6 samples; "
             f"sweep {outcomes['PASS']} PASS / {outcomes['WARN']} WARN")

@@ -12,8 +12,8 @@ import polyface.angles
 from polyface._rng import chunk_generator, chunk_sizes, derive_seed, thread_count
 from polyface.angles import (
     MAX_SAMPLES,
+    AngleSumReport,
     _euclidean_normal_matrix,
-    angle_sum,
     angle_sum_lower_check,
     angle_sums,
     curvature_check,
@@ -305,21 +305,16 @@ class TestAngleSums:
     def test_constant_sums_are_exact(self):
         assert [(r.total, r.stderr) for r in angle_sums(cube(4), 20_000, 1)
                 ] == [(1.0, 0.0), (4.0, 0.0), (6.0, 0.0), (4.0, 0.0)]
-        rep = angle_sum(cube(3), 1, 20_000, seed=1)
+        rep = angle_sums(cube(3), 20_000, seed=1)[1]
         assert (rep.total, rep.stderr) == (3.0, 0.0)
-        rep = angle_sum(SYMMETRIC_HEXAGON, 0, 20_000, seed=1)
+        rep = angle_sums(SYMMETRIC_HEXAGON, 20_000, seed=1)[0]
         assert (rep.total, rep.stderr) == (2.0, 0.0)
-
-    def test_top_dimension_is_exact_one(self):
-        for p in (simplex(1), cube(3), cross_polytope(4)):
-            rep = angle_sum(p, p.dim, 1000, seed=4)
-            assert (rep.total, rep.stderr) == (1.0, 0.0)
-            assert [e.exact for e in rep.estimates] == [True]
 
     def test_reports_are_angle_sums(self):
         p = simplex(3)
-        assert [angle_sum(p, k, 5_000, seed=3) for k in range(3)] == \
-            angle_sums(p, 5_000, seed=3)
+        for r in angle_sums(p, 5_000, seed=3):
+            assert len(r.estimates) == p.f_vector().count(r.k)
+            assert math.isclose(r.total, sum(e.mean for e in r.estimates))
 
     def test_sample_count_guards(self):
         for p in (cube(2), simplex(1)):
@@ -360,20 +355,16 @@ class TestAngleSums:
 
     def test_segment_exact_one(self):
         seg = hull_from_points([(0,), (1,)])
-        rep = angle_sum(seg, 0)
+        rep = angle_sums(seg)[0]
         assert rep.total == 1.0 and rep.stderr == 0.0
 
     def test_triangle_half(self):
-        rep = angle_sum(simplex(2), 0, SAMPLES, seed=2)
+        rep = angle_sums(simplex(2), SAMPLES, seed=2)[0]
         assert abs(rep.total - 0.5) <= 4 * rep.stderr
 
     def test_cube_edges_three(self):
-        rep = angle_sum(cube(3), 1, SAMPLES, seed=2)
+        rep = angle_sums(cube(3), SAMPLES, seed=2)[1]
         assert abs(rep.total - 3.0) <= 4 * rep.stderr
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            angle_sum(cube(2), 5)
 
 
 class TestCurvature:
@@ -397,37 +388,52 @@ class TestCurvature:
         with pytest.raises(OutOfRangeError):
             curvature_check(p, p.facets[0].vertex_set)
 
+    @pytest.mark.parametrize("samples,error", [
+        (0, OutOfRangeError), (MAX_SAMPLES + 1, TooLargeError)])
+    def test_sample_count_guards(self, samples, error):
+        # Refused before the exact cases that sample nothing: a vertex off
+        # the facet, and a ridge.
+        c3 = cube(3)
+        outside = min(set(range(8)) - c3.facets[0].vertex_set)
+        with pytest.raises(error):
+            facet_angle(c3, 0, frozenset([outside]), samples)
+        c4 = cube(4)
+        ridge = c4.face_lattice().faces_of_dim(2)[0]
+        with pytest.raises(error):
+            curvature_check(c4, ridge, samples)
+
 
 class TestAngleSumFloor:
     def test_segment_equality_exact(self):
         seg = hull_from_points([(0,), (1,)])
-        rep = angle_sum_lower_check(seg, angle_sum(seg, 0))
+        rep = angle_sum_lower_check(seg, angle_sums(seg)[0])
         assert rep.total == 1.0 and rep.bound == 1 and rep.passed
         assert rep.equality and rep.stderr == 0.0
 
     def test_triangle_equality(self):
         tri = simplex(2)
-        rep = angle_sum_lower_check(tri, angle_sum(tri, 0, SAMPLES, seed=8))
+        rep = angle_sum_lower_check(tri, angle_sums(tri, SAMPLES, seed=8)[0])
         assert rep.passed and rep.equality
         assert rep.bound == 0.5
 
     def test_cube_strict(self):
         p = cube(3)
-        rep = angle_sum_lower_check(p, angle_sum(p, 1, SAMPLES, seed=8))
+        rep = angle_sum_lower_check(p, angle_sums(p, SAMPLES, seed=8)[1])
         assert rep.passed and rep.bound == 1 and not rep.equality
 
 
 class TestProjectionAngleBound:
     def test_hexagon_equality(self):
         hexa = cyclic(6, 2)
-        rep = projection_angle_check(hexa, angle_sum(hexa, 0, 300_000, seed=3),
+        rep = projection_angle_check(hexa,
+                                     angle_sums(hexa, 300_000, seed=3)[0],
                                      _directions(hexa, 3, 5))
         assert rep.verdict == "PASS" and rep.equality
         assert rep.bound == 2 and all(c == 2 for c in rep.shadow_counts)
 
     def test_cube_edges_equality(self):
         p = cube(3)
-        rep = projection_angle_check(p, angle_sum(p, 1, 300_000, seed=3),
+        rep = projection_angle_check(p, angle_sums(p, 300_000, seed=3)[1],
                                      _directions(p, 3, 5))
         assert rep.verdict == "PASS" and rep.equality
         assert rep.bound == 3 and all(c == 6 for c in rep.shadow_counts)
@@ -435,19 +441,18 @@ class TestProjectionAngleBound:
     def test_tetrahedron_never_errors(self):
         p = simplex(3)
         dirs = _directions(p, 5, 6)
-        for k in range(3):
-            rep = projection_angle_check(p, angle_sum(p, k, 60_000, seed=5),
-                                         dirs)
+        for report in angle_sums(p, 60_000, seed=5):
+            rep = projection_angle_check(p, report, dirs)
             assert rep.verdict in ("PASS", "WARN")
 
     def test_no_directions_is_refused(self):
         p = cube(3)
         with pytest.raises(OutOfRangeError):
-            projection_angle_check(p, angle_sum(p, 1, 1000, seed=3), [])
+            projection_angle_check(p, angle_sums(p, 1000, seed=3)[1], [])
 
     def test_reads_k_from_the_report(self):
         p = cube(3)
-        report = angle_sum(p, 1, 1000, seed=3)
+        report = angle_sums(p, 1000, seed=3)[1]
         floor = angle_sum_lower_check(p, report)
         proj = projection_angle_check(p, report, _directions(p, 3, 2))
         for rep in (floor, proj):
@@ -456,7 +461,7 @@ class TestProjectionAngleBound:
 
     def test_top_dimensional_sum_is_refused(self):
         p = cube(3)
-        report = angle_sum(p, 3, 1000)
+        report = AngleSumReport(p.dim, 1.0, 0.0, ())
         with pytest.raises(OutOfRangeError):
             angle_sum_lower_check(p, report)
         with pytest.raises(OutOfRangeError):

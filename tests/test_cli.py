@@ -83,15 +83,13 @@ BAD_INPUTS = [
     ("angles-zero-samples", None,
      ["angles", "--family", "simplex", "--dim", "2", "--samples", "0"],
      "OutOfRangeError"),
-    ("angles-infinite-sigma", None,
+    # Usage errors: an option argparse cannot parse, or no subcommand.
+    ("describe-non-integer-dim", None,
+     ["describe", "--family", "cube", "--dim", "x"], "BadSpecError"),
+    ("angles-unknown-option", None,
      ["angles", "--family", "simplex", "--dim", "2", "--samples", "2000",
-      "--directions", "1", "--tolerance-sigma", "inf"], "OutOfRangeError"),
-    ("angles-negative-sigma", None,
-     ["angles", "--family", "simplex", "--dim", "2", "--samples", "2000",
-      "--directions", "1", "--tolerance-sigma", "-1"], "OutOfRangeError"),
-    ("angles-nan-sigma", None,
-     ["angles", "--family", "simplex", "--dim", "2", "--samples", "2000",
-      "--directions", "1", "--tolerance-sigma", "nan"], "OutOfRangeError"),
+      "--directions", "1", "--tolerance-sigma", "4"], "BadSpecError"),
+    ("no-subcommand", None, [], "BadSpecError"),
     ("angles-too-many-samples", None,
      ["angles", "--family", "simplex", "--dim", "2",
       "--samples", "1000000000000000000", "--directions", "1"],
@@ -136,6 +134,14 @@ def test_bad_input_ends_in_json_error_line(name, content, argv, error,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == error
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["angles", "-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--samples" in out and "--tolerance-sigma" not in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -74,7 +74,7 @@ class TestAgainstOracle:
     @settings(max_examples=60, deadline=None)
     def test_random_integer_points(self, rows):
         # Small grids: many points on facet hyperplanes, so rotations with
-        # b = 0 (a coplanar new point) come up often.
+        # a = 0 (a new point coplanar with the hidden facet) come up often.
         pts, dim = points_of(rows), len(rows[0])
         assume(affine_dim(pts) == dim)
         assert canon(incremental_facets(pts, dim)) == \
@@ -107,6 +107,16 @@ class TestRotation:
         for facet in facets:
             assert facet == _facet_through(pts, facet[0], dim, centroid_sum,
                                            dim + 1)
+
+    def test_point_on_a_facet_leaves_it_alone(self):
+        # (1, 1, 0) is inside the seed simplex's facet z = 0, beyond no
+        # facet: the simplices stay the seed's 4, and the final scan still
+        # puts the point on that facet.
+        pts = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 0)]
+        assert len(_simplicial_hull(pts, 3)) == 4
+        facets = incremental_facets(points_of(pts), 3)
+        base = next(on for normal, _, on in facets if normal == (0, 0, -1))
+        assert base == {0, 1, 2, 4}
 
     def test_touched_ridge_check(self):
         owners = {(0, 1): [(0, 1, 2), (0, 1, 3)],

@@ -146,7 +146,13 @@ def solid_angle(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
                 seed: int = 0) -> AngleEstimate:
     """Monte Carlo solid angle of p at a face; deterministic given seed."""
     _check_samples(samples)
-    normals = tangent_cone(p, face)
+    return _cone_angle(p, tangent_cone(p, face), samples, seed)
+
+
+def _cone_angle(p: Polytope, normals: tuple[Vector, ...], samples: int,
+                seed: int) -> AngleEstimate:
+    """The solid angle of the cone {u : n . u <= 0 for each normal n} in
+    p's space, sampled unless it is exact by construction."""
     if not normals:
         return AngleEstimate(1.0, 0.0, 0, seed)
     if p.dim <= 1:
@@ -271,7 +277,11 @@ def facet_angle(p: Polytope, facet_index: int, face,
     fp = p.facet_as_polytope(facet_index)
     local = sorted(record.vertex_set)
     remap = {orig: i for i, orig in enumerate(local)}
-    return solid_angle(fp, frozenset(remap[v] for v in vs), samples, seed)
+    # A face of p inside the facet is a face of the facet: its cone there
+    # needs only the facet polytope's incidences, not its lattice.
+    inside = fp.facets_containing(frozenset(remap[v] for v in vs))
+    return _cone_angle(fp, tuple(fp.facets[i].plane.normal for i in inside),
+                       samples, seed)
 
 
 @dataclass(frozen=True)

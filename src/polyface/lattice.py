@@ -15,11 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import EulerViolationError, NotAFaceError
 # Not called here.  benchmarks/test_benchmarks.py names this module as one
 # that binds affine_dim; drop the import once that test finds the binding
 # modules from their namespaces.
 from .exact import affine_dim  # noqa: F401
+
+# Row blocks of the level step hold at most this many words of F & G.
+BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -114,42 +119,138 @@ class FaceLattice:
         return FVector(self.dim, counts)
 
 
+def _bitmasks(n: int, sets: Iterable[Iterable[int]]) -> np.ndarray:
+    """One row of ceil(n/64) little-endian uint64 words per atom set."""
+    rows, atoms = [], []
+    for r, s in enumerate(sets):
+        for a in s:
+            rows.append(r)
+            atoms.append(a)
+    bits = np.zeros((max(rows, default=-1) + 1, 64 * -(-n // 64)), dtype=bool)
+    bits[rows, atoms] = True
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _runs(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows given by their columns (first column
+    first), and True at each sorted row that differs from the one before."""
+    order = np.lexsort(columns[::-1])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = False
+    for column in columns:
+        column = column[order]
+        first[1:] |= column[1:] != column[:-1]
+    return order, first
+
+
+def _as_ints(rows: np.ndarray) -> list[int]:
+    data, step = rows.tobytes(), 8 * rows.shape[1]
+    return [int.from_bytes(data[i:i + step], "little")
+            for i in range(0, len(data), step)]
+
+
+def _facets_of(level: np.ndarray, sizes: np.ndarray, coatoms: np.ndarray,
+               j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The facets of the j-faces in ``level`` (j >= 1) with their sizes,
+    and the covers as row-index pairs (facet, face)."""
+    words = level.shape[1]
+    block = max(1, BLOCK_CELLS // (len(coatoms) * words))
+    owner, meets, counts = [], [], []
+    for lo in range(0, len(level), block):
+        meet = level[lo:lo + block, None, :] & coatoms
+        count = np.bitwise_count(meet).sum(axis=2, dtype=sizes.dtype)
+        # F & G is F exactly when it keeps all of F's atoms.  A facet of a
+        # j-face has at least j atoms, and so has every set containing one.
+        hit = np.flatnonzero((count >= j) & (count < sizes[lo:lo + block, None]))
+        face, meet = lo + hit // len(coatoms), meet.reshape(-1, words)[hit]
+        # A face lies in one block, so its duplicate candidates do too.
+        order, first = _runs((face, *meet.T))
+        unique = order[first]
+        owner.append(face[unique])
+        meets.append(meet[unique])
+        counts.append(count.ravel()[hit[unique]])
+    owner, meets, counts = (np.concatenate(owner), np.concatenate(meets),
+                            np.concatenate(counts))
+
+    # The facets of F are its maximal candidates.  Distinct sets of one size
+    # never contain each other, so only a face whose candidates differ in
+    # size needs the subset test.
+    resized = (owner[1:] == owner[:-1]) & (counts[1:] != counts[:-1])
+    if resized.any():
+        mixed = sorted(set(owner[1:][resized].tolist()))
+        keep = np.ones(len(owner), dtype=bool)
+        ints, size = _as_ints(meets), counts.tolist()
+        for a, b in zip(np.searchsorted(owner, mixed).tolist(),
+                        np.searchsorted(owner, mixed, "right").tolist()):
+            kept: list[int] = []
+            for i in sorted(range(a, b), key=size.__getitem__, reverse=True):
+                if any(ints[i] & k == ints[i] for k in kept):
+                    keep[i] = False
+                else:
+                    kept.append(ints[i])
+        owner, meets, counts = owner[keep], meets[keep], counts[keep]
+
+    order, first = _runs(meets.T)
+    row = np.empty(len(order), dtype=np.intp)
+    row[order] = np.cumsum(first) - 1
+    return meets[order[first]], counts[order[first]], row, owner
+
+
 def build_face_lattice(n: int, coatom_sets: Iterable[Iterable[int]],
                        dim: int) -> FaceLattice:
-    """The face lattice of a dim-polytope on atoms 0..n-1 whose facets
-    have the given atom sets, from the incidences alone; no arithmetic.
+    """The face lattice of a dim-polytope (dim >= 0) on atoms 0..n-1 whose
+    facets have the given atom sets, from the incidences alone; no
+    arithmetic.
 
-    Top down on bitmasks: the facets of a face F are the inclusion-maximal
-    sets among F & G over the facets G not containing F, or the empty face
-    when there is none.  Each pass is one dimension lower, so it yields the
-    grading and the covers together.
+    Top down, one level at a time: the facets of a j-face F are the
+    inclusion-maximal sets among F & G over the facets G not containing F.
+    A face is a row of ceil(n/64) uint64 words, so a level is one numpy AND
+    of its faces against all facets, in row blocks of at most BLOCK_CELLS
+    words.  A candidate with fewer than j atoms is dropped before any
+    subset test, and the floor is exact: a facet of F is a (j-1)-face, so
+    it has at least j atoms, and so has every set containing it.  Duplicate
+    (face, candidate) pairs go by one lexsort per block.  Only a face whose
+    candidates differ in size gets the subset test, since distinct sets of
+    one size never contain each other; a simplicial polytope needs none.
+    The atoms cover the empty face.  Each level is one dimension lower, so
+    the grading and the covers come together.
     """
-    coatoms = {sum(1 << a for a in atoms) for atoms in coatom_sets}
-    level = {(1 << n) - 1}
-    levels = [level]
-    edges = []
-    for _ in range(dim + 1):
-        below = set()
-        for f in level:
-            kept = []
-            for c in sorted({f & g for g in coatoms} - {f},
-                            key=int.bit_count, reverse=True):
-                if all(c & k != c for k in kept):
-                    kept.append(c)
-            for c in kept or [0]:
-                below.add(c)
-                edges.append((c, f))
-        level = below
-        levels.append(level)
+    coatoms = _bitmasks(n, coatom_sets)
+    # Popcounts in the smallest type that holds n: uint8 for any primal
+    # lattice, where it makes the level step's comparisons cheapest.
+    levels = [(_bitmasks(n, [range(n)]), np.array([n], np.min_scalar_type(n)))]
+    steps = []  # steps[i]: covers between levels[i + 1] and levels[i]
+    for j in range(dim, 0, -1):
+        level, sizes, lower, upper = _facets_of(*levels[-1], coatoms, j)
+        levels.append((level, sizes))
+        steps.append((lower, upper))
+    atoms = len(levels[-1][0])
+    levels.append((np.zeros_like(coatoms[:1]), np.zeros(1, np.intp)))
+    steps.append((np.zeros(atoms, dtype=np.intp), np.arange(atoms)))
 
+    # Canonical order: by dimension, then by sorted atom tuple, each tuple
+    # built once from the set bits of its row.
     faces: list[Face] = []
-    index: dict[int, int] = {}
-    for d, masks in zip(range(-1, dim + 1), reversed(levels)):
-        for bits, m in sorted((tuple(i for i in range(n) if m >> i & 1), m)
-                              for m in masks):
-            index[m] = len(faces)
-            faces.append(Face(frozenset(bits), d))
-    covers = sorted((index[lo], index[hi]) for lo, hi in edges)
+    place = []  # place[i][r]: the index in faces of row r of levels[i]
+    for i in reversed(range(len(levels))):
+        masks, sizes = levels[i]
+        bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")
+        flat = np.nonzero(bits)[1].tolist()
+        ends = np.cumsum(sizes).tolist()
+        tuples = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+        order = sorted(range(len(tuples)), key=tuples.__getitem__)
+        at = np.empty(len(order), dtype=np.intp)
+        at[order] = np.arange(len(faces), len(faces) + len(order))
+        place.append(at)
+        faces.extend(Face(frozenset(tuples[k]), dim - i) for k in order)
+    place.reverse()
+    lo = np.concatenate([place[i + 1][s[0]] for i, s in enumerate(steps)])
+    hi = np.concatenate([place[i][s[1]] for i, s in enumerate(steps)])
+    order = np.lexsort((hi, lo))
+    # The covers share one int object per face index, not two per pair.
+    ids = list(range(len(faces)))
+    covers = list(zip(map(ids.__getitem__, lo[order].tolist()),
+                      map(ids.__getitem__, hi[order].tolist())))
     return FaceLattice(faces, covers, dim, n)
 
 

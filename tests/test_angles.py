@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import polyface.angles
+import polyface.polytope
 from polyface._rng import chunk_generator, chunk_sizes, derive_seed, thread_count
 from polyface.angles import (
     MAX_SAMPLES,
@@ -246,6 +247,19 @@ class TestFacetAngle:
         est = facet_angle(p, 0, frozenset([v]), SAMPLES, seed=5)
         assert within(est, 0.25)
 
+    def test_same_estimate_as_solid_angle_of_the_facet(self):
+        # facet_angle reads the cone off the facet polytope's incidences;
+        # solid_angle confirms the face in that polytope's own lattice.
+        p = cross_polytope(4)
+        for i in (0, 5):
+            local = sorted(p.facets[i].vertex_set)
+            fp = p.facet_as_polytope(i)
+            for face in p.face_lattice().faces:
+                if face.vertex_set and face.vertex_set <= p.facets[i].vertex_set:
+                    remapped = frozenset(local.index(v) for v in face.vertex_set)
+                    assert facet_angle(p, i, face, 2000, seed=3) == \
+                        solid_angle(fp, remapped, 2000, seed=3)
+
 
 def sums_oracle(p, samples, seed):
     """Per-face hits and per-k sums of X_k and X_k^2 (X_k the number of
@@ -382,6 +396,22 @@ class TestCurvature:
     def test_tetrahedron_vertex_half(self):
         rep = curvature_check(REGULAR_TETRA, frozenset([0]), SAMPLES, seed=6)
         assert abs(rep.total - 0.5) <= 4 * rep.stderr
+
+    def test_builds_no_facet_lattice(self, monkeypatch):
+        # Each facet's cone comes from its incidences; only p's own lattice
+        # is built, to confirm the face.
+        built = []
+        original = polyface.polytope.build_face_lattice
+
+        def counting(*args):
+            built.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(polyface.polytope, "build_face_lattice", counting)
+        p = cube(4)
+        rep = curvature_check(p, frozenset([0]), 2000, seed=6)
+        assert not rep.exact
+        assert built == [4]
 
     def test_face_dim_guard(self):
         p = cube(3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyface.lattice
 from polyface.errors import EulerViolationError, NotAFaceError
 from polyface.exact import affine_dim
 from polyface.generators import (
@@ -12,9 +13,10 @@ from polyface.generators import (
     cube,
     cyclic,
     pyramid,
+    random_sphere,
     simplex,
 )
-from polyface.lattice import FVector, dual, quotient
+from polyface.lattice import FVector, build_face_lattice, dual, quotient
 from polyface.polytope import hull_from_points
 
 
@@ -123,6 +125,16 @@ def check_against_oracles(p):
             check_canonical_graded(q)
 
 
+# The free sum of a square and a 3-cube.  Two facets e * Q and e' * Q, for
+# opposite edges e, e' of the square and a square facet Q of the cube,
+# meet in Q: a 2-face with 4 vertices inside a 4-face, so it passes the
+# j-vertex floor and only the subset test (Q lies in v * Q, v a vertex of
+# e) shows that it is no facet of e * Q.
+SQUARE_PLUS_CUBE = hull_from_points(
+    [(a, b, 0, 0, 0) for a in (-1, 1) for b in (-1, 1)]
+    + [(0, 0, a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)])
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("p", [cyclic(10, 4), cube(3), pyramid(cube(2)),
                                    cross_polytope(3), simplex(1),
@@ -130,10 +142,47 @@ class TestAgainstReference:
     def test_fixed_polytopes(self, p):
         check_against_oracles(p)
 
+    def test_candidate_inside_another_candidate(self):
+        check_against_oracles(SQUARE_PLUS_CUBE)
+
     @given(random_hulls())
     @settings(max_examples=40, deadline=None)
     def test_random_hulls(self, p):
         check_against_oracles(p)
+
+
+class TestWordBoundaries:
+    """Faces are rows of 64-bit words: a full word, and one bit past it."""
+
+    def test_cube_six_top_is_a_full_word(self):
+        p = cube(6)
+        assert p.n_vertices == 64
+        lattice = p.face_lattice()
+        assert as_sets(lattice) == reference_lattice(p)
+        check_canonical_graded(lattice)
+
+    @pytest.mark.parametrize("p,atoms", [
+        (cross_polytope(6), 64), (cyclic(13, 4), 65), (cyclic(15, 6), 275),
+    ], ids=["cross-6", "cyclic-13-4", "cyclic-15-6"])
+    def test_dual_atoms(self, p, atoms):
+        lattice = p.face_lattice()
+        d = dual(lattice)
+        assert d.n_vertices == atoms
+        assert as_sets(d) == dual_by_labels(lattice)
+        check_canonical_graded(d)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("p", [
+        cyclic(15, 6), cross_polytope(7), random_sphere(6, 15, 1),
+    ], ids=["cyclic-15-6", "cross-7", "random-sphere-6-15"])
+    def test_one_row_blocks_give_the_same_lattice(self, p, monkeypatch):
+        args = (p.n_vertices, [f.vertex_set for f in p.facets], p.dim)
+        default = build_face_lattice(*args)
+        monkeypatch.setattr(polyface.lattice, "BLOCK_CELLS", 1)
+        single = build_face_lattice(*args)
+        assert single.faces == default.faces
+        assert single.covers == default.covers
 
 
 class TestLatticeConstruction:

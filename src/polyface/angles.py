@@ -269,7 +269,7 @@ def facet_angle(p: Polytope, facet_index: int, face,
     NotAFaceError when the vertex set is no face of p."""
     _check_samples(samples)
     if not 0 <= facet_index < p.n_facets:
-        raise IndexError(f"facet index {facet_index} out of range")
+        raise OutOfRangeError(f"facet index {facet_index} out of range")
     vs = p.require_face(face).vertex_set
     record = p.facets[facet_index]
     if not vs <= record.vertex_set:

@@ -6,9 +6,11 @@ Pfetsch, "Computing the face lattice of a polytope from its vertex-facet
 incidences", CGTA 2002).  Working top down on vertex bitmasks, the facets
 of a face F are the inclusion-maximal sets among the intersections of F
 with the polytope's facets, so each pass yields the faces one dimension
-lower together with their covers.  The polytope's dimension is given, so
-the lattice does no arithmetic at all.  The dual and the quotients reuse
-the same construction on relabelled incidences.
+lower.  A lattice is its faces by dimension; the order is read off the
+vertex sets, F <= G iff F's vertex set is a subset of G's.  The
+polytope's dimension is given, so the lattice does no arithmetic at all.
+The dual and the quotients reuse the same construction on relabelled
+incidences.
 """
 from __future__ import annotations
 
@@ -82,26 +84,24 @@ class FaceLattice:
     """The full graded lattice of faces, from the empty face to the polytope.
 
     Faces are listed in a canonical order (by dimension, then sorted vertex
-    tuple); ``covers`` holds index pairs (lower, upper) of the covering
-    relation.
+    tuple).  The order is inclusion of vertex sets: F <= G iff F's vertex
+    set is a subset of G's.
     """
 
-    def __init__(self, faces: Sequence[Face], covers: Sequence[tuple[int, int]],
-                 dim: int, n_vertices: int):
-        self.faces = tuple(faces)
-        self.covers = tuple(covers)
+    def __init__(self, levels: Sequence[Sequence[Face]], dim: int,
+                 n_vertices: int):
+        # _levels[k + 1] holds the k-faces, for k = -1 .. dim.
+        self._levels = tuple(tuple(level) for level in levels)
+        self.faces = tuple(f for level in self._levels for f in level)
         self.dim = dim
         self.n_vertices = n_vertices
         self._index = {f.vertex_set: i for i, f in enumerate(self.faces)}
-        self._by_dim: dict[int, list[Face]] = {}
-        for f in self.faces:
-            self._by_dim.setdefault(f.dim, []).append(f)
 
     def __len__(self):
         return len(self.faces)
 
     def faces_of_dim(self, k: int) -> tuple[Face, ...]:
-        return tuple(self._by_dim.get(k, ()))
+        return self._levels[k + 1] if -1 <= k <= self.dim else ()
 
     def find(self, face: Face | Iterable[int]) -> Face:
         """This lattice's face with the vertex set of a Face or vertex
@@ -113,10 +113,9 @@ class FaceLattice:
         return self.faces[i]
 
     def f_vector(self) -> FVector:
-        counts = tuple(len(self._by_dim.get(k, ())) for k in range(self.dim))
-        if len(self._by_dim.get(-1, ())) != 1 or len(self._by_dim.get(self.dim, ())) != 1:
+        if len(self._levels[0]) != 1 or len(self._levels[-1]) != 1:
             raise EulerViolationError("lattice must have unique bottom and top")
-        return FVector(self.dim, counts)
+        return FVector(self.dim, tuple(map(len, self._levels[1:-1])))
 
 
 def _bitmasks(n: int, sets: Iterable[Iterable[int]]) -> np.ndarray:
@@ -150,9 +149,8 @@ def _as_ints(rows: np.ndarray) -> list[int]:
 
 
 def _facets_of(level: np.ndarray, sizes: np.ndarray, coatoms: np.ndarray,
-               j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The facets of the j-faces in ``level`` (j >= 1) with their sizes,
-    and the covers as row-index pairs (facet, face)."""
+               j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The facets of the j-faces in ``level`` (j >= 1) with their sizes."""
     words = level.shape[1]
     block = max(1, BLOCK_CELLS // (len(coatoms) * words))
     owner, meets, counts = [], [], []
@@ -191,9 +189,7 @@ def _facets_of(level: np.ndarray, sizes: np.ndarray, coatoms: np.ndarray,
         owner, meets, counts = owner[keep], meets[keep], counts[keep]
 
     order, first = _runs(meets.T)
-    row = np.empty(len(order), dtype=np.intp)
-    row[order] = np.cumsum(first) - 1
-    return meets[order[first]], counts[order[first]], row, owner
+    return meets[order[first]], counts[order[first]]
 
 
 def build_face_lattice(n: int, coatom_sets: Iterable[Iterable[int]],
@@ -212,46 +208,27 @@ def build_face_lattice(n: int, coatom_sets: Iterable[Iterable[int]],
     (face, candidate) pairs go by one lexsort per block.  Only a face whose
     candidates differ in size gets the subset test, since distinct sets of
     one size never contain each other; a simplicial polytope needs none.
-    The atoms cover the empty face.  Each level is one dimension lower, so
-    the grading and the covers come together.
+    The empty face lies below the atoms.  Each level is one dimension
+    lower, so the faces come graded, and the order is read off the atom
+    sets: F <= G iff F's atom set is a subset of G's.
     """
     coatoms = _bitmasks(n, coatom_sets)
     # Popcounts in the smallest type that holds n: uint8 for any primal
     # lattice, where it makes the level step's comparisons cheapest.
     levels = [(_bitmasks(n, [range(n)]), np.array([n], np.min_scalar_type(n)))]
-    steps = []  # steps[i]: covers between levels[i + 1] and levels[i]
     for j in range(dim, 0, -1):
-        level, sizes, lower, upper = _facets_of(*levels[-1], coatoms, j)
-        levels.append((level, sizes))
-        steps.append((lower, upper))
-    atoms = len(levels[-1][0])
-    levels.append((np.zeros_like(coatoms[:1]), np.zeros(1, np.intp)))
-    steps.append((np.zeros(atoms, dtype=np.intp), np.arange(atoms)))
+        levels.append(_facets_of(*levels[-1], coatoms, j))
 
     # Canonical order: by dimension, then by sorted atom tuple, each tuple
     # built once from the set bits of its row.
-    faces: list[Face] = []
-    place = []  # place[i][r]: the index in faces of row r of levels[i]
-    for i in reversed(range(len(levels))):
-        masks, sizes = levels[i]
+    by_dim = [(Face(frozenset(), -1),)]
+    for k, (masks, sizes) in enumerate(reversed(levels)):
         bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")
         flat = np.nonzero(bits)[1].tolist()
         ends = np.cumsum(sizes).tolist()
-        tuples = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
-        order = sorted(range(len(tuples)), key=tuples.__getitem__)
-        at = np.empty(len(order), dtype=np.intp)
-        at[order] = np.arange(len(faces), len(faces) + len(order))
-        place.append(at)
-        faces.extend(Face(frozenset(tuples[k]), dim - i) for k in order)
-    place.reverse()
-    lo = np.concatenate([place[i + 1][s[0]] for i, s in enumerate(steps)])
-    hi = np.concatenate([place[i][s[1]] for i, s in enumerate(steps)])
-    order = np.lexsort((hi, lo))
-    # The covers share one int object per face index, not two per pair.
-    ids = list(range(len(faces)))
-    covers = list(zip(map(ids.__getitem__, lo[order].tolist()),
-                      map(ids.__getitem__, hi[order].tolist())))
-    return FaceLattice(faces, covers, dim, n)
+        tuples = sorted(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+        by_dim.append(tuple(Face(frozenset(t), k) for t in tuples))
+    return FaceLattice(by_dim, dim, n)
 
 
 def dual(lattice: FaceLattice) -> FaceLattice:

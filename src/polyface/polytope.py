@@ -21,6 +21,7 @@ from .errors import (
     EmptyInputError,
     MixedDimensionsError,
     NotAFaceError,
+    OutOfRangeError,
     TooLargeError,
 )
 from .exact import (
@@ -166,7 +167,7 @@ class Polytope:
         """The facet as a polytope in its own (dim-1)-dimensional rational
         coordinates; its ambient space is this polytope's intrinsic space."""
         if not 0 <= index < len(self.facets):
-            raise IndexError(f"facet index {index} out of range")
+            raise OutOfRangeError(f"facet index {index} out of range")
         return self.memo(("facet", index), lambda: _build(
             [self.vertices[i] for i in sorted(self.facets[index].vertex_set)],
             self.metric))
@@ -299,10 +300,11 @@ def polytope_from_json(data: dict) -> Polytope:
 
 
 def load_polytope(path: str) -> Polytope:
-    # JSONDecodeError and UnicodeDecodeError are both ValueErrors.
+    # JSONDecodeError and UnicodeDecodeError are both ValueErrors; a nest
+    # of arrays deeper than the interpreter's stack is a RecursionError.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise BadInputError(f"cannot read polytope JSON {path}: {exc}") from exc
     return polytope_from_json(data)

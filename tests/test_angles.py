@@ -221,6 +221,13 @@ class TestFacetAngle:
         est = facet_angle(p, 0, frozenset([outside]))
         assert est.mean == 0.0 and est.exact
 
+    @pytest.mark.parametrize("index", [-1, 6], ids=["minus-one", "n-facets"])
+    def test_index_out_of_range(self, index):
+        p = cube(3)
+        assert p.n_facets == 6
+        with pytest.raises(OutOfRangeError):
+            facet_angle(p, index, frozenset([0]))
+
     def test_non_face_is_refused(self):
         p = cube(3)
         facet = p.facets[0].vertex_set

@@ -77,6 +77,13 @@ BAD_INPUTS = [
     ("boolean-ambient-dim",
      '{"ambient_dim": true, "vertices": [[0], [1]]}', ["describe"],
      "BadInputError"),
+    # Nests deeper than the interpreter's stack: json.load raises
+    # RecursionError.
+    ("deeply-nested", "[" * 100_000 + "]" * 100_000, ["describe"],
+     "BadInputError"),
+    ("deeply-nested-vertices",
+     '{"ambient_dim": 2, "vertices": ' + "[" * 100_000 + "]" * 100_000 + "}",
+     ["describe"], "BadInputError"),
     ("angles-zero-directions", None,
      ["angles", "--family", "simplex", "--dim", "2", "--directions", "0"],
      "OutOfRangeError"),

@@ -16,7 +16,7 @@ from polyface.generators import (
     random_sphere,
     simplex,
 )
-from polyface.lattice import FVector, build_face_lattice, dual, quotient
+from polyface.lattice import FVector, Face, build_face_lattice, dual, quotient
 from polyface.polytope import hull_from_points
 
 
@@ -41,25 +41,43 @@ def reference_lattice(p):
 
 
 def as_sets(lattice):
-    """({vertex set: dim}, {(lower set, upper set)}) of a lattice."""
+    """({vertex set: dim}, {(lower set, upper set)}) of a lattice, the
+    covers read off the faces: vertex sets one dimension apart, the lower
+    inside the upper."""
     dims = {f.vertex_set: f.dim for f in lattice.faces}
-    covers = {(lattice.faces[lo].vertex_set, lattice.faces[hi].vertex_set)
-              for lo, hi in lattice.covers}
+    covers = {(lo.vertex_set, hi.vertex_set)
+              for k in range(-1, lattice.dim)
+              for hi in lattice.faces_of_dim(k + 1)
+              for lo in lattice.faces_of_dim(k)
+              if lo.vertex_set < hi.vertex_set}
     return dims, covers
 
 
 def check_canonical_graded(lattice):
-    """Canonical order, sorted covers, the diamond property and Euler."""
+    """Canonical order, faces_of_dim as the levels of faces, the diamond
+    property and Euler."""
     keys = [(f.dim, sorted(f.vertex_set)) for f in lattice.faces]
     assert keys == sorted(keys)
-    assert list(lattice.covers) == sorted(set(lattice.covers))
-    up: dict[int, list[int]] = {}
-    for lo, hi in lattice.covers:
+    levels = [lattice.faces_of_dim(k) for k in range(-1, lattice.dim + 1)]
+    assert sum(levels, ()) == lattice.faces
+    assert all(f.dim == k for k, level in enumerate(levels, -1) for f in level)
+    dims, covers = as_sets(lattice)
+    # Graded: every face but the empty one covers a face, and every face
+    # but the polytope is covered by one.
+    top = frozenset(range(lattice.n_vertices))
+    assert {hi for _, hi in covers} == set(dims) - {frozenset()}
+    assert {lo for lo, _ in covers} == set(dims) - {top}
+    up: dict[frozenset, list[frozenset]] = {}
+    for lo, hi in covers:
         up.setdefault(lo, []).append(hi)
     # Every interval of length 2 has exactly two faces strictly inside.
-    for i in range(len(lattice.faces)):
-        between = Counter(k for j in up.get(i, ()) for k in up.get(j, ()))
+    intervals = 0
+    for f in lattice.faces:
+        between = Counter(k for j in up.get(f.vertex_set, ())
+                          for k in up.get(j, ()))
         assert set(between.values()) <= {2}
+        intervals += len(between)
+    assert intervals > 0 or lattice.dim < 1
     # Euler-Poincare over the whole lattice, f_-1 and f_dim included.
     assert sum((-1) ** f.dim for f in lattice.faces) == 0
     lattice.f_vector()  # asserts the Euler relation itself
@@ -85,10 +103,8 @@ def quotient_by_interval(lattice, g):
 
     dims = {label(f.vertex_set): f.dim - g.dim - 1
             for f in lattice.faces if g.vertex_set <= f.vertex_set}
-    covers = {(label(lattice.faces[lo].vertex_set),
-               label(lattice.faces[hi].vertex_set))
-              for lo, hi in lattice.covers
-              if g.vertex_set <= lattice.faces[lo].vertex_set}
+    covers = {(label(lo), label(hi)) for lo, hi in as_sets(lattice)[1]
+              if g.vertex_set <= lo}
     return dims, covers
 
 
@@ -102,9 +118,7 @@ def dual_by_labels(lattice):
 
     dims = {label(f.vertex_set): lattice.dim - 1 - f.dim
             for f in lattice.faces}
-    covers = {(label(lattice.faces[hi].vertex_set),
-               label(lattice.faces[lo].vertex_set))
-              for lo, hi in lattice.covers}
+    covers = {(label(hi), label(lo)) for lo, hi in as_sets(lattice)[1]}
     return dims, covers
 
 
@@ -166,6 +180,7 @@ class TestWordBoundaries:
     ], ids=["cross-6", "cyclic-13-4", "cyclic-15-6"])
     def test_dual_atoms(self, p, atoms):
         lattice = p.face_lattice()
+        check_canonical_graded(lattice)
         d = dual(lattice)
         assert d.n_vertices == atoms
         assert as_sets(d) == dual_by_labels(lattice)
@@ -182,7 +197,25 @@ class TestRowBlocks:
         monkeypatch.setattr(polyface.lattice, "BLOCK_CELLS", 1)
         single = build_face_lattice(*args)
         assert single.faces == default.faces
-        assert single.covers == default.covers
+        assert [single.faces_of_dim(k) for k in range(-1, p.dim + 1)] == \
+            [default.faces_of_dim(k) for k in range(-1, p.dim + 1)]
+
+
+class TestFacesOfDim:
+    """faces_of_dim(k) is the level of k-faces for -1 <= k <= dim and
+    empty outside, never a neighbouring level."""
+
+    @pytest.mark.parametrize("lattice", [
+        cube(3).face_lattice(), hull_from_points([(2, 5)]).face_lattice(),
+        dual(cube(3).face_lattice()),
+    ], ids=["cube-3", "point", "dual-cube-3"])
+    def test_levels_end_at_bottom_and_top(self, lattice):
+        top = frozenset(range(lattice.n_vertices))
+        assert lattice.faces_of_dim(-2) == ()
+        assert lattice.faces_of_dim(lattice.dim + 1) == ()
+        assert lattice.faces_of_dim(-1) == (Face(frozenset(), -1),)
+        assert lattice.faces_of_dim(lattice.dim) == (Face(top, lattice.dim),)
+        check_canonical_graded(lattice)
 
 
 class TestLatticeConstruction:
@@ -209,10 +242,10 @@ class TestLatticeConstruction:
             assert inter == face.vertex_set
 
     def test_graded_covers(self):
-        lattice = cube(3).face_lattice()
-        for lo, hi in lattice.covers:
-            assert lattice.faces[hi].dim == lattice.faces[lo].dim + 1
-            assert lattice.faces[lo].vertex_set < lattice.faces[hi].vertex_set
+        # 8 vertices over the empty face, 2 vertices per edge, 4 edges per
+        # square and 6 squares under the cube.
+        _, covers = as_sets(cube(3).face_lattice())
+        assert len(covers) == 8 + 12 * 2 + 6 * 4 + 6
 
     def test_face_in_enough_facets(self):
         # A j-face lies in at least dim - j facets; exactly dim at the
@@ -293,8 +326,9 @@ class TestDual:
                 as_sets(lattice)[1]
 
     def test_dual_reverses_covers(self):
-        lattice = cube(2).face_lattice()
-        assert len(dual(lattice).covers) == len(lattice.covers)
+        for p in (cube(2), cube(3)):
+            lattice = p.face_lattice()
+            assert len(as_sets(dual(lattice))[1]) == len(as_sets(lattice)[1])
 
 
 class TestQuotient:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyface.errors import NotAFaceError
+from polyface.errors import NotAFaceError, OutOfRangeError
 from polyface.exact import wdot
 from polyface.generators import cross_polytope, cube, cyclic, pyramid, simplex
 from polyface.polytope import (
@@ -103,8 +103,9 @@ class TestFacetAsPolytope:
         assert fp.dim == 3 and fp.n_vertices == 4
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            cube(3).facet_as_polytope(99)
+        for index in (-1, 6, 99):
+            with pytest.raises(OutOfRangeError):
+                cube(3).facet_as_polytope(index)
 
     def test_cached_on_the_polytope(self):
         p = cube(3)

@@ -12,7 +12,7 @@ from polyface import (
     angle_sum_lower_check,
     angle_sums,
     cube,
-    curvature_check,
+    curvature_checks,
     hull_from_points,
     simplex,
     solid_angle,
@@ -49,11 +49,12 @@ for rep in angle_sums(simplex(3), SAMPLES, seed=2):
 
 print()
 print("== facet angles around a face sum to at most 1 ==")
-edge = next(f for f in cube(3).face_lattice().faces_of_dim(1))
-rep = curvature_check(cube(3), edge)
+reports = curvature_checks(cube(3), SAMPLES, seed=3)
+rep = next(r for r in reports if r.face_dim == 1)
 print(f"  cube at an edge (codim 2): sum = {rep.total} exactly")
-rep = curvature_check(cube(3), frozenset([0]), SAMPLES, seed=3)
-print(f"  cube at a corner: sum = {rep.total:.4f} < 1 strictly")
+rep = next(r for r in reports if r.face == (0,))
+print(f"  cube at a corner: sum = {rep.total:.4f} +- {rep.stderr:.4f}"
+      f" < 1 strictly (expected 0.75)")
 
 print()
 print("== angle-sum floors ==")

@@ -11,8 +11,7 @@ from .angles import (
     AngleSumReport,
     angle_sum_lower_check,
     angle_sums,
-    curvature_check,
-    facet_angle,
+    curvature_checks,
     projection_angle_check,
     solid_angle,
     solid_angle_exact,

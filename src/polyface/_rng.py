@@ -7,7 +7,7 @@ estimate with a requested seed s draws its i-th chunk of samples from
 
 with a fixed chunk size, and aggregates integer counts, so results are
 bit-identical across runs and across thread counts.  Sub-tasks (the angle
-sums of a polytope, the facet angles of a curvature check, a direction)
+sums of a polytope, the facet streams of its curvature checks, a direction)
 derive their own 64-bit seeds from the parent seed and a textual path via
 BLAKE2b, which keeps independent streams decoupled without any global
 state.

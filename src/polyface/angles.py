@@ -25,6 +25,12 @@ all facets through the face say so.  For every direction off the facet
 hyperplanes, the faces whose cones hold it satisfy Gram's relation
 sum_F (-1)^dim F = 0, the polytope itself included (Welzl, "Gram's
 equation -- a probabilistic proof", 1994); that is checked on every sample.
+
+Curvature checks sample one stream per facet: projected onto the facet's
+hyperplane, the draws are isotropic there, and their signs against the
+other facet normals, projected the same way, give the facet's angle at
+each of its faces with no facet polytope built.  Gram's relation for the
+facet itself is checked on every sample of its stream.
 """
 from __future__ import annotations
 
@@ -262,28 +268,6 @@ def solid_angle_exact(p: Polytope, face) -> float:
 # -- aggregates ---------------------------------------------------------------
 
 
-def facet_angle(p: Polytope, facet_index: int, face,
-                samples: int = DEFAULT_SAMPLES, seed: int = 0) -> AngleEstimate:
-    """Solid angle of a facet (as a polytope in its own hyperplane) at a
-    nonempty face of p.  Exactly 0 when the face is not in that facet;
-    NotAFaceError when the vertex set is no face of p."""
-    _check_samples(samples)
-    if not 0 <= facet_index < p.n_facets:
-        raise OutOfRangeError(f"facet index {facet_index} out of range")
-    vs = p.require_face(face).vertex_set
-    record = p.facets[facet_index]
-    if not vs <= record.vertex_set:
-        return AngleEstimate(0.0, 0.0, 0, seed)
-    fp = p.facet_as_polytope(facet_index)
-    local = sorted(record.vertex_set)
-    remap = {orig: i for i, orig in enumerate(local)}
-    # A face of p inside the facet is a face of the facet: its cone there
-    # needs only the facet polytope's incidences, not its lattice.
-    inside = fp.facets_containing(frozenset(remap[v] for v in vs))
-    return _cone_angle(fp, tuple(fp.facets[i].plane.normal for i in inside),
-                       samples, seed)
-
-
 @dataclass(frozen=True)
 class AngleSumReport:
     """Sum of solid angles over all k-faces.  The faces of a polytope share
@@ -318,6 +302,21 @@ def _face_tally(cones: list[list[int]], dims: list[int], dim: int):
     return tally
 
 
+def _stream_totals(matrix: np.ndarray, samples: int, seed: int,
+                   cones: list[list[int]], dims: list[int], dim: int,
+                   where: str = "") -> list[int]:
+    """_face_tally's columns summed over one stream of `samples` draws
+    against the rows of matrix; a sample that breaks Gram's relation for
+    the dim-polytope whose faces the cones are raises GramViolationError."""
+    tallies = _sample(matrix, samples, seed, _face_tally(cones, dims, dim))
+    for i, t in enumerate(tallies):
+        if t[-1]:
+            raise GramViolationError(
+                f"Gram's relation fails on {int(t[-1])} samples of chunk {i} "
+                f"of seed {seed}{where}")
+    return [sum(col) for col in zip(*(t.tolist() for t in tallies))]
+
+
 def angle_sums(p: Polytope, samples: int = DEFAULT_SAMPLES,
                seed: int = 0) -> list[AngleSumReport]:
     """The angle sums of p for k = 0..dim-1 from one stream of `samples`
@@ -340,14 +339,8 @@ def angle_sums(p: Polytope, samples: int = DEFAULT_SAMPLES,
     faces = [face for level in levels for face in level]
     cones = [p.facets_containing(face.vertex_set) for face in faces]
     matrix = _euclidean_normal_matrix(p, [f.plane.normal for f in p.facets])
-    tallies = _sample(matrix, samples, seed,
-                      _face_tally(cones, [f.dim for f in faces], p.dim))
-    for i, t in enumerate(tallies):
-        if t[-1]:
-            raise GramViolationError(
-                f"Gram's relation fails on {int(t[-1])} samples of chunk {i} "
-                f"of seed {seed}")
-    totals = [sum(col) for col in zip(*(t.tolist() for t in tallies))]
+    totals = _stream_totals(matrix, samples, seed, cones,
+                            [f.dim for f in faces], p.dim)
     hits, squares = totals[:len(faces)], totals[len(faces):-1]
     reports, start = [], 0
     for k, level in enumerate(levels):
@@ -366,7 +359,8 @@ def angle_sums(p: Polytope, samples: int = DEFAULT_SAMPLES,
 class CurvatureReport:
     """Sum of facet angles at a face: at most 1, with equality exactly at
     codimension 2 (where the two flat angles of 1/2 are taken exactly,
-    no sampling)."""
+    no sampling).  facet_angles holds the angle of each facet through the
+    face, in facet order; JSON reports only their sum and its stderr."""
 
     face: tuple[int, ...]
     face_dim: int
@@ -375,6 +369,7 @@ class CurvatureReport:
     exact: bool
     equality: bool
     ok: bool
+    facet_angles: tuple[AngleEstimate, ...]
 
     def to_json(self) -> dict:
         return {"face": list(self.face), "face_dim": self.face_dim,
@@ -383,35 +378,72 @@ class CurvatureReport:
                 "ok": self.ok}
 
 
-def curvature_check(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
-                    seed: int = 0) -> CurvatureReport:
-    """Verify the facet-angle sum bound at a face of dimension <= dim-2."""
+def curvature_checks(p: Polytope, samples: int = DEFAULT_SAMPLES,
+                     seed: int = 0) -> list[CurvatureReport]:
+    """The facet-angle sum bound at every face of dimension 0..dim-2, in
+    lattice order; deterministic given seed.
+
+    Facet j draws one stream of `samples` Gaussian draws z in p's space,
+    seeded by derive_seed(seed, "facet", j).  The projection w of z onto
+    the facet's hyperplane H is a standard Gaussian of H, and at a face G
+    of the facet the facet's tangent cone is T_G P cut with H: w lies in
+    it iff n' . z <= 0 for every other facet through G, n' that facet's
+    normal with its component along the facet's own normal removed.  So
+    one sign matrix per facet serves every face of it, and no facet
+    polytope is built.  On every sample, the faces of the facet whose
+    cones hold w satisfy Gram's relation for the facet itself, ridges
+    included; a sample that breaks it raises GramViolationError.
+
+    A face's total is its hits over the facets through it, over the
+    sample count.  Those facets draw independent streams, so its stderr
+    is the quadrature of theirs.
+    """
     _check_samples(samples)
-    face = p.require_face(face)
-    vs, k = face.vertex_set, face.dim
     d = p.dim
-    if not 0 <= k <= d - 2:
-        raise OutOfRangeError(f"curvature check needs 0 <= dim G <= {d - 2}")
-    containing = p.facets_containing(vs)
-    if k == d - 2:
-        # The face is a ridge: it lies in exactly two facets and is a facet
-        # of each, so both angles are flat halfspace angles of exactly 1/2.
-        if len(containing) != 2:
-            raise PolyfaceError("ridge not contained in exactly two facets")
-        return CurvatureReport(tuple(sorted(vs)), k, 1.0, 0.0, True, True, True)
-    estimates = [
-        facet_angle(p, i, face, samples, derive_seed(seed, "facet", i))
-        for i in containing
-    ]
-    total = sum(e.mean for e in estimates)
-    stderr = math.sqrt(sum(e.stderr ** 2 for e in estimates))
-    tol = SIGMA_FACTOR * stderr
-    return CurvatureReport(
-        tuple(sorted(vs)), k, total, stderr,
-        exact=all(e.exact for e in estimates),
-        equality=abs(total - 1.0) <= tol,
-        ok=total <= 1.0 + tol,
-    )
+    lattice = p.face_lattice()
+    faces = [face for k in range(d - 1) for face in lattice.faces_of_dim(k)]
+    containing = [p.facets_containing(face.vertex_set) for face in faces]
+    seeds = [derive_seed(seed, "facet", j) for j in range(p.n_facets)]
+    hits = {}  # (face index, facet index) -> hits
+    # Below dimension 3 every face reported is a ridge: nothing to sample.
+    if d >= 3:
+        normals = _euclidean_normal_matrix(
+            p, [f.plane.normal for f in p.facets])
+        for j, normal in enumerate(normals):
+            unit = normal / np.linalg.norm(normal)
+            # Row j is left as rounding noise; no cone in the facet reads it.
+            projected = normals - np.outer(normals @ unit, unit)
+            members = [g for g, through in enumerate(containing)
+                       if j in through]
+            cones = [[i for i in containing[g] if i != j] for g in members]
+            totals = _stream_totals(
+                projected, samples, seeds[j], cones,
+                [faces[g].dim for g in members], d - 1, f" in facet {j}")
+            hits.update(((g, j), h) for g, h in zip(members, totals))
+    reports = []
+    for g, (face, through) in enumerate(zip(faces, containing)):
+        vs = tuple(sorted(face.vertex_set))
+        if face.dim == d - 2:
+            # A ridge lies in exactly two facets and is a facet of each, so
+            # both angles are flat halfspace angles of exactly 1/2.
+            if len(through) != 2:
+                raise PolyfaceError("ridge not contained in exactly two facets")
+            flat = tuple(AngleEstimate(0.5, 0.0, 0, seeds[j]) for j in through)
+            reports.append(CurvatureReport(vs, face.dim, 1.0, 0.0, True, True,
+                                           True, flat))
+            continue
+        found = [hits[g, j] for j in through]
+        total = sum(found) / samples
+        # Exact integers until the square root.
+        stderr = math.sqrt(sum(h * (samples - h) for h in found)
+                           / samples ** 3)
+        tol = SIGMA_FACTOR * stderr
+        reports.append(CurvatureReport(
+            vs, face.dim, total, stderr, exact=False,
+            equality=abs(total - 1.0) <= tol, ok=total <= 1.0 + tol,
+            facet_angles=tuple(_estimate(h, samples, seeds[j])
+                               for h, j in zip(found, through))))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,13 @@ The i-th direction of a run has the seed path (--seed, "dir", i) and is
 in general position by construction.  `angles --directions N` uses the N
 directions that `project` uses at the same --seed, and shares them across
 every k.  All angle sums share one stream with the seed path (--seed,
-"sum"); the curvature check of the i-th k-face has the seed path
-(--seed, "curv", k, i).
+"sum"); the curvature checks draw one stream per facet, and facet j's
+has the seed path (--seed, "curv") and then ("facet", j).
 
 Exit code 0 means every hard check passed (WARN verdicts do not fail a
 run).  Failures (a malformed or unknown option or a missing subcommand,
-malformed input, an --out path that cannot be opened or written,
+malformed input, an input coordinate string of more than 1,000 digits
+counting its exponent, an --out path that cannot be opened or written,
 --directions or --samples below 1, --samples above 10^9, a sample that
 breaks Gram's relation) print a JSON error line to stderr and exit 1.
 POLYFACE_THREADS caps the worker threads of solid-angle sampling only,
@@ -43,7 +44,7 @@ from .angles import (
     DEFAULT_SAMPLES,
     angle_sum_lower_check,
     angle_sums,
-    curvature_check,
+    curvature_checks,
     projection_angle_check,
 )
 from .bounds import (
@@ -171,13 +172,8 @@ def cmd_angles(args) -> int:
     seed = args.seed
     sums = angle_sums(p, samples, derive_seed(seed, "sum"))
     floors = [angle_sum_lower_check(p, s).to_json() for s in sums]
-    curvature = []
-    lattice = p.face_lattice()
-    for k in range(0, p.dim - 1):
-        for i, face in enumerate(lattice.faces_of_dim(k)):
-            rep = curvature_check(p, face, samples,
-                                  derive_seed(seed, "curv", k, i))
-            curvature.append(rep.to_json())
+    curvature = [rep.to_json() for rep in
+                 curvature_checks(p, samples, derive_seed(seed, "curv"))]
     # A point has no angle sums to check and no directions to sample.
     directions = _directions(p, seed, args.directions) if sums else []
     projection = [projection_angle_check(p, s, directions).to_json()

@@ -40,6 +40,9 @@ from .lattice import Face, FaceLattice, FVector, build_face_lattice
 
 MAX_POINTS = 64
 MAX_DIM = 7
+# A coordinate string may spell at most this many digits, the magnitude of
+# its exponent counted as that many: "1e1000" is a 1001-digit integer.
+MAX_COORD_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -281,6 +284,24 @@ def polytope_to_json(p: Polytope) -> dict:
     }
 
 
+def _coordinate(c) -> Fraction:
+    """An exact coordinate; TooLargeError for a string past
+    MAX_COORD_DIGITS, checked before parsing, since Fraction("1e10000000")
+    builds 10**10000000 exactly.  Whatever the check passes, Fraction
+    parses or refuses."""
+    if isinstance(c, str):
+        mantissa, _, exponent = c.strip().lower().partition("e")
+        magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0") or "0"
+        if magnitude.isdecimal():
+            digits = sum(ch.isdecimal() for ch in mantissa)
+            if (len(magnitude) > len(str(MAX_COORD_DIGITS))
+                    or digits + int(magnitude) > MAX_COORD_DIGITS):
+                raise TooLargeError(
+                    f"coordinate {c[:40]!r} spells more than "
+                    f"{MAX_COORD_DIGITS} digits")
+    return Fraction(c)
+
+
 def polytope_from_json(data: dict) -> Polytope:
     try:
         ambient, rows = data["ambient_dim"], data["vertices"]
@@ -290,7 +311,7 @@ def polytope_from_json(data: dict) -> Polytope:
                 for row in rows):
             raise TypeError("ambient_dim must be an integer and each vertex "
                             "a list of non-boolean coordinates")
-        rows = [tuple(Fraction(c) for c in row) for row in rows]
+        rows = [tuple(_coordinate(c) for c in row) for row in rows]
     except (KeyError, TypeError, ValueError, ZeroDivisionError,
             OverflowError) as exc:
         raise BadInputError(f"malformed polytope JSON: {exc!r}") from exc

@@ -20,7 +20,7 @@ from polyface._rng import derive_seed
 from polyface.angles import (
     angle_sum_lower_check,
     angle_sums,
-    curvature_check,
+    curvature_checks,
     projection_angle_check,
     solid_angle,
     solid_angle_exact,
@@ -179,19 +179,15 @@ def test_criterion_07_curvature_bound(corpus):
         p = entry.polytope
         if p.dim < 2:
             continue
-        lattice = p.face_lattice()
-        for k in range(0, p.dim - 1):
-            for face in lattice.faces_of_dim(k):
-                if k == p.dim - 2:
-                    rep = curvature_check(p, face)
-                    assert rep.exact and rep.total == 1.0 and rep.equality
-                    exact_equalities += 1
-                else:
-                    rep = curvature_check(p, face, SWEEP_SAMPLES,
-                                          seed=derive_seed(7, entry.name, k))
-                    assert rep.total <= 0.99, (entry.name, face, rep.total)
-                    strict_cases += 1
-                    worst = max(worst, rep.total)
+        for rep in curvature_checks(p, SWEEP_SAMPLES,
+                                    seed=derive_seed(7, entry.name)):
+            if rep.face_dim == p.dim - 2:
+                assert rep.exact and rep.total == 1.0 and rep.equality
+                exact_equalities += 1
+            else:
+                assert rep.total <= 0.99, (entry.name, rep.face, rep.total)
+                strict_cases += 1
+                worst = max(worst, rep.total)
     _report(7, "curvature bound", f"{exact_equalities} ridge equalities "
             f"exact, {strict_cases} strict cases (max {worst:.3f} <= 0.99)")
 

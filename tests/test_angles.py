@@ -8,17 +8,19 @@ import sys
 import numpy as np
 import pytest
 
+import polyface._hull
 import polyface.angles
-import polyface.polytope
 from polyface._rng import chunk_generator, chunk_sizes, derive_seed, thread_count
 from polyface.angles import (
     MAX_SAMPLES,
+    AngleEstimate,
     AngleSumReport,
+    _check_samples,
+    _cone_angle,
     _euclidean_normal_matrix,
     angle_sum_lower_check,
     angle_sums,
-    curvature_check,
-    facet_angle,
+    curvature_checks,
     projection_angle_check,
     solid_angle,
     solid_angle_exact,
@@ -33,6 +35,7 @@ from polyface.errors import (
     UnsupportedDimensionError,
 )
 from polyface.generators import cross_polytope, cube, cyclic, simplex
+from polyface.lattice import FaceLattice
 from polyface.polytope import Polytope, hull_from_points
 from polyface.projection import sample_direction
 
@@ -209,6 +212,28 @@ class TestExactLowDim:
             oracle = solid_angle_exact(p, face)
             est = solid_angle(p, face, SAMPLES, seed=11)
             assert abs(est.mean - oracle) <= 4 * est.stderr + 1e-12
+
+
+def facet_angle(p, facet_index, face, samples=SAMPLES, seed=0):
+    """Oracle for the facet angles of curvature_checks: the solid angle of
+    a facet, restricted to its own hyperplane and hulled again in exact
+    arithmetic, at a nonempty face of p.  Exactly 0 when the face is not
+    in that facet; NotAFaceError when the vertex set is no face of p."""
+    _check_samples(samples)
+    if not 0 <= facet_index < p.n_facets:
+        raise OutOfRangeError(f"facet index {facet_index} out of range")
+    vs = p.require_face(face).vertex_set
+    record = p.facets[facet_index]
+    if not vs <= record.vertex_set:
+        return AngleEstimate(0.0, 0.0, 0, seed)
+    fp = p.facet_as_polytope(facet_index)
+    local = sorted(record.vertex_set)
+    remap = {orig: i for i, orig in enumerate(local)}
+    # A face of p inside the facet is a face of the facet: its cone there
+    # needs only the facet polytope's incidences, not its lattice.
+    inside = fp.facets_containing(frozenset(remap[v] for v in vs))
+    return _cone_angle(fp, tuple(fp.facets[i].plane.normal for i in inside),
+                       samples, seed)
 
 
 class TestFacetAngle:
@@ -388,56 +413,138 @@ class TestAngleSums:
         assert abs(rep.total - 3.0) <= 4 * rep.stderr
 
 
+# Largest |z| of a per-facet angle of curvature_checks against the facet
+# polytope oracle at an independent seed: a two-sided normal tail of
+# 6e-7 per comparison, over about 1,200 comparisons.
+FACET_Z_BOUND = 5.0
+
+
 class TestCurvature:
     def test_cube_edge_exact_equality(self):
-        p = cube(3)
-        edge = next(f for f in p.face_lattice().faces_of_dim(1))
-        rep = curvature_check(p, edge)
-        assert rep.total == 1.0 and rep.exact and rep.equality and rep.ok
+        edges = [r for r in curvature_checks(cube(3), 2000, seed=6)
+                 if r.face_dim == 1]
+        assert len(edges) == 12
+        for rep in edges:
+            assert rep.total == 1.0 and rep.exact and rep.equality and rep.ok
+            assert [e.mean for e in rep.facet_angles] == [0.5, 0.5]
 
     def test_cube_vertex_three_quarters(self):
-        rep = curvature_check(cube(3), frozenset([0]), SAMPLES, seed=6)
-        assert abs(rep.total - 0.75) <= 4 * rep.stderr
-        assert rep.ok and not rep.equality
+        vertices = [r for r in curvature_checks(cube(3), SAMPLES, seed=6)
+                    if r.face_dim == 0]
+        assert len(vertices) == 8
+        for rep in vertices:
+            assert abs(rep.total - 0.75) <= 4 * rep.stderr
+            assert rep.ok and not rep.equality and not rep.exact
 
     def test_tetrahedron_vertex_half(self):
-        rep = curvature_check(REGULAR_TETRA, frozenset([0]), SAMPLES, seed=6)
-        assert abs(rep.total - 0.5) <= 4 * rep.stderr
+        for rep in curvature_checks(REGULAR_TETRA, SAMPLES, seed=6):
+            if rep.face_dim == 0:
+                assert abs(rep.total - 0.5) <= 4 * rep.stderr
 
-    def test_builds_no_facet_lattice(self, monkeypatch):
-        # Each facet's cone comes from its incidences; only p's own lattice
-        # is built, to confirm the face.
-        built = []
-        original = polyface.polytope.build_face_lattice
+    def test_builds_no_hull(self, monkeypatch):
+        # Each facet's angles come from projected normals of p, so once p
+        # is built no facet polytope is hulled.
+        p = cube(4)
+        calls = []
+        original = polyface._hull.incremental_facets
 
         def counting(*args):
-            built.append(args[2])
+            calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(polyface.polytope, "build_face_lattice", counting)
-        p = cube(4)
-        rep = curvature_check(p, frozenset([0]), 2000, seed=6)
-        assert not rep.exact
-        assert built == [4]
+        monkeypatch.setattr(polyface._hull, "incremental_facets", counting)
+        reports = curvature_checks(p, 2000, seed=6)
+        assert any(not r.exact for r in reports)
+        assert calls == []
 
     def test_face_dim_guard(self):
-        p = cube(3)
-        with pytest.raises(OutOfRangeError):
-            curvature_check(p, p.facets[0].vertex_set)
+        # One report per face of dimension 0..dim-2, in lattice order; the
+        # facets and the polytope itself get none.
+        for p in (cube(3), simplex(4), cube(2), simplex(1)):
+            lattice = p.face_lattice()
+            expected = [tuple(sorted(f.vertex_set))
+                        for k in range(p.dim - 1)
+                        for f in lattice.faces_of_dim(k)]
+            reports = curvature_checks(p, 1000, seed=2)
+            assert [r.face for r in reports] == expected
+            assert all(0 <= r.face_dim <= p.dim - 2 for r in reports)
 
     @pytest.mark.parametrize("samples,error", [
         (0, OutOfRangeError), (MAX_SAMPLES + 1, TooLargeError)])
     def test_sample_count_guards(self, samples, error):
         # Refused before the exact cases that sample nothing: a vertex off
-        # the facet, and a ridge.
+        # the facet, a polytope whose faces below the facets are all
+        # ridges, and one with no such face at all.
         c3 = cube(3)
         outside = min(set(range(8)) - c3.facets[0].vertex_set)
         with pytest.raises(error):
             facet_angle(c3, 0, frozenset([outside]), samples)
-        c4 = cube(4)
-        ridge = c4.face_lattice().faces_of_dim(2)[0]
-        with pytest.raises(error):
-            curvature_check(c4, ridge, samples)
+        for p in (cube(2), simplex(1), cube(3)):
+            with pytest.raises(error):
+                curvature_checks(p, samples)
+
+    @pytest.mark.parametrize("p", [
+        cube(4), cross_polytope(4), simplex(5), cyclic(9, 5),
+    ], ids=("cube-4", "cross-4", "simplex-5", "cyclic-5-9"))
+    def test_facet_angles_match_facet_polytope_oracle(self, p):
+        samples, seed = 4_000, 21
+        compared = 0
+        for rep in curvature_checks(p, samples, seed):
+            through = p.facets_containing(frozenset(rep.face))
+            assert [e.seed for e in rep.facet_angles] == [
+                derive_seed(seed, "facet", j) for j in through]
+            if rep.exact:
+                continue
+            hits = [round(e.mean * samples) for e in rep.facet_angles]
+            assert rep.total == sum(hits) / samples
+            assert math.isclose(rep.stderr, math.sqrt(
+                sum(e.stderr ** 2 for e in rep.facet_angles)))
+            for j, est in zip(through, rep.facet_angles):
+                oracle = facet_angle(p, j, frozenset(rep.face), samples,
+                                     derive_seed(seed, "oracle", j))
+                spread = math.hypot(est.stderr, oracle.stderr)
+                assert abs(est.mean - oracle.mean) <= (
+                    FACET_Z_BOUND * spread + 1e-12), (rep.face, j)
+                compared += 1
+        assert compared >= 100
+
+    def test_dropped_face_breaks_gram(self, monkeypatch):
+        # Vertex 0 missing from every facet's face list: its quadrant of
+        # each square is then held by no listed face.
+        original = FaceLattice.faces_of_dim
+
+        def mutated(self, k):
+            faces = original(self, k)
+            return tuple(f for f in faces if f.vertex_set != {0}) \
+                if k == 0 else faces
+
+        monkeypatch.setattr(FaceLattice, "faces_of_dim", mutated)
+        with pytest.raises(GramViolationError, match="in facet"):
+            curvature_checks(cube(3), 2_000, seed=5)
+
+    def test_wrong_cone_breaks_gram(self, monkeypatch):
+        # Vertex 0 sees one facet fewer: in the other two facets through
+        # it, its cone widens from a quadrant to a halfplane.
+        drop_one_facet(monkeypatch, frozenset([0]))
+        with pytest.raises(GramViolationError, match="in facet"):
+            curvature_checks(cube(3), 2_000, seed=5)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="one CPU: the thread cap makes every run serial")
+    def test_thread_count_invariance(self):
+        # 140,000 samples is three chunks of every facet's stream.
+        code = (
+            "import os; os.environ['POLYFACE_THREADS'] = '%s'\n"
+            "from polyface.angles import curvature_checks\n"
+            "from polyface.generators import simplex\n"
+            "print(repr(curvature_checks(simplex(4), 140000, seed=4)))\n"
+        )
+        outs = [
+            subprocess.run([sys.executable, "-c", code % threads],
+                           capture_output=True, text=True, check=True).stdout
+            for threads in ("1", "4")
+        ]
+        assert outs[0] == outs[1]
 
 
 class TestAngleSumFloor:

@@ -7,7 +7,10 @@ import sys
 import pytest
 
 import polyface.cli
+from polyface._rng import derive_seed
+from polyface.angles import curvature_checks
 from polyface.cli import main
+from polyface.generators import cube
 
 PKG_ENV = dict(os.environ)
 
@@ -68,6 +71,13 @@ BAD_INPUTS = [
     ("boolean-coordinate",
      '{"ambient_dim": 1, "vertices": [[false], [true]]}', ["describe"],
      "BadInputError"),
+    # Refused before parsing: Fraction would build 10**10000000 exactly.
+    ("huge-exponent-coordinate",
+     '{"ambient_dim": 1, "vertices": [["0"], ["1e10000000"]]}', ["describe"],
+     "TooLargeError"),
+    ("huge-negative-exponent-coordinate",
+     '{"ambient_dim": 1, "vertices": [["0"], [" -2.5E-0_300_000 "]]}',
+     ["describe"], "TooLargeError"),
     ("overflowing-ambient-dim",
      '{"ambient_dim": 1e400, "vertices": [[0, 0], [1, 0], [0, 1]]}',
      ["describe"], "BadInputError"),
@@ -267,16 +277,28 @@ class TestAngles:
         expected = [[(fv + [1])[r["k"]] for fv in fvs] for r in rows]
         assert [r["shadow_counts"] for r in rows] == expected
 
-    def test_curvature_seeded_per_face(self, capsys):
-        # Each square facet's four quadrant angles sum to exactly 1 when
-        # its vertices share one Gaussian stream, and so would the cube's
-        # eight vertex curvature totals (to 6); per-face seeds break that.
+    def test_curvature_seeded_per_facet(self, capsys):
+        # A square facet's four vertices share its one Gaussian stream, and
+        # their quadrants split the square's plane, so each sample is a hit
+        # of exactly one of them: the cube's eight vertex totals sum to 6
+        # in exact counts.  Per-face streams would miss that by noise.
+        samples = 20_000
         assert main(["angles", "--family", "cube", "--dim", "3",
-                     "--samples", "20000", "--directions", "1"]) == 0
+                     "--samples", str(samples), "--directions", "1"]) == 0
         rows = json.loads(capsys.readouterr().out)["curvature"]
         totals = [r["total"] for r in rows if r["face_dim"] == 0]
         assert len(totals) == 8
-        assert sum(totals) != 6.0
+        assert sum(round(t * samples) for t in totals) == 6 * samples
+        # The rows come from the seed path (--seed, "curv"), and the facets
+        # through a face draw the distinct streams ("facet", j) under it.
+        p, curv = cube(3), derive_seed(0, "curv")
+        reports = curvature_checks(p, samples, curv)
+        assert [r.to_json() for r in reports] == rows
+        for rep in reports:
+            seeds = [e.seed for e in rep.facet_angles]
+            assert seeds == [derive_seed(curv, "facet", j)
+                             for j in p.facets_containing(frozenset(rep.face))]
+            assert len(set(seeds)) == len(seeds) >= 2
 
     def test_point_has_no_checks(self, tmp_path, capsys):
         path = tmp_path / "point.json"

@@ -24,9 +24,13 @@ malformed input, an input coordinate string of more than 1,000 digits
 counting its exponent, an --out path that cannot be opened or written,
 --directions or --samples below 1, --samples above 10^9, a sample that
 breaks Gram's relation) print a JSON error line to stderr and exit 1.
-POLYFACE_THREADS caps the worker threads of solid-angle sampling only,
-at most os.cpu_count(); output is byte-identical for a given seed
-regardless of thread count.
+POLYFACE_THREADS caps the worker threads of solid-angle, angle-sum and
+curvature sampling (default 1, at most os.cpu_count()); output is
+byte-identical for a given seed regardless of thread count.
+
+Every JSON report (every subcommand but corpus) is exactly the bytes of
+json.dump(obj, fh, indent=2, sort_keys=True), ASCII-escaped, plus a
+newline.
 """
 from __future__ import annotations
 
@@ -113,11 +117,98 @@ def _writing(path: str | None, newline: str | None = None):
         raise BadOutputError(f"cannot write {path}: {exc}") from exc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+# Pieces held before they are joined and written: diagram output runs to
+# megabytes, and is never held whole.
+_FLUSH_PIECES = 4096
+
+
+def _float_text(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+# The JSON text of a scalar of exactly this type.
+_SCALARS = {str: _encode_str, int: int.__repr__, float: _float_text,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda o: "null"}
+
+
+def _subclass_scalar(o) -> str:
+    """The JSON text of a str, int or float subclass, the way json writes
+    it."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON "
+                    f"serializable")
+
+
+def _write_json(obj, write) -> None:
+    """Write exactly the bytes of json.dump(obj, fh, indent=2,
+    sort_keys=True) through write(text), a few thousand pieces at a time.
+    Dict keys must be str; any other key, and any value json would not
+    write, raises TypeError."""
+    pieces: list[str] = []
+    newlines = ["\n"]  # "\n" plus two spaces per level, for each depth
+
+    def value(o, depth: int) -> None:
+        text = _SCALARS.get(type(o))
+        if text is not None:
+            pieces.append(text(o))
+            return
+        if not isinstance(o, (dict, list, tuple)):
+            pieces.append(_subclass_scalar(o))
+            return
+        if not o:
+            pieces.append("{}" if isinstance(o, dict) else "[]")
+            return
+        if len(newlines) <= depth + 1:
+            newlines.append(newlines[-1] + "  ")
+        inner, outer = newlines[depth + 1], newlines[depth]
+        if isinstance(o, dict):
+            lead = "{" + inner
+            for key, item in sorted(o.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not "
+                                    f"{type(key).__name__}")
+                pieces.append(lead + _encode_str(key) + ": ")
+                lead = "," + inner
+                value(item, depth + 1)
+            pieces.append(outer + "}")
+        else:
+            kinds = set(map(type, o))
+            text = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+            if text is not None:
+                pieces.append("[" + inner + ("," + inner).join(map(text, o))
+                              + outer + "]")
+                return
+            lead = "[" + inner
+            for item in o:
+                pieces.append(lead)
+                value(item, depth + 1)
+                lead = "," + inner
+            pieces.append(outer + "]")
+        if len(pieces) >= _FLUSH_PIECES:
+            write("".join(pieces))
+            pieces.clear()
+
+    value(obj, 0)
+    write("".join(pieces))
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    # Streamed: json.dumps with indent keeps every chunk in a list before
-    # joining them, and diagram output runs to megabytes.
     with _writing(out) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(payload, fh.write)
         fh.write("\n")
 
 

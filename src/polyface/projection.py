@@ -341,6 +341,8 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                 _aff_data_int(q, face, iverts, ifacets),
                 tuple(map(min, coords)), tuple(map(max, coords)))
 
+    # The shadow of vertex w, built once: it is every boundary crossing at w.
+    shadow_points: dict[int, Vector] = {}
     out = []
     for l_plus in range(0, dim):
         l_minus = dim - 1 - l_plus
@@ -364,8 +366,11 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                         for eq in eqs_m]
                 if shared:
                     if len(echelon(rows)[1]) == m:
-                        point = tuple(Fraction(c, pden)
-                                      for c in pv[shared.bit_length() - 1])
+                        w = shared.bit_length() - 1
+                        point = shadow_points.get(w)
+                        if point is None:
+                            point = shadow_points[w] = tuple(
+                                Fraction(c, pden) for c in pv[w])
                         out.append(DiagramVertex(point, x_plus, x_minus,
                                                  l_plus, l_minus, False))
                     continue

@@ -1,15 +1,22 @@
 """The command line: pipelines, exit codes, deterministic output."""
+import errno
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyface.cli
 from polyface._rng import derive_seed
 from polyface.angles import curvature_checks
-from polyface.cli import main
+from polyface.cli import _emit, _write_json, main
 from polyface.generators import cube
 
 PKG_ENV = dict(os.environ)
@@ -161,10 +168,16 @@ def test_help_still_exits_zero(capsys):
     assert "--samples" in out and "--tolerance-sigma" not in out
 
 
+# project's output takes several flushes of the JSON writer.
+PROJECT_MULTI_FLUSH = ["project", "--family", "cube", "--dim", "4",
+                       "--directions", "3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["describe", "--family", "cube", "--dim", "3"],
     ["corpus", "--dims", "2..3"],
-], ids=["describe", "corpus"])
+    PROJECT_MULTI_FLUSH,
+], ids=["describe", "corpus", "project"])
 @pytest.mark.parametrize("target", ["missing-dir", "directory", "dev-full"])
 def test_unwritable_out_ends_in_json_error_line(argv, target, tmp_path,
                                                 capsys):
@@ -178,6 +191,30 @@ def test_unwritable_out_ends_in_json_error_line(argv, target, tmp_path,
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "BadOutputError"
     assert not (tmp_path / "missing").exists()
+
+
+def test_write_failing_after_flushes_ends_in_json_error_line(monkeypatch,
+                                                            tmp_path, capsys):
+    # A disk that fills up mid-output: the first writes land, a later one
+    # fails.
+    writes = []
+
+    class FillingUp(io.StringIO):
+        def write(self, text):
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(polyface.cli, "open",
+                        lambda *args, **kwargs: FillingUp(), raising=False)
+    out = tmp_path / "project.json"
+    assert main(PROJECT_MULTI_FLUSH + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert len(writes) == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "BadOutputError"
 
 
 @pytest.mark.parametrize("unbuffered", [False, True],
@@ -349,3 +386,89 @@ class TestCorpus:
             assert proc.returncode == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+
+def _written(obj) -> str:
+    out = io.StringIO()
+    _write_json(obj, out.write)
+    return out.getvalue()
+
+
+_CHARS = st.one_of(st.characters(),
+                   st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\ud800é€😀'))
+_TEXT = st.text(_CHARS, max_size=8)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                     -2.225073858507201e-308, 1e-310, 1e300, 0.1]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    _FLOATS, _FLOATS.map(np.float64), _TEXT)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=5)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_bytes_of_json_dump(self, obj):
+        assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_bool_next_to_int(self):
+        obj = {"b": [True, 1, False, 0, None], "i": -(10 ** 80)}
+        assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [
+        Fraction(1, 2), {1, 2}, np.int64(3), {1: "one"}, {"a": 1, 2: "b"},
+        [0, {"deep": [Fraction(1, 3)]}],
+    ], ids=["fraction", "set", "np-int64", "int-key", "mixed-keys",
+            "nested-fraction"])
+    def test_refuses_what_json_would_not_write_alike(self, obj):
+        with pytest.raises(TypeError):
+            _written(obj)
+
+    def test_streams_in_several_writes(self, monkeypatch):
+        class Recording:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        sink = Recording()
+        monkeypatch.setattr(sys, "stdout", sink)
+        payload = {"rows": [{"point": [f"{i}/7", str(-i)], "index": i,
+                             "interior": i % 2 == 0} for i in range(40_000)]}
+        _emit(payload, None)
+        total = "".join(sink.writes)
+        assert total == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert len(total) > 4_000_000
+        assert len(sink.writes) >= 10
+        assert max(map(len, sink.writes)) < len(total) / 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "cyclic", "--dim", "3", "--n", "6"],
+    ["describe", "--family", "cross", "--dim", "4"],
+    ["verify-bounds", "--family", "prism", "--dim", "4"],
+    ["project", "--family", "random-sphere", "--dim", "3", "--n", "8",
+     "--directions", "2"],
+    ["angles", "--family", "cube", "--dim", "3", "--samples", "2000",
+     "--directions", "1"],
+], ids=["gen", "describe", "verify-bounds", "project", "angles"])
+def test_output_is_json_dump_format(argv, capsys):
+    # angles has no golden hash (its floats depend on numpy's generator),
+    # so this is what pins its float formatting.
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

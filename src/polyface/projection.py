@@ -20,7 +20,7 @@ direction share them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from operator import mul
@@ -239,10 +239,17 @@ class DiagramVertex:
     l_plus: int
     l_minus: int
     interior: bool
+    # The point's coordinates as JSON strings, formatted once per shadow
+    # point when several vertices share it (the boundary crossings at one
+    # vertex's shadow); None means format on output.
+    point_text: tuple[str, ...] | None = field(default=None, compare=False,
+                                               repr=False)
 
     def to_json(self) -> dict:
+        text = self.point_text
         return {
-            "point": [str(c) for c in self.point],
+            "point": list(text) if text is not None
+            else [str(c) for c in self.point],
             "x_plus": sorted(self.x_plus.vertex_set),
             "x_minus": sorted(self.x_minus.vertex_set),
             "l_plus": self.l_plus,
@@ -288,6 +295,46 @@ def _aff_data_int(q: Polytope, face: Face, verts, ifacets):
     return q.memo(("face-affine", face.vertex_set), build)
 
 
+# A prime below 2^31: two residues multiply to less than 2^62, so the
+# elimination in `_nonzero_det_mod_p` never leaves int64.
+_P = 2**31 - 1
+
+
+def _span_residues(q: Polytope, face: Face, span) -> np.ndarray:
+    """A face's span basis mod _P as an (l, dim) int64 array, cached per
+    face and prime (direction independent)."""
+    return q.memo(("face-span-mod", _P, face.vertex_set), lambda: np.array(
+        [[c % _P for c in row] for row in span],
+        dtype=np.int64).reshape(len(span), q.dim))
+
+
+def _nonzero_det_mod_p(mats: np.ndarray) -> np.ndarray:
+    """Whether det A is nonzero mod _P, for each A of a (B, n, n) stack of
+    residues in [0, _P).
+
+    Division-free Gaussian elimination: each step moves a row with a
+    nonzero entry in the pivot column up and replaces every row below by
+    pivot * row - entry * pivot row, which multiplies the determinant by a
+    nonzero residue.  So the determinant is zero mod _P exactly when some
+    pivot column has no nonzero entry.  A nonzero residue certifies that
+    the integer determinant is nonzero; a zero one decides nothing.
+    """
+    a = mats.copy()
+    count, n, _ = a.shape
+    ok = np.ones(count, dtype=bool)
+    at = np.arange(count)
+    for k in range(n):
+        nonzero = a[:, k:, k] != 0
+        ok &= nonzero.any(axis=1)
+        r = nonzero.argmax(axis=1) + k
+        prow = a[at, r]
+        a[at, r] = a[:, k]
+        a[:, k + 1:, k + 1:] = (prow[:, k, None, None] * a[:, k + 1:, k + 1:]
+                                - a[:, k + 1:, k, None] * prow[:, None, k + 1:]
+                                ) % _P
+    return ok
+
+
 def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     """All crossing vertices of the overlay of the projected upper and
     lower complexes.
@@ -303,8 +350,14 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     * Two or more shared vertices: the hulls share a line, so the system
       is singular and the pair never crosses.
     * Exactly one shared vertex w: w solves the system with t = 0, so the
-      pair crosses iff the system is nonsingular (one rank test), and the
-      crossing is w's shadow, a boundary crossing.
+      pair crosses iff the system is nonsingular, and the crossing is w's
+      shadow, a boundary crossing.  The system is nonsingular iff the
+      dim x dim matrix [span(x_plus); v; span(x_minus)] is, since the hull
+      equations of x_minus cut out its direction space.  The pairs of one
+      level are collected, and one batched elimination mod a prime
+      decides them: a nonzero determinant mod p certifies a nonsingular
+      system.  A zero residue, which every singular pair has, falls back
+      to the exact rank test on the integer system.
     * No shared vertex: the faces are disjoint, so a crossing needs t < 0,
       and under a general-position direction distinct lifts put it inside
       the shadow.  A crossing lies in both projected faces, so pairs whose
@@ -337,43 +390,43 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
 
     def prepared(face):
         coords = list(zip(*(pv[i] for i in face.vertex_set)))
-        return (face, sum(1 << i for i in face.vertex_set),
-                _aff_data_int(q, face, iverts, ifacets),
+        aff = _aff_data_int(q, face, iverts, ifacets)
+        return (face, sum(1 << i for i in face.vertex_set), aff,
+                _span_residues(q, face, aff[1]),
                 tuple(map(min, coords)), tuple(map(max, coords)))
 
-    # The shadow of vertex w, built once: it is every boundary crossing at w.
-    shadow_points: dict[int, Vector] = {}
+    v_mod = np.array([c % _P for c in v_int], dtype=np.int64)
+    # The shadow of vertex w and its JSON text, built once: it is every
+    # boundary crossing at w.
+    shadow_points: dict[int, tuple[Vector, tuple[str, ...]]] = {}
     out = []
     for l_plus in range(0, dim):
         l_minus = dim - 1 - l_plus
         if l_plus not in upper_faces or l_minus not in lower_faces:
             continue
+        uppers = [prepared(f) for f in upper_faces[l_plus]]
         lowers = [prepared(f) for f in lower_faces[l_minus]]
-        for x_plus, mask_p, aff_p, lo_p, hi_p in map(prepared,
-                                                     upper_faces[l_plus]):
+        # The level's vertices in loop order, None where a shared-vertex
+        # pair waits for its rank decision; `pending` holds those pairs.
+        level: list[DiagramVertex | None] = []
+        pending = []
+        for iu, (x_plus, mask_p, aff_p, _, lo_p, hi_p) in enumerate(uppers):
             base_p, span_p, _, outside_p = aff_p
             cols = span_p + (v_int,)
             m = len(cols)
-            for x_minus, mask_m, aff_m, lo_m, hi_m in lowers:
+            for il, (x_minus, mask_m, aff_m, _, lo_m, hi_m) in enumerate(
+                    lowers):
                 shared = mask_p & mask_m
                 if shared & (shared - 1):
                     continue  # two or more shared: the hulls share a line
-                if not shared and any(hp < lm or hm < lp for lp, hp, lm, hm
-                                      in zip(lo_p, hi_p, lo_m, hi_m)):
+                if shared:
+                    pending.append((len(level), iu, il, shared))
+                    level.append(None)
+                    continue
+                if any(hp < lm or hm < lp for lp, hp, lm, hm
+                       in zip(lo_p, hi_p, lo_m, hi_m)):
                     continue  # disjoint faces whose shadows' boxes miss
                 base_m, _, eqs_m, outside_m = aff_m
-                rows = [[sum(map(mul, eq, col)) for col in cols]
-                        for eq in eqs_m]
-                if shared:
-                    if len(echelon(rows)[1]) == m:
-                        w = shared.bit_length() - 1
-                        point = shadow_points.get(w)
-                        if point is None:
-                            point = shadow_points[w] = tuple(
-                                Fraction(c, pden) for c in pv[w])
-                        out.append(DiagramVertex(point, x_plus, x_minus,
-                                                 l_plus, l_minus, False))
-                    continue
                 # One equation per hull equation of x_minus in the unknowns
                 # (coefficients along aff(x_plus), step t along v); square
                 # because the witness dimensions are complementary.  The
@@ -381,9 +434,10 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                 # D = +-det A exactly when A is nonsingular, so D and the
                 # last column are Cramer's denominator and numerators up to
                 # one common sign.
-                for row, eq in zip(rows, eqs_m):
-                    row.append(sum(map(mul, eq, base_m))
-                               - sum(map(mul, eq, base_p)))
+                rows = [[sum(map(mul, eq, col)) for col in cols]
+                        + [sum(map(mul, eq, base_m))
+                           - sum(map(mul, eq, base_p))]
+                        for eq in eqs_m]
                 reduced, pivots = echelon(rows)
                 if pivots != list(range(m)):
                     continue  # projected hulls parallel or overlapping
@@ -406,8 +460,31 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                    not _contains_int(outside_m, y_minus, den):
                     continue
                 point = tuple(Fraction(c, den * pden) for c in image(y_plus))
-                out.append(DiagramVertex(point, x_plus, x_minus,
-                                         l_plus, l_minus, True))
+                level.append(DiagramVertex(point, x_plus, x_minus,
+                                           l_plus, l_minus, True))
+        if pending:
+            _, iu, il, _ = zip(*pending)
+            certified = _nonzero_det_mod_p(np.concatenate([
+                np.stack([u[3] for u in uppers])[list(iu)],
+                np.broadcast_to(v_mod, (len(pending), 1, dim)),
+                np.stack([lo[3] for lo in lowers])[list(il)]], axis=1))
+            for (at, iu, il, shared), sure in zip(pending, certified.tolist()):
+                x_plus, _, aff_p, *_ = uppers[iu]
+                x_minus, _, aff_m, *_ = lowers[il]
+                if not sure:
+                    cols = aff_p[1] + (v_int,)
+                    rows = [[sum(map(mul, eq, col)) for col in cols]
+                            for eq in aff_m[2]]
+                    if len(echelon(rows)[1]) < len(cols):
+                        continue  # singular: the projected hulls overlap
+                w = shared.bit_length() - 1
+                if w not in shadow_points:
+                    point = tuple(Fraction(c, pden) for c in pv[w])
+                    shadow_points[w] = (point, tuple(map(str, point)))
+                point, text = shadow_points[w]
+                level[at] = DiagramVertex(point, x_plus, x_minus, l_plus,
+                                          l_minus, False, text)
+        out.extend(dv for dv in level if dv is not None)
     return tuple(out)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,71 @@ def all_pairs_diagram_vertices(q, v):
                 out.append(DiagramVertex(point, x_plus, x_minus,
                                          l_plus, l_minus, nums[-1] < 0))
     return tuple(out)
+
+
+def shared_vertex_pairs(q, v):
+    """(pairs, singular): the upper x lower pairs of complementary
+    dimensions that share exactly one vertex, and how many of them have a
+    singular system, by exact rank."""
+    complexes = upper_lower(q, v)
+    _, iverts, ifacets = projection._int_geometry(q)
+    v_int = tuple(int(c) for c in primitive(v.v))
+    pairs = singular = 0
+    for x_plus in complexes.upper_faces:
+        _, span_p, _, _ = projection._aff_data_int(q, x_plus, iverts, ifacets)
+        cols = span_p + (v_int,)
+        for x_minus in complexes.lower_faces:
+            if (x_plus.dim + x_minus.dim != q.dim - 1
+                    or len(x_plus.vertex_set & x_minus.vertex_set) != 1):
+                continue
+            _, _, eqs_m, _ = projection._aff_data_int(q, x_minus, iverts,
+                                                      ifacets)
+            rows = [[sum(a * b for a, b in zip(eq, col)) for col in cols]
+                    for eq in eqs_m]
+            pairs += 1
+            singular += len(echelon(rows)[1]) < len(cols)
+    return pairs, singular
+
+
+P = projection._P
+
+
+@st.composite
+def residue_batches(draw):
+    """A few integer d x d matrices of one size d in 1..6, entries up to
+    +-2^200 (p - 1, p and their negatives among them), each of one kind:
+    free entries, singular (one row a combination of the others), a
+    determinant that is a nonzero multiple of p, or a determinant below p
+    in size; the last two are scrambled by row operations that keep the
+    determinant."""
+    d = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-2**200, 2**200), st.integers(-3, 3),
+                      st.sampled_from([P - 1, 1 - P, P, -P]))
+    coeff = st.integers(-2**64, 2**64)
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["free", "singular", "p-multiple",
+                                     "small"]))
+        if kind in ("free", "singular"):
+            rows = [[draw(entry) for _ in range(d)] for _ in range(d)]
+            if kind == "singular":
+                i = draw(st.integers(0, d - 1))
+                cs = [draw(coeff) if j != i else 0 for j in range(d)]
+                rows[i] = [sum(c * row[k] for c, row in zip(cs, rows))
+                           for k in range(d)]
+        else:
+            det = draw(st.integers(1, 2**40)) * P if kind == "p-multiple" \
+                else draw(st.integers(1, P - 1))
+            rows = [[int(i == k) for k in range(d)] for i in range(d)]
+            rows[0][0] = det * draw(st.sampled_from([1, -1]))
+            if d > 1:
+                for _ in range(draw(st.integers(0, 3))):
+                    i, j = draw(st.permutations(range(d)))[:2]
+                    c = draw(coeff)
+                    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            rows = draw(st.permutations(rows))
+        batch.append(rows)
+    return batch
 
 
 def complementary_pairs(q, v):
@@ -452,6 +518,63 @@ class TestDiagramVertices:
             diagram_vertices(q, d)
             assert 0 < len(calls) <= complementary_pairs(q, d) // 2, seed
 
+
+    def test_rank_tests_only_for_zero_residues(self, monkeypatch):
+        # Every shared-vertex pair is decided by one batched determinant
+        # mod p per level; an un-augmented (rank-test) elimination runs
+        # only for a zero residue, which every singular pair has.
+        q = cube(4)
+        solve = projection.echelon
+        for seed in range(3):
+            d = sample_direction(q, seed=seed)
+            pairs, singular = shared_vertex_pairs(q, d)
+            assert singular < pairs, seed
+            square = []
+            monkeypatch.setattr(
+                projection, "echelon",
+                lambda rows: square.append(len(rows[0]) == len(rows))
+                or solve(rows))
+            diagram_vertices(q, d)
+            monkeypatch.setattr(projection, "echelon", solve)
+            assert sum(square) <= singular, seed
+
+    @pytest.mark.parametrize("p", [cube(4), pyramid(cube(4)),
+                                   prism(simplex(4)), cyclic(8, 4)], ids=str)
+    def test_zero_residues_fall_back_to_exact_rank(self, p, monkeypatch):
+        # Mod 3 many nonsingular systems have a zero residue; each must
+        # still be found by the exact rank test.
+        monkeypatch.setattr(projection, "_P", 3)
+        for seed in range(2):
+            d = sample_direction(p, seed=seed)
+            assert diagram_vertices(p, d) == all_pairs_diagram_vertices(p, d), (
+                seed)
+
+
+class TestResidueCertificate:
+    @given(residue_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_nonzero_residue_iff_det_not_divisible(self, batch):
+        mods = np.array([[[c % P for c in row] for row in rows]
+                         for rows in batch], dtype=np.int64)
+        certified = projection._nonzero_det_mod_p(mods).tolist()
+        for rows, sure in zip(batch, certified):
+            d = len(rows)
+            reduced, pivots = echelon(rows)
+            full = len(pivots) == d
+            det = abs(reduced[0][0]) if full else 0  # |D| = |det| at full rank
+            if sure:
+                assert full
+            if not full:
+                assert not sure
+            if 0 < det < P:
+                assert sure
+            assert sure == (det % P != 0)
+
+    def test_leaves_its_input_unchanged(self):
+        mods = np.array([[[1, 2], [3, 4]], [[0, 1], [1, 0]]], dtype=np.int64)
+        before = mods.copy()
+        assert projection._nonzero_det_mod_p(mods).tolist() == [True, True]
+        assert (mods == before).all()
 
 class TestQuotientWitness:
     def test_cube_witnesses(self):

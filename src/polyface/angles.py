@@ -26,11 +26,15 @@ hyperplanes, the faces whose cones hold it satisfy Gram's relation
 sum_F (-1)^dim F = 0, the polytope itself included (Welzl, "Gram's
 equation -- a probabilistic proof", 1994); that is checked on every sample.
 
-Curvature checks sample one stream per facet: projected onto the facet's
-hyperplane, the draws are isotropic there, and their signs against the
-other facet normals, projected the same way, give the facet's angle at
-each of its faces with no facet polytope built.  Gram's relation for the
-facet itself is checked on every sample of its stream.
+Curvature checks need each facet's angles at its faces.  When every
+facet is a polygon or a 3-polytope (dimension 3 or 4), they are closed
+forms: planar angles, dihedral angles and fans of spherical triangles,
+the same helpers that solid_angle_exact uses.  From dimension 5 they
+sample one stream per facet: projected onto the facet's hyperplane, the
+draws are isotropic there, and their signs against the other facet
+normals, projected the same way, give the facet's angle at each of its
+faces.  Either way no facet polytope is built, and Gram's relation for
+each facet is checked: on the closed forms, or on every sample.
 """
 from __future__ import annotations
 
@@ -57,6 +61,13 @@ from .projection import shadow
 DEFAULT_SAMPLES = 1_000_000
 MAX_SAMPLES = 10**9
 SIGMA_FACTOR = 4.0
+# Float slack per term of a closed-form sum of angles: a facet's Gram sum
+# of m terms, or a curvature total of m facet angles, may miss its exact
+# value by m * EXACT_SLACK.  Each angle is a few dozen float operations on
+# correctly rounded inputs, with values at most 1, and lands within about
+# 1e-15 of the truth; a wrong cone or a missing face moves a sum by many
+# orders of magnitude more.
+EXACT_SLACK = 1e-12
 # Each chunk is drawn whole and then tested in blocks of rows, so the
 # stream does not depend on the block size; matrices wider than 64 normals
 # get proportionally fewer rows per block.
@@ -169,17 +180,79 @@ def _cone_angle(p: Polytope, normals: tuple[Vector, ...], samples: int,
     return _estimate(hits, samples, seed)
 
 
-# -- closed forms in dimension <= 3 ------------------------------------------
+# -- closed forms -------------------------------------------------------------
+#
+# One helper per formula, on float tuples in Euclidean coordinates (the
+# metric folded in).  solid_angle_exact applies them to p itself, in
+# dimension <= 3; curvature_checks applies them inside each facet of a 3-
+# or 4-polytope.
 
 
-def _euclidean_coords(p: Polytope) -> list[np.ndarray]:
-    scale = np.array([math.sqrt(float(g)) for g in p.metric])
-    return [np.array([float(c) for c in v]) * scale for v in p.vertices]
+def _edge_vector(p: Polytope, v: int, w: int) -> tuple[float, ...]:
+    """The vector from vertex v to vertex w, subtracted exactly and then
+    rounded, so that it keeps its digits however far p is from the origin."""
+    return tuple(float(b - a) * math.sqrt(float(g))
+                 for a, b, g in zip(p.vertices[v], p.vertices[w], p.metric))
+
+
+def _unit(u) -> tuple[float, ...]:
+    norm = math.hypot(*u)
+    return tuple(c / norm for c in u)
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _angle_between(u, w) -> float:
+    """The angle between two nonzero vectors by Kahan's formula,
+    2 atan2(| |w| u - |u| w |, | |w| u + |u| w |), which keeps its digits
+    near 0 and pi, where the arccosine of a cosine loses half of them."""
+    nu, nw = math.hypot(*u), math.hypot(*w)
+    return 2.0 * math.atan2(
+        math.hypot(*(nw * a - nu * b for a, b in zip(u, w))),
+        math.hypot(*(nw * a + nu * b for a, b in zip(u, w))))
+
+
+def _planar_angle(u, w) -> float:
+    """A polygon's angle between its edges u and w at a vertex, over the
+    full turn."""
+    return _angle_between(u, w) / (2.0 * math.pi)
+
+
+def _dihedral(n1, n2) -> float:
+    """A 3-polytope's angle at an edge, over the full turn, from the outward
+    normals of its two facets there: pi minus the angle between them."""
+    return (math.pi - _angle_between(n1, n2)) / (2.0 * math.pi)
+
+
+def _cone_angle_3d(dirs) -> float:
+    """Spherical measure, over the whole sphere, of a pointed convex 3d
+    cone spanned by unit edge directions: the directions are sorted around
+    their sum, which is inside the cone, and the cross-section is fanned
+    into triangles, each measured by Van Oosterom & Strackee's formula
+    tan(omega / 2) = |a . (b x c)| / (1 + a.b + a.c + b.c)."""
+    axis = _unit([sum(c) for c in zip(*dirs)])
+    ref = (0.0, 1.0, 0.0) if abs(axis[0]) > 0.9 else (1.0, 0.0, 0.0)
+    along = _dot(ref, axis)
+    # u is orthogonal to the axis, and so is w, of the same length.
+    u = tuple(r - along * a for r, a in zip(ref, axis))
+    w = _cross(axis, u)
+    a, *rest = sorted(dirs, key=lambda e: math.atan2(_dot(e, w), _dot(e, u)))
+    total = 0.0
+    for b, c in zip(rest, rest[1:]):
+        total += 2.0 * math.atan2(abs(_dot(a, _cross(b, c))),
+                                  1.0 + _dot(a, b) + _dot(a, c) + _dot(b, c))
+    return total / (4.0 * math.pi)
 
 
 def _polygon_angle(p: Polytope, vs: frozenset[int]) -> float:
     (v,) = vs
-    coords = _euclidean_coords(p)
     neighbors = []
     for f in p.facets:
         if v in f.vertex_set:
@@ -187,57 +260,21 @@ def _polygon_angle(p: Polytope, vs: frozenset[int]) -> float:
             neighbors.append(other)
     if len(neighbors) != 2:
         raise PolyfaceError("polygon vertex not on exactly two edges")
-    u = coords[neighbors[0]] - coords[v]
-    w = coords[neighbors[1]] - coords[v]
-    cos = float(u @ w / (np.linalg.norm(u) * np.linalg.norm(w)))
-    return math.acos(max(-1.0, min(1.0, cos))) / (2.0 * math.pi)
+    return _planar_angle(*(_edge_vector(p, v, w) for w in neighbors))
 
 
-def _edge_directions_at(p: Polytope, v: int) -> list[np.ndarray]:
-    coords = _euclidean_coords(p)
-    dirs = []
-    for face in p.face_lattice().faces_of_dim(1):
-        if v in face.vertex_set:
-            (other,) = face.vertex_set - {v}
-            e = coords[other] - coords[v]
-            dirs.append(e / np.linalg.norm(e))
-    return dirs
-
-
-def _cone_angle_3d(dirs: list[np.ndarray]) -> float:
-    """Spherical measure of a convex 3d cone spanned by edge directions:
-    fan the cross-section polygon and sum the simplicial cone angles via
-    the standard triple-product / scalar formula."""
-    axis = np.add.reduce(dirs)
-    axis = axis / np.linalg.norm(axis)
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(ref @ axis) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    u = ref - (ref @ axis) * axis
-    u /= np.linalg.norm(u)
-    w = np.cross(axis, u)
-    order = sorted(range(len(dirs)),
-                   key=lambda i: math.atan2(dirs[i] @ w, dirs[i] @ u))
-    ordered = [dirs[i] for i in order]
-    total = 0.0
-    for i in range(1, len(ordered) - 1):
-        a, b, c = ordered[0], ordered[i], ordered[i + 1]
-        num = abs(float(a @ np.cross(b, c)))
-        den = 1.0 + float(a @ b) + float(a @ c) + float(b @ c)
-        total += 2.0 * math.atan2(num, den)
-    return total / (4.0 * math.pi)
+def _edge_directions_at(p: Polytope, v: int) -> list[tuple[float, ...]]:
+    return [_unit(_edge_vector(p, v, w))
+            for face in p.face_lattice().faces_of_dim(1)
+            if v in face.vertex_set for w in face.vertex_set - {v}]
 
 
 def _dihedral_angle(p: Polytope, vs: frozenset[int]) -> float:
     containing = p.facets_containing(vs)
     if len(containing) != 2:
         raise PolyfaceError("edge of a 3-polytope not on exactly two facets")
-    scale = np.array([1.0 / math.sqrt(float(g)) for g in p.metric])
-    n1 = np.array([float(c) for c in p.facets[containing[0]].plane.normal]) * scale
-    n2 = np.array([float(c) for c in p.facets[containing[1]].plane.normal]) * scale
-    cos = float(n1 @ n2 / (np.linalg.norm(n1) * np.linalg.norm(n2)))
-    between = math.acos(max(-1.0, min(1.0, cos)))
-    return (math.pi - between) / (2.0 * math.pi)
+    return _dihedral(*_euclidean_normal_matrix(
+        p, [p.facets[i].plane.normal for i in containing]).tolist())
 
 
 def solid_angle_exact(p: Polytope, face) -> float:
@@ -378,48 +415,144 @@ class CurvatureReport:
                 "ok": self.ok}
 
 
+def _facet_angles_exact(p: Polytope, faces, containing, members) -> dict:
+    """Each facet's angle at each of its faces below its ridges, in closed
+    form, keyed (face index, facet index), for p of dimension 3 or 4.
+
+    A facet's own edges at a vertex are the edges of p there with both
+    ends in the facet.  At a vertex of a polygon facet, the angle is the
+    planar angle between its two edges.  In a 3-polytope facet j, at a
+    vertex it is the cone of j's edges there, in an orthonormal basis of
+    j's hyperplane H; at an edge, j's dihedral angle, from the normals of
+    the two facets that meet j in a ridge through the edge, projected onto
+    H.  Gram's relation is checked in every facet, ridges (1/2 each) and
+    the facet itself (1) included; a miss by more than EXACT_SLACK per
+    term raises GramViolationError.
+    """
+    d = p.dim
+    normals = _euclidean_normal_matrix(p, [f.plane.normal for f in p.facets])
+    # Row 2i is edge i from one end, row 2i + 1 from the other.
+    edges_at = [[] for _ in p.vertices]  # v -> (w, row of the v-to-w vector)
+    rows = []
+    for face in faces:
+        if face.dim == 1:
+            v, w = face.vertex_set
+            vec = _edge_vector(p, v, w)
+            edges_at[v].append((w, len(rows)))
+            edges_at[w].append((v, len(rows) + 1))
+            rows += [vec, tuple(-c for c in vec)]
+    # Facets j < k meet in a ridge iff (j, k) is listed.
+    ridges = {tuple(through) for face, through in zip(faces, containing)
+              if face.dim == d - 2}
+    # The rows in coordinates of facet j's hyperplane; in dimension 3, p's
+    # own coordinates serve, since a planar angle needs no basis.
+    local, row_matrix = rows, np.array(rows)
+    angles = {}
+    for j, normal in enumerate(normals):
+        inside = p.facets[j].vertex_set
+        if d == 4:
+            # The other columns of a complete QR factor of the normal are an
+            # orthonormal basis of the facet's hyperplane.
+            basis = np.linalg.qr(normal[:, None], mode="complete")[0][:, 1:]
+            local = (row_matrix @ basis).tolist()
+            local_normals = (normals @ basis).tolist()
+        gram = (-1.0) ** (d - 1)
+        for g in members[j]:
+            face = faces[g]
+            if face.dim == d - 2:
+                alpha = 0.5
+            elif face.dim == 0:
+                (v,) = face.vertex_set
+                edges = [local[r] for w, r in edges_at[v] if w in inside]
+                if d == 3:
+                    if len(edges) != 2:
+                        raise PolyfaceError(
+                            "vertex of a polygon facet not on two of its edges")
+                    alpha = _planar_angle(*edges)
+                else:
+                    alpha = _cone_angle_3d([_unit(e) for e in edges])
+            else:
+                pair = [k for k in containing[g]
+                        if k != j and (min(j, k), max(j, k)) in ridges]
+                if len(pair) != 2:
+                    raise PolyfaceError(
+                        "edge of a facet not on two of the facet's ridges")
+                alpha = _dihedral(*(local_normals[k] for k in pair))
+            if face.dim < d - 2:
+                angles[g, j] = alpha
+            gram += (-1) ** face.dim * alpha
+        if abs(gram) > EXACT_SLACK * (len(members[j]) + 1):
+            raise GramViolationError(
+                f"Gram's relation fails by {gram:.3g} in facet {j}")
+    return angles
+
+
+def _facet_hits(p: Polytope, samples: int, seeds: list[int], faces,
+                containing, members) -> dict:
+    """Each facet's hits at each of its faces, keyed (face index, facet
+    index), from one stream of `samples` draws per facet, facet j's seeded
+    by seeds[j] (see curvature_checks)."""
+    normals = _euclidean_normal_matrix(p, [f.plane.normal for f in p.facets])
+    hits = {}
+    for j, normal in enumerate(normals):
+        unit = normal / np.linalg.norm(normal)
+        # Row j is left as rounding noise; no cone in the facet reads it.
+        projected = normals - np.outer(normals @ unit, unit)
+        cones = [[i for i in containing[g] if i != j] for g in members[j]]
+        totals = _stream_totals(
+            projected, samples, seeds[j], cones,
+            [faces[g].dim for g in members[j]], p.dim - 1, f" in facet {j}")
+        hits.update(((g, j), h) for g, h in zip(members[j], totals))
+    return hits
+
+
 def curvature_checks(p: Polytope, samples: int = DEFAULT_SAMPLES,
                      seed: int = 0) -> list[CurvatureReport]:
     """The facet-angle sum bound at every face of dimension 0..dim-2, in
     lattice order; deterministic given seed.
 
-    Facet j draws one stream of `samples` Gaussian draws z in p's space,
-    seeded by derive_seed(seed, "facet", j).  The projection w of z onto
-    the facet's hyperplane H is a standard Gaussian of H, and at a face G
-    of the facet the facet's tangent cone is T_G P cut with H: w lies in
-    it iff n' . z <= 0 for every other facet through G, n' that facet's
-    normal with its component along the facet's own normal removed.  So
-    one sign matrix per facet serves every face of it, and no facet
-    polytope is built.  On every sample, the faces of the facet whose
-    cones hold w satisfy Gram's relation for the facet itself, ridges
-    included; a sample that breaks it raises GramViolationError.
+    In dimension 3 and 4 every facet is a polygon or a 3-polytope, and its
+    angles are closed forms (planar angles, dihedral angles, fans of
+    spherical triangles; see _facet_angles_exact), exact up to float
+    rounding: such reports are exact, with stderr 0, and `ok` and
+    `equality` allow EXACT_SLACK per facet angle.  `samples` is still
+    checked, and draws nothing.
 
-    A face's total is its hits over the facets through it, over the
-    sample count.  Those facets draw independent streams, so its stderr
-    is the quadrature of theirs.
+    From dimension 5, facet j draws one stream of `samples` Gaussian draws
+    z in p's space, seeded by derive_seed(seed, "facet", j).  The
+    projection w of z onto the facet's hyperplane H is a standard Gaussian
+    of H, and at a face G of the facet the facet's tangent cone is T_G P
+    cut with H: w lies in it iff n' . z <= 0 for every other facet through
+    G, n' that facet's normal with its component along the facet's own
+    normal removed.  So one sign matrix per facet serves every face of it,
+    and no facet polytope is built.  On every sample, the faces of the
+    facet whose cones hold w satisfy Gram's relation for the facet itself,
+    ridges included; a sample that breaks it raises GramViolationError.
+    A face's total is its hits over the facets through it, over the sample
+    count.  Those facets draw independent streams, so its stderr is the
+    quadrature of theirs, and `ok` and `equality` allow SIGMA_FACTOR
+    standard errors.
+
+    Every facet angle carries the seed derive_seed(seed, "facet", j).
     """
     _check_samples(samples)
     d = p.dim
     lattice = p.face_lattice()
     faces = [face for k in range(d - 1) for face in lattice.faces_of_dim(k)]
     containing = [p.facets_containing(face.vertex_set) for face in faces]
+    members = [[] for _ in p.facets]  # facet -> indices of its faces
+    for g, through in enumerate(containing):
+        for j in through:
+            members[j].append(g)
     seeds = [derive_seed(seed, "facet", j) for j in range(p.n_facets)]
-    hits = {}  # (face index, facet index) -> hits
-    # Below dimension 3 every face reported is a ridge: nothing to sample.
-    if d >= 3:
-        normals = _euclidean_normal_matrix(
-            p, [f.plane.normal for f in p.facets])
-        for j, normal in enumerate(normals):
-            unit = normal / np.linalg.norm(normal)
-            # Row j is left as rounding noise; no cone in the facet reads it.
-            projected = normals - np.outer(normals @ unit, unit)
-            members = [g for g, through in enumerate(containing)
-                       if j in through]
-            cones = [[i for i in containing[g] if i != j] for g in members]
-            totals = _stream_totals(
-                projected, samples, seeds[j], cones,
-                [faces[g].dim for g in members], d - 1, f" in facet {j}")
-            hits.update(((g, j), h) for g, h in zip(members, totals))
+    exact = d <= 4
+    # Below dimension 3 every face reported is a ridge: nothing to compute.
+    if d < 3:
+        found_at = {}
+    elif exact:
+        found_at = _facet_angles_exact(p, faces, containing, members)
+    else:
+        found_at = _facet_hits(p, samples, seeds, faces, containing, members)
     reports = []
     for g, (face, through) in enumerate(zip(faces, containing)):
         vs = tuple(sorted(face.vertex_set))
@@ -432,7 +565,16 @@ def curvature_checks(p: Polytope, samples: int = DEFAULT_SAMPLES,
             reports.append(CurvatureReport(vs, face.dim, 1.0, 0.0, True, True,
                                            True, flat))
             continue
-        found = [hits[g, j] for j in through]
+        found = [found_at[g, j] for j in through]
+        if exact:
+            total = sum(found)
+            tol = EXACT_SLACK * len(found)
+            reports.append(CurvatureReport(
+                vs, face.dim, total, 0.0, exact=True,
+                equality=abs(total - 1.0) <= tol, ok=total <= 1.0 + tol,
+                facet_angles=tuple(AngleEstimate(a, 0.0, 0, seeds[j])
+                                   for a, j in zip(found, through))))
+            continue
         total = sum(found) / samples
         # Exact integers until the square root.
         stderr = math.sqrt(sum(h * (samples - h) for h in found)

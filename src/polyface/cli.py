@@ -15,17 +15,22 @@ The i-th direction of a run has the seed path (--seed, "dir", i) and is
 in general position by construction.  `angles --directions N` uses the N
 directions that `project` uses at the same --seed, and shares them across
 every k.  All angle sums share one stream with the seed path (--seed,
-"sum"); the curvature checks draw one stream per facet, and facet j's
-has the seed path (--seed, "curv") and then ("facet", j).
+"sum").  The curvature checks of a polytope of dimension 3 or 4 are
+closed forms and draw nothing; from dimension 5 they draw one stream per
+facet, and facet j's has the seed path (--seed, "curv") and then
+("facet", j).  --samples sets the size of every stream, and is checked
+even when nothing is drawn.
 
 Exit code 0 means every hard check passed (WARN verdicts do not fail a
 run).  Failures (a malformed or unknown option or a missing subcommand,
 malformed input, an input coordinate string of more than 1,000 digits
 counting its exponent, an --out path that cannot be opened or written,
---directions or --samples below 1, --samples above 10^9, a sample that
-breaks Gram's relation) print a JSON error line to stderr and exit 1.
+--directions or --samples below 1, --samples above 10^9, a sample or a
+facet's closed-form angles that break Gram's relation) print a JSON
+error line to stderr and exit 1.
 POLYFACE_THREADS caps the worker threads of solid-angle, angle-sum and
-curvature sampling (default 1, at most os.cpu_count()); output is
+curvature sampling (the last from dimension 5; default 1, at most
+os.cpu_count()); output is
 byte-identical for a given seed regardless of thread count.
 
 Every JSON report (every subcommand but corpus) is exactly the bytes of

@@ -12,6 +12,7 @@ import polyface._hull
 import polyface.angles
 from polyface._rng import chunk_generator, chunk_sizes, derive_seed, thread_count
 from polyface.angles import (
+    EXACT_SLACK,
     MAX_SAMPLES,
     AngleEstimate,
     AngleSumReport,
@@ -34,7 +35,8 @@ from polyface.errors import (
     TooLargeError,
     UnsupportedDimensionError,
 )
-from polyface.generators import cross_polytope, cube, cyclic, simplex
+from polyface.generators import (
+    cross_polytope, cube, cyclic, pyramid, random_sphere, simplex)
 from polyface.lattice import FaceLattice
 from polyface.polytope import Polytope, hull_from_points
 from polyface.projection import sample_direction
@@ -236,6 +238,14 @@ def facet_angle(p, facet_index, face, samples=SAMPLES, seed=0):
                        samples, seed)
 
 
+def facet_angle_exact(p, facet_index, face):
+    """The exact counterpart of facet_angle, for p of dimension <= 4: the
+    closed-form solid angle of the facet polytope at a face of p in it."""
+    local = sorted(p.facets[facet_index].vertex_set)
+    return solid_angle_exact(p.facet_as_polytope(facet_index),
+                             frozenset(local.index(v) for v in face))
+
+
 class TestFacetAngle:
     def test_disjoint_face_is_exact_zero(self):
         p = cube(3)
@@ -325,6 +335,18 @@ def drop_one_facet(monkeypatch, victim):
         return found[1:] if vertex_set == victim else found
 
     monkeypatch.setattr(Polytope, "facets_containing", mutated)
+
+
+def drop_vertex_zero(monkeypatch):
+    """Make the lattice list every vertex but vertex 0."""
+    original = FaceLattice.faces_of_dim
+
+    def mutated(self, k):
+        faces = original(self, k)
+        return tuple(f for f in faces if f.vertex_set != {0}) \
+            if k == 0 else faces
+
+    monkeypatch.setattr(FaceLattice, "faces_of_dim", mutated)
 
 
 class TestAngleSums:
@@ -433,18 +455,20 @@ class TestCurvature:
                     if r.face_dim == 0]
         assert len(vertices) == 8
         for rep in vertices:
-            assert abs(rep.total - 0.75) <= 4 * rep.stderr
-            assert rep.ok and not rep.equality and not rep.exact
+            assert rep.exact and rep.stderr == 0.0
+            assert abs(rep.total - 0.75) <= EXACT_SLACK * 3
+            assert rep.ok and not rep.equality
 
     def test_tetrahedron_vertex_half(self):
         for rep in curvature_checks(REGULAR_TETRA, SAMPLES, seed=6):
             if rep.face_dim == 0:
-                assert abs(rep.total - 0.5) <= 4 * rep.stderr
+                assert rep.exact and abs(rep.total - 0.5) <= EXACT_SLACK * 3
 
     def test_builds_no_hull(self, monkeypatch):
-        # Each facet's angles come from projected normals of p, so once p
-        # is built no facet polytope is hulled.
-        p = cube(4)
+        # Each facet's angles come from p's own edges and normals, in closed
+        # form or sampled against projected normals, so once p is built no
+        # facet polytope is hulled.
+        c4, s5 = cube(4), simplex(5)
         calls = []
         original = polyface._hull.incremental_facets
 
@@ -453,9 +477,32 @@ class TestCurvature:
             return original(*args)
 
         monkeypatch.setattr(polyface._hull, "incremental_facets", counting)
-        reports = curvature_checks(p, 2000, seed=6)
-        assert any(not r.exact for r in reports)
+        assert all(r.exact for r in curvature_checks(c4, 2000, seed=6))
+        assert any(not r.exact for r in curvature_checks(s5, 2000, seed=6))
         assert calls == []
+
+    @pytest.mark.parametrize("base,metric,totals", [
+        (hull_from_points([[x, y, z] for x in (0, 1) for y in (0, 1)
+                           for z in (0, 1)]),
+         (1, 1, 25), {0: 0.75, 1: 1.0}),
+        # A box of sides 1, 1, 1, 2.
+        (hull_from_points([[x, y, z, 2 * w] for x in (0, 1) for y in (0, 1)
+                           for z in (0, 1) for w in (0, 1)]),
+         (1, 1, 1, 25), {0: 0.5, 1: 0.75, 2: 1.0}),
+        # Not a box: read without its metric, it is no octahedron.
+        (cross_polytope(3), (25, 1, 1), {0: 2 / 3, 1: 1.0}),
+    ], ids=("cube-3", "box-1112", "cross-3"))
+    def test_isometric_embedding(self, base, metric, totals):
+        # (x, ...) -> (3x/5, 4x/5, ...) is an isometry with rational
+        # coordinates; the polytope is restricted to its hull, with a metric.
+        p = hull_from_points([(c[0] * 3 / 5, c[0] * 4 / 5) + c[1:]
+                              for c in base.vertices])
+        assert (p.dim, p.ambient_dim) == (base.dim, base.dim + 1)
+        assert p.metric == metric
+        for rep in curvature_checks(p, 1000, seed=3):
+            assert rep.exact
+            assert abs(rep.total - totals[rep.face_dim]) <= (
+                EXACT_SLACK * len(rep.facet_angles))
 
     def test_face_dim_guard(self):
         # One report per face of dimension 0..dim-2, in lattice order; the
@@ -485,14 +532,28 @@ class TestCurvature:
 
     @pytest.mark.parametrize("p", [
         cube(4), cross_polytope(4), simplex(5), cyclic(9, 5),
-    ], ids=("cube-4", "cross-4", "simplex-5", "cyclic-5-9"))
+        random_sphere(3, 12, 0), pyramid(cube(2)), cyclic(8, 4),
+    ], ids=("cube-4", "cross-4", "simplex-5", "cyclic-5-9",
+            "random-sphere-3-12", "pyramid-square", "cyclic-4-8"))
     def test_facet_angles_match_facet_polytope_oracle(self, p):
+        # Below dimension 5 every row is exact, ridges included, and each
+        # of its facet angles is compared with the exact oracle; from
+        # dimension 5 the sampled rows are compared with the sampled one.
         samples, seed = 4_000, 21
-        compared = 0
+        compared = pairs = 0
         for rep in curvature_checks(p, samples, seed):
             through = p.facets_containing(frozenset(rep.face))
             assert [e.seed for e in rep.facet_angles] == [
                 derive_seed(seed, "facet", j) for j in through]
+            pairs += len(through)
+            if p.dim <= 4:
+                assert rep.exact and rep.stderr == 0.0
+                for j, est in zip(through, rep.facet_angles):
+                    assert est.exact
+                    assert abs(est.mean - facet_angle_exact(p, j, rep.face)
+                               ) <= 1e-9, (rep.face, j)
+                    compared += 1
+                continue
             if rep.exact:
                 continue
             hits = [round(e.mean * samples) for e in rep.facet_angles]
@@ -506,38 +567,46 @@ class TestCurvature:
                 assert abs(est.mean - oracle.mean) <= (
                     FACET_Z_BOUND * spread + 1e-12), (rep.face, j)
                 compared += 1
-        assert compared >= 100
+        # pyramid-square has only 32 (face, facet) pairs: it compares all.
+        assert compared >= min(100, pairs)
 
     def test_dropped_face_breaks_gram(self, monkeypatch):
         # Vertex 0 missing from every facet's face list: its quadrant of
         # each square is then held by no listed face.
-        original = FaceLattice.faces_of_dim
-
-        def mutated(self, k):
-            faces = original(self, k)
-            return tuple(f for f in faces if f.vertex_set != {0}) \
-                if k == 0 else faces
-
-        monkeypatch.setattr(FaceLattice, "faces_of_dim", mutated)
+        drop_vertex_zero(monkeypatch)
         with pytest.raises(GramViolationError, match="in facet"):
             curvature_checks(cube(3), 2_000, seed=5)
 
+    def test_dropped_face_breaks_gram_cube4(self, monkeypatch):
+        # Each 3-cube facet through vertex 0 misses its octant.
+        drop_vertex_zero(monkeypatch)
+        with pytest.raises(GramViolationError, match="in facet"):
+            curvature_checks(cube(4), 2_000, seed=5)
+
     def test_wrong_cone_breaks_gram(self, monkeypatch):
-        # Vertex 0 sees one facet fewer: in the other two facets through
-        # it, its cone widens from a quadrant to a halfplane.
+        # Vertex 0 sees one facet fewer.  Sampled, its cone in the other
+        # two facets through it widens from a quadrant to a halfplane; in
+        # closed form, the facet it no longer sees misses its quadrant.
         drop_one_facet(monkeypatch, frozenset([0]))
         with pytest.raises(GramViolationError, match="in facet"):
             curvature_checks(cube(3), 2_000, seed=5)
 
+    def test_wrong_cone_breaks_gram_cube4(self, monkeypatch):
+        # The facet that vertex 0 no longer sees misses its octant.
+        drop_one_facet(monkeypatch, frozenset([0]))
+        with pytest.raises(GramViolationError, match="in facet 0"):
+            curvature_checks(cube(4), 2_000, seed=5)
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="one CPU: the thread cap makes every run serial")
     def test_thread_count_invariance(self):
-        # 140,000 samples is three chunks of every facet's stream.
+        # 140,000 samples is three chunks of every facet's stream; from
+        # dimension 5 the facet angles are sampled.
         code = (
             "import os; os.environ['POLYFACE_THREADS'] = '%s'\n"
             "from polyface.angles import curvature_checks\n"
             "from polyface.generators import simplex\n"
-            "print(repr(curvature_checks(simplex(4), 140000, seed=4)))\n"
+            "print(repr(curvature_checks(simplex(5), 140000, seed=4)))\n"
         )
         outs = [
             subprocess.run([sys.executable, "-c", code % threads],
@@ -545,6 +614,7 @@ class TestCurvature:
             for threads in ("1", "4")
         ]
         assert outs[0] == outs[1]
+        assert "exact=False" in outs[0]
 
 
 class TestAngleSumFloor:

@@ -315,17 +315,18 @@ class TestAngles:
         assert [r["shadow_counts"] for r in rows] == expected
 
     def test_curvature_seeded_per_facet(self, capsys):
-        # A square facet's four vertices share its one Gaussian stream, and
-        # their quadrants split the square's plane, so each sample is a hit
-        # of exactly one of them: the cube's eight vertex totals sum to 6
-        # in exact counts.  Per-face streams would miss that by noise.
+        # A 4-cube facet's sixteen vertices share its one Gaussian stream,
+        # and their orthants split the facet's space, so each sample is a
+        # hit of exactly one of them: the 5-cube's 32 vertex totals sum to
+        # 10 in exact counts.  Per-face streams would miss that by noise.
         samples = 20_000
+        totals = [r.total for r in curvature_checks(cube(5), samples, seed=1)
+                  if r.face_dim == 0]
+        assert len(totals) == 32
+        assert sum(round(t * samples) for t in totals) == 10 * samples
         assert main(["angles", "--family", "cube", "--dim", "3",
                      "--samples", str(samples), "--directions", "1"]) == 0
         rows = json.loads(capsys.readouterr().out)["curvature"]
-        totals = [r["total"] for r in rows if r["face_dim"] == 0]
-        assert len(totals) == 8
-        assert sum(round(t * samples) for t in totals) == 6 * samples
         # The rows come from the seed path (--seed, "curv"), and the facets
         # through a face draw the distinct streams ("facet", j) under it.
         p, curv = cube(3), derive_seed(0, "curv")

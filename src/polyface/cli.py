@@ -46,6 +46,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import cache
 from typing import Sequence
 
 from ._rng import derive_seed
@@ -382,7 +383,10 @@ class _Parser(argparse.ArgumentParser):
         raise BadSpecError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing reads it and
+    never changes it, so each call starts from the same defaults."""
     ap = _Parser(
         prog="polyface",
         description="Exact polytope analysis: f-vectors, face-count bounds, "
@@ -430,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except PolyfaceError as exc:
         sys.stderr.write(json.dumps({

@@ -27,7 +27,8 @@ class TooLargeError(PolyfaceError):
 
 
 class EulerViolationError(PolyfaceError):
-    """An f-vector failed the Euler relation; signals an upstream bug."""
+    """An f-vector failed the Euler relation, or a lattice's 0-faces are
+    not its atoms; signals an upstream bug."""
 
 
 class NotAFaceError(PolyfaceError):

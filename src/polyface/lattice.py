@@ -6,15 +6,18 @@ Pfetsch, "Computing the face lattice of a polytope from its vertex-facet
 incidences", CGTA 2002).  Working top down on vertex bitmasks, the facets
 of a face F are the inclusion-maximal sets among the intersections of F
 with the polytope's facets, so each pass yields the faces one dimension
-lower.  A lattice is its faces by dimension; the order is read off the
-vertex sets, F <= G iff F's vertex set is a subset of G's.  The
-polytope's dimension is given, so the lattice does no arithmetic at all.
-The dual and the quotients reuse the same construction on relabelled
-incidences.
+lower.  A lattice is its levels of faces by dimension, each kept as the
+word rows and atom counts that the level step produces; level sizes give
+the f-vector, and a level's `Face` tuple is built on first use.  The
+order is read off the vertex sets, F <= G iff F's vertex set is a subset
+of G's.  The polytope's dimension is given, so the lattice does no
+arithmetic at all.  The dual and the quotients reuse the same
+construction on relabelled incidences.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -83,39 +86,71 @@ class FVector:
 class FaceLattice:
     """The full graded lattice of faces, from the empty face to the polytope.
 
-    Faces are listed in a canonical order (by dimension, then sorted vertex
-    tuple).  The order is inclusion of vertex sets: F <= G iff F's vertex
-    set is a subset of G's.
+    Each level of k-faces is kept as its (rows, sizes) arrays: one row of
+    ceil(n/64) little-endian uint64 words per face, and its atom count.
+    ``len`` and ``f_vector`` read the sizes alone; ``faces_of_dim(k)``
+    builds level k's Face tuple on first use, and ``faces`` and ``find``
+    build every level and the index on first use.  Faces are listed in a
+    canonical order (by dimension, then sorted vertex tuple).  The order is
+    inclusion of vertex sets: F <= G iff F's vertex set is a subset of G's.
     """
 
-    def __init__(self, levels: Sequence[Sequence[Face]], dim: int,
-                 n_vertices: int):
+    def __init__(self, levels: Sequence[tuple[np.ndarray, np.ndarray]],
+                 dim: int, n_vertices: int):
         # _levels[k + 1] holds the k-faces, for k = -1 .. dim.
-        self._levels = tuple(tuple(level) for level in levels)
-        self.faces = tuple(f for level in self._levels for f in level)
+        self._levels = tuple(levels)
+        self._faces: list[tuple[Face, ...] | None] = [None] * len(levels)
         self.dim = dim
         self.n_vertices = n_vertices
-        self._index = {f.vertex_set: i for i, f in enumerate(self.faces)}
 
     def __len__(self):
-        return len(self.faces)
+        return sum(len(sizes) for _, sizes in self._levels)
 
     def faces_of_dim(self, k: int) -> tuple[Face, ...]:
-        return self._levels[k + 1] if -1 <= k <= self.dim else ()
+        if not -1 <= k <= self.dim:
+            return ()
+        if self._faces[k + 1] is None:
+            self._faces[k + 1] = _level_faces(*self._levels[k + 1], k)
+        return self._faces[k + 1]
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        return tuple(f for k in range(-1, self.dim + 1)
+                     for f in self.faces_of_dim(k))
+
+    @cached_property
+    def _index(self) -> dict[frozenset[int], Face]:
+        return {f.vertex_set: f for f in self.faces}
 
     def find(self, face: Face | Iterable[int]) -> Face:
         """This lattice's face with the vertex set of a Face or vertex
         collection; NotAFaceError when there is none."""
         key = frozenset(face.vertex_set if isinstance(face, Face) else face)
-        i = self._index.get(key)
-        if i is None:
+        found = self._index.get(key)
+        if found is None:
             raise NotAFaceError(f"{sorted(key)} is not a face of this lattice")
-        return self.faces[i]
+        return found
 
     def f_vector(self) -> FVector:
-        if len(self._levels[0]) != 1 or len(self._levels[-1]) != 1:
-            raise EulerViolationError("lattice must have unique bottom and top")
-        return FVector(self.dim, tuple(map(len, self._levels[1:-1])))
+        # The rows of a level are distinct, so n singletons are all n atoms.
+        sizes = self._levels[1][1]
+        if len(sizes) != self.n_vertices or (sizes != 1).any():
+            raise EulerViolationError(
+                f"the {len(sizes)} 0-faces are not the {self.n_vertices} "
+                f"atoms as singletons")
+        return FVector(self.dim, tuple(len(s) for _, s in self._levels[1:-1]))
+
+
+def _level_faces(rows: np.ndarray, sizes: np.ndarray,
+                 k: int) -> tuple[Face, ...]:
+    """The k-faces of a level in canonical order, each atom tuple built
+    once from the set bits of its row.  The sort stays: the integer order
+    of the rows is not the tuple order, where a prefix sorts first."""
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+    flat = np.nonzero(bits)[1].tolist()
+    ends = np.cumsum(sizes).tolist()
+    tuples = sorted(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+    return tuple(Face(frozenset(t), k) for t in tuples)
 
 
 def _bitmasks(n: int, sets: Iterable[Iterable[int]]) -> np.ndarray:
@@ -208,27 +243,21 @@ def build_face_lattice(n: int, coatom_sets: Iterable[Iterable[int]],
     (face, candidate) pairs go by one lexsort per block.  Only a face whose
     candidates differ in size gets the subset test, since distinct sets of
     one size never contain each other; a simplicial polytope needs none.
-    The empty face lies below the atoms.  Each level is one dimension
-    lower, so the faces come graded, and the order is read off the atom
-    sets: F <= G iff F's atom set is a subset of G's.
+    The empty face, one all-zero row, lies below the atoms.  Each level is
+    one dimension lower, so the faces come graded, and the order is read
+    off the atom sets: F <= G iff F's atom set is a subset of G's.  The
+    levels stay word rows; Face objects are built only when asked for.
     """
     coatoms = _bitmasks(n, coatom_sets)
+    top = _bitmasks(n, [range(n)])
     # Popcounts in the smallest type that holds n: uint8 for any primal
     # lattice, where it makes the level step's comparisons cheapest.
-    levels = [(_bitmasks(n, [range(n)]), np.array([n], np.min_scalar_type(n)))]
+    size = np.min_scalar_type(n)
+    levels = [(top, np.array([n], size))]
     for j in range(dim, 0, -1):
         levels.append(_facets_of(*levels[-1], coatoms, j))
-
-    # Canonical order: by dimension, then by sorted atom tuple, each tuple
-    # built once from the set bits of its row.
-    by_dim = [(Face(frozenset(), -1),)]
-    for k, (masks, sizes) in enumerate(reversed(levels)):
-        bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")
-        flat = np.nonzero(bits)[1].tolist()
-        ends = np.cumsum(sizes).tolist()
-        tuples = sorted(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
-        by_dim.append(tuple(Face(frozenset(t), k) for t in tuples))
-    return FaceLattice(by_dim, dim, n)
+    levels.append((np.zeros_like(top), np.zeros(1, size)))  # the empty face
+    return FaceLattice(levels[::-1], dim, n)
 
 
 def dual(lattice: FaceLattice) -> FaceLattice:

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import polyface.cli
 from polyface._rng import derive_seed
-from polyface.angles import curvature_checks
-from polyface.cli import _emit, _write_json, main
+from polyface.angles import DEFAULT_SAMPLES, curvature_checks
+from polyface.cli import DEFAULT_DIRECTIONS, _emit, _write_json, main
 from polyface.generators import cube
 
 PKG_ENV = dict(os.environ)
@@ -166,6 +166,33 @@ def test_help_still_exits_zero(capsys):
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert "--samples" in out and "--tolerance-sigma" not in out
+
+
+def test_calls_in_one_process_keep_no_options(tmp_path, capsys):
+    # main parses every call with the process's one parser: an option of
+    # one call, or a usage error, must not carry over to the next.
+    angles = ["angles", "--family", "simplex", "--dim", "2",
+              "--directions", "1"]
+    project = ["project", "--family", "cube", "--dim", "3", "--seed", "1"]
+    calls = [[*angles, "--samples", "5000"], angles,
+             [*project, "--directions", "3"], project]
+    outputs = []
+    for i, argv in enumerate(calls):
+        assert main(["angles", "--samples", "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "BadSpecError"
+        out = tmp_path / f"call-{i}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        fresh = tmp_path / f"fresh-{i}.json"
+        assert run_cli(*argv, "--out", str(fresh)).returncode == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        outputs.append(json.loads(out.read_text()))
+    for data, samples in zip(outputs, (5000, DEFAULT_SAMPLES)):
+        assert {face["samples"] for s in data["angle_sums"]
+                for face in s["faces"]} == {samples}
+    assert [data["directions"] for data in outputs[2:]] == \
+        [3, DEFAULT_DIRECTIONS]
 
 
 # project's output takes several flushes of the JSON writer.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyface.lattice
+from polyface.cli import main
 from polyface.errors import EulerViolationError, NotAFaceError
 from polyface.exact import affine_dim
 from polyface.generators import (
@@ -18,6 +19,8 @@ from polyface.generators import (
 )
 from polyface.lattice import FVector, Face, build_face_lattice, dual, quotient
 from polyface.polytope import hull_from_points
+
+from corpus import extended_corpus
 
 
 def reference_lattice(p):
@@ -282,6 +285,18 @@ class TestFVector:
         with pytest.raises(EulerViolationError):
             FVector(3, (8, 12, 7))
 
+    @pytest.mark.parametrize("n,facets,dim", [
+        (4, [{0, 1}, {1, 2}, {2, 0}], 2),
+        (5, [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}], 3),
+    ], ids=["triangle-plus-atom", "simplex-3-plus-atom"])
+    def test_atom_in_no_facet(self, n, facets, dim):
+        # The last atom lies in no proper face.  The counts still pass
+        # Euler, so only the check on the 0-faces can catch it.
+        lattice = build_face_lattice(n, facets, dim)
+        FVector(dim, tuple(len(lattice.faces_of_dim(k)) for k in range(dim)))
+        with pytest.raises(EulerViolationError, match="not the .* atoms"):
+            lattice.f_vector()
+
     def test_incidence_count_consistency(self):
         for p in (cube(3), cross_polytope(4), cyclic(7, 4)):
             by_facets = sum(len(f.vertex_set) for f in p.facets)
@@ -376,3 +391,83 @@ class TestQuotient:
         lattice = cube(4).face_lattice()
         for face in lattice.faces_of_dim(1):
             quotient(lattice, face).f_vector()  # Euler asserted inside
+
+
+def corpus_lattices():
+    """Every corpus polytope's lattice, its dual and its quotients by each
+    nonempty proper face."""
+    for entry in extended_corpus():
+        lattice = entry.polytope.face_lattice()
+        yield entry.name, lattice
+        yield f"dual {entry.name}", dual(lattice)
+        for g in lattice.faces:
+            if 0 <= g.dim < lattice.dim:
+                yield f"{entry.name} / {g}", quotient(lattice, g)
+
+
+class TestLazyLevels:
+    """Levels stay word rows until a Face is asked for."""
+
+    @pytest.fixture
+    def created(self, monkeypatch):
+        """The arguments of every Face the lattice module creates."""
+        made = []
+        face = polyface.lattice.Face
+
+        def counting(*args):
+            made.append(args)
+            return face(*args)
+
+        monkeypatch.setattr(polyface.lattice, "Face", counting)
+        return made
+
+    @pytest.mark.parametrize("command", ["verify-bounds", "describe"])
+    @pytest.mark.parametrize("spec", [
+        ["cube", "--dim", "5"], ["cyclic", "--dim", "6", "--n", "14"],
+        ["cross", "--dim", "7"],
+    ], ids=["cube-5", "cyclic-6-14", "cross-7"])
+    def test_reports_make_no_face(self, command, spec, created, capsys):
+        assert main([command, "--family", *spec]) == 0
+        assert capsys.readouterr().out
+        assert created == []
+
+    @pytest.mark.parametrize("k", range(-1, 5))
+    def test_one_level_makes_its_faces(self, k, created):
+        lattice = cube(4).face_lattice()
+        level = lattice.faces_of_dim(k)
+        assert len(created) == len(level) == lattice.f_vector()[k]
+        assert {args[1] for args in created} == {k}
+        assert lattice.faces_of_dim(k) is level
+        assert len(created) == len(level)
+
+    @pytest.mark.parametrize("p", [cube(3), cyclic(8, 4), SQUARE_PLUS_CUBE],
+                             ids=["cube-3", "cyclic-8-4", "square-plus-cube"])
+    def test_views_agree_in_either_order(self, p):
+        args = (p.n_vertices, [f.vertex_set for f in p.facets], p.dim)
+        first, second = build_face_lattice(*args), build_face_lattice(*args)
+        keys = list(reference_lattice(p)[0])
+
+        edges = first.faces_of_dim(1)
+        faces = first.faces
+        found = [first.find(key) for key in keys]
+
+        found_rev = [second.find(key) for key in keys]
+        faces_rev = second.faces
+        edges_rev = second.faces_of_dim(1)
+
+        assert (edges, faces, found) == (edges_rev, faces_rev, found_rev)
+        # One object per face, whichever view built it.
+        for lattice in (first, second):
+            ids = {id(f) for f in lattice.faces}
+            assert {id(f) for f in lattice.faces_of_dim(1)} <= ids
+            assert {id(lattice.find(f.vertex_set))
+                    for f in lattice.faces} == ids
+
+    def test_sizes_count_the_faces(self):
+        # f_vector also checks that the 0-faces are the atoms, so every
+        # corpus lattice, dual and quotient passes that check too.
+        for name, lattice in corpus_lattices():
+            counted = Counter(f.dim for f in lattice.faces)
+            assert len(lattice) == len(lattice.faces), name
+            assert tuple(lattice.f_vector()) == \
+                tuple(counted[k] for k in range(lattice.dim)), name

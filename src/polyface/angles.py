@@ -8,7 +8,12 @@ tangent cone, which is cut out by exactly the facets containing G.  Those
 facets are read off the hull's exact vertex-facet incidences, so building
 a cone does no arithmetic.  The probability is estimated by Monte Carlo
 over isotropic Gaussian directions (seeded, chunked, bit-reproducible; see
-_rng) and, in dimension <= 3, cross-checked against closed forms.
+_rng) and, in dimension <= 3, cross-checked against a closed form.
+
+The closed form reads nothing but the cone's facet normals: when they span
+at most 3 dimensions, the cone's share of the sphere is (2 pi - P) / 4 pi
+by Gauss-Bonnet, P being the perimeter of the spherical polygon that the
+unit normals make in cyclic order (see _cone_fraction).
 
 Restricted polytopes carry a diagonal metric; the sampler folds the metric
 into the facet normals so that the sampled directions are isotropic with
@@ -26,15 +31,17 @@ hyperplanes, the faces whose cones hold it satisfy Gram's relation
 sum_F (-1)^dim F = 0, the polytope itself included (Welzl, "Gram's
 equation -- a probabilistic proof", 1994); that is checked on every sample.
 
-Curvature checks need each facet's angles at its faces.  When every
-facet is a polygon or a 3-polytope (dimension 3 or 4), they are closed
-forms: planar angles, dihedral angles and fans of spherical triangles,
-the same helpers that solid_angle_exact uses.  From dimension 5 they
-sample one stream per facet: projected onto the facet's hyperplane, the
-draws are isotropic there, and their signs against the other facet
-normals, projected the same way, give the facet's angle at each of its
-faces.  Either way no facet polytope is built, and Gram's relation for
-each facet is checked: on the closed forms, or on every sample.
+Curvature checks need each facet's angles at its faces.  In a facet's
+hyperplane, the facet's cone at a face is cut out by the normals of its
+ridge-neighbours through the face, projected onto that hyperplane.  When
+every facet is a polygon or a 3-polytope (dimension 3 or 4), those cones
+span at most 3 dimensions and the angles are closed forms, from the same
+formula that solid_angle_exact uses.  From dimension 5 they sample one
+stream per facet: projected onto the facet's hyperplane, the draws are
+isotropic there, and their signs against the other facet normals,
+projected the same way, give the facet's angle at each of its faces.
+Either way no facet polytope is built, and Gram's relation for each facet
+is checked: on the closed forms, or on every sample.
 """
 from __future__ import annotations
 
@@ -109,7 +116,7 @@ def _euclidean_normal_matrix(p: Polytope,
     Gaussian draws are isotropic in the original geometry."""
     scale = np.array([1.0 / math.sqrt(float(g)) for g in p.metric])
     mat = np.array([[float(c) for c in n] for n in normals])
-    return mat * scale
+    return mat.reshape(len(normals), len(scale)) * scale
 
 
 def _check_samples(samples: int) -> None:
@@ -182,17 +189,9 @@ def _cone_angle(p: Polytope, normals: tuple[Vector, ...], samples: int,
 
 # -- closed forms -------------------------------------------------------------
 #
-# One helper per formula, on float tuples in Euclidean coordinates (the
-# metric folded in).  solid_angle_exact applies them to p itself, in
-# dimension <= 3; curvature_checks applies them inside each facet of a 3-
-# or 4-polytope.
-
-
-def _edge_vector(p: Polytope, v: int, w: int) -> tuple[float, ...]:
-    """The vector from vertex v to vertex w, subtracted exactly and then
-    rounded, so that it keeps its digits however far p is from the origin."""
-    return tuple(float(b - a) * math.sqrt(float(g))
-                 for a, b, g in zip(p.vertices[v], p.vertices[w], p.metric))
+# One formula, on float vectors of Euclidean normals (the metric folded in):
+# solid_angle_exact applies it to p itself, in dimension <= 3;
+# curvature_checks applies it inside each facet of a 3- or 4-polytope.
 
 
 def _unit(u) -> tuple[float, ...]:
@@ -219,87 +218,49 @@ def _angle_between(u, w) -> float:
         math.hypot(*(nw * a + nu * b for a, b in zip(u, w))))
 
 
-def _planar_angle(u, w) -> float:
-    """A polygon's angle between its edges u and w at a vertex, over the
-    full turn."""
-    return _angle_between(u, w) / (2.0 * math.pi)
+def _cone_fraction(normals, angle=_angle_between) -> float:
+    """The measure, over the whole sphere, of the cone {u : n . u <= 0 for
+    each normal n}, for irredundant Euclidean outward normals that span at
+    most 3 dimensions; three or more must be 3-vectors.
 
-
-def _dihedral(n1, n2) -> float:
-    """A 3-polytope's angle at an edge, over the full turn, from the outward
-    normals of its two facets there: pi minus the angle between them."""
-    return (math.pi - _angle_between(n1, n2)) / (2.0 * math.pi)
-
-
-def _cone_angle_3d(dirs) -> float:
-    """Spherical measure, over the whole sphere, of a pointed convex 3d
-    cone spanned by unit edge directions: the directions are sorted around
-    their sum, which is inside the cone, and the cross-section is fanned
-    into triangles, each measured by Van Oosterom & Strackee's formula
-    tan(omega / 2) = |a . (b x c)| / (1 + a.b + a.c + b.c)."""
-    axis = _unit([sum(c) for c in zip(*dirs)])
-    ref = (0.0, 1.0, 0.0) if abs(axis[0]) > 0.9 else (1.0, 0.0, 0.0)
-    along = _dot(ref, axis)
-    # u is orthogonal to the axis, and so is w, of the same length.
-    u = tuple(r - along * a for r, a in zip(ref, axis))
-    w = _cross(axis, u)
-    a, *rest = sorted(dirs, key=lambda e: math.atan2(_dot(e, w), _dot(e, u)))
-    total = 0.0
-    for b, c in zip(rest, rest[1:]):
-        total += 2.0 * math.atan2(abs(_dot(a, _cross(b, c))),
-                                  1.0 + _dot(a, b) + _dot(a, c) + _dot(b, c))
-    return total / (4.0 * math.pi)
-
-
-def _polygon_angle(p: Polytope, vs: frozenset[int]) -> float:
-    (v,) = vs
-    neighbors = []
-    for f in p.facets:
-        if v in f.vertex_set:
-            (other,) = f.vertex_set - {v}
-            neighbors.append(other)
-    if len(neighbors) != 2:
-        raise PolyfaceError("polygon vertex not on exactly two edges")
-    return _planar_angle(*(_edge_vector(p, v, w) for w in neighbors))
-
-
-def _edge_directions_at(p: Polytope, v: int) -> list[tuple[float, ...]]:
-    return [_unit(_edge_vector(p, v, w))
-            for face in p.face_lattice().faces_of_dim(1)
-            if v in face.vertex_set for w in face.vertex_set - {v}]
-
-
-def _dihedral_angle(p: Polytope, vs: frozenset[int]) -> float:
-    containing = p.facets_containing(vs)
-    if len(containing) != 2:
-        raise PolyfaceError("edge of a 3-polytope not on exactly two facets")
-    return _dihedral(*_euclidean_normal_matrix(
-        p, [p.facets[i].plane.normal for i in containing]).tolist())
+    By Gauss-Bonnet the cone cuts the sphere in a region of area 2 pi - P,
+    P being the perimeter of the polar spherical polygon, whose vertices
+    are the unit normals in cyclic order.  So no normals give 1 and one
+    gives 1/2; two at angle theta make a polygon of perimeter 2 theta,
+    which gives (pi - theta) / 2 pi.  Three or more are ordered around
+    their unit sum, which is inside the polar cone, and P is the sum of
+    the angles between cyclically consecutive normals.  `angle(a, b)`
+    measures one such angle; a caller that meets a pair in several cones
+    can pass a cached one.
+    """
+    if len(normals) < 2:
+        return 1.0 - 0.5 * len(normals)
+    if len(normals) == 2:
+        perimeter = 2.0 * angle(*normals)
+    else:
+        axis = _unit([sum(c) for c in zip(*map(_unit, normals))])
+        ref = (0.0, 1.0, 0.0) if abs(axis[0]) > 0.9 else (1.0, 0.0, 0.0)
+        along = _dot(ref, axis)
+        # u is orthogonal to the axis, and so is w, of the same length.
+        u = tuple(r - along * a for r, a in zip(ref, axis))
+        w = _cross(axis, u)
+        ring = sorted(normals,
+                      key=lambda n: math.atan2(_dot(n, w), _dot(n, u)))
+        perimeter = sum(angle(a, b)
+                        for a, b in zip(ring, ring[1:] + ring[:1]))
+    return (2.0 * math.pi - perimeter) / (4.0 * math.pi)
 
 
 def solid_angle_exact(p: Polytope, face) -> float:
-    """Closed-form solid angle for polytopes of dimension <= 3.
-
-    1d: endpoints get 1/2.  2d: the planar angle over the full turn.
-    3d: spherical measure of the vertex cone, or the dihedral angle at an
-    edge.  Facets always get 1/2 and the whole polytope 1.  Serves as the
+    """Closed-form solid angle for polytopes of dimension <= 3: the
+    _cone_fraction of the Euclidean normals of the facets through the
+    face, each of which cuts a facet of the tangent cone.  Serves as the
     independent oracle for the Monte Carlo estimator.
     """
     if p.dim > 3:
         raise UnsupportedDimensionError("closed forms stop at dimension 3")
-    face = p.require_face(face)
-    vs, k = face.vertex_set, face.dim
-    if k == p.dim:
-        return 1.0
-    if k == p.dim - 1:
-        return 0.5
-    if p.dim == 2:
-        return _polygon_angle(p, vs)
-    # p.dim == 3, k in {0, 1}
-    if k == 1:
-        return _dihedral_angle(p, vs)
-    (v,) = vs
-    return _cone_angle_3d(_edge_directions_at(p, v))
+    return _cone_fraction(
+        _euclidean_normal_matrix(p, tangent_cone(p, face)).tolist())
 
 
 # -- aggregates ---------------------------------------------------------------
@@ -416,71 +377,47 @@ class CurvatureReport:
 
 
 def _facet_angles_exact(p: Polytope, faces, containing, members) -> dict:
-    """Each facet's angle at each of its faces below its ridges, in closed
-    form, keyed (face index, facet index), for p of dimension 3 or 4.
+    """Each facet's angle at each of its faces, in closed form, keyed (face
+    index, facet index), for p of dimension 3 or 4.
 
-    A facet's own edges at a vertex are the edges of p there with both
-    ends in the facet.  At a vertex of a polygon facet, the angle is the
-    planar angle between its two edges.  In a 3-polytope facet j, at a
-    vertex it is the cone of j's edges there, in an orthonormal basis of
-    j's hyperplane H; at an edge, j's dihedral angle, from the normals of
-    the two facets that meet j in a ridge through the edge, projected onto
-    H.  Gram's relation is checked in every facet, ridges (1/2 each) and
-    the facet itself (1) included; a miss by more than EXACT_SLACK per
-    term raises GramViolationError.
+    In facet j's hyperplane H, j's tangent cone at a face G is cut out by
+    the facets of j through G.  Each is the ridge that j shares with a
+    neighbouring facet k, with normal n_k projected onto H.  So the angle
+    is the _cone_fraction of those projections, in an orthonormal basis of
+    H, over the ridge-neighbours of j through G; the other facets through
+    G meet j in smaller faces and would be redundant.  A ridge of j has
+    one such neighbour and gets 1/2.  Each pair of neighbours is measured
+    once per facet, however many cones share it.  Gram's relation is
+    checked in every facet, ridges and the facet itself (1) included; a
+    miss by more than EXACT_SLACK per term raises GramViolationError.
     """
     d = p.dim
     normals = _euclidean_normal_matrix(p, [f.plane.normal for f in p.facets])
-    # Row 2i is edge i from one end, row 2i + 1 from the other.
-    edges_at = [[] for _ in p.vertices]  # v -> (w, row of the v-to-w vector)
-    rows = []
-    for face in faces:
-        if face.dim == 1:
-            v, w = face.vertex_set
-            vec = _edge_vector(p, v, w)
-            edges_at[v].append((w, len(rows)))
-            edges_at[w].append((v, len(rows) + 1))
-            rows += [vec, tuple(-c for c in vec)]
-    # Facets j < k meet in a ridge iff (j, k) is listed.
-    ridges = {tuple(through) for face, through in zip(faces, containing)
-              if face.dim == d - 2}
-    # The rows in coordinates of facet j's hyperplane; in dimension 3, p's
-    # own coordinates serve, since a planar angle needs no basis.
-    local, row_matrix = rows, np.array(rows)
+    neighbours = [set() for _ in p.facets]  # j's ridge-neighbours, and j
+    for face, through in zip(faces, containing):
+        if face.dim == d - 2:
+            for j in through:
+                neighbours[j].update(through)
+    # The other columns of a complete QR factor of a facet's normal are an
+    # orthonormal basis of its hyperplane; local[k] is n_k in j's basis.
+    bases = np.linalg.qr(normals[:, :, None], mode="complete")[0][:, :, 1:]
     angles = {}
-    for j, normal in enumerate(normals):
-        inside = p.facets[j].vertex_set
-        if d == 4:
-            # The other columns of a complete QR factor of the normal are an
-            # orthonormal basis of the facet's hyperplane.
-            basis = np.linalg.qr(normal[:, None], mode="complete")[0][:, 1:]
-            local = (row_matrix @ basis).tolist()
-            local_normals = (normals @ basis).tolist()
+    for j, rows in enumerate((normals @ bases).tolist()):
+        local = list(map(tuple, rows))
+        measured = {}
+
+        def angle(a, b):
+            found = measured.get((a, b))
+            if found is None:
+                found = measured[a, b] = measured[b, a] = _angle_between(a, b)
+            return found
+
         gram = (-1.0) ** (d - 1)
         for g in members[j]:
-            face = faces[g]
-            if face.dim == d - 2:
-                alpha = 0.5
-            elif face.dim == 0:
-                (v,) = face.vertex_set
-                edges = [local[r] for w, r in edges_at[v] if w in inside]
-                if d == 3:
-                    if len(edges) != 2:
-                        raise PolyfaceError(
-                            "vertex of a polygon facet not on two of its edges")
-                    alpha = _planar_angle(*edges)
-                else:
-                    alpha = _cone_angle_3d([_unit(e) for e in edges])
-            else:
-                pair = [k for k in containing[g]
-                        if k != j and (min(j, k), max(j, k)) in ridges]
-                if len(pair) != 2:
-                    raise PolyfaceError(
-                        "edge of a facet not on two of the facet's ridges")
-                alpha = _dihedral(*(local_normals[k] for k in pair))
-            if face.dim < d - 2:
-                angles[g, j] = alpha
-            gram += (-1) ** face.dim * alpha
+            alpha = angles[g, j] = _cone_fraction(
+                [local[k] for k in containing[g]
+                 if k != j and k in neighbours[j]], angle)
+            gram += (-1) ** faces[g].dim * alpha
         if abs(gram) > EXACT_SLACK * (len(members[j]) + 1):
             raise GramViolationError(
                 f"Gram's relation fails by {gram:.3g} in facet {j}")
@@ -512,11 +449,10 @@ def curvature_checks(p: Polytope, samples: int = DEFAULT_SAMPLES,
     lattice order; deterministic given seed.
 
     In dimension 3 and 4 every facet is a polygon or a 3-polytope, and its
-    angles are closed forms (planar angles, dihedral angles, fans of
-    spherical triangles; see _facet_angles_exact), exact up to float
-    rounding: such reports are exact, with stderr 0, and `ok` and
-    `equality` allow EXACT_SLACK per facet angle.  `samples` is still
-    checked, and draws nothing.
+    angles are closed forms in its ridge-neighbours' projected normals
+    (see _facet_angles_exact), exact up to float rounding: such reports
+    are exact, with stderr 0, and `ok` and `equality` allow EXACT_SLACK
+    per facet angle.  `samples` is still checked, and draws nothing.
 
     From dimension 5, facet j draws one stream of `samples` Gaussian draws
     z in p's space, seeded by derive_seed(seed, "facet", j).  The

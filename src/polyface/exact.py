@@ -1,10 +1,16 @@
 """Exact rational scalars, vectors and linear algebra.
 
-Every combinatorial decision in the package (side of a hyperplane, rank,
-affine dimension) reduces to computations done here, so everything is
-exact: arbitrary-precision rationals, no floats, no tolerances.  Scalars
-are ``fractions.Fraction`` values, which are always stored in lowest terms
+Rank, affine dimension, null spaces and spans are decided here, exactly:
+arbitrary-precision rationals, no floats, no tolerances.  Scalars are
+``fractions.Fraction`` values, which are always stored in lowest terms
 with a positive denominator.  Vectors are plain tuples of scalars.
+
+Not every exact sign in the package is decided here.  The hull
+(``_hull``) tests which side of a facet a point is on, and rotates facets
+about ridges, in its own integer arithmetic on integer-scaled points.
+``projection`` certifies diagram crossings with determinants modulo a
+prime (``_nonzero_det_mod_p``) and tests containment in a face's hull with
+integer dot products (``_contains_int``).  Those are exact as well.
 
 All linear algebra runs through one kernel, ``echelon``: fraction-free
 Gauss-Jordan elimination on Python ints.  Rational input is first scaled
@@ -249,11 +255,3 @@ class Hyperplane:
     def __post_init__(self):
         if is_zero(self.normal):
             raise ZeroVectorError("hyperplane normal must be nonzero")
-
-    def evaluate(self, point: Vector) -> Fraction:
-        return dot(self.normal, point) - self.offset
-
-    def side(self, point: Vector) -> int:
-        """-1 strictly inside, 0 on the hyperplane, +1 strictly outside."""
-        value = self.evaluate(point)
-        return (value > 0) - (value < 0)

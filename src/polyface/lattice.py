@@ -132,9 +132,11 @@ class FaceLattice:
         return found
 
     def f_vector(self) -> FVector:
-        # The rows of a level are distinct, so n singletons are all n atoms.
+        # The rows of a level are distinct, so n singletons are all n atoms;
+        # a polytope has at least one.
         sizes = self._levels[1][1]
-        if len(sizes) != self.n_vertices or (sizes != 1).any():
+        if (not self.n_vertices or len(sizes) != self.n_vertices
+                or (sizes != 1).any()):
             raise EulerViolationError(
                 f"the {len(sizes)} 0-faces are not the {self.n_vertices} "
                 f"atoms as singletons")
@@ -154,13 +156,15 @@ def _level_faces(rows: np.ndarray, sizes: np.ndarray,
 
 
 def _bitmasks(n: int, sets: Iterable[Iterable[int]]) -> np.ndarray:
-    """One row of ceil(n/64) little-endian uint64 words per atom set."""
+    """One row of max(1, ceil(n/64)) little-endian uint64 words per atom
+    set."""
     rows, atoms = [], []
     for r, s in enumerate(sets):
         for a in s:
             rows.append(r)
             atoms.append(a)
-    bits = np.zeros((max(rows, default=-1) + 1, 64 * -(-n // 64)), dtype=bool)
+    words = max(1, -(-n // 64))
+    bits = np.zeros((max(rows, default=-1) + 1, 64 * words), dtype=bool)
     bits[rows, atoms] = True
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
@@ -187,8 +191,12 @@ def _facets_of(level: np.ndarray, sizes: np.ndarray, coatoms: np.ndarray,
                j: int) -> tuple[np.ndarray, np.ndarray]:
     """The facets of the j-faces in ``level`` (j >= 1) with their sizes."""
     words = level.shape[1]
-    block = max(1, BLOCK_CELLS // (len(coatoms) * words))
-    owner, meets, counts = [], [], []
+    block = max(1, BLOCK_CELLS // max(1, len(coatoms) * words))
+    # Seeded empty: with no faces or no facets the next level is empty, and
+    # f_vector refuses a lattice whose 0-faces are not its atoms.
+    owner = [np.empty(0, np.intp)]
+    meets = [np.empty((0, words), level.dtype)]
+    counts = [np.empty(0, sizes.dtype)]
     for lo in range(0, len(level), block):
         meet = level[lo:lo + block, None, :] & coatoms
         count = np.bitwise_count(meet).sum(axis=2, dtype=sizes.dtype)

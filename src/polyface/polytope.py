@@ -21,7 +21,6 @@ from .errors import (
     EmptyInputError,
     MixedDimensionsError,
     NotAFaceError,
-    OutOfRangeError,
     TooLargeError,
 )
 from .exact import (
@@ -99,10 +98,10 @@ class Polytope:
         """The value cached under key, computed once by build().
 
         Everything derived from this immutable polytope lives here: its
-        face lattice and facet polytopes, and from projection the integer
-        geometry, per-face affine data, and the shadow and facet partition
-        of each direction.  A build that raises stores nothing, so it
-        raises again on the next call.
+        face lattice, and from projection the integer geometry, per-face
+        affine data, and the shadow and facet partition of each direction.
+        A build that raises stores nothing, so it raises again on the next
+        call.
         """
         if key not in self._memo:
             self._memo[key] = build()
@@ -152,10 +151,6 @@ class Polytope:
 
     # -- geometry ------------------------------------------------------------
 
-    def contains(self, point: Vector) -> bool:
-        """Exact membership test in intrinsic coordinates."""
-        return all(f.plane.side(point) <= 0 for f in self.facets)
-
     def centroid_of(self, vertex_set: Iterable[int]) -> Vector:
         vs = sorted(set(vertex_set))
         acc = self.vertices[vs[0]]
@@ -165,15 +160,6 @@ class Polytope:
 
     def ambient_vertices(self) -> tuple[Vector, ...]:
         return tuple(self.embedding.apply(v) for v in self.vertices)
-
-    def facet_as_polytope(self, index: int) -> "Polytope":
-        """The facet as a polytope in its own (dim-1)-dimensional rational
-        coordinates; its ambient space is this polytope's intrinsic space."""
-        if not 0 <= index < len(self.facets):
-            raise OutOfRangeError(f"facet index {index} out of range")
-        return self.memo(("facet", index), lambda: _build(
-            [self.vertices[i] for i in sorted(self.facets[index].vertex_set)],
-            self.metric))
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, vertices={self.n_vertices}, "

@@ -1,4 +1,5 @@
 """Solid angles: tangent cones, Monte Carlo vs closed forms, angle sums."""
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyface._hull
 import polyface.angles
@@ -18,6 +21,7 @@ from polyface.angles import (
     AngleSumReport,
     _check_samples,
     _cone_angle,
+    _cone_fraction,
     _euclidean_normal_matrix,
     angle_sum_lower_check,
     angle_sums,
@@ -38,10 +42,23 @@ from polyface.errors import (
 from polyface.generators import (
     cross_polytope, cube, cyclic, pyramid, random_sphere, simplex)
 from polyface.lattice import FaceLattice
-from polyface.polytope import Polytope, hull_from_points
+from polyface.polytope import Polytope, _build, hull_from_points
 from polyface.projection import sample_direction
 
 SAMPLES = 120_000
+
+
+def facet_as_polytope(p, index):
+    """Facet `index` of p as a polytope in its own (dim-1)-dimensional
+    rational coordinates, hulled again in exact arithmetic and kept in p's
+    memo; its ambient space is p's intrinsic space, and its metric makes
+    its angles those of the facet in p."""
+    if not 0 <= index < p.n_facets:
+        raise OutOfRangeError(f"facet index {index} out of range")
+    return p.memo(("facet", index), lambda: _build(
+        [p.vertices[i] for i in sorted(p.facets[index].vertex_set)],
+        p.metric))
+
 
 def _directions(p, seed, count):
     """Directions sampled as the CLI samples them: the i-th from the seed
@@ -182,6 +199,107 @@ class TestSolidAngle:
         assert thread_count() == 1
 
 
+def fan_fraction(rays):
+    """Oracle for _cone_fraction: the measure, over the whole sphere, of
+    the pointed 3d cone spanned by unit rays.  The rays are sorted around
+    their sum, which is inside the cone, and the cross-section is fanned
+    into triangles, each measured by Van Oosterom & Strackee's formula
+    tan(omega / 2) = |a . (b x c)| / (1 + a.b + a.c + b.c)."""
+    rays = np.asarray(rays, dtype=float)
+    axis = rays.sum(axis=0)
+    axis /= np.linalg.norm(axis)
+    ref = np.array([0.0, 1.0, 0.0] if abs(axis[0]) > 0.9 else [1.0, 0.0, 0.0])
+    u = ref - (ref @ axis) * axis
+    w = np.cross(axis, u)
+    a, *rest = sorted(rays, key=lambda e: math.atan2(e @ w, e @ u))
+    return sum(2.0 * math.atan2(abs(a @ np.cross(b, c)),
+                                1.0 + a @ b + a @ c + b @ c)
+               for b, c in zip(rest, rest[1:])) / (4.0 * math.pi)
+
+
+def extreme_rays(normals):
+    """The unit extreme rays of the pointed 3d cone {u : n . u <= 0}, by
+    brute force: n_i x n_j, signed into the cone, for every pair whose
+    cross product the other normals keep inside."""
+    normals = np.asarray(normals, dtype=float)
+    rays = []
+    for i, j in itertools.combinations(range(len(normals)), 2):
+        r = np.cross(normals[i], normals[j])
+        r /= np.linalg.norm(r)
+        for ray in (r, -r):
+            if (normals @ ray <= 1e-9 * np.linalg.norm(normals, axis=1)).all():
+                rays.append(ray)
+    return rays
+
+
+def rotation(q):
+    """The rotation of R^3 given by a nonzero quaternion."""
+    a, b, c, d = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (c * c + d * d), 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), 1 - 2 * (b * b + d * d), 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), 1 - 2 * (b * b + c * c)]])
+
+
+quaternions = st.tuples(*[st.floats(-1, 1)] * 4).filter(
+    lambda q: math.hypot(*q) > 0.1)
+scales = st.floats(0.1, 10)
+
+
+@st.composite
+def pointed_cones(draw):
+    """3 to 8 irredundant outward normals of a pointed 3d cone, rotated,
+    rescaled and shuffled: around an axis, on a circle of the given radius,
+    at angles no closer than 2 pi / 160."""
+    m = draw(st.integers(3, 8))
+    gaps = np.cumsum(draw(st.lists(st.floats(1, 20), min_size=m,
+                                   max_size=m)))
+    start = draw(st.floats(0, 2 * math.pi))
+    radius = draw(st.floats(0.2, 5))
+    phis = start + 2 * math.pi * gaps / gaps[-1]
+    normals = [s * np.array([radius * math.cos(phi), radius * math.sin(phi),
+                             1.0])
+               for phi, s in zip(phis, draw(st.lists(scales, min_size=m,
+                                                     max_size=m)))]
+    turn = rotation(draw(quaternions))
+    return [tuple(turn @ n) for n in draw(st.permutations(normals))]
+
+
+class TestConeFraction:
+    @settings(max_examples=300, deadline=None)
+    @given(pointed_cones())
+    def test_pointed_cone_matches_fan_over_extreme_rays(self, normals):
+        rays = extreme_rays(normals)
+        assert len(rays) == len(normals)
+        assert abs(_cone_fraction(normals) - fan_fraction(rays)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, math.pi - 0.05), quaternions, scales, scales)
+    def test_wedge(self, opening, q, s1, s2):
+        # Outward normals of the wedge between the rays at angles 0 and
+        # opening in the plane of the first two axes; it takes opening / 2 pi
+        # of the circle there, and of the sphere.
+        n1 = (0.0, -s1)
+        n2 = (-s2 * math.sin(opening), s2 * math.cos(opening))
+        expected = opening / (2 * math.pi)
+        assert abs(_cone_fraction([n1, n2]) - expected) <= 1e-14
+        turn = rotation(q)
+        turned = [tuple(turn @ (n + (0.0,))) for n in (n1, n2)]
+        assert abs(_cone_fraction(turned) - expected) <= 1e-14
+
+    @settings(max_examples=50, deadline=None)
+    @given(quaternions, scales)
+    def test_halfspace(self, q, s):
+        assert _cone_fraction([tuple(rotation(q) @ (0.0, 0.0, s))]) == 0.5
+
+    def test_whole_space(self):
+        assert _cone_fraction([]) == 1.0
+
+    def test_octant(self):
+        normals = [(-1.0, 0.0, 0.0), (0.0, -2.0, 0.0), (0.0, 0.0, -3.0)]
+        assert abs(_cone_fraction(normals) - 0.125) <= 1e-15
+
+
 class TestExactLowDim:
     def test_segment(self):
         seg = hull_from_points([(0,), (1,)])
@@ -189,7 +307,7 @@ class TestExactLowDim:
 
     def test_equilateral_triangle_vertex(self):
         # A facet of the regular tetrahedron, in its intrinsic metric.
-        tri = REGULAR_TETRA.facet_as_polytope(0)
+        tri = facet_as_polytope(REGULAR_TETRA, 0)
         assert abs(solid_angle_exact(tri, frozenset([0])) - 1.0 / 6.0) < 1e-12
 
     def test_cube_edge_dihedral(self):
@@ -228,7 +346,7 @@ def facet_angle(p, facet_index, face, samples=SAMPLES, seed=0):
     record = p.facets[facet_index]
     if not vs <= record.vertex_set:
         return AngleEstimate(0.0, 0.0, 0, seed)
-    fp = p.facet_as_polytope(facet_index)
+    fp = facet_as_polytope(p, facet_index)
     local = sorted(record.vertex_set)
     remap = {orig: i for i, orig in enumerate(local)}
     # A face of p inside the facet is a face of the facet: its cone there
@@ -242,7 +360,7 @@ def facet_angle_exact(p, facet_index, face):
     """The exact counterpart of facet_angle, for p of dimension <= 4: the
     closed-form solid angle of the facet polytope at a face of p in it."""
     local = sorted(p.facets[facet_index].vertex_set)
-    return solid_angle_exact(p.facet_as_polytope(facet_index),
+    return solid_angle_exact(facet_as_polytope(p, facet_index),
                              frozenset(local.index(v) for v in face))
 
 
@@ -295,7 +413,7 @@ class TestFacetAngle:
         p = cross_polytope(4)
         for i in (0, 5):
             local = sorted(p.facets[i].vertex_set)
-            fp = p.facet_as_polytope(i)
+            fp = facet_as_polytope(p, i)
             for face in p.face_lattice().faces:
                 if face.vertex_set and face.vertex_set <= p.facets[i].vertex_set:
                     remapped = frozenset(local.index(v) for v in face.vertex_set)
@@ -355,7 +473,7 @@ class TestAngleSums:
         (cross_polytope(4), 20_000),
         (cyclic(7, 3), 9_000),
         # A restricted polytope: its metric scales the normals.
-        (REGULAR_TETRA.facet_as_polytope(0), 5_000),
+        (facet_as_polytope(REGULAR_TETRA, 0), 5_000),
     ], ids=("simplex-3", "cross-4", "cyclic-7-3", "tetra-facet"))
     def test_matches_per_face_oracle(self, p, samples):
         hits, sums, squares = sums_oracle(p, samples, seed=12)
@@ -465,9 +583,9 @@ class TestCurvature:
                 assert rep.exact and abs(rep.total - 0.5) <= EXACT_SLACK * 3
 
     def test_builds_no_hull(self, monkeypatch):
-        # Each facet's angles come from p's own edges and normals, in closed
-        # form or sampled against projected normals, so once p is built no
-        # facet polytope is hulled.
+        # Each facet's angles come from p's own facet normals, projected onto
+        # the facet's hyperplane, in closed form or sampled, so once p is
+        # built no facet polytope is hulled.
         c4, s5 = cube(4), simplex(5)
         calls = []
         original = polyface._hull.incremental_facets

@@ -14,6 +14,8 @@ from polyface.exact import (affine_basis_indices, affine_dim, integer_scaled,
 from polyface.generators import cross_polytope, cube, cyclic, simplex
 from polyface.polytope import hull_from_points
 
+from test_exact import side
+
 
 def dot(n, p):
     return sum(a * b for a, b in zip(n, p))
@@ -246,7 +248,7 @@ class TestFacetInvariants:
                                    simplex(4)], ids=str)
     def test_supporting_hyperplanes(self, p):
         for f in p.facets:
-            sides = [f.plane.side(v) for v in p.vertices]
+            sides = [side(f.plane, v) for v in p.vertices]
             assert all(s <= 0 for s in sides)
             on = frozenset(i for i, s in enumerate(sides) if s == 0)
             assert on == f.vertex_set

@@ -297,6 +297,16 @@ class TestFVector:
         with pytest.raises(EulerViolationError, match="not the .* atoms"):
             lattice.f_vector()
 
+    @pytest.mark.parametrize("n,facets,dim", [
+        (2, [], 1), (3, [], 2), (4, [], 3), (0, [], 2), (2, [[], []], 2),
+    ], ids=["segment", "triangle", "tetrahedron", "no-atoms", "empty-facets"])
+    def test_no_facets(self, n, facets, dim):
+        # No facet meets the top, so every level below it is empty.
+        lattice = build_face_lattice(n, facets, dim)
+        assert [len(lattice.faces_of_dim(k)) for k in range(dim)] == [0] * dim
+        with pytest.raises(EulerViolationError):
+            lattice.f_vector()
+
     def test_incidence_count_consistency(self):
         for p in (cube(3), cross_polytope(4), cyclic(7, 4)):
             by_facets = sum(len(f.vertex_set) for f in p.facets)

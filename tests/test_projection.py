@@ -45,6 +45,9 @@ from polyface.projection import (
 )
 
 from corpus import extended_corpus
+from test_angles import facet_as_polytope
+from test_exact import side
+from test_polytope import contains
 
 
 def gp_oracle(p, v):
@@ -362,7 +365,7 @@ class TestShadow:
         # multiple of the direction.  Vertices that vertex_map sends to no
         # shadow vertex land strictly inside the shadow.
         polytopes = [cube(3), cross_polytope(3),
-                     cross_polytope(3).facet_as_polytope(0)]
+                     facet_as_polytope(cross_polytope(3), 0)]
         for q, seed in product(polytopes, range(3)):
             d = sample_direction(q, seed=seed)
             j = max(i for i, c in enumerate(d.v) if c)
@@ -371,7 +374,7 @@ class TestShadow:
                 if image is None:
                     on_plane = vsub(p, vscale(p[j] / d.v[j], d.v))
                     coords = on_plane[:j] + on_plane[j + 1:]
-                    assert all(f.plane.side(coords) < 0
+                    assert all(side(f.plane, coords) < 0
                                for f in sh.poly.facets)
                 else:
                     coords = sh.poly.vertices[image]
@@ -477,9 +480,10 @@ class TestDiagramVertices:
         d = sample_direction(p, seed=7)
         sh = shadow(p, d)
         for dv in diagram_vertices(p, d):
-            strict = all(f.plane.side(dv.point) < 0 for f in sh.poly.facets)
+            strict = all(side(f.plane, dv.point) < 0
+                         for f in sh.poly.facets)
             assert strict == dv.interior
-            assert sh.poly.contains(dv.point)
+            assert contains(sh.poly, dv.point)
 
     @pytest.mark.parametrize("p", [cube(3), cube(4), simplex(4),
                                    cross_polytope(3), cyclic(7, 4),

@@ -6,16 +6,15 @@ estimate with a requested seed s draws its i-th chunk of samples from
     Generator(PCG64(SeedSequence((s mod 2**64, i))))
 
 with a fixed chunk size, and aggregates integer counts, so results are
-bit-identical across runs and across thread counts.  Sub-tasks (the angle
-sums of a polytope, the facet streams of its curvature checks, a direction)
-derive their own 64-bit seeds from the parent seed and a textual path via
+bit-identical across runs and processes.  Sub-tasks (the angle sums of a
+polytope, the facet streams of its curvature checks, a direction) derive
+their own 64-bit seeds from the parent seed and a textual path via
 BLAKE2b, which keeps independent streams decoupled without any global
 state.
 """
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
@@ -42,13 +41,3 @@ def chunk_sizes(samples: int) -> list[int]:
         sizes.append(rest)
     return sizes
 
-
-def thread_count() -> int:
-    """Worker cap from POLYFACE_THREADS, at most os.cpu_count(); defaults
-    to 1 (serial)."""
-    raw = os.environ.get("POLYFACE_THREADS", "")
-    try:
-        wanted = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(wanted, os.cpu_count() or 1))

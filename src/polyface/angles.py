@@ -46,13 +46,12 @@ is checked: on the closed forms, or on every sample.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._rng import chunk_generator, chunk_sizes, derive_seed, thread_count
+from ._rng import chunk_generator, chunk_sizes, derive_seed
 from .bounds import ratio_bound
 from .errors import (
     GramViolationError,
@@ -144,22 +143,11 @@ def _chunk_tally(matrix: np.ndarray, seed: int, index: int, count: int,
 
 def _sample(matrix: np.ndarray, samples: int, seed: int,
             tally) -> list[np.ndarray]:
-    """The tally of each chunk of the stream, in chunk order.
-
-    The sample space is split into fixed-size chunks, each with its own
-    derived generator, on a pool of at most POLYFACE_THREADS threads; the
-    tallies are integers, so parallel and serial runs agree bit for bit.
-    """
-    sizes = chunk_sizes(samples)
-
-    def run(chunk: tuple[int, int]) -> np.ndarray:
-        return _chunk_tally(matrix, seed, chunk[0], chunk[1], tally)
-
-    workers = min(thread_count(), len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, enumerate(sizes)))
-    return [run(chunk) for chunk in enumerate(sizes)]
+    """The tally of each chunk of the stream, in chunk order.  The sample
+    space is split into fixed-size chunks, each with its own derived
+    generator; a chunk's draws are freed before the next chunk's."""
+    return [_chunk_tally(matrix, seed, index, count, tally)
+            for index, count in enumerate(chunk_sizes(samples))]
 
 
 def _cone_tally(signs: np.ndarray) -> np.ndarray:
@@ -589,7 +577,8 @@ def projection_angle_check(p: Polytope, report: AngleSumReport,
     p (k = report.k) over the given general-position directions."""
     k = report.k
     if not 0 <= k <= p.dim - 1:
-        raise OutOfRangeError(f"projection angle check needs 0 <= k < dim")
+        raise OutOfRangeError(
+            f"projection angle check needs 0 <= k < dim, got {k}")
     counts = [shadow(p, d).poly.f_vector().count(k) for d in directions]
     if not counts:
         raise OutOfRangeError("projection angle check needs a direction")

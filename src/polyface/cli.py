@@ -23,15 +23,12 @@ even when nothing is drawn.
 
 Exit code 0 means every hard check passed (WARN verdicts do not fail a
 run).  Failures (a malformed or unknown option or a missing subcommand,
-malformed input, an input coordinate string of more than 1,000 digits
-counting its exponent, an --out path that cannot be opened or written,
---directions or --samples below 1, --samples above 10^9, a sample or a
-facet's closed-form angles that break Gram's relation) print a JSON
-error line to stderr and exit 1.
-POLYFACE_THREADS caps the worker threads of solid-angle, angle-sum and
-curvature sampling (the last from dimension 5; default 1, at most
-os.cpu_count()); output is
-byte-identical for a given seed regardless of thread count.
+malformed input, an input coordinate string (counting its exponent) or
+integer of more than 1,000 digits, an --out path that cannot be opened or
+written, --directions or --samples below 1, --samples above 10^9, a
+sample or a facet's closed-form angles that break Gram's relation) print
+a JSON error line to stderr and exit 1.  Output is byte-identical for a
+given seed.
 
 Every JSON report (every subcommand but corpus) is exactly the bytes of
 json.dump(obj, fh, indent=2, sort_keys=True), ASCII-escaped, plus a

@@ -40,8 +40,10 @@ from .lattice import Face, FaceLattice, FVector, build_face_lattice
 MAX_POINTS = 64
 MAX_DIM = 7
 # A coordinate string may spell at most this many digits, the magnitude of
-# its exponent counted as that many: "1e1000" is a 1001-digit integer.
+# its exponent counted as that many: "1e1000" is a 1001-digit integer.  An
+# integer coordinate may have at most this many digits.
 MAX_COORD_DIGITS = 1000
+_COORD_INT_BOUND = 10**MAX_COORD_DIGITS
 
 
 @dataclass(frozen=True)
@@ -271,10 +273,13 @@ def polytope_to_json(p: Polytope) -> dict:
 
 
 def _coordinate(c) -> Fraction:
-    """An exact coordinate; TooLargeError for a string past
+    """An exact coordinate; TooLargeError for a string or an integer past
     MAX_COORD_DIGITS, checked before parsing, since Fraction("1e10000000")
     builds 10**10000000 exactly.  Whatever the check passes, Fraction
     parses or refuses."""
+    if isinstance(c, int) and abs(c) >= _COORD_INT_BOUND:
+        raise TooLargeError(f"integer coordinate of {c.bit_length()} bits "
+                            f"has more than {MAX_COORD_DIGITS} digits")
     if isinstance(c, str):
         mantissa, _, exponent = c.strip().lower().partition("e")
         magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0") or "0"

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyface._hull
-import polyface.angles
-from polyface._rng import chunk_generator, chunk_sizes, derive_seed, thread_count
+from polyface._rng import chunk_generator, chunk_sizes, derive_seed
 from polyface.angles import (
     EXACT_SLACK,
     MAX_SAMPLES,
@@ -65,6 +65,16 @@ def _directions(p, seed, count):
     derived from (seed, "dir", i)."""
     return [sample_direction(p, derive_seed(seed, "dir", i))
             for i in range(count)]
+
+
+def in_fresh_processes(code):
+    """The standard output of code run by two fresh interpreters with
+    different hash seeds."""
+    return [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=hash_seed)
+                           ).stdout
+            for hash_seed in ("1", "2")]
 
 
 # Rational-coordinate regular tetrahedron (all edges sqrt(2)).
@@ -149,54 +159,30 @@ class TestSolidAngle:
         b = solid_angle(cube(3), frozenset([0]), 70_000, seed=2)
         assert a.mean != b.mean
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                        reason="one CPU: the thread cap makes every run serial")
-    def test_thread_count_invariance(self):
-        # Chunked integer aggregation: same bits regardless of pool size.
-        code = (
-            "import os; os.environ['POLYFACE_THREADS'] = '%s'\n"
+    def test_process_invariance(self):
+        # Chunked integer aggregation: same bits in any fresh interpreter.
+        outs = in_fresh_processes(
             "from polyface.angles import solid_angle\n"
             "from polyface.generators import cube\n"
             "print(repr(solid_angle(cube(3), frozenset([0]), 200000, seed=4)))\n"
         )
-        outs = [
-            subprocess.run([sys.executable, "-c", code % threads],
-                           capture_output=True, text=True, check=True).stdout
-            for threads in ("1", "4")
-        ]
         assert outs[0] == outs[1]
 
-    def test_pool_capped_by_cpus_and_chunks(self, monkeypatch):
-        # A spy pool that maps serially: no thread is started.
-        sizes = []
 
-        class SpyPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+def test_sampling_starts_no_thread(monkeypatch):
+    # Multi-chunk streams of all three samplers, with the variable that
+    # once asked for a thread pool set; it must change nothing.
+    runs = [lambda: solid_angle(cube(3), frozenset([0]), 140_000, seed=4),
+            lambda: angle_sums(cross_polytope(4), 140_000, seed=4),
+            lambda: curvature_checks(simplex(5), 140_000, seed=4)]
+    serial = [run() for run in runs]
 
-            def __enter__(self):
-                return self
+    def refuse(self):
+        raise AssertionError(f"sampling started thread {self.name}")
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(polyface.angles, "ThreadPoolExecutor", SpyPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("POLYFACE_THREADS", "100000")
-        assert thread_count() == 4
-        pooled = [solid_angle(cube(3), frozenset([0]), n, seed=4)
-                  for n in (140_000, 700_000)]  # 3 and 11 chunks
-        assert sizes == [3, 4]
-        monkeypatch.setenv("POLYFACE_THREADS", "1")
-        assert pooled == [solid_angle(cube(3), frozenset([0]), n, seed=4)
-                          for n in (140_000, 700_000)]
-        assert sizes == [3, 4]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        monkeypatch.setenv("POLYFACE_THREADS", "8")
-        assert thread_count() == 1
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setenv("POLYFACE_" "THREADS", "4")
+    assert [run() for run in runs] == serial
 
 
 def fan_fraction(rays):
@@ -523,20 +509,12 @@ class TestAngleSums:
         (line,) = err.splitlines()
         assert json.loads(line)["error"] == "GramViolationError"
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                        reason="one CPU: the thread cap makes every run serial")
-    def test_thread_count_invariance(self):
-        code = (
-            "import os; os.environ['POLYFACE_THREADS'] = '%s'\n"
+    def test_process_invariance(self):
+        outs = in_fresh_processes(
             "from polyface.angles import angle_sums\n"
             "from polyface.generators import cross_polytope\n"
             "print(repr(angle_sums(cross_polytope(4), 140000, seed=4)))\n"
         )
-        outs = [
-            subprocess.run([sys.executable, "-c", code % threads],
-                           capture_output=True, text=True, check=True).stdout
-            for threads in ("1", "4")
-        ]
         assert outs[0] == outs[1]
 
     def test_segment_exact_one(self):
@@ -715,22 +693,14 @@ class TestCurvature:
         with pytest.raises(GramViolationError, match="in facet 0"):
             curvature_checks(cube(4), 2_000, seed=5)
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                        reason="one CPU: the thread cap makes every run serial")
-    def test_thread_count_invariance(self):
+    def test_process_invariance(self):
         # 140,000 samples is three chunks of every facet's stream; from
         # dimension 5 the facet angles are sampled.
-        code = (
-            "import os; os.environ['POLYFACE_THREADS'] = '%s'\n"
+        outs = in_fresh_processes(
             "from polyface.angles import curvature_checks\n"
             "from polyface.generators import simplex\n"
             "print(repr(curvature_checks(simplex(5), 140000, seed=4)))\n"
         )
-        outs = [
-            subprocess.run([sys.executable, "-c", code % threads],
-                           capture_output=True, text=True, check=True).stdout
-            for threads in ("1", "4")
-        ]
         assert outs[0] == outs[1]
         assert "exact=False" in outs[0]
 
@@ -794,7 +764,7 @@ class TestProjectionAngleBound:
     def test_top_dimensional_sum_is_refused(self):
         p = cube(3)
         report = AngleSumReport(p.dim, 1.0, 0.0, ())
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError, match="got 3"):
             angle_sum_lower_check(p, report)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError, match="got 3"):
             projection_angle_check(p, report, _directions(p, 3, 1))

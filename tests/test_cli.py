@@ -22,13 +22,11 @@ from polyface.generators import cube
 PKG_ENV = dict(os.environ)
 
 
-def run_cli(*args, threads=None):
-    env = dict(PKG_ENV)
-    if threads is not None:
-        env["POLYFACE_THREADS"] = str(threads)
+def run_cli(*args, **env):
+    """The CLI in a fresh interpreter, with env added to the environment."""
     return subprocess.run(
         [sys.executable, "-m", "polyface", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=dict(PKG_ENV, **env),
     )
 
 
@@ -84,6 +82,12 @@ BAD_INPUTS = [
      "TooLargeError"),
     ("huge-negative-exponent-coordinate",
      '{"ambient_dim": 1, "vertices": [["0"], [" -2.5E-0_300_000 "]]}',
+     ["describe"], "TooLargeError"),
+    # 20 points in R^6 with 4,000-digit JSON integers: as strings they are
+    # refused at once, and so are they as integers.
+    ("huge-integer-coordinates",
+     json.dumps({"ambient_dim": 6, "vertices": [
+         [(i + 1) * 10**3999 + i * j for j in range(6)] for i in range(20)]}),
      ["describe"], "TooLargeError"),
     ("overflowing-ambient-dim",
      '{"ambient_dim": 1e400, "vertices": [[0, 0], [1, 0], [0, 1]]}',
@@ -294,16 +298,14 @@ class TestAngles:
         assert all(f["passed"] for f in data["floors"])
         assert all(c["ok"] for c in data["curvature"])
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                        reason="one CPU: the thread cap makes every run serial")
-    def test_byte_identical_across_thread_counts(self):
-        # 140,000 samples per face is three sampling chunks, so four
-        # threads really do split each estimate.
+    def test_byte_identical_across_processes(self):
+        # 140,000 samples per face is three sampling chunks; two fresh
+        # interpreters with different hash seeds write the same bytes.
         outs = []
-        for threads in (1, 4):
+        for hash_seed in ("1", "2"):
             proc = run_cli("angles", "--family", "simplex", "--dim", "2",
                            "--samples", "140000", "--directions", "1",
-                           threads=threads)
+                           PYTHONHASHSEED=hash_seed)
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
@@ -404,13 +406,13 @@ class TestCorpus:
         rows = capsys.readouterr().out.splitlines()
         assert rows[1].startswith("random-sphere,1,2,")
 
-    def test_byte_identical_across_thread_counts(self, tmp_path):
+    def test_byte_identical_across_processes(self, tmp_path):
         texts = []
-        for threads in (1, 4):
-            out = tmp_path / f"corpus-{threads}.csv"
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"corpus-{hash_seed}.csv"
             proc = run_cli("corpus", "--families", "simplex,cube,cross,cyclic",
                            "--dims", "2..4", "--out", str(out),
-                           threads=threads)
+                           PYTHONHASHSEED=hash_seed)
             assert proc.returncode == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from polyface.errors import NotAFaceError, OutOfRangeError
+from polyface.errors import NotAFaceError, OutOfRangeError, TooLargeError
 from polyface.exact import wdot
 from polyface.generators import cross_polytope, cube, cyclic, pyramid, simplex
 from polyface.polytope import (
+    MAX_COORD_DIGITS,
     hull_from_points,
     polytope_from_json,
     polytope_to_json,
@@ -168,3 +169,16 @@ class TestSerialization:
         assert all(row[2] == "1" for row in data["vertices"])
         q = polytope_from_json(data)
         assert q.dim == 2 and q.n_vertices == 4
+
+    def test_integer_coordinates_past_the_digit_cap_are_refused(self):
+        # As with strings: a 1,000-digit integer is read, a longer one is
+        # refused before the hull ever sees it.
+        top = 10**MAX_COORD_DIGITS
+        def segment(end):
+            return polytope_from_json({"ambient_dim": 1,
+                                       "vertices": [[0], [end]]})
+
+        assert segment(top - 1).vertices[1] == (top - 1,)
+        for huge in (top, -top, 7 * 10**3999):
+            with pytest.raises(TooLargeError):
+                segment(huge)

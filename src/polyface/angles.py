@@ -109,12 +109,31 @@ def tangent_cone(p: Polytope, face) -> tuple[Vector, ...]:
     return tuple(p.facets[i].plane.normal for i in p.facets_containing(vs))
 
 
+# A normal with an entry this large is divided by a power of two before
+# it becomes floats, so that its squares stay finite.
+_BIG_NORMAL = 2.0 ** 500
+
+
+def _normal_floats(n: Vector) -> list[float]:
+    """A normal's entries as floats, each correctly rounded; one with an
+    entry of about 2^500 or more is first divided by 2^e, e the bit length
+    of its largest entry less one.  Only its direction counts."""
+    try:
+        row = [float(c) for c in n]
+        if max(map(abs, row)) < _BIG_NORMAL:
+            return row
+    except OverflowError:  # an entry past the float range
+        pass
+    e = int(max(map(abs, n))).bit_length() - 1
+    return [float(c / 2 ** e) for c in n]
+
+
 def _euclidean_normal_matrix(p: Polytope,
                              normals: tuple[Vector, ...]) -> np.ndarray:
     """Facet covectors rescaled so that plain-dot tests against standard
     Gaussian draws are isotropic in the original geometry."""
     scale = np.array([1.0 / math.sqrt(float(g)) for g in p.metric])
-    mat = np.array([[float(c) for c in n] for n in normals])
+    mat = np.array([_normal_floats(n) for n in normals])
     return mat.reshape(len(normals), len(scale)) * scale
 
 

@@ -96,6 +96,26 @@ def _require_positive(**counts: int) -> None:
 
 
 @contextmanager
+def _long_int_text():
+    """Lift the interpreter's limit on int-to-str conversion (4,300 digits
+    by default, on interpreters that have one) for the block, and restore
+    it after.  Exact diagram points can carry integers far longer than
+    their input's: 300-digit coordinates give points of more than 4,300
+    digits.  Input is parsed before the block, under the limit and the
+    1,000-digit coordinate guard."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:  # no limit to lift
+        yield
+        return
+    old = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@contextmanager
 def _writing(path: str | None, newline: str | None = None):
     """A text sink: stdout when path is None, else the file at path.  An
     OSError from opening, writing or closing the file (a missing
@@ -287,13 +307,15 @@ def cmd_project(args) -> int:
         raise PolyfaceError("projection reports need dim >= 2")
     diagrams = []
     ok = True
-    for d in _directions(p, args.seed, args.directions):
-        diagram = build_shadow_diagram(p, d)
-        ok = ok and diagram.boundary_ok
-        ok = ok and all(g.ok for g in diagram.gap_reports)
-        ok = ok and len(diagram.interior_vertices) >= 1
-        diagrams.append(diagram.to_json())
-    _emit({"directions": args.directions, "diagrams": diagrams}, args.out)
+    with _long_int_text():
+        for d in _directions(p, args.seed, args.directions):
+            diagram = build_shadow_diagram(p, d)
+            ok = ok and diagram.boundary_ok
+            ok = ok and all(g.ok for g in diagram.gap_reports)
+            ok = ok and len(diagram.interior_vertices) >= 1
+            diagrams.append(diagram.to_json())
+        _emit({"directions": args.directions, "diagrams": diagrams},
+              args.out)
     return 0 if ok else 1
 
 

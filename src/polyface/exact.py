@@ -10,7 +10,11 @@ Not every exact sign in the package is decided here.  The hull
 about ridges, in its own integer arithmetic on integer-scaled points.
 ``projection`` certifies diagram crossings with determinants modulo a
 prime (``_nonzero_det_mod_p``) and tests containment in a face's hull with
-integer dot products (``_contains_int``).  Those are exact as well.
+integer dot products (``_contains_int``).  Those are exact as well.  Before
+its exact solves, ``projection`` also runs a floating-point filter
+(``_rejected``): it certifies signs of determinants and slacks against a
+static error bound, and uses them only to reject a face pair that cannot
+cross, so no float ever reaches an output.
 
 All linear algebra runs through one kernel, ``echelon``: fraction-free
 Gauss-Jordan elimination on Python ints.  Rational input is first scaled

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from itertools import combinations
+from math import comb, isqrt, ldexp
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -300,12 +303,18 @@ def _aff_data_int(q: Polytope, face: Face, verts, ifacets):
 _P = 2**31 - 1
 
 
-def _span_residues(q: Polytope, face: Face, span) -> np.ndarray:
-    """A face's span basis mod _P as an (l, dim) int64 array, cached per
-    face and prime (direction independent)."""
-    return q.memo(("face-span-mod", _P, face.vertex_set), lambda: np.array(
-        [[c % _P for c in row] for row in span],
-        dtype=np.int64).reshape(len(span), q.dim))
+def _span_residues(q: Polytope, k: int) -> np.ndarray:
+    """The span bases of the k-faces mod _P, (F, k, dim) int64 in lattice
+    order, cached per prime (direction independent)."""
+    def build():
+        _, verts, ifacets = _int_geometry(q)
+        faces = q.face_lattice().faces_of_dim(k)
+        return np.array([[[c % _P for c in row] for row in
+                          _aff_data_int(q, f, verts, ifacets)[1]]
+                         for f in faces], dtype=np.int64).reshape(
+                             len(faces), k, q.dim)
+
+    return q.memo(("face-span-mod", _P, k), build)
 
 
 def _nonzero_det_mod_p(mats: np.ndarray) -> np.ndarray:
@@ -335,17 +344,311 @@ def _nonzero_det_mod_p(mats: np.ndarray) -> np.ndarray:
     return ok
 
 
+# -- the float filter of disjoint pairs ---------------------------------------
+#
+# Each float array below has a leading axis of two: values, and their
+# magnitudes.  A value stands for an exact integer expression, or for that
+# expression times a power of two; its magnitude is the same expression on
+# the absolute values of its inputs, with every subtraction made an
+# addition, evaluated on the same path.  The value of an expression that
+# takes at most N roundings from its inputs is then off by at most
+# gamma_N = N u / (1 - N u) times its magnitude (u = 2^-53; Higham,
+# "Accuracy and Stability of Numerical Algorithms", 3.1), so a value whose
+# size exceeds the bound has the exact sign (a static filter, Fortune &
+# Van Wyk 1996; Shewchuk 1997).  A magnitude that is exactly 0 certifies
+# an exact 0: a nonzero input's magnitude is raised to at least _FLOOR, so
+# no product of the at most 2m + 2 <= 16 input magnitudes behind a term
+# underflows.  Signed products may underflow; _TINY bounds what that can
+# add, since every input is scaled below 2 in size.
+
+_FLOOR = 2.0 ** -30
+_TINY = 2.0 ** -900
+# Float cells per array of one batch of pairs.
+_FILTER_CELLS = 1 << 15
+# Subtract values, add magnitudes.
+_MINUS = np.array([-1.0, 1.0])
+
+
+def _to_float(x: int, e: int) -> float:
+    """x / 2^e within two roundings, for an int of any size."""
+    s = max(x.bit_length() - 64, 0)
+    return ldexp(float(x >> s), s - e)
+
+
+def _bounded(rows, width: int, lift=0, scaled: bool = True) -> np.ndarray:
+    """(2, len(rows), width) from integer rows: each entry x as a float
+    x / 2^(e + l), and its magnitude (|x| so scaled, at least _FLOOR when
+    x != 0).  l is the entry's column lift (an int or one per column); e
+    is the row's own exponent, which brings its largest |x / 2^l| into
+    [1/2, 2), or 0 when not `scaled`."""
+    lift = np.broadcast_to(lift, (width,))
+    try:
+        val = np.array(rows, dtype=float).reshape(len(rows), width)
+        nonzero = val != 0
+        exps = np.frexp(val)[1] - lift
+    except OverflowError:  # an entry past the float range
+        val = None
+        nonzero = np.array([[x != 0 for x in row] for row in rows],
+                           dtype=bool).reshape(len(rows), width)
+        exps = np.array([[x.bit_length() - 1 for x in row] for row in rows],
+                        dtype=np.int64).reshape(len(rows), width) - lift
+    shifts = np.broadcast_to(lift, (len(rows), width))
+    if scaled:
+        shifts = shifts + exps.max(axis=1, where=nonzero,
+                                             initial=-(1 << 30))[:, None]
+    if val is None:
+        val = np.array([[_to_float(x, s) for x, s in zip(row, sh)]
+                        for row, sh in zip(rows, shifts.tolist())],
+                       dtype=float).reshape(len(rows), width)
+    else:
+        val = np.ldexp(val, -shifts)
+    return np.stack([val, np.where(nonzero, np.maximum(abs(val), _FLOOR),
+                                   0.0)])
+
+
+def _float_geometry(q: Polytope):
+    """(beta, facet rows) of the integer-scaled geometry, cached.
+
+    Positions are divided by 2^beta, which brings every vertex coordinate
+    below 1 in size.  Facet (a, num, den) becomes the row (den a,
+    -num / 2^beta) over a power of two of its own, so its slack at a
+    homogeneous point (y / 2^beta, 1) keeps its sign."""
+    def build():
+        _, verts, ifacets = _int_geometry(q)
+        beta = max(c.bit_length() for p in verts for c in p)
+        rows = [tuple(den * c for c in a) + (-num,)
+                for a, num, den in ifacets]
+        return beta, _bounded(rows, q.dim + 1, (0,) * q.dim + (beta,))
+
+    return q.memo("float-geometry", build)
+
+
+class _FaceFloats(NamedTuple):
+    """Faces' data for the float filter, stacked: each direction or
+    equation over a power of two of its own, and positions over 2^beta.
+    For F faces of dimension k: span bases (2, F, k, dim), base points
+    (2, F, dim), hull equations (2, F, dim - k, dim) with their values at
+    the base point (2, F, dim - k), and the facet slacks
+    (2, F, k + 1, n_facets) of the homogeneous base point and of the span
+    vectors."""
+
+    span: np.ndarray
+    base: np.ndarray
+    eqs: np.ndarray
+    offsets: np.ndarray
+    slacks: np.ndarray
+
+    def take(self, rows) -> _FaceFloats:
+        return _FaceFloats(*(a[:, rows] for a in self))
+
+
+def _face_floats(affs, k: int, dim: int, beta: int,
+                 facet_rows: np.ndarray) -> _FaceFloats:
+    """The filter data of k-faces given by their exact (base, span basis,
+    hull equations, ...), in the scaling of `_float_geometry`."""
+    count = len(affs)
+    span = _bounded([r for aff in affs for r in aff[1]], dim)
+    span = span.reshape(2, count, k, dim)
+    base = _bounded([aff[0] for aff in affs], dim, beta, False)
+    eqs = _bounded([eq + (sum(map(mul, eq, aff[0])),)
+                    for aff in affs for eq in aff[2]],
+                   dim + 1, (0,) * dim + (beta,))
+    eqs = eqs.reshape(2, count, dim - k, dim + 1)
+    ends = np.zeros((2, count, k + 1, 1))
+    ends[:, :, 0] = 1.0
+    points = np.concatenate([base[:, :, None], span], axis=2)
+    return _FaceFloats(span, base, eqs[..., :dim], eqs[..., dim],
+                       np.concatenate([points, ends], axis=3)
+                       @ facet_rows.swapaxes(1, 2)[:, None])
+
+
+class _FaceTable(NamedTuple):
+    """The k-faces of a polytope for the diagram, in lattice order: each
+    face's row index by vertex set, its incidence row over the vertices,
+    and its filter data."""
+
+    row: dict
+    incidence: np.ndarray
+    floats: _FaceFloats
+
+
+def _face_table(q: Polytope, k: int) -> _FaceTable:
+    """The k-faces' table, cached (direction independent)."""
+    def build():
+        _, verts, ifacets = _int_geometry(q)
+        faces = q.face_lattice().faces_of_dim(k)
+        incidence = np.zeros((len(faces), q.n_vertices))
+        for i, f in enumerate(faces):
+            incidence[i, sorted(f.vertex_set)] = 1.0
+        return _FaceTable(
+            {f.vertex_set: i for i, f in enumerate(faces)},
+            incidence, _face_floats(
+                [_aff_data_int(q, f, verts, ifacets) for f in faces], k,
+                q.dim, *_float_geometry(q)))
+
+    return q.memo(("face-table", k), build)
+
+
+def _direction_floats(facet_rows: np.ndarray, v_int) -> tuple:
+    """(v, facet slacks of v): v over a power of two as a (2, dim) array,
+    and its pairing with each facet row, (2, n_facets)."""
+    v = _bounded([v_int], len(v_int))[:, 0]
+    return v, (facet_rows[:, :, :-1] @ v[:, :, None])[..., 0]
+
+
+@lru_cache(maxsize=None)
+def _laplace_plan(m: int):
+    """Laplace expansion of the m x m minors of an m x (m + 1) matrix, row
+    by row: for each row r >= 1, the (r + 1)-subsets of columns, the index
+    of each subset with one column dropped among the r-subsets, and the
+    cofactor signs; then the index of each final minor by the column it
+    leaves out."""
+    steps = []
+    index = {(c,): c for c in range(m + 1)}
+    for r in range(1, m):
+        subsets = list(combinations(range(m + 1), r + 1))
+        drop = [[index[s[:j] + s[j + 1:]] for j in range(r + 1)]
+                for s in subsets]
+        signs = np.array([[(-1.0) ** (r + j) for j in range(r + 1)],
+                          [1.0] * (r + 1)])[:, None, None, :]
+        steps.append((np.array(subsets), np.array(drop), signs))
+        index = {s: i for i, s in enumerate(subsets)}
+    last = [index[tuple(c for c in range(m + 1) if c != k)]
+            for k in range(m + 1)]
+    return steps, last
+
+
+def _maximal_minors(aug: np.ndarray) -> np.ndarray:
+    """(2, B, m + 1) from a (2, B, m, m + 1) stack: entry k is the
+    determinant with column k left out, and its magnitude (the permanent
+    of the magnitudes), at most m (m + 1) / 2 roundings deeper than the
+    entries."""
+    m = aug.shape[2]
+    steps, last = _laplace_plan(m)
+    minors = aug[:, :, 0]
+    for r, (subsets, drop, signs) in enumerate(steps, 1):
+        minors = (aug[:, :, r][:, :, subsets] * minors[:, :, drop]
+                  * signs).sum(axis=-1)
+    return minors[:, :, last]
+
+
+def _certified_signs(x: np.ndarray, rounding: float) -> np.ndarray:
+    """The sign of each value of x (values, magnitudes) as -1, 0 or 1 where
+    the bound certifies it, NaN elsewhere."""
+    val, mag = x
+    return np.where(abs(val) > rounding * mag + _TINY, np.sign(val),
+                    np.where(mag == 0, 0.0, np.nan))
+
+
+def _rounding(m: int, dim: int) -> float:
+    """A bound on gamma_N / (1 - gamma_N), with a factor 2 to spare, for the
+    deepest value of the filter: inputs 2 roundings each, system entries
+    dim + 5 deep, m x m minors m (dim + 5) + m (m + 1) / 2, and facet
+    slacks (m + 1)(dim + 6) + m (m + 1) / 2."""
+    n = (m + 1) * (dim + 6) + m * (m + 1) // 2
+    return 2 * (n + 4) * 2.0 ** -53
+
+
+def _filter_values(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
+                   step_slacks: np.ndarray):
+    """(Cramer values, upper slacks, lower slacks) of the pairs (up[i],
+    low[i]) of one level, each with its magnitudes on the leading axis.
+
+    The system A has the upper face's span and v for columns and the lower
+    face's hull equations for rows; b is those equations' values at the
+    lower base point less their values at the upper one.  Cramer's values
+    (2, B, m + 1) are D = det A and c_0 .. c_(m-1), c_k being det A with
+    column k replaced by b; the last, c_t, is the step's.  The lifts'
+    slacks against facet row f_j (2, B, n_facets) are linear in them: the
+    upper one is D (f_j . (base, 1)) + sum_i c_i (f_j . (span_i, 0)), and
+    the lower one adds c_t (f_j . (v, 0)).  Each is the lift's exact slack
+    times D, times a positive power of two."""
+    cols = np.concatenate([up.span, np.broadcast_to(
+        v[:, None, None], up.span.shape[:2] + (1, v.shape[1]))], axis=2)
+    aug = np.concatenate([
+        low.eqs @ cols.swapaxes(2, 3),
+        (low.offsets + _MINUS[:, None, None]
+         * (low.eqs @ up.base[..., None])[..., 0])[..., None]], axis=3)
+    m = aug.shape[2]
+    # c_k is the minor without column k, times (-1)^(m-1-k) to move the
+    # right-hand side back into column k.
+    signs = np.array([[1.0] + [(-1.0) ** (m - 1 - k) for k in range(m)],
+                      [1.0] * (m + 1)])
+    cramer = _maximal_minors(aug)[:, :, [m] + list(range(m))] \
+        * signs[:, None, :]
+    upper = np.einsum("xbr,xbrj->xbj", cramer[:, :, :m], up.slacks)
+    return cramer, upper, upper + cramer[:, :, m, None] * step_slacks[:, None]
+
+
+def _rejected(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
+              step_slacks: np.ndarray, rounding: float) -> np.ndarray:
+    """Which disjoint pairs (up[i], low[i]) of one level the float filter
+    proves to give no crossing: D = 0 certified (a singular system), or
+    D != 0 certified and either sign(c_t) sign(D) >= 0 (no step down from
+    the upper lift) or sign(D) times some lift's slack > 0 (a lift outside
+    the polytope)."""
+    cramer, upper, lower = _filter_values(up, low, v, step_slacks)
+    det = _certified_signs(cramer[:, :, 0], rounding)
+    step = _certified_signs(cramer[:, :, -1], rounding)
+    outside = ((_certified_signs(upper, rounding) * det[:, None] > 0)
+               | (_certified_signs(lower, rounding) * det[:, None] > 0))
+    return (det == 0) | ((abs(det) == 1) & (
+        (step * det > 0) | (step == 0) | outside.any(axis=1)))
+
+
+def _disjoint_crossing(aff_p, aff_m, v_int):
+    """(den, numerators) of the upper lift of a disjoint pair's interior
+    crossing, by exact elimination; None when the pair does not cross."""
+    base_p, span_p, _, outside_p = aff_p
+    base_m, _, eqs_m, outside_m = aff_m
+    cols = span_p + (v_int,)
+    m = len(cols)
+    # One equation per hull equation of x_minus in the unknowns
+    # (coefficients along aff(x_plus), step t along v); square because the
+    # witness dimensions are complementary.  The augmented rows [A | b]
+    # reduce to D * [I | x] with D = +-det A exactly when A is nonsingular,
+    # so D and the last column are Cramer's denominator and numerators up
+    # to one common sign.
+    rows = [[sum(map(mul, eq, col)) for col in cols]
+            + [sum(map(mul, eq, base_m)) - sum(map(mul, eq, base_p))]
+            for eq in eqs_m]
+    reduced, pivots = echelon(rows)
+    if pivots != list(range(m)):
+        return None  # projected hulls parallel or overlapping
+    den = reduced[0][0]
+    nums = [row[m] for row in reduced]
+    if den < 0:
+        den = -den
+        nums = [-x for x in nums]
+    # Disjoint faces cannot share a lift, and the upper lift must sit
+    # strictly above the lower one: t < 0.
+    if nums[-1] >= 0:
+        return None
+    y_plus = [den * c for c in base_p]
+    for coeff, b in zip(nums[:-1], span_p):
+        if coeff:
+            for j in range(len(y_plus)):
+                y_plus[j] += coeff * b[j]
+    y_minus = [yj + nums[-1] * vj for yj, vj in zip(y_plus, v_int)]
+    if not _contains_int(outside_p, y_plus, den) or \
+       not _contains_int(outside_m, y_minus, den):
+        return None
+    return den, y_plus
+
+
 def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     """All crossing vertices of the overlay of the projected upper and
     lower complexes.
 
     Pairs of faces with complementary dimensions (summing to dim-1) are
-    classified by the vertices they share, and only pairs that can give an
-    interior crossing are solved.  The unknowns are a point of aff(x_plus)
-    and a step t along v onto aff(x_minus); the system is square, and a
-    nonsingular one gives the single common point of the projected hulls.
-    The point qualifies when both lifts lie in the polytope (equivalently,
-    in the witness faces) with the upper lift at or above the lower one.
+    classified by the vertices they share, one level (l_plus, l_minus) at a
+    time, with one product of the level's vertex incidences, and only pairs
+    that can give an interior crossing are solved.  The unknowns are a
+    point of aff(x_plus) and a step t along v onto aff(x_minus); the system
+    is square, and a nonsingular one gives the single common point of the
+    projected hulls.  The point qualifies when both lifts lie in the
+    polytope (equivalently, in the witness faces) with the upper lift at or
+    above the lower one.
 
     * Two or more shared vertices: the hulls share a line, so the system
       is singular and the pair never crosses.
@@ -361,13 +664,17 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     * No shared vertex: the faces are disjoint, so a crossing needs t < 0,
       and under a general-position direction distinct lifts put it inside
       the shadow.  A crossing lies in both projected faces, so pairs whose
-      projected vertices have disjoint bounding boxes are skipped.  The
-      rest are solved, and each lift is tested only against the facets
-      not containing its witness face; the others hold with equality on
-      the face's affine hull.
+      projected vertices have disjoint bounding boxes are skipped (on
+      floats: rounding is monotone, so a strict float miss is an exact
+      one).  A float filter with a certified error bound (`_rejected`)
+      then rejects, in one batch per level, the pairs it proves singular,
+      with t >= 0, or with a lift outside the polytope.  Floats only ever
+      reject: every other pair is solved exactly, and each lift is tested
+      only against the facets not containing its witness face; the others
+      hold with equality on the face's affine hull.
 
-    The arithmetic is fraction-free on a uniformly scaled integer copy of
-    the geometry, so every decision is exact.
+    Every emitted point is computed fraction-free on a uniformly scaled
+    integer copy of the geometry, so every output is exact.
     """
     if q.dim < 2:
         raise DimensionTooLowError("diagram construction needs dim >= 2")
@@ -387,104 +694,95 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     image, vden = _shadow_map(v_int)
     pden = vden * scale
     pv = [image(p) for p in iverts]
+    # Shadow coordinates for the box test, each column shifted right until
+    # it fits a float: a floor, so still monotone.
+    shifts = [max(max(abs(c) for c in col).bit_length() - 1000, 0)
+              for col in zip(*pv)]
+    box_points = np.array([[float(c >> s) for c, s in zip(p, shifts)]
+                           for p in pv])
 
-    def prepared(face):
-        coords = list(zip(*(pv[i] for i in face.vertex_set)))
-        aff = _aff_data_int(q, face, iverts, ifacets)
-        return (face, sum(1 << i for i in face.vertex_set), aff,
-                _span_residues(q, face, aff[1]),
-                tuple(map(min, coords)), tuple(map(max, coords)))
-
+    v_float, step_slacks = _direction_floats(_float_geometry(q)[1], v_int)
     v_mod = np.array([c % _P for c in v_int], dtype=np.int64)
     # The shadow of vertex w and its JSON text, built once: it is every
     # boundary crossing at w.
     shadow_points: dict[int, tuple[Vector, tuple[str, ...]]] = {}
+
+    def aff(face):
+        return _aff_data_int(q, face, iverts, ifacets)
+
+    def table_rows(faces, k):
+        table = _face_table(q, k)
+        return table, np.array([table.row[f.vertex_set] for f in faces])
+
+    def boxes(table, rows):
+        inside = table.incidence[rows, :, None] > 0
+        return (np.where(inside, box_points, np.inf).min(axis=1),
+                np.where(inside, box_points, -np.inf).max(axis=1))
+
     out = []
     for l_plus in range(0, dim):
         l_minus = dim - 1 - l_plus
         if l_plus not in upper_faces or l_minus not in lower_faces:
             continue
-        uppers = [prepared(f) for f in upper_faces[l_plus]]
-        lowers = [prepared(f) for f in lower_faces[l_minus]]
-        # The level's vertices in loop order, None where a shared-vertex
-        # pair waits for its rank decision; `pending` holds those pairs.
-        level: list[DiagramVertex | None] = []
-        pending = []
-        for iu, (x_plus, mask_p, aff_p, _, lo_p, hi_p) in enumerate(uppers):
-            base_p, span_p, _, outside_p = aff_p
-            cols = span_p + (v_int,)
-            m = len(cols)
-            for il, (x_minus, mask_m, aff_m, _, lo_m, hi_m) in enumerate(
-                    lowers):
-                shared = mask_p & mask_m
-                if shared & (shared - 1):
-                    continue  # two or more shared: the hulls share a line
-                if shared:
-                    pending.append((len(level), iu, il, shared))
-                    level.append(None)
-                    continue
-                if any(hp < lm or hm < lp for lp, hp, lm, hm
-                       in zip(lo_p, hi_p, lo_m, hi_m)):
-                    continue  # disjoint faces whose shadows' boxes miss
-                base_m, _, eqs_m, outside_m = aff_m
-                # One equation per hull equation of x_minus in the unknowns
-                # (coefficients along aff(x_plus), step t along v); square
-                # because the witness dimensions are complementary.  The
-                # augmented rows [A | b] reduce to D * [I | x] with
-                # D = +-det A exactly when A is nonsingular, so D and the
-                # last column are Cramer's denominator and numerators up to
-                # one common sign.
-                rows = [[sum(map(mul, eq, col)) for col in cols]
-                        + [sum(map(mul, eq, base_m))
-                           - sum(map(mul, eq, base_p))]
-                        for eq in eqs_m]
-                reduced, pivots = echelon(rows)
-                if pivots != list(range(m)):
-                    continue  # projected hulls parallel or overlapping
-                den = reduced[0][0]
-                nums = [row[m] for row in reduced]
-                if den < 0:
-                    den = -den
-                    nums = [-x for x in nums]
-                # Disjoint faces cannot share a lift, and the upper lift
-                # must sit strictly above the lower one: t < 0.
-                if nums[-1] >= 0:
-                    continue
-                y_plus = [den * c for c in base_p]
-                for coeff, b in zip(nums[:-1], span_p):
-                    if coeff:
-                        for j in range(dim):
-                            y_plus[j] += coeff * b[j]
-                y_minus = [yj + nums[-1] * vj for yj, vj in zip(y_plus, v_int)]
-                if not _contains_int(outside_p, y_plus, den) or \
-                   not _contains_int(outside_m, y_minus, den):
-                    continue
-                point = tuple(Fraction(c, den * pden) for c in image(y_plus))
-                level.append(DiagramVertex(point, x_plus, x_minus,
-                                           l_plus, l_minus, True))
-        if pending:
-            _, iu, il, _ = zip(*pending)
+        uppers, lowers = upper_faces[l_plus], lower_faces[l_minus]
+        tu, ru = table_rows(uppers, l_plus)
+        tl, rl = table_rows(lowers, l_minus)
+        shared = tu.incidence[ru] @ tl.incidence[rl].T
+        lo_u, hi_u = boxes(tu, ru)
+        lo_l, hi_l = boxes(tl, rl)
+        miss = ((hi_u[:, None] < lo_l[None]) | (hi_l[None] < lo_u[:, None])
+                ).any(axis=2)
+        # The level's vertices by (upper, lower) index, emitted in that
+        # loop order.
+        level: dict[tuple[int, int], DiagramVertex] = {}
+
+        iu, il = np.nonzero((shared == 0) & ~miss)
+        if len(iu):
+            m = l_plus + 1
+            width = max(max(comb(m + 1, r + 1) * (r + 1) for r in range(m)),
+                        (m + 1) * len(ifacets))
+            chunk = max(1, _FILTER_CELLS // (2 * width))
+            up, low = tu.floats.take(ru), tl.floats.take(rl)
+            rounding = _rounding(m, dim)
+            undecided = ~np.concatenate([
+                _rejected(up.take(iu[at:at + chunk]),
+                          low.take(il[at:at + chunk]), v_float, step_slacks,
+                          rounding)
+                for at in range(0, len(iu), chunk)])
+            for a, b in zip(iu[undecided].tolist(), il[undecided].tolist()):
+                found = _disjoint_crossing(aff(uppers[a]), aff(lowers[b]),
+                                           v_int)
+                if found is not None:
+                    den, y_plus = found
+                    point = tuple(Fraction(c, den * pden)
+                                  for c in image(y_plus))
+                    level[a, b] = DiagramVertex(point, uppers[a], lowers[b],
+                                                l_plus, l_minus, True)
+
+        iu, il = np.nonzero(shared == 1)
+        if len(iu):
             certified = _nonzero_det_mod_p(np.concatenate([
-                np.stack([u[3] for u in uppers])[list(iu)],
-                np.broadcast_to(v_mod, (len(pending), 1, dim)),
-                np.stack([lo[3] for lo in lowers])[list(il)]], axis=1))
-            for (at, iu, il, shared), sure in zip(pending, certified.tolist()):
-                x_plus, _, aff_p, *_ = uppers[iu]
-                x_minus, _, aff_m, *_ = lowers[il]
+                _span_residues(q, l_plus)[ru[iu]],
+                np.broadcast_to(v_mod, (len(iu), 1, dim)),
+                _span_residues(q, l_minus)[rl[il]]], axis=1))
+            # The vertex w that each pair shares.
+            at = (tu.incidence[ru[iu]] * tl.incidence[rl[il]]).argmax(axis=1)
+            for a, b, sure, w in zip(iu.tolist(), il.tolist(),
+                                     certified.tolist(), at.tolist()):
+                x_plus, x_minus = uppers[a], lowers[b]
                 if not sure:
-                    cols = aff_p[1] + (v_int,)
+                    cols = aff(x_plus)[1] + (v_int,)
                     rows = [[sum(map(mul, eq, col)) for col in cols]
-                            for eq in aff_m[2]]
+                            for eq in aff(x_minus)[2]]
                     if len(echelon(rows)[1]) < len(cols):
                         continue  # singular: the projected hulls overlap
-                w = shared.bit_length() - 1
                 if w not in shadow_points:
                     point = tuple(Fraction(c, pden) for c in pv[w])
                     shadow_points[w] = (point, tuple(map(str, point)))
                 point, text = shadow_points[w]
-                level[at] = DiagramVertex(point, x_plus, x_minus, l_plus,
-                                          l_minus, False, text)
-        out.extend(dv for dv in level if dv is not None)
+                level[a, b] = DiagramVertex(point, x_plus, x_minus, l_plus,
+                                            l_minus, False, text)
+        out.extend(level[k] for k in sorted(level))
     return tuple(out)
 
 

@@ -60,6 +60,17 @@ def facet_as_polytope(p, index):
         p.metric))
 
 
+def gaussian_points(digits):
+    """(points, moved): nine Gaussian points in R^3 rounded to 10^-6, as
+    integers of about 7 digits, and those points times 10^(digits - 6),
+    each coordinate moved by at most 9 units."""
+    rng = np.random.default_rng(5)
+    points = np.rint(rng.standard_normal((9, 3)) * 1e6).astype(int).tolist()
+    moved = [[c * 10 ** (digits - 6) + int(o) for c, o in
+              zip(p, rng.integers(-9, 10, 3))] for p in points]
+    return points, moved
+
+
 def _directions(p, seed, count):
     """Directions sampled as the CLI samples them: the i-th from the seed
     derived from (seed, "dir", i)."""
@@ -692,6 +703,20 @@ class TestCurvature:
         drop_one_facet(monkeypatch, frozenset([0]))
         with pytest.raises(GramViolationError, match="in facet 0"):
             curvature_checks(cube(4), 2_000, seed=5)
+
+    @pytest.mark.parametrize("digits", [120, 160, 200])
+    def test_big_coordinates(self, digits):
+        # Facet normals of points of size 10^k reach 10^(2k): at k = 120
+        # their squares overflowed to NaN totals, and from k = 160 the
+        # conversion to floats raised OverflowError.  A copy scaled by
+        # 10^(k-6) and moved by a few units has the same angles, to far
+        # below the float precision.
+        points, moved = gaussian_points(digits)
+        small = curvature_checks(hull_from_points(points), 2000, 1)
+        big = curvature_checks(hull_from_points(moved), 2000, 1)
+        assert [r.face for r in big] == [r.face for r in small]
+        for a, b in zip(small, big):
+            assert b.ok and abs(a.total - b.total) <= 1e-12
 
     def test_process_invariance(self):
         # 140,000 samples is three chunks of every facet's stream; from

@@ -19,7 +19,18 @@ from polyface.angles import DEFAULT_SAMPLES, curvature_checks
 from polyface.cli import DEFAULT_DIRECTIONS, _emit, _write_json, main
 from polyface.generators import cube
 
+from test_angles import gaussian_points
+from test_golden import huge_polytope
+
 PKG_ENV = dict(os.environ)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and the infinities."""
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_cli(*args, **env):
@@ -367,6 +378,17 @@ class TestAngles:
                              for j in p.facets_containing(frozenset(rep.face))]
             assert len(set(seeds)) == len(seeds) >= 2
 
+    def test_huge_coordinates(self, tmp_path, capsys):
+        # Facet normals of 160-digit points overflow a float; only their
+        # directions count, so they are scaled first.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"ambient_dim": 3, "vertices": [
+            [str(c) for c in p] for p in gaussian_points(160)[1]]}))
+        assert main(["angles", "--in", str(path), "--samples", "2000",
+                     "--directions", "1"]) == 0
+        data = strict_json(capsys.readouterr().out)
+        assert data["curvature"] and all(c["ok"] for c in data["curvature"])
+
     def test_point_has_no_checks(self, tmp_path, capsys):
         path = tmp_path / "point.json"
         path.write_text('{"ambient_dim": 2, "vertices": [[1, 1]]}')
@@ -388,6 +410,22 @@ class TestProject:
             assert diagram["interior_count"] >= 1
             assert diagram["boundary_homeomorphic"] is True
             assert all(g["ok"] for g in diagram["gaps"])
+
+
+    def test_huge_coordinates(self, tmp_path):
+        # 300-digit coordinates give diagram points of more than 4,300
+        # digits, past the interpreter's default limit on int-to-str
+        # conversion; the limit is lifted for the report only.
+        path, out = tmp_path / "huge.json", tmp_path / "project.json"
+        path.write_text(json.dumps(huge_polytope(300)))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert main(["project", "--in", str(path), "--directions", "1",
+                     "--out", str(out)]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        diagram = strict_json(out.read_text())["diagrams"][0]
+        assert diagram["interior_count"] >= 1
+        assert max(len(c) for dv in diagram["diagram_vertices"]
+                   for c in dv["point"]) > 2 * 4300
 
 
 class TestCorpus:

@@ -12,8 +12,11 @@ when the shadow became the parallel projection along v onto x_j = 0 (j
 the last index with v_j != 0; same combinatorial type as any other
 projection along v).  That change moved only the `point` coordinates of
 the diagram vertices: with every `point` removed, the outputs equal the
-ones before it.  Solid angles are left out: their floats are seeded but
-depend on numpy's generator.
+ones before it.  The three `project` cases after pyramid-5 (200-digit
+coordinates, cross-5, cyclic(d=6, n=9)) were recorded before the disjoint
+face pairs of the diagram went through a floating-point filter.  Solid
+angles are left out: their floats are seeded but depend on numpy's
+generator.
 """
 import hashlib
 import json
@@ -28,6 +31,18 @@ FLAT_HEXAGON = {"ambient_dim": 3, "vertices": [
     ["0", "0", "1/2"], ["3/2", "0", "1/2"], ["0", "2/3", "1/2"],
     ["3/2", "2/3", "1/2"], ["1/3", "1/3", "1/2"], ["7/4", "1/3", "1/2"],
 ]}
+
+
+def huge_polytope(digits: int) -> dict:
+    """Eight points near the vertices of the cube [-10^digits, 10^digits]^3,
+    each moved by a few units, so every facet is a triangle."""
+    big = 10**digits
+    offsets = [(1, 2, 3), (-2, 1, 4), (3, -1, 2), (1, 4, -3), (-3, -2, 1),
+               (2, -3, -1), (-1, 3, -2), (4, 1, 1)]
+    return {"ambient_dim": 3, "vertices": [
+        [str((big if i >> j & 1 else -big) + o) for j, o in enumerate(off)]
+        for i, off in enumerate(offsets)]}
+
 
 CASES = [
     (["describe", "--family", "cube", "--dim", "4"],
@@ -52,6 +67,15 @@ CASES = [
     # project to parallel hulls: the singular case of a shared vertex.
     (["project", "--family", "pyramid", "--dim", "5", "--directions", "1"],
      "53d7d2be37ad4ffe148625b0878ec5ada9c3fa6528ff3b0ddd7585b9682bd147"),
+    # 200-digit coordinates: the direction has 1,212 digits, far past the
+    # range of a float.
+    (["project", "--in", "{huge}", "--directions", "1"],
+     "9632497eed8aef1478fae69aff91eb51e15332f85af9699205f768b5941f0733"),
+    (["project", "--family", "cross", "--dim", "5", "--directions", "1"],
+     "584fbb89a1859e49c98fe2e562a437cb6ae84340552951c1c359ea24ea35b910"),
+    (["project", "--family", "cyclic", "--dim", "6", "--n", "9",
+      "--directions", "1"],
+     "4e4a2102cc98992566bfc777b124386e445a92bc2cbf7013b89205d004a1195e"),
     (["project", "--family", "cube", "--dim", "4", "--directions", "2"],
      "bff49a7583020090ed964bff4dd87cd5bebea17162c5c1b75fbf86d9bdd7275c"),
     (["corpus", "--dims", "2..4"],
@@ -75,9 +99,11 @@ def _case_ids():
 
 @pytest.mark.parametrize("argv,digest", CASES, ids=_case_ids())
 def test_stdout_matches_golden_hash(argv, digest, tmp_path, capsys):
-    flat = tmp_path / "flat.json"
-    flat.write_text(json.dumps(FLAT_HEXAGON))
-    argv = [str(flat) if a == "{flat}" else a for a in argv]
+    files = {"{flat}": FLAT_HEXAGON, "{huge}": huge_polytope(200)}
+    for name, data in files.items():
+        (tmp_path / f"{name[1:-1]}.json").write_text(json.dumps(data))
+    argv = [str(tmp_path / f"{a[1:-1]}.json") if a in files else a
+            for a in argv]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

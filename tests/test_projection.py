@@ -47,6 +47,7 @@ from polyface.projection import (
 from corpus import extended_corpus
 from test_angles import facet_as_polytope
 from test_exact import side
+from test_golden import huge_polytope
 from test_polytope import contains
 
 
@@ -156,10 +157,10 @@ def all_pairs_diagram_vertices(q, v):
     return tuple(out)
 
 
-def shared_vertex_pairs(q, v):
+def shared_vertex_pairs(q, v, shared=1):
     """(pairs, singular): the upper x lower pairs of complementary
-    dimensions that share exactly one vertex, and how many of them have a
-    singular system, by exact rank."""
+    dimensions that share exactly `shared` vertices, and how many of them
+    have a singular system, by exact rank."""
     complexes = upper_lower(q, v)
     _, iverts, ifacets = projection._int_geometry(q)
     v_int = tuple(int(c) for c in primitive(v.v))
@@ -169,7 +170,8 @@ def shared_vertex_pairs(q, v):
         cols = span_p + (v_int,)
         for x_minus in complexes.lower_faces:
             if (x_plus.dim + x_minus.dim != q.dim - 1
-                    or len(x_plus.vertex_set & x_minus.vertex_set) != 1):
+                    or len(x_plus.vertex_set & x_minus.vertex_set)
+                    != shared):
                 continue
             _, _, eqs_m, _ = projection._aff_data_int(q, x_minus, iverts,
                                                       ifacets)
@@ -219,6 +221,81 @@ def residue_batches(draw):
             rows = draw(st.permutations(rows))
         batch.append(rows)
     return batch
+
+
+def signed_det(rows):
+    """Exact determinant by fraction-free (Bareiss) elimination, with the
+    row swaps counted."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def idot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+@st.composite
+def filter_systems(draw):
+    """One disjoint pair's data for the float filter, as integers: the
+    upper face's span rows and base point, the lower face's hull
+    equations and base point, a direction v with entries up to 2^4000, and
+    a few facet rows (den a, -num).  Other entries reach 2^200.  Most
+    systems are made singular or nearly so: a column or an equation that
+    is a combination of the others, a right-hand side in the column space
+    (a zero step), or sparse rows with structural zeros, each perturbed by
+    one unit or not."""
+    dim = draw(st.integers(2, 6))
+    m = draw(st.integers(1, min(dim, 5)))
+    entry = st.one_of(st.integers(-2**200, 2**200), st.integers(-3, 3))
+    coeff = st.integers(-2**40, 2**40)
+
+    def vec(elements=entry):
+        return [draw(elements) for _ in range(dim)]
+
+    cols = [vec() for _ in range(m - 1)]
+    cols.append(vec(st.one_of(st.integers(-2**4000, 2**4000), entry)))
+    eqs = [vec() for _ in range(m)]
+    base_u, step = vec(), vec()
+    kind = draw(st.sampled_from(["free", "column", "equation", "through",
+                                 "sparse"]))
+
+    def combination(rows):
+        cs = [draw(coeff) for _ in rows]
+        return [sum(c * r[i] for c, r in zip(cs, rows)) for i in range(dim)]
+
+    if kind == "column" and m > 1:
+        at = draw(st.integers(0, m - 1))
+        cols[at] = combination(cols[:at] + cols[at + 1:])
+    elif kind == "equation" and m > 1:
+        at = draw(st.integers(0, m - 1))
+        eqs[at] = combination(eqs[:at] + eqs[at + 1:])
+    elif kind == "through":
+        # base_l - base_u in span(cols), with the v coefficient often 0.
+        lead = cols[:-1] + draw(st.sampled_from([[], [cols[-1]]]))
+        step = combination(lead) if lead else [0] * dim
+    elif kind == "sparse":
+        keep = st.sampled_from([True, False])
+        cols = [[c if draw(keep) else 0 for c in r] for r in cols]
+        eqs = [[c if draw(keep) else 0 for c in r] for r in eqs]
+    if draw(st.booleans()):
+        rows = draw(st.sampled_from([cols, eqs]))
+        rows[draw(st.integers(0, len(rows) - 1))][
+            draw(st.integers(0, dim - 1))] += draw(st.sampled_from([-1, 1]))
+    base_l = [u + s for u, s in zip(base_u, step)]
+    facets = [vec() + [draw(entry)] for _ in range(draw(st.integers(1, 3)))]
+    return dim, cols, eqs, base_u, base_l, facets
 
 
 def complementary_pairs(q, v):
@@ -542,6 +619,39 @@ class TestDiagramVertices:
             monkeypatch.setattr(projection, "echelon", solve)
             assert sum(square) <= singular, seed
 
+    @pytest.mark.parametrize("q,axis_parallel", [
+        (cube(4), True), (cross_polytope(4), False)], ids=["cube", "cross"])
+    def test_exact_solves_only_for_undecided_disjoint_pairs(
+            self, q, axis_parallel, monkeypatch):
+        # The float filter rejects the disjoint pairs it proves give no
+        # crossing, so the augmented exact solves are at most the
+        # crossings and the singular systems.  A cube's faces are
+        # axis-parallel, so each of its singular systems is singular by its
+        # zero pattern, which the filter certifies: only crossings remain.
+        solve = projection.echelon
+        for seed in range(3):
+            d = sample_direction(q, seed=seed)
+            _, singular = shared_vertex_pairs(q, d, shared=0)
+            augmented = []
+            monkeypatch.setattr(
+                projection, "echelon",
+                lambda rows: augmented.append(len(rows[0]) == len(rows) + 1)
+                or solve(rows))
+            interior = sum(dv.interior for dv in diagram_vertices(q, d))
+            monkeypatch.setattr(projection, "echelon", solve)
+            assert 0 < sum(augmented) <= interior + singular, seed
+            if axis_parallel:
+                assert sum(augmented) == interior, seed
+
+    def test_matches_all_pairs_reference_with_huge_coordinates(self):
+        # 200-digit coordinates give a direction of 1,212 digits, far past
+        # the range of a float: the filter's inputs must be scaled.
+        p = hull_from_points([vector(c) for c in
+                              huge_polytope(200)["vertices"]])
+        for seed in range(2):
+            d = sample_direction(p, seed=seed)
+            assert diagram_vertices(p, d) == all_pairs_diagram_vertices(p, d)
+
     @pytest.mark.parametrize("p", [cube(4), pyramid(cube(4)),
                                    prism(simplex(4)), cyclic(8, 4)], ids=str)
     def test_zero_residues_fall_back_to_exact_rank(self, p, monkeypatch):
@@ -579,6 +689,46 @@ class TestResidueCertificate:
         before = mods.copy()
         assert projection._nonzero_det_mod_p(mods).tolist() == [True, True]
         assert (mods == before).all()
+
+class TestFloatFilter:
+    @given(filter_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_certified_signs_are_exact(self, system):
+        # Every sign the filter certifies, of D, of Cramer's numerators and
+        # of both lifts' facet slacks, is the exact sign, and a certified
+        # zero is an exact zero.
+        dim, cols, eqs, base_u, base_l, facets = system
+        m = len(eqs)
+        beta = max(c.bit_length() for c in base_u + base_l)
+        rows = projection._bounded(facets, dim + 1, (0,) * dim + (beta,))
+        up = projection._face_floats(
+            [(tuple(base_u), [tuple(r) for r in cols[:-1]],
+              [(0,) * dim] * (dim - m + 1))], m - 1, dim, beta, rows)
+        low = projection._face_floats(
+            [(tuple(base_l), [(0,) * dim] * (dim - m),
+              [tuple(r) for r in eqs])], dim - m, dim, beta, rows)
+        v, steps = projection._direction_floats(rows, cols[-1])
+        values = projection._filter_values(up, low, v, steps)
+        rounding = projection._rounding(m, dim)
+        certified = [projection._certified_signs(x, rounding)[0].tolist()
+                     for x in values]
+
+        a = [[idot(eq, col) for col in cols] for eq in eqs]
+        b = [idot(eq, base_l) - idot(eq, base_u) for eq in eqs]
+        det = signed_det(a)
+        cramer = [signed_det([row[:k] + [bi] + row[k + 1:]
+                              for row, bi in zip(a, b)]) for k in range(m)]
+        upper = [det * (idot(f[:dim], base_u) + f[dim])
+                 + sum(c * idot(f[:dim], col)
+                       for c, col in zip(cramer, cols[:-1]))
+                 for f in facets]
+        lower = [s + cramer[-1] * idot(f[:dim], cols[-1])
+                 for s, f in zip(upper, facets)]
+        for signs, exact in zip(certified, [[det] + cramer, upper, lower]):
+            for sign, x in zip(signs, exact):
+                if sign == sign:  # certified
+                    assert sign == (x > 0) - (x < 0), (sign, x)
+
 
 class TestQuotientWitness:
     def test_cube_witnesses(self):

@@ -132,7 +132,13 @@ def _euclidean_normal_matrix(p: Polytope,
                              normals: tuple[Vector, ...]) -> np.ndarray:
     """Facet covectors rescaled so that plain-dot tests against standard
     Gaussian draws are isotropic in the original geometry."""
-    scale = np.array([1.0 / math.sqrt(float(g)) for g in p.metric])
+    try:
+        scale = np.array([1.0 / math.sqrt(float(g)) for g in p.metric])
+    except OverflowError:
+        # An entry past the float range.  Entries can differ by more than
+        # that range, so no common power of two would rescue them.
+        raise TooLargeError("a metric column scale does not fit a float"
+                            ) from None
     mat = np.array([_normal_floats(n) for n in normals])
     return mat.reshape(len(normals), len(scale)) * scale
 

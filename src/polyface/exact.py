@@ -8,13 +8,13 @@ with a positive denominator.  Vectors are plain tuples of scalars.
 Not every exact sign in the package is decided here.  The hull
 (``_hull``) tests which side of a facet a point is on, and rotates facets
 about ridges, in its own integer arithmetic on integer-scaled points.
-``projection`` certifies diagram crossings with determinants modulo a
-prime (``_nonzero_det_mod_p``) and tests containment in a face's hull with
-integer dot products (``_contains_int``).  Those are exact as well.  Before
-its exact solves, ``projection`` also runs a floating-point filter
-(``_rejected``): it certifies signs of determinants and slacks against a
-static error bound, and uses them only to reject a face pair that cannot
-cross, so no float ever reaches an output.
+``projection`` tests containment in a face's hull with integer dot
+products (``_contains_int``), which are exact as well.  Before its exact
+solves, ``projection`` runs a floating-point filter (``_certify``): it
+certifies signs of determinants and slacks against a static error bound.
+A certified sign decides whether a diagram face pair can cross; a pair
+whose sign the bound leaves open is solved here, exactly, so no float
+ever reaches an output.
 
 All linear algebra runs through one kernel, ``echelon``: fraction-free
 Gauss-Jordan elimination on Python ints.  Rational input is first scaled

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, isqrt, ldexp
+from math import comb, isnan, isqrt, ldexp
 from operator import mul
 from typing import NamedTuple
 
@@ -298,53 +298,7 @@ def _aff_data_int(q: Polytope, face: Face, verts, ifacets):
     return q.memo(("face-affine", face.vertex_set), build)
 
 
-# A prime below 2^31: two residues multiply to less than 2^62, so the
-# elimination in `_nonzero_det_mod_p` never leaves int64.
-_P = 2**31 - 1
-
-
-def _span_residues(q: Polytope, k: int) -> np.ndarray:
-    """The span bases of the k-faces mod _P, (F, k, dim) int64 in lattice
-    order, cached per prime (direction independent)."""
-    def build():
-        _, verts, ifacets = _int_geometry(q)
-        faces = q.face_lattice().faces_of_dim(k)
-        return np.array([[[c % _P for c in row] for row in
-                          _aff_data_int(q, f, verts, ifacets)[1]]
-                         for f in faces], dtype=np.int64).reshape(
-                             len(faces), k, q.dim)
-
-    return q.memo(("face-span-mod", _P, k), build)
-
-
-def _nonzero_det_mod_p(mats: np.ndarray) -> np.ndarray:
-    """Whether det A is nonzero mod _P, for each A of a (B, n, n) stack of
-    residues in [0, _P).
-
-    Division-free Gaussian elimination: each step moves a row with a
-    nonzero entry in the pivot column up and replaces every row below by
-    pivot * row - entry * pivot row, which multiplies the determinant by a
-    nonzero residue.  So the determinant is zero mod _P exactly when some
-    pivot column has no nonzero entry.  A nonzero residue certifies that
-    the integer determinant is nonzero; a zero one decides nothing.
-    """
-    a = mats.copy()
-    count, n, _ = a.shape
-    ok = np.ones(count, dtype=bool)
-    at = np.arange(count)
-    for k in range(n):
-        nonzero = a[:, k:, k] != 0
-        ok &= nonzero.any(axis=1)
-        r = nonzero.argmax(axis=1) + k
-        prow = a[at, r]
-        a[at, r] = a[:, k]
-        a[:, k + 1:, k + 1:] = (prow[:, k, None, None] * a[:, k + 1:, k + 1:]
-                                - a[:, k + 1:, k, None] * prow[:, None, k + 1:]
-                                ) % _P
-    return ok
-
-
-# -- the float filter of disjoint pairs ---------------------------------------
+# -- the float filter of face pairs -------------------------------------------
 #
 # Each float array below has a leading axis of two: values, and their
 # magnitudes.  A value stands for an exact integer expression, or for that
@@ -580,35 +534,36 @@ def _filter_values(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
     return cramer, upper, upper + cramer[:, :, m, None] * step_slacks[:, None]
 
 
-def _rejected(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
-              step_slacks: np.ndarray, rounding: float) -> np.ndarray:
-    """Which disjoint pairs (up[i], low[i]) of one level the float filter
-    proves to give no crossing: D = 0 certified (a singular system), or
-    D != 0 certified and either sign(c_t) sign(D) >= 0 (no step down from
-    the upper lift) or sign(D) times some lift's slack > 0 (a lift outside
-    the polytope)."""
+def _certify(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
+             step_slacks: np.ndarray, rounding: float):
+    """(sign of D, rejected) for the pairs (up[i], low[i]) of one level:
+    the certified sign of D = det A (-1, 0 or 1, NaN when uncertified), and
+    whether the float filter proves that the pair, if disjoint, gives no
+    crossing: D = 0 certified (a singular system), or D != 0 certified and
+    either sign(c_t) sign(D) >= 0 (no step down from the upper lift) or
+    sign(D) times some lift's slack > 0 (a lift outside the polytope)."""
     cramer, upper, lower = _filter_values(up, low, v, step_slacks)
     det = _certified_signs(cramer[:, :, 0], rounding)
     step = _certified_signs(cramer[:, :, -1], rounding)
     outside = ((_certified_signs(upper, rounding) * det[:, None] > 0)
                | (_certified_signs(lower, rounding) * det[:, None] > 0))
-    return (det == 0) | ((abs(det) == 1) & (
+    return det, (det == 0) | ((abs(det) == 1) & (
         (step * det > 0) | (step == 0) | outside.any(axis=1)))
 
 
-def _disjoint_crossing(aff_p, aff_m, v_int):
-    """(den, numerators) of the upper lift of a disjoint pair's interior
-    crossing, by exact elimination; None when the pair does not cross."""
-    base_p, span_p, _, outside_p = aff_p
-    base_m, _, eqs_m, outside_m = aff_m
+def _solve(aff_p, aff_m, v_int):
+    """(den, numerators) of a pair's system by exact elimination: den > 0
+    and the numerators of the coefficients along aff(x_plus), then of the
+    step t along v.  None when the system is singular."""
+    base_p, span_p, _, _ = aff_p
+    base_m, _, eqs_m, _ = aff_m
     cols = span_p + (v_int,)
     m = len(cols)
-    # One equation per hull equation of x_minus in the unknowns
-    # (coefficients along aff(x_plus), step t along v); square because the
-    # witness dimensions are complementary.  The augmented rows [A | b]
-    # reduce to D * [I | x] with D = +-det A exactly when A is nonsingular,
-    # so D and the last column are Cramer's denominator and numerators up
-    # to one common sign.
+    # One equation per hull equation of x_minus in the unknowns; square
+    # because the witness dimensions are complementary.  The augmented
+    # rows [A | b] reduce to D * [I | x] with D = +-det A exactly when A is
+    # nonsingular, so D and the last column are Cramer's denominator and
+    # numerators up to one common sign.
     rows = [[sum(map(mul, eq, col)) for col in cols]
             + [sum(map(mul, eq, base_m)) - sum(map(mul, eq, base_p))]
             for eq in eqs_m]
@@ -617,13 +572,20 @@ def _disjoint_crossing(aff_p, aff_m, v_int):
         return None  # projected hulls parallel or overlapping
     den = reduced[0][0]
     nums = [row[m] for row in reduced]
-    if den < 0:
-        den = -den
-        nums = [-x for x in nums]
+    return (den, nums) if den > 0 else (-den, [-x for x in nums])
+
+
+def _disjoint_crossing(aff_p, aff_m, v_int):
+    """(den, numerators) of the upper lift of a disjoint pair's interior
+    crossing; None when the pair does not cross."""
+    solved = _solve(aff_p, aff_m, v_int)
     # Disjoint faces cannot share a lift, and the upper lift must sit
     # strictly above the lower one: t < 0.
-    if nums[-1] >= 0:
+    if solved is None or solved[1][-1] >= 0:
         return None
+    den, nums = solved
+    base_p, span_p, _, outside_p = aff_p
+    outside_m = aff_m[3]
     y_plus = [den * c for c in base_p]
     for coeff, b in zip(nums[:-1], span_p):
         if coeff:
@@ -654,24 +616,23 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
       is singular and the pair never crosses.
     * Exactly one shared vertex w: w solves the system with t = 0, so the
       pair crosses iff the system is nonsingular, and the crossing is w's
-      shadow, a boundary crossing.  The system is nonsingular iff the
-      dim x dim matrix [span(x_plus); v; span(x_minus)] is, since the hull
-      equations of x_minus cut out its direction space.  The pairs of one
-      level are collected, and one batched elimination mod a prime
-      decides them: a nonzero determinant mod p certifies a nonsingular
-      system.  A zero residue, which every singular pair has, falls back
-      to the exact rank test on the integer system.
+      shadow, a boundary crossing.
     * No shared vertex: the faces are disjoint, so a crossing needs t < 0,
       and under a general-position direction distinct lifts put it inside
       the shadow.  A crossing lies in both projected faces, so pairs whose
       projected vertices have disjoint bounding boxes are skipped (on
       floats: rounding is monotone, so a strict float miss is an exact
-      one).  A float filter with a certified error bound (`_rejected`)
-      then rejects, in one batch per level, the pairs it proves singular,
-      with t >= 0, or with a lift outside the polytope.  Floats only ever
-      reject: every other pair is solved exactly, and each lift is tested
-      only against the facets not containing its witness face; the others
-      hold with equality on the face's affine hull.
+      one).
+
+    The remaining pairs of a level go through one float filter with a
+    certified error bound (`_certify`), in one batch.  A one-vertex pair
+    crosses when the filter certifies D = det A != 0, and is skipped when
+    it certifies D = 0.  A disjoint pair is rejected when the filter proves
+    it singular, with t >= 0, or with a lift outside the polytope.  A
+    one-vertex pair with an uncertified D, and every disjoint pair not
+    rejected, is solved exactly (`_solve`).  Each lift of a disjoint pair
+    is tested only against the facets not containing its witness face; the
+    others hold with equality on the face's affine hull.
 
     Every emitted point is computed fraction-free on a uniformly scaled
     integer copy of the geometry, so every output is exact.
@@ -702,7 +663,6 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                            for p in pv])
 
     v_float, step_slacks = _direction_floats(_float_geometry(q)[1], v_int)
-    v_mod = np.array([c % _P for c in v_int], dtype=np.int64)
     # The shadow of vertex w and its JSON text, built once: it is every
     # boundary crossing at w.
     shadow_points: dict[int, tuple[Vector, tuple[str, ...]]] = {}
@@ -732,11 +692,10 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
         lo_l, hi_l = boxes(tl, rl)
         miss = ((hi_u[:, None] < lo_l[None]) | (hi_l[None] < lo_u[:, None])
                 ).any(axis=2)
-        # The level's vertices by (upper, lower) index, emitted in that
-        # loop order.
-        level: dict[tuple[int, int], DiagramVertex] = {}
-
-        iu, il = np.nonzero((shared == 0) & ~miss)
+        # Disjoint pairs whose boxes meet, and one-vertex pairs, whose
+        # boxes always do, in (upper, lower) index order: the order of
+        # the level's vertices.
+        iu, il = np.nonzero((shared == 1) | ((shared == 0) & ~miss))
         if len(iu):
             m = l_plus + 1
             width = max(max(comb(m + 1, r + 1) * (r + 1) for r in range(m)),
@@ -744,45 +703,38 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
             chunk = max(1, _FILTER_CELLS // (2 * width))
             up, low = tu.floats.take(ru), tl.floats.take(rl)
             rounding = _rounding(m, dim)
-            undecided = ~np.concatenate([
-                _rejected(up.take(iu[at:at + chunk]),
-                          low.take(il[at:at + chunk]), v_float, step_slacks,
-                          rounding)
-                for at in range(0, len(iu), chunk)])
-            for a, b in zip(iu[undecided].tolist(), il[undecided].tolist()):
-                found = _disjoint_crossing(aff(uppers[a]), aff(lowers[b]),
-                                           v_int)
-                if found is not None:
-                    den, y_plus = found
-                    point = tuple(Fraction(c, den * pden)
-                                  for c in image(y_plus))
-                    level[a, b] = DiagramVertex(point, uppers[a], lowers[b],
-                                                l_plus, l_minus, True)
-
-        iu, il = np.nonzero(shared == 1)
-        if len(iu):
-            certified = _nonzero_det_mod_p(np.concatenate([
-                _span_residues(q, l_plus)[ru[iu]],
-                np.broadcast_to(v_mod, (len(iu), 1, dim)),
-                _span_residues(q, l_minus)[rl[il]]], axis=1))
-            # The vertex w that each pair shares.
-            at = (tu.incidence[ru[iu]] * tl.incidence[rl[il]]).argmax(axis=1)
-            for a, b, sure, w in zip(iu.tolist(), il.tolist(),
-                                     certified.tolist(), at.tolist()):
+            det, rejected = (np.concatenate(parts) for parts in zip(*(
+                _certify(up.take(iu[at:at + chunk]),
+                         low.take(il[at:at + chunk]), v_float, step_slacks,
+                         rounding)
+                for at in range(0, len(iu), chunk))))
+            # A one-vertex pair is skipped when D = 0 is certified.
+            touching = shared[iu, il] == 1
+            todo = np.where(touching, det != 0, ~rejected)
+            for a, b, one, sign in zip(iu[todo].tolist(), il[todo].tolist(),
+                                       touching[todo].tolist(),
+                                       det[todo].tolist()):
                 x_plus, x_minus = uppers[a], lowers[b]
-                if not sure:
-                    cols = aff(x_plus)[1] + (v_int,)
-                    rows = [[sum(map(mul, eq, col)) for col in cols]
-                            for eq in aff(x_minus)[2]]
-                    if len(echelon(rows)[1]) < len(cols):
+                if one:
+                    if isnan(sign) and _solve(aff(x_plus), aff(x_minus),
+                                              v_int) is None:
                         continue  # singular: the projected hulls overlap
-                if w not in shadow_points:
-                    point = tuple(Fraction(c, pden) for c in pv[w])
-                    shadow_points[w] = (point, tuple(map(str, point)))
-                point, text = shadow_points[w]
-                level[a, b] = DiagramVertex(point, x_plus, x_minus, l_plus,
-                                            l_minus, False, text)
-        out.extend(level[k] for k in sorted(level))
+                    (w,) = x_plus.vertex_set & x_minus.vertex_set
+                    if w not in shadow_points:
+                        point = tuple(Fraction(c, pden) for c in pv[w])
+                        shadow_points[w] = (point, tuple(map(str, point)))
+                    point, text = shadow_points[w]
+                    out.append(DiagramVertex(point, x_plus, x_minus, l_plus,
+                                             l_minus, False, text))
+                else:
+                    found = _disjoint_crossing(aff(x_plus), aff(x_minus),
+                                               v_int)
+                    if found is not None:
+                        den, y_plus = found
+                        point = tuple(Fraction(c, den * pden)
+                                      for c in image(y_plus))
+                        out.append(DiagramVertex(point, x_plus, x_minus,
+                                                 l_plus, l_minus, True))
     return tuple(out)
 
 

@@ -63,7 +63,8 @@ class TestGenDescribe:
         assert "error" in proc.stderr
 
 
-# (name, file content or None for a missing file, extra argv, error type)
+# (name, file content or None for a missing file, extra argv, error type);
+# a case with content reads it with --in.
 BAD_INPUTS = [
     ("missing-file", None, ["describe"], "BadInputError"),
     ("bad-json", "{not json", ["describe"], "BadInputError"),
@@ -157,6 +158,15 @@ BAD_INPUTS = [
      "BadSpecError"),
     ("corpus-dim-past-guard", None, ["corpus", "--dims", "2..8"],
      "TooLargeError"),
+    # A planar hexagon in R^3 spanned by u and w of 201 digits: its
+    # restricted metric has entries of about 2^1330 and 2^3989, past the
+    # float range and too far apart for one common power of two.
+    ("angles-huge-plane",
+     json.dumps({"ambient_dim": 3, "vertices": [
+         [str(a * x + b * y) for x, y in zip(
+             (10**200 + 1, 2, 10**200), (0, 10**200 + 1, 10**200 + 5))]
+         for a, b in [(0, 0), (1, 0), (1, 1), (0, 1), (2, 3), (3, 1)]]}),
+     ["angles", "--samples", "2000", "--directions", "1"], "TooLargeError"),
 ]
 
 
@@ -164,7 +174,7 @@ BAD_INPUTS = [
                          ids=[case[0] for case in BAD_INPUTS])
 def test_bad_input_ends_in_json_error_line(name, content, argv, error,
                                            tmp_path, capsys):
-    if argv == ["describe"]:
+    if content is not None or argv == ["describe"]:
         path = tmp_path / "input.json"
         if content is not None:
             path.write_text(content)

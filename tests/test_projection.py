@@ -4,7 +4,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -182,45 +181,16 @@ def shared_vertex_pairs(q, v, shared=1):
     return pairs, singular
 
 
-P = projection._P
+# An integer map of R^5 that keeps pyramid(cube(4)) full-dimensional but
+# puts none of its faces parallel to a coordinate hyperplane.
+PYRAMID_IMAGE = [[2, 1, 0, 1, 0], [1, 3, 1, 0, 0], [0, 1, 2, 1, 1],
+                 [1, 0, 1, 3, 0], [0, 1, 0, 1, 2]]
 
 
-@st.composite
-def residue_batches(draw):
-    """A few integer d x d matrices of one size d in 1..6, entries up to
-    +-2^200 (p - 1, p and their negatives among them), each of one kind:
-    free entries, singular (one row a combination of the others), a
-    determinant that is a nonzero multiple of p, or a determinant below p
-    in size; the last two are scrambled by row operations that keep the
-    determinant."""
-    d = draw(st.integers(1, 6))
-    entry = st.one_of(st.integers(-2**200, 2**200), st.integers(-3, 3),
-                      st.sampled_from([P - 1, 1 - P, P, -P]))
-    coeff = st.integers(-2**64, 2**64)
-    batch = []
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["free", "singular", "p-multiple",
-                                     "small"]))
-        if kind in ("free", "singular"):
-            rows = [[draw(entry) for _ in range(d)] for _ in range(d)]
-            if kind == "singular":
-                i = draw(st.integers(0, d - 1))
-                cs = [draw(coeff) if j != i else 0 for j in range(d)]
-                rows[i] = [sum(c * row[k] for c, row in zip(cs, rows))
-                           for k in range(d)]
-        else:
-            det = draw(st.integers(1, 2**40)) * P if kind == "p-multiple" \
-                else draw(st.integers(1, P - 1))
-            rows = [[int(i == k) for k in range(d)] for i in range(d)]
-            rows[0][0] = det * draw(st.sampled_from([1, -1]))
-            if d > 1:
-                for _ in range(draw(st.integers(0, 3))):
-                    i, j = draw(st.permutations(range(d)))[:2]
-                    c = draw(coeff)
-                    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-            rows = draw(st.permutations(rows))
-        batch.append(rows)
-    return batch
+def linear_image(a, p):
+    """The hull of the images of p's vertices under the integer matrix a."""
+    return hull_from_points([vector([idot(row, x) for row in a])
+                             for x in p.vertices])
 
 
 def signed_det(rows):
@@ -600,48 +570,30 @@ class TestDiagramVertices:
             assert 0 < len(calls) <= complementary_pairs(q, d) // 2, seed
 
 
-    def test_rank_tests_only_for_zero_residues(self, monkeypatch):
-        # Every shared-vertex pair is decided by one batched determinant
-        # mod p per level; an un-augmented (rank-test) elimination runs
-        # only for a zero residue, which every singular pair has.
-        q = cube(4)
-        solve = projection.echelon
-        for seed in range(3):
-            d = sample_direction(q, seed=seed)
-            pairs, singular = shared_vertex_pairs(q, d)
-            assert singular < pairs, seed
-            square = []
-            monkeypatch.setattr(
-                projection, "echelon",
-                lambda rows: square.append(len(rows[0]) == len(rows))
-                or solve(rows))
-            diagram_vertices(q, d)
-            monkeypatch.setattr(projection, "echelon", solve)
-            assert sum(square) <= singular, seed
-
     @pytest.mark.parametrize("q,axis_parallel", [
         (cube(4), True), (cross_polytope(4), False)], ids=["cube", "cross"])
     def test_exact_solves_only_for_undecided_disjoint_pairs(
             self, q, axis_parallel, monkeypatch):
-        # The float filter rejects the disjoint pairs it proves give no
-        # crossing, so the augmented exact solves are at most the
-        # crossings and the singular systems.  A cube's faces are
-        # axis-parallel, so each of its singular systems is singular by its
-        # zero pattern, which the filter certifies: only crossings remain.
+        # The float filter certifies the sign of D for one-vertex pairs and
+        # rejects the disjoint pairs it proves give no crossing, so the
+        # exact solves are at most the interior crossings and the singular
+        # systems of both classes.  A cube's faces are axis-parallel, so
+        # each of its singular systems is singular by its zero pattern,
+        # which the filter certifies: only the interior crossings remain,
+        # and no one-vertex pair is solved.
         solve = projection.echelon
         for seed in range(3):
             d = sample_direction(q, seed=seed)
-            _, singular = shared_vertex_pairs(q, d, shared=0)
-            augmented = []
-            monkeypatch.setattr(
-                projection, "echelon",
-                lambda rows: augmented.append(len(rows[0]) == len(rows) + 1)
-                or solve(rows))
+            singular = sum(shared_vertex_pairs(q, d, shared)[1]
+                           for shared in (0, 1))
+            calls = []
+            monkeypatch.setattr(projection, "echelon",
+                                lambda rows: calls.append(1) or solve(rows))
             interior = sum(dv.interior for dv in diagram_vertices(q, d))
             monkeypatch.setattr(projection, "echelon", solve)
-            assert 0 < sum(augmented) <= interior + singular, seed
+            assert 0 < len(calls) <= interior + singular, seed
             if axis_parallel:
-                assert sum(augmented) == interior, seed
+                assert len(calls) == interior, seed
 
     def test_matches_all_pairs_reference_with_huge_coordinates(self):
         # 200-digit coordinates give a direction of 1,212 digits, far past
@@ -652,43 +604,21 @@ class TestDiagramVertices:
             d = sample_direction(p, seed=seed)
             assert diagram_vertices(p, d) == all_pairs_diagram_vertices(p, d)
 
-    @pytest.mark.parametrize("p", [cube(4), pyramid(cube(4)),
-                                   prism(simplex(4)), cyclic(8, 4)], ids=str)
-    def test_zero_residues_fall_back_to_exact_rank(self, p, monkeypatch):
-        # Mod 3 many nonsingular systems have a zero residue; each must
-        # still be found by the exact rank test.
-        monkeypatch.setattr(projection, "_P", 3)
+    @pytest.mark.parametrize("p", [
+        cube(4), pyramid(cube(4)), prism(simplex(4)), cyclic(8, 4),
+        linear_image(PYRAMID_IMAGE, pyramid(cube(4)))],
+        ids=["cube-4", "pyramid-5", "prism-5", "cyclic-4-8", "pyramid-5-image"])
+    def test_uncertified_signs_match_all_pairs(self, p, monkeypatch):
+        # With a bound of 1e300 the filter certifies only structural zeros,
+        # so the sign of every other D is left open and each such pair is
+        # solved exactly.  The integer image of pyramid(cube(4)) has
+        # singular one-vertex systems whose D is not a structural zero.
+        monkeypatch.setattr(projection, "_rounding", lambda m, dim: 1e300)
         for seed in range(2):
             d = sample_direction(p, seed=seed)
             assert diagram_vertices(p, d) == all_pairs_diagram_vertices(p, d), (
                 seed)
 
-
-class TestResidueCertificate:
-    @given(residue_batches())
-    @settings(max_examples=300, deadline=None)
-    def test_nonzero_residue_iff_det_not_divisible(self, batch):
-        mods = np.array([[[c % P for c in row] for row in rows]
-                         for rows in batch], dtype=np.int64)
-        certified = projection._nonzero_det_mod_p(mods).tolist()
-        for rows, sure in zip(batch, certified):
-            d = len(rows)
-            reduced, pivots = echelon(rows)
-            full = len(pivots) == d
-            det = abs(reduced[0][0]) if full else 0  # |D| = |det| at full rank
-            if sure:
-                assert full
-            if not full:
-                assert not sure
-            if 0 < det < P:
-                assert sure
-            assert sure == (det % P != 0)
-
-    def test_leaves_its_input_unchanged(self):
-        mods = np.array([[[1, 2], [3, 4]], [[0, 1], [1, 0]]], dtype=np.int64)
-        before = mods.copy()
-        assert projection._nonzero_det_mod_p(mods).tolist() == [True, True]
-        assert (mods == before).all()
 
 class TestFloatFilter:
     @given(filter_systems())

@@ -595,6 +595,32 @@ class TestDiagramVertices:
             if axis_parallel:
                 assert len(calls) == interior, seed
 
+    def test_exact_solves_only_for_uncertified_one_vertex_pairs(
+            self, monkeypatch):
+        # A one-vertex pair is solved exactly only when the filter leaves
+        # the sign of D open, which a nonsingular system's D never is on
+        # these polytopes: at most the singular pairs are solved, and none
+        # of the cube's, whose singular systems are structural zeros.
+        solve, crossing = projection._solve, projection._disjoint_crossing
+        for q, most in ((cube(4), lambda singular: 0),
+                        (cross_polytope(4), lambda singular: singular)):
+            for seed in range(3):
+                d = sample_direction(q, seed=seed)
+                pairs, singular = shared_vertex_pairs(q, d)
+                assert singular < pairs, (q, seed)
+                solves, disjoint = [], []
+                monkeypatch.setattr(projection, "_solve", lambda *a: (
+                    solves.append(1) or solve(*a)))
+                monkeypatch.setattr(projection, "_disjoint_crossing",
+                                    lambda *a: disjoint.append(1)
+                                    or crossing(*a))
+                diagram_vertices(q, d)
+                monkeypatch.setattr(projection, "_solve", solve)
+                monkeypatch.setattr(projection, "_disjoint_crossing",
+                                    crossing)
+                assert len(solves) - len(disjoint) <= most(singular), (
+                    q, seed)
+
     def test_matches_all_pairs_reference_with_huge_coordinates(self):
         # 200-digit coordinates give a direction of 1,212 digits, far past
         # the range of a float: the filter's inputs must be scaled.

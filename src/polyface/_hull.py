@@ -12,14 +12,22 @@ together with the set of input points lying exactly on each facet
 hyperplane.  Only the seed simplex's d+1 facets need elimination (a normal
 is the null vector of the edge differences, from the exact kernel); every
 later facet is the plane of a neighbouring facet rotated about a horizon
-ridge, in integer arithmetic.
+ridge, in integer arithmetic.  The final check that every plane supports
+the points is one float product per hull, points against planes, whose
+signs a static error bound certifies (``_predicates``); only the cells it
+leaves open, among them every point on a plane, are tested exactly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
+from operator import mul
 from typing import Sequence
 
+import numpy as np
+
+from ._predicates import _bounded, _certified_signs
 from .errors import PolyfaceError
 from .exact import Vector, affine_basis_indices, integer_scaled, null_space
 
@@ -42,7 +50,7 @@ def cross_normal(diffs: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | No
 
 
 def _idot(n: tuple[int, ...], p: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(n, p))
+    return sum(map(mul, n, p))
 
 
 def _facet_through(
@@ -155,17 +163,46 @@ def _simplicial_hull(pts: list[tuple[int, ...]], dim: int) -> list[_IntFacet]:
     return list(facets.values())
 
 
+def _rounding(dim: int) -> float:
+    """A bound on gamma_N / (1 - gamma_N), with a factor 2 to spare, for a
+    point's value against a plane row: inputs 2 roundings each, a product
+    1 more, and a sum of dim + 1 products dim more, so N = dim + 5."""
+    return 2 * (dim + 5) * 2.0 ** -53
+
+
+def _plane_signs(planes: list[tuple[tuple[int, ...], int]],
+                 pts: list[tuple[int, ...]]) -> np.ndarray:
+    """(planes, points): the sign of n.p - c for each plane (n, c) and
+    point p where the float filter certifies it (`_predicates`), NaN
+    elsewhere.  One product of the homogeneous points (p / 2^beta, 1),
+    which brings every coordinate below 1 in size, and the plane rows
+    (n, -c / 2^beta), each over a power of two of its own."""
+    dim = len(pts[0])
+    beta = max(c.bit_length() for p in pts for c in p)
+    rows = _bounded([normal + (-offset,) for normal, offset in planes],
+                    dim + 1, (0,) * dim + (beta,))
+    homogeneous = _bounded([p + (1 << beta,) for p in pts], dim + 1, beta,
+                           False)
+    return _certified_signs(rows @ homogeneous.swapaxes(1, 2),
+                            _rounding(dim))
+
+
 def _merge_and_verify(
     pts: list[tuple[int, ...]],
     simplicial: list[_IntFacet],
     mult: int,
 ) -> list[tuple[Vector, Fraction, frozenset[int]]]:
-    planes = {(normal, offset) for _, normal, offset in simplicial}
+    planes = sorted({(normal, offset) for _, normal, offset in simplicial})
+    # A point certified strictly inside a plane needs no exact test; every
+    # other cell, and so every point on a plane, gets one.
+    signs = _plane_signs(planes, pts)
+    if (signs > 0).any():
+        raise PolyfaceError("hull produced a non-supporting hyperplane")
     out = []
-    for normal, offset in sorted(planes):
+    for (normal, offset), open_cells in zip(planes, (~(signs < 0)).tolist()):
         on = []
-        for i, p in enumerate(pts):
-            value = _idot(normal, p)
+        for i in compress(range(len(pts)), open_cells):
+            value = _idot(normal, pts[i])
             if value == offset:
                 on.append(i)
             elif value > offset:

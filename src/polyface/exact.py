@@ -9,12 +9,16 @@ Not every exact sign in the package is decided here.  The hull
 (``_hull``) tests which side of a facet a point is on, and rotates facets
 about ridges, in its own integer arithmetic on integer-scaled points.
 ``projection`` tests containment in a face's hull with integer dot
-products (``_contains_int``), which are exact as well.  Before its exact
-solves, ``projection`` runs a floating-point filter (``_certify``): it
-certifies signs of determinants and slacks against a static error bound.
-A certified sign decides whether a diagram face pair can cross; a pair
-whose sign the bound leaves open is solved here, exactly, so no float
-ever reaches an output.
+products (``_contains_int``), which are exact as well.  Two callers put a
+floating-point filter (``_predicates``) in front of exact work: it
+certifies signs against a static error bound.  The hull's final
+supporting-plane check tests every point against every plane in one
+float product, and only the cells the bound leaves open, among them
+every point on a plane, get an exact dot product.  Before its exact
+solves, ``projection`` certifies signs of determinants and slacks
+(``_det_signs``, ``_rejected``), which decide whether a diagram face pair
+can cross; a pair whose sign the bound leaves open is solved here,
+exactly.  So no float ever reaches an output.
 
 All linear algebra runs through one kernel, ``echelon``: fraction-free
 Gauss-Jordan elimination on Python ints.  Rational input is first scaled

@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, isnan, isqrt, ldexp
+from math import comb, isnan, isqrt
 from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
+from ._predicates import _bounded, _certified_signs
 from ._rng import chunk_generator
 from .bounds import ratio_bound
 from .errors import (
@@ -300,64 +301,14 @@ def _aff_data_int(q: Polytope, face: Face, verts, ifacets):
 
 # -- the float filter of face pairs -------------------------------------------
 #
-# Each float array below has a leading axis of two: values, and their
-# magnitudes.  A value stands for an exact integer expression, or for that
-# expression times a power of two; its magnitude is the same expression on
-# the absolute values of its inputs, with every subtraction made an
-# addition, evaluated on the same path.  The value of an expression that
-# takes at most N roundings from its inputs is then off by at most
-# gamma_N = N u / (1 - N u) times its magnitude (u = 2^-53; Higham,
-# "Accuracy and Stability of Numerical Algorithms", 3.1), so a value whose
-# size exceeds the bound has the exact sign (a static filter, Fortune &
-# Van Wyk 1996; Shewchuk 1997).  A magnitude that is exactly 0 certifies
-# an exact 0: a nonzero input's magnitude is raised to at least _FLOOR, so
-# no product of the at most 2m + 2 <= 16 input magnitudes behind a term
-# underflows.  Signed products may underflow; _TINY bounds what that can
-# add, since every input is scaled below 2 in size.
+# Values with magnitudes, certified by `_predicates`: every value below
+# comes from at most 2m + 2 <= 16 input magnitudes per term, and
+# `_rounding` bounds its depth.
 
-_FLOOR = 2.0 ** -30
-_TINY = 2.0 ** -900
 # Float cells per array of one batch of pairs.
 _FILTER_CELLS = 1 << 15
 # Subtract values, add magnitudes.
 _MINUS = np.array([-1.0, 1.0])
-
-
-def _to_float(x: int, e: int) -> float:
-    """x / 2^e within two roundings, for an int of any size."""
-    s = max(x.bit_length() - 64, 0)
-    return ldexp(float(x >> s), s - e)
-
-
-def _bounded(rows, width: int, lift=0, scaled: bool = True) -> np.ndarray:
-    """(2, len(rows), width) from integer rows: each entry x as a float
-    x / 2^(e + l), and its magnitude (|x| so scaled, at least _FLOOR when
-    x != 0).  l is the entry's column lift (an int or one per column); e
-    is the row's own exponent, which brings its largest |x / 2^l| into
-    [1/2, 2), or 0 when not `scaled`."""
-    lift = np.broadcast_to(lift, (width,))
-    try:
-        val = np.array(rows, dtype=float).reshape(len(rows), width)
-        nonzero = val != 0
-        exps = np.frexp(val)[1] - lift
-    except OverflowError:  # an entry past the float range
-        val = None
-        nonzero = np.array([[x != 0 for x in row] for row in rows],
-                           dtype=bool).reshape(len(rows), width)
-        exps = np.array([[x.bit_length() - 1 for x in row] for row in rows],
-                        dtype=np.int64).reshape(len(rows), width) - lift
-    shifts = np.broadcast_to(lift, (len(rows), width))
-    if scaled:
-        shifts = shifts + exps.max(axis=1, where=nonzero,
-                                             initial=-(1 << 30))[:, None]
-    if val is None:
-        val = np.array([[_to_float(x, s) for x, s in zip(row, sh)]
-                        for row, sh in zip(rows, shifts.tolist())],
-                       dtype=float).reshape(len(rows), width)
-    else:
-        val = np.ldexp(val, -shifts)
-    return np.stack([val, np.where(nonzero, np.maximum(abs(val), _FLOOR),
-                                   0.0)])
 
 
 def _float_geometry(q: Polytope):
@@ -451,47 +402,36 @@ def _direction_floats(facet_rows: np.ndarray, v_int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _laplace_plan(m: int):
-    """Laplace expansion of the m x m minors of an m x (m + 1) matrix, row
-    by row: for each row r >= 1, the (r + 1)-subsets of columns, the index
-    of each subset with one column dropped among the r-subsets, and the
-    cofactor signs; then the index of each final minor by the column it
-    leaves out."""
+def _laplace_plan(m: int, width: int):
+    """Laplace expansion of the m x m minors of an m x width matrix, row by
+    row: for each row r >= 1, the (r + 1)-subsets of columns, the index of
+    each subset with one column dropped among the r-subsets, and the
+    cofactor signs."""
     steps = []
-    index = {(c,): c for c in range(m + 1)}
+    index = {(c,): c for c in range(width)}
     for r in range(1, m):
-        subsets = list(combinations(range(m + 1), r + 1))
+        subsets = list(combinations(range(width), r + 1))
         drop = [[index[s[:j] + s[j + 1:]] for j in range(r + 1)]
                 for s in subsets]
         signs = np.array([[(-1.0) ** (r + j) for j in range(r + 1)],
                           [1.0] * (r + 1)])[:, None, None, :]
         steps.append((np.array(subsets), np.array(drop), signs))
         index = {s: i for i, s in enumerate(subsets)}
-    last = [index[tuple(c for c in range(m + 1) if c != k)]
-            for k in range(m + 1)]
-    return steps, last
+    return steps
 
 
-def _maximal_minors(aug: np.ndarray) -> np.ndarray:
-    """(2, B, m + 1) from a (2, B, m, m + 1) stack: entry k is the
-    determinant with column k left out, and its magnitude (the permanent
-    of the magnitudes), at most m (m + 1) / 2 roundings deeper than the
-    entries."""
-    m = aug.shape[2]
-    steps, last = _laplace_plan(m)
-    minors = aug[:, :, 0]
-    for r, (subsets, drop, signs) in enumerate(steps, 1):
-        minors = (aug[:, :, r][:, :, subsets] * minors[:, :, drop]
+def _minors(a: np.ndarray) -> np.ndarray:
+    """(2, B, C(w, m)) from a (2, B, m, w) stack, w >= m: the m x m minors
+    in the lexicographic order of their columns, and their magnitudes (the
+    permanents of the magnitudes), at most m (m + 1) / 2 roundings deeper
+    than the entries."""
+    m = a.shape[2]
+    minors = a[:, :, 0]
+    for r, (subsets, drop, signs) in enumerate(_laplace_plan(m, a.shape[3]),
+                                               1):
+        minors = (a[:, :, r][:, :, subsets] * minors[:, :, drop]
                   * signs).sum(axis=-1)
-    return minors[:, :, last]
-
-
-def _certified_signs(x: np.ndarray, rounding: float) -> np.ndarray:
-    """The sign of each value of x (values, magnitudes) as -1, 0 or 1 where
-    the bound certifies it, NaN elsewhere."""
-    val, mag = x
-    return np.where(abs(val) > rounding * mag + _TINY, np.sign(val),
-                    np.where(mag == 0, 0.0, np.nan))
+    return minors
 
 
 def _rounding(m: int, dim: int) -> float:
@@ -503,52 +443,73 @@ def _rounding(m: int, dim: int) -> float:
     return 2 * (n + 4) * 2.0 ** -53
 
 
+def _system(span: np.ndarray, eqs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The matrices A (2, B, m, m) of pairs: the lower face's hull
+    equations (rows) against the upper face's span and v (columns)."""
+    cols = np.concatenate([span, np.broadcast_to(
+        v[:, None, None], span.shape[:2] + (1, v.shape[1]))], axis=2)
+    return eqs @ cols.swapaxes(2, 3)
+
+
+def _det_signs(span: np.ndarray, eqs: np.ndarray, v: np.ndarray,
+               rounding: float) -> np.ndarray:
+    """The certified sign of D = det A of each pair (-1, 0 or 1, NaN when
+    uncertified), from the upper faces' span and the lower faces' hull
+    equations alone."""
+    return _certified_signs(_minors(_system(span, eqs, v))[:, :, 0],
+                            rounding)
+
+
 def _filter_values(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
                    step_slacks: np.ndarray):
     """(Cramer values, upper slacks, lower slacks) of the pairs (up[i],
     low[i]) of one level, each with its magnitudes on the leading axis.
 
-    The system A has the upper face's span and v for columns and the lower
-    face's hull equations for rows; b is those equations' values at the
-    lower base point less their values at the upper one.  Cramer's values
-    (2, B, m + 1) are D = det A and c_0 .. c_(m-1), c_k being det A with
-    column k replaced by b; the last, c_t, is the step's.  The lifts'
-    slacks against facet row f_j (2, B, n_facets) are linear in them: the
-    upper one is D (f_j . (base, 1)) + sum_i c_i (f_j . (span_i, 0)), and
-    the lower one adds c_t (f_j . (v, 0)).  Each is the lift's exact slack
-    times D, times a positive power of two."""
-    cols = np.concatenate([up.span, np.broadcast_to(
-        v[:, None, None], up.span.shape[:2] + (1, v.shape[1]))], axis=2)
+    The system A (`_system`) has the upper face's span and v for columns
+    and the lower face's hull equations for rows; b is those equations'
+    values at the lower base point less their values at the upper one.
+    Cramer's values (2, B, m + 1) are D = det A and c_0 .. c_(m-1), c_k
+    being det A with column k replaced by b; the last, c_t, is the step's.
+    The lifts' slacks against facet row f_j (2, B, n_facets) are linear in
+    them: the upper one is D (f_j . (base, 1)) + sum_i c_i (f_j .
+    (span_i, 0)), and the lower one adds c_t (f_j . (v, 0)).  Each is the
+    lift's exact slack times D, times a positive power of two."""
     aug = np.concatenate([
-        low.eqs @ cols.swapaxes(2, 3),
+        _system(up.span, low.eqs, v),
         (low.offsets + _MINUS[:, None, None]
          * (low.eqs @ up.base[..., None])[..., 0])[..., None]], axis=3)
     m = aug.shape[2]
-    # c_k is the minor without column k, times (-1)^(m-1-k) to move the
-    # right-hand side back into column k.
+    # The minor without column k sits at m - k; c_k is it times
+    # (-1)^(m-1-k), which moves the right-hand side back into column k.
     signs = np.array([[1.0] + [(-1.0) ** (m - 1 - k) for k in range(m)],
                       [1.0] * (m + 1)])
-    cramer = _maximal_minors(aug)[:, :, [m] + list(range(m))] \
+    cramer = _minors(aug)[:, :, [0] + list(range(m, 0, -1))] \
         * signs[:, None, :]
     upper = np.einsum("xbr,xbrj->xbj", cramer[:, :, :m], up.slacks)
     return cramer, upper, upper + cramer[:, :, m, None] * step_slacks[:, None]
 
 
-def _certify(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
-             step_slacks: np.ndarray, rounding: float):
-    """(sign of D, rejected) for the pairs (up[i], low[i]) of one level:
-    the certified sign of D = det A (-1, 0 or 1, NaN when uncertified), and
-    whether the float filter proves that the pair, if disjoint, gives no
-    crossing: D = 0 certified (a singular system), or D != 0 certified and
-    either sign(c_t) sign(D) >= 0 (no step down from the upper lift) or
-    sign(D) times some lift's slack > 0 (a lift outside the polytope)."""
+def _rejected(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
+              step_slacks: np.ndarray, rounding: float) -> np.ndarray:
+    """Whether the float filter proves that the disjoint pair (up[i],
+    low[i]) gives no crossing: D = 0 certified (a singular system), or
+    D != 0 certified and either sign(c_t) sign(D) >= 0 (no step down from
+    the upper lift) or sign(D) times some lift's slack > 0 (a lift outside
+    the polytope)."""
     cramer, upper, lower = _filter_values(up, low, v, step_slacks)
     det = _certified_signs(cramer[:, :, 0], rounding)
     step = _certified_signs(cramer[:, :, -1], rounding)
     outside = ((_certified_signs(upper, rounding) * det[:, None] > 0)
                | (_certified_signs(lower, rounding) * det[:, None] > 0))
-    return det, (det == 0) | ((abs(det) == 1) & (
+    return (det == 0) | ((abs(det) == 1) & (
         (step * det > 0) | (step == 0) | outside.any(axis=1)))
+
+
+def _in_chunks(rows: np.ndarray, width: int):
+    """Consecutive parts of rows, each small enough that arrays of `width`
+    float cells a row hold at most _FILTER_CELLS."""
+    chunk = max(1, _FILTER_CELLS // (2 * width))
+    return (rows[at:at + chunk] for at in range(0, len(rows), chunk))
 
 
 def _solve(aff_p, aff_m, v_int):
@@ -625,10 +586,11 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
       one).
 
     The remaining pairs of a level go through one float filter with a
-    certified error bound (`_certify`), in one batch.  A one-vertex pair
-    crosses when the filter certifies D = det A != 0, and is skipped when
-    it certifies D = 0.  A disjoint pair is rejected when the filter proves
-    it singular, with t >= 0, or with a lift outside the polytope.  A
+    certified error bound, batched.  For a one-vertex pair it computes D =
+    det A alone (`_det_signs`): the pair crosses when the filter certifies
+    D != 0, and is skipped when it certifies D = 0.  A disjoint pair is
+    rejected (`_rejected`) when the filter proves it singular, with t >= 0,
+    or with a lift outside the polytope.  A
     one-vertex pair with an uncertified D, and every disjoint pair not
     rejected, is solved exactly (`_solve`).  Each lift of a disjoint pair
     is tested only against the facets not containing its witness face; the
@@ -698,19 +660,26 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
         iu, il = np.nonzero((shared == 1) | ((shared == 0) & ~miss))
         if len(iu):
             m = l_plus + 1
+            rounding = _rounding(m, dim)
+            pu, pl = ru[iu], rl[il]  # each pair's table rows
+            touching = shared[iu, il] == 1
+            det = np.full(len(iu), np.nan)
+            todo = np.zeros(len(iu), dtype=bool)
+            # A one-vertex pair needs only the sign of D, and is skipped
+            # when D = 0 is certified.
+            ones = np.flatnonzero(touching)
+            for at in _in_chunks(ones, max(comb(m, r + 1) * (r + 1)
+                                           for r in range(m))):
+                det[at] = _det_signs(tu.floats.span[:, pu[at]],
+                                     tl.floats.eqs[:, pl[at]], v_float,
+                                     rounding)
+            todo[ones] = det[ones] != 0
             width = max(max(comb(m + 1, r + 1) * (r + 1) for r in range(m)),
                         (m + 1) * len(ifacets))
-            chunk = max(1, _FILTER_CELLS // (2 * width))
-            up, low = tu.floats.take(ru), tl.floats.take(rl)
-            rounding = _rounding(m, dim)
-            det, rejected = (np.concatenate(parts) for parts in zip(*(
-                _certify(up.take(iu[at:at + chunk]),
-                         low.take(il[at:at + chunk]), v_float, step_slacks,
-                         rounding)
-                for at in range(0, len(iu), chunk))))
-            # A one-vertex pair is skipped when D = 0 is certified.
-            touching = shared[iu, il] == 1
-            todo = np.where(touching, det != 0, ~rejected)
+            for at in _in_chunks(np.flatnonzero(~touching), width):
+                todo[at] = ~_rejected(tu.floats.take(pu[at]),
+                                      tl.floats.take(pl[at]), v_float,
+                                      step_slacks, rounding)
             for a, b, one, sign in zip(iu[todo].tolist(), il[todo].tolist(),
                                        touching[todo].tolist(),
                                        det[todo].tolist()):

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polyface import _hull
 from polyface._hull import (_check_two_regular, _facet_through,
-                            _simplicial_hull, cross_normal, incremental_facets)
+                            _merge_and_verify, _plane_signs, _simplicial_hull,
+                            cross_normal, incremental_facets)
 from polyface.errors import EmptyInputError, PolyfaceError, TooLargeError
 from polyface.exact import (affine_basis_indices, affine_dim, integer_scaled,
                             rank, vector)
-from polyface.generators import cross_polytope, cube, cyclic, simplex
+from polyface.generators import (cross_polytope, cube, cyclic, random_sphere,
+                                 simplex)
 from polyface.polytope import hull_from_points
 
 from test_exact import side
+from test_golden import huge_polytope
 
 
 def dot(n, p):
@@ -258,3 +262,99 @@ class TestFacetInvariants:
         for f in p.facets:
             points = [p.vertices[i] for i in f.vertex_set]
             assert affine_dim(points) == p.dim - 1
+
+
+@st.composite
+def near_plane_cases(draw):
+    """A hyperplane n.x = c through dim points with big coordinates (up to
+    2^200, or past the float range), the planes one unit off it, and a
+    plane far off it; points on it (integer affine combinations of the
+    dim points) and points of the same size anywhere.  The coordinates
+    come from a drawn random generator: drawn directly, big integers are
+    mostly small."""
+    dim = draw(st.integers(2, 4))
+    bits = draw(st.one_of(st.integers(1, 200), st.integers(1025, 1100)))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def big():
+        return tuple(rnd.randint(-(1 << bits), 1 << bits) for _ in range(dim))
+
+    base = [big() for _ in range(dim)]
+    diffs = [tuple(a - b for a, b in zip(p, base[0])) for p in base[1:]]
+    normal = cross_normal(diffs, dim)
+    assume(normal is not None)
+    offset = dot(normal, base[0])
+    on = [tuple(b + sum(rnd.randint(-3, 3) * d[j] for d in diffs)
+                for j, b in enumerate(base[0])) for _ in range(6)]
+    planes = [(normal, offset + delta)
+              for delta in (-1, 0, 1, rnd.randint(-(1 << bits), 1 << bits))]
+    return planes, base + on + [big() for _ in range(3)]
+
+
+class TestPlaneFilter:
+    """The hull's final check tests every point against every plane with one
+    certified float product; only the cells it leaves open are exact."""
+
+    @given(near_plane_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_certified_signs_are_exact(self, case):
+        # Every sign the filter certifies is the exact sign of n.p - c, so
+        # a certified zero is an exact zero.
+        planes, pts = case
+        signs = _plane_signs(planes, pts)
+        for (normal, offset), row in zip(planes, signs.tolist()):
+            for p, sign in zip(pts, row):
+                if sign == sign:  # certified
+                    value = dot(normal, p) - offset
+                    assert sign == (value > 0) - (value < 0), (sign, value)
+
+    def test_every_outcome_occurs(self):
+        # Points on a plane through 2^200-sized points, against planes one
+        # unit off it, are left open; points pushed along the normal are
+        # certified outside or inside.
+        base = [(2**200 + 3, 5 * 2**199 - 7, 2**198 + 1),
+                (-(2**200) + 11, 2**199 + 2, 3 * 2**199 - 5),
+                (7 * 2**197, -(2**200) + 13, -(2**199) - 3)]
+        normal = cross_normal([tuple(a - b for a, b in zip(p, base[0]))
+                               for p in base[1:]], 3)
+        offset = dot(normal, base[0])
+        pushed = [tuple(a + k * n for a, n in zip(base[0], normal))
+                  for k in (-1, 1)]
+        signs = _plane_signs([(normal, offset + delta) for delta in (-1, 0, 1)],
+                             base + pushed)
+        outcomes = {s if s == s else "open" for s in signs.ravel().tolist()}
+        assert outcomes == {-1.0, 1.0, "open"}
+
+    @pytest.mark.parametrize("p", [random_sphere(5, 18), cyclic(15, 6)],
+                             ids=["random-sphere-5-18", "cyclic-6-15"])
+    def test_exact_products_only_on_planes(self, p, monkeypatch):
+        # Every point off a plane is certified strictly inside it, so the
+        # exact dot products are the (plane, on-point) incidences.
+        pts, mult = integer_scaled(p.vertices)
+        simplicial = _simplicial_hull(pts, p.dim)
+        calls = []
+        idot = _hull._idot
+        monkeypatch.setattr(_hull, "_idot",
+                            lambda n, q: calls.append(1) or idot(n, q))
+        facets = _merge_and_verify(pts, simplicial, mult)
+        assert len(calls) == sum(len(on) for _, _, on in facets)
+        assert len(calls) < len(facets) * len(pts)
+
+    @pytest.mark.parametrize("digits", [200, 999])
+    def test_huge_coordinates_match_oracle(self, digits):
+        # Entries past the float range take the filter's slow scaling path.
+        pts = points_of(huge_polytope(digits)["vertices"])
+        assert canon(incremental_facets(pts, 3)) == \
+            canon(brute_force_facets(pts, 3))
+
+    def test_non_supporting_plane_raises(self):
+        # A point certified beyond a plane, and a point one unit beyond a
+        # plane, which the filter leaves open, both fail the check.
+        big = 2 ** 200
+        pts = [(0, 0), (big, 0), (0, big)]
+        planes = [((0, 1), 0), ((1, 1), big - 1)]
+        signs = _plane_signs(planes, pts)
+        assert signs[0, 2] == 1 and signs[1, 1] != signs[1, 1]
+        for plane in planes:
+            with pytest.raises(PolyfaceError, match="non-supporting"):
+                _merge_and_verify(pts, [((0, 1), *plane)], 1)

@@ -650,9 +650,10 @@ class TestFloatFilter:
     @given(filter_systems())
     @settings(max_examples=300, deadline=None)
     def test_certified_signs_are_exact(self, system):
-        # Every sign the filter certifies, of D, of Cramer's numerators and
-        # of both lifts' facet slacks, is the exact sign, and a certified
-        # zero is an exact zero.
+        # Every sign the filter certifies, of D (in the whole filter, and
+        # alone as for one-vertex pairs), of Cramer's numerators and of both
+        # lifts' facet slacks, is the exact sign, and a certified zero is an
+        # exact zero.
         dim, cols, eqs, base_u, base_l, facets = system
         m = len(eqs)
         beta = max(c.bit_length() for c in base_u + base_l)
@@ -668,6 +669,9 @@ class TestFloatFilter:
         rounding = projection._rounding(m, dim)
         certified = [projection._certified_signs(x, rounding)[0].tolist()
                      for x in values]
+        # One-vertex pairs get D alone, from the same span and equations.
+        certified.append(projection._det_signs(up.span, low.eqs, v,
+                                               rounding).tolist())
 
         a = [[idot(eq, col) for col in cols] for eq in eqs]
         b = [idot(eq, base_l) - idot(eq, base_u) for eq in eqs]
@@ -680,7 +684,8 @@ class TestFloatFilter:
                  for f in facets]
         lower = [s + cramer[-1] * idot(f[:dim], cols[-1])
                  for s, f in zip(upper, facets)]
-        for signs, exact in zip(certified, [[det] + cramer, upper, lower]):
+        for signs, exact in zip(certified,
+                                [[det] + cramer, upper, lower, [det]]):
             for sign, x in zip(signs, exact):
                 if sign == sign:  # certified
                     assert sign == (x > 0) - (x < 0), (sign, x)

@@ -32,16 +32,19 @@ sum_F (-1)^dim F = 0, the polytope itself included (Welzl, "Gram's
 equation -- a probabilistic proof", 1994); that is checked on every sample.
 
 Curvature checks need each facet's angles at its faces.  In a facet's
-hyperplane, the facet's cone at a face is cut out by the normals of its
-ridge-neighbours through the face, projected onto that hyperplane.  When
-every facet is a polygon or a 3-polytope (dimension 3 or 4), those cones
-span at most 3 dimensions and the angles are closed forms, from the same
-formula that solid_angle_exact uses.  From dimension 5 they sample one
-stream per facet: projected onto the facet's hyperplane, the draws are
-isotropic there, and their signs against the other facet normals,
-projected the same way, give the facet's angle at each of its faces.
-Either way no facet polytope is built, and Gram's relation for each facet
-is checked: on the closed forms, or on every sample.
+hyperplane, the facet's cone at a face is cut out by its ridges through
+the face, one per ridge-neighbour.  _facet_cones, the one place that
+builds these cones, projects each neighbour's normal onto the facet's
+hyperplane exactly, in integers, and rounds it once, so a neighbour
+nearly parallel to the facet keeps its direction.  When every facet is a
+polygon or a 3-polytope (dimension 3 or 4), those cones span at most 3
+dimensions and the angles are closed forms, from the same formula that
+solid_angle_exact uses.  From dimension 5 they sample one stream per
+facet: projected onto the facet's hyperplane, the draws are isotropic
+there, and their signs against the same projected normals give the
+facet's angle at each of its faces.  Either way no facet polytope is
+built, and Gram's relation for each facet is checked: on the closed
+forms, or on every sample.
 """
 from __future__ import annotations
 
@@ -389,34 +392,77 @@ class CurvatureReport:
                 "ok": self.ok}
 
 
+def _facet_cones(p: Polytope, faces, containing, members):
+    """(rows, starts, cones): each facet's cone at each of its faces, for
+    the faces of curvature_checks and their incidences.
+
+    In facet j's hyperplane H, j's tangent cone at a face G is cut out by
+    the facets of j through G.  Each is the ridge that j shares with a
+    ridge-neighbour k, and its outward normal in H is
+
+        m_k = <n_j, n_j> n_k - <n_k, n_j> n_j,
+
+    with <a, b> = sum a_i b_i / g_i the product of covectors under p's
+    metric g; the other facets through G meet j in smaller faces and
+    would be redundant.  m_k is computed exactly, in integers: the hull's
+    normals are primitive integer vectors, and the metric enters as the
+    integer weights lcm(numerators of g) / g_i.  So a neighbour nearly
+    parallel to j keeps its direction in H.  Every m_k of every facet is
+    then rounded, with the metric folded in, by one _euclidean_normal_matrix
+    call.
+
+    Facet j's rows are rows[starts[j]:starts[j + 1]], one per
+    ridge-neighbour, in facet order; cones[j] lists, for each face in
+    members[j], the indices of the rows of j's ridge-neighbours through
+    it, in j's rows.
+    """
+    neighbours = [set() for _ in p.facets]
+    for face, through in zip(faces, containing):
+        if face.dim == p.dim - 2:
+            for j in through:
+                neighbours[j].update(k for k in through if k != j)
+    scale = math.lcm(*(g.numerator for g in p.metric))
+    weights = [scale // g.numerator * g.denominator for g in p.metric]
+    normals = [[c.numerator for c in f.plane.normal] for f in p.facets]
+    rows, starts, cones = [], [0], []
+    for j, near in enumerate(map(sorted, neighbours)):
+        n_j = normals[j]
+        weighted = [c * w for c, w in zip(n_j, weights)]
+        jj = sum(a * b for a, b in zip(n_j, weighted))
+        for k in near:
+            n_k = normals[k]
+            kj = sum(a * b for a, b in zip(n_k, weighted))
+            rows.append([jj * a - kj * b for a, b in zip(n_k, n_j)])
+        starts.append(len(rows))
+        row_of = {k: i for i, k in enumerate(near)}
+        cones.append([[row_of[k] for k in containing[g] if k in row_of]
+                      for g in members[j]])
+    return _euclidean_normal_matrix(p, rows), starts, cones
+
+
 def _facet_angles_exact(p: Polytope, faces, containing, members) -> dict:
     """Each facet's angle at each of its faces, in closed form, keyed (face
     index, facet index), for p of dimension 3 or 4.
 
-    In facet j's hyperplane H, j's tangent cone at a face G is cut out by
-    the facets of j through G.  Each is the ridge that j shares with a
-    neighbouring facet k, with normal n_k projected onto H.  So the angle
-    is the _cone_fraction of those projections, in an orthonormal basis of
-    H, over the ridge-neighbours of j through G; the other facets through
-    G meet j in smaller faces and would be redundant.  A ridge of j has
-    one such neighbour and gets 1/2.  Each pair of neighbours is measured
-    once per facet, however many cones share it.  Gram's relation is
-    checked in every facet, ridges and the facet itself (1) included; a
-    miss by more than EXACT_SLACK per term raises GramViolationError.
+    The angle is the _cone_fraction of the facet's cone rows (see
+    _facet_cones) in an orthonormal basis of its hyperplane.  A ridge of
+    j has one row and gets 1/2.  Each pair of rows is measured once per
+    facet, however many cones share it.  Gram's relation is checked in
+    every facet, ridges and the facet itself (1) included; a miss by more
+    than EXACT_SLACK per term raises GramViolationError.
     """
     d = p.dim
+    rows, starts, cones = _facet_cones(p, faces, containing, members)
     normals = _euclidean_normal_matrix(p, [f.plane.normal for f in p.facets])
-    neighbours = [set() for _ in p.facets]  # j's ridge-neighbours, and j
-    for face, through in zip(faces, containing):
-        if face.dim == d - 2:
-            for j in through:
-                neighbours[j].update(through)
     # The other columns of a complete QR factor of a facet's normal are an
-    # orthonormal basis of its hyperplane; local[k] is n_k in j's basis.
+    # orthonormal basis of its hyperplane; each row goes into its facet's.
     bases = np.linalg.qr(normals[:, :, None], mode="complete")[0][:, :, 1:]
+    owner = np.repeat(np.arange(p.n_facets), np.diff(starts))
+    local = list(map(tuple, np.einsum("ri,rik->rk", rows, bases[owner])
+                     .tolist()))
     angles = {}
-    for j, rows in enumerate((normals @ bases).tolist()):
-        local = list(map(tuple, rows))
+    for j, cone_rows in enumerate(cones):
+        mine = local[starts[j]:starts[j + 1]]
         measured = {}
 
         def angle(a, b):
@@ -426,10 +472,9 @@ def _facet_angles_exact(p: Polytope, faces, containing, members) -> dict:
             return found
 
         gram = (-1.0) ** (d - 1)
-        for g in members[j]:
-            alpha = angles[g, j] = _cone_fraction(
-                [local[k] for k in containing[g]
-                 if k != j and k in neighbours[j]], angle)
+        for g, cone in zip(members[j], cone_rows):
+            alpha = angles[g, j] = _cone_fraction([mine[i] for i in cone],
+                                                  angle)
             gram += (-1) ** faces[g].dim * alpha
         if abs(gram) > EXACT_SLACK * (len(members[j]) + 1):
             raise GramViolationError(
@@ -441,16 +486,13 @@ def _facet_hits(p: Polytope, samples: int, seeds: list[int], faces,
                 containing, members) -> dict:
     """Each facet's hits at each of its faces, keyed (face index, facet
     index), from one stream of `samples` draws per facet, facet j's seeded
-    by seeds[j] (see curvature_checks)."""
-    normals = _euclidean_normal_matrix(p, [f.plane.normal for f in p.facets])
+    by seeds[j], against j's cone rows (see _facet_cones and
+    curvature_checks)."""
+    rows, starts, cones = _facet_cones(p, faces, containing, members)
     hits = {}
-    for j, normal in enumerate(normals):
-        unit = normal / np.linalg.norm(normal)
-        # Row j is left as rounding noise; no cone in the facet reads it.
-        projected = normals - np.outer(normals @ unit, unit)
-        cones = [[i for i in containing[g] if i != j] for g in members[j]]
+    for j, cone_rows in enumerate(cones):
         totals = _stream_totals(
-            projected, samples, seeds[j], cones,
+            rows[starts[j]:starts[j + 1]], samples, seeds[j], cone_rows,
             [faces[g].dim for g in members[j]], p.dim - 1, f" in facet {j}")
         hits.update(((g, j), h) for g, h in zip(members[j], totals))
     return hits
@@ -461,26 +503,30 @@ def curvature_checks(p: Polytope, samples: int = DEFAULT_SAMPLES,
     """The facet-angle sum bound at every face of dimension 0..dim-2, in
     lattice order; deterministic given seed.
 
+    A facet j's cone at a face G of it is cut out, in j's hyperplane H,
+    by the normals of j's ridge-neighbours through G, each projected onto
+    H exactly and then rounded (see _facet_cones).
+
     In dimension 3 and 4 every facet is a polygon or a 3-polytope, and its
-    angles are closed forms in its ridge-neighbours' projected normals
-    (see _facet_angles_exact), exact up to float rounding: such reports
-    are exact, with stderr 0, and `ok` and `equality` allow EXACT_SLACK
-    per facet angle.  `samples` is still checked, and draws nothing.
+    angles are closed forms in those projected normals (see
+    _facet_angles_exact), exact up to float rounding: such reports are
+    exact, with stderr 0, and `ok` and `equality` allow EXACT_SLACK per
+    facet angle.  `samples` is still checked, and draws nothing.
 
     From dimension 5, facet j draws one stream of `samples` Gaussian draws
     z in p's space, seeded by derive_seed(seed, "facet", j).  The
-    projection w of z onto the facet's hyperplane H is a standard Gaussian
-    of H, and at a face G of the facet the facet's tangent cone is T_G P
-    cut with H: w lies in it iff n' . z <= 0 for every other facet through
-    G, n' that facet's normal with its component along the facet's own
-    normal removed.  So one sign matrix per facet serves every face of it,
-    and no facet polytope is built.  On every sample, the faces of the
-    facet whose cones hold w satisfy Gram's relation for the facet itself,
-    ridges included; a sample that breaks it raises GramViolationError.
-    A face's total is its hits over the facets through it, over the sample
-    count.  Those facets draw independent streams, so its stderr is the
-    quadrature of theirs, and `ok` and `equality` allow SIGMA_FACTOR
-    standard errors.
+    projection w of z onto H is a standard Gaussian of H, and w lies in
+    j's cone at G iff m . z <= 0 for each of the cone's projected normals
+    m, since m . z = m . w for m in H.  So one sign matrix per facet
+    serves every face of it, and no facet polytope is built.  On every
+    sample, the faces of the facet whose cones hold w satisfy Gram's
+    relation for the facet itself, ridges included; a sample that breaks
+    it raises GramViolationError.  A face's total is its hits over the
+    facets through it, over the sample count.  Those facets draw
+    independent streams, so its stderr is the quadrature of theirs, and
+    `ok` and `equality` allow SIGMA_FACTOR standard errors.
+
+    Ridges are exact in every dimension: their two facet angles are 1/2.
 
     Every facet angle carries the seed derive_seed(seed, "facet", j).
     """
@@ -494,46 +540,38 @@ def curvature_checks(p: Polytope, samples: int = DEFAULT_SAMPLES,
         for j in through:
             members[j].append(g)
     seeds = [derive_seed(seed, "facet", j) for j in range(p.n_facets)]
-    exact = d <= 4
     # Below dimension 3 every face reported is a ridge: nothing to compute.
     if d < 3:
         found_at = {}
-    elif exact:
+    elif d <= 4:
         found_at = _facet_angles_exact(p, faces, containing, members)
     else:
         found_at = _facet_hits(p, samples, seeds, faces, containing, members)
     reports = []
     for g, (face, through) in enumerate(zip(faces, containing)):
-        vs = tuple(sorted(face.vertex_set))
-        if face.dim == d - 2:
-            # A ridge lies in exactly two facets and is a facet of each, so
-            # both angles are flat halfspace angles of exactly 1/2.
-            if len(through) != 2:
-                raise PolyfaceError("ridge not contained in exactly two facets")
-            flat = tuple(AngleEstimate(0.5, 0.0, 0, seeds[j]) for j in through)
-            reports.append(CurvatureReport(vs, face.dim, 1.0, 0.0, True, True,
-                                           True, flat))
-            continue
-        found = [found_at[g, j] for j in through]
+        ridge = face.dim == d - 2
+        # A ridge lies in exactly two facets and is a facet of each, so
+        # both angles are flat halfspace angles of exactly 1/2.
+        if ridge and len(through) != 2:
+            raise PolyfaceError("ridge not contained in exactly two facets")
+        exact = ridge or d <= 4
+        found = [0.5, 0.5] if ridge else [found_at[g, j] for j in through]
         if exact:
-            total = sum(found)
-            tol = EXACT_SLACK * len(found)
-            reports.append(CurvatureReport(
-                vs, face.dim, total, 0.0, exact=True,
-                equality=abs(total - 1.0) <= tol, ok=total <= 1.0 + tol,
-                facet_angles=tuple(AngleEstimate(a, 0.0, 0, seeds[j])
-                                   for a, j in zip(found, through))))
-            continue
-        total = sum(found) / samples
-        # Exact integers until the square root.
-        stderr = math.sqrt(sum(h * (samples - h) for h in found)
-                           / samples ** 3)
-        tol = SIGMA_FACTOR * stderr
+            total, stderr, tol = sum(found), 0.0, EXACT_SLACK * len(found)
+            estimates = tuple(AngleEstimate(a, 0.0, 0, seeds[j])
+                              for a, j in zip(found, through))
+        else:
+            total = sum(found) / samples
+            # Exact integers until the square root.
+            stderr = math.sqrt(sum(h * (samples - h) for h in found)
+                               / samples ** 3)
+            tol = SIGMA_FACTOR * stderr
+            estimates = tuple(_estimate(h, samples, seeds[j])
+                              for h, j in zip(found, through))
         reports.append(CurvatureReport(
-            vs, face.dim, total, stderr, exact=False,
+            tuple(sorted(face.vertex_set)), face.dim, total, stderr, exact,
             equality=abs(total - 1.0) <= tol, ok=total <= 1.0 + tol,
-            facet_angles=tuple(_estimate(h, samples, seeds[j])
-                               for h, j in zip(found, through))))
+            facet_angles=estimates))
     return reports
 
 

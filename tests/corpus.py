@@ -14,9 +14,15 @@ separate from 1 by a fixed margin).
 check (Euler, ratio bounds, minimum counts, projection gaps, interior
 vertices) runs over the extended corpus as well; only the fixed-margin
 curvature sweep is restricted to the standard one.
+
+``near_cube`` is a d-cube of huge coordinates whose square faces split
+into nearly coplanar simplices: ridges whose two facets are nearly
+parallel, where a float projection of one facet's normal onto the
+other's hyperplane is rounding noise.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from polyface.generators import (
@@ -98,3 +104,13 @@ def flat_extras() -> list[CorpusEntry]:
 
 def extended_corpus() -> list[CorpusEntry]:
     return standard_corpus() + flat_extras()
+
+
+def near_cube(d: int, digits: int) -> Polytope:
+    """The hull of the 2^d vertices of [-10^digits, 10^digits]^d, each
+    coordinate moved by random.Random(0).randint(-4, 4), vertex by vertex."""
+    rng = random.Random(0)
+    big = 10**digits
+    return hull_from_points([
+        [(big if i >> j & 1 else -big) + rng.randint(-4, 4) for j in range(d)]
+        for i in range(2**d)])

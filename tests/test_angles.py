@@ -45,6 +45,8 @@ from polyface.lattice import FaceLattice
 from polyface.polytope import Polytope, _build, hull_from_points
 from polyface.projection import sample_direction
 
+from corpus import near_cube
+
 SAMPLES = 120_000
 
 
@@ -640,12 +642,19 @@ class TestCurvature:
     @pytest.mark.parametrize("p", [
         cube(4), cross_polytope(4), simplex(5), cyclic(9, 5),
         random_sphere(3, 12, 0), pyramid(cube(2)), cyclic(8, 4),
+        near_cube(3, 8), near_cube(3, 12), near_cube(4, 8), near_cube(4, 12),
     ], ids=("cube-4", "cross-4", "simplex-5", "cyclic-5-9",
-            "random-sphere-3-12", "pyramid-square", "cyclic-4-8"))
+            "random-sphere-3-12", "pyramid-square", "cyclic-4-8",
+            "near-cube-3-8", "near-cube-3-12", "near-cube-4-8",
+            "near-cube-4-12"))
     def test_facet_angles_match_facet_polytope_oracle(self, p):
-        # Below dimension 5 every row is exact, ridges included, and each
-        # of its facet angles is compared with the exact oracle; from
-        # dimension 5 the sampled rows are compared with the sampled one.
+        # Below dimension 5 every row is exact and ok, ridges included,
+        # and each of its facet angles is compared with the exact oracle;
+        # from dimension 5 the sampled rows are compared with the sampled
+        # one.  The facets at a split square of a near-cube are nearly
+        # parallel: a float projection of one's normal onto the other's
+        # hyperplane is rounding noise there, which broke Gram's relation
+        # at d = 3 and put d = 4 angles off by up to 0.35.
         samples, seed = 4_000, 21
         compared = pairs = 0
         for rep in curvature_checks(p, samples, seed):
@@ -654,11 +663,11 @@ class TestCurvature:
                 derive_seed(seed, "facet", j) for j in through]
             pairs += len(through)
             if p.dim <= 4:
-                assert rep.exact and rep.stderr == 0.0
+                assert rep.exact and rep.stderr == 0.0 and rep.ok
                 for j, est in zip(through, rep.facet_angles):
                     assert est.exact
                     assert abs(est.mean - facet_angle_exact(p, j, rep.face)
-                               ) <= 1e-9, (rep.face, j)
+                               ) <= 1e-12, (rep.face, j)
                     compared += 1
                 continue
             if rep.exact:
@@ -728,6 +737,12 @@ class TestCurvature:
         )
         assert outs[0] == outs[1]
         assert "exact=False" in outs[0]
+
+    def test_nearly_flat_ridges_sampled(self):
+        # A float projection in the sampled facet streams of near_cube(5, 8)
+        # made samples break Gram's relation.
+        reports = curvature_checks(near_cube(5, 8), 20_000, seed=1)
+        assert reports and all(r.ok for r in reports)
 
 
 class TestAngleSumFloor:

@@ -399,6 +399,18 @@ class TestAngles:
         data = strict_json(capsys.readouterr().out)
         assert data["curvature"] and all(c["ok"] for c in data["curvature"])
 
+    @pytest.mark.parametrize("digits", [8, 12])
+    def test_nearly_flat_ridges(self, digits, tmp_path, capsys):
+        # Each square of this cube splits into two nearly coplanar
+        # triangles; float projections of their normals raised a false
+        # GramViolationError ("fails by 0.341 in facet 4" at 8 digits).
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(huge_polytope(digits)))
+        assert main(["angles", "--in", str(path), "--samples", "2000",
+                     "--directions", "1"]) == 0
+        data = strict_json(capsys.readouterr().out)
+        assert data["curvature"] and all(c["ok"] for c in data["curvature"])
+
     def test_point_has_no_checks(self, tmp_path, capsys):
         path = tmp_path / "point.json"
         path.write_text('{"ambient_dim": 2, "vertices": [[1, 1]]}')

@@ -15,8 +15,10 @@ the diagram vertices: with every `point` removed, the outputs equal the
 ones before it.  The three `project` cases after pyramid-5 (200-digit
 coordinates, cross-5, cyclic(d=6, n=9)) were recorded before the disjoint
 face pairs of the diagram went through a floating-point filter.  Solid
-angles are left out: their floats are seeded but depend on numpy's
-generator.
+angles are seeded but depend on numpy's generator; the two `angles` cases
+pin the sampled curvature streams of dimension 5, and were recorded
+before each facet's cone came from exact projections of its
+ridge-neighbours' normals, which left those bytes unchanged.
 """
 import hashlib
 import json
@@ -80,6 +82,12 @@ CASES = [
      "bff49a7583020090ed964bff4dd87cd5bebea17162c5c1b75fbf86d9bdd7275c"),
     (["corpus", "--dims", "2..4"],
      "b8113ccd24297e0697e9155a1c738202c0b98c7544178a3bc738b2b8394fb22e"),
+    (["angles", "--family", "simplex", "--dim", "5", "--samples", "20000",
+      "--directions", "1"],
+     "4b39042f03853070857091b53aef532a8dbc3b0afcd5b99bfd0e0e32e8d483d6"),
+    (["angles", "--family", "cross", "--dim", "5", "--samples", "20000",
+      "--directions", "1"],
+     "a9f5c29a3c1e0d3b775b69dd1247d921d1eb7946d4597cab615b5c91b5c7f527"),
     (["gen", "--family", "cross", "--dim", "3"],
      "1762e9e9bc123c411e7d4b82361555121dfac8ec4f262130ba99eb99ef1c1f0e"),
     (["gen", "--in", "{flat}"],

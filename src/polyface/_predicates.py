@@ -15,8 +15,13 @@ no product of at most 16 input magnitudes underflows.  Signed products
 may underflow; _TINY bounds what that can add, since every input is
 scaled below 2 in size.  Each caller bounds its own N.
 
-The hull's supporting-plane check and the diagram's face-pair filter
-both use these helpers; the module imports nothing from the rest of the
+_bounded is the package's one conversion of exact integer vectors to
+floats.  The hull's supporting-plane check and the diagram's face-pair
+filter use it with the certified signs; the diagram's bounding-box test
+reads its values (each column over one power of two, so the rounding is
+monotone down a column), and so does the solid-angle sampler with its
+closed forms (each facet normal over a power of two of its own, which
+keeps its direction).  The module imports nothing from the rest of the
 package.
 """
 from __future__ import annotations

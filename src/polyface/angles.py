@@ -54,6 +54,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._predicates import _bounded
 from ._rng import chunk_generator, chunk_sizes, derive_seed
 from .bounds import ratio_bound
 from .errors import (
@@ -112,29 +113,14 @@ def tangent_cone(p: Polytope, face) -> tuple[Vector, ...]:
     return tuple(p.facets[i].plane.normal for i in p.facets_containing(vs))
 
 
-# A normal with an entry this large is divided by a power of two before
-# it becomes floats, so that its squares stay finite.
-_BIG_NORMAL = 2.0 ** 500
-
-
-def _normal_floats(n: Vector) -> list[float]:
-    """A normal's entries as floats, each correctly rounded; one with an
-    entry of about 2^500 or more is first divided by 2^e, e the bit length
-    of its largest entry less one.  Only its direction counts."""
-    try:
-        row = [float(c) for c in n]
-        if max(map(abs, row)) < _BIG_NORMAL:
-            return row
-    except OverflowError:  # an entry past the float range
-        pass
-    e = int(max(map(abs, n))).bit_length() - 1
-    return [float(c / 2 ** e) for c in n]
-
-
-def _euclidean_normal_matrix(p: Polytope,
-                             normals: tuple[Vector, ...]) -> np.ndarray:
-    """Facet covectors rescaled so that plain-dot tests against standard
-    Gaussian draws are isotropic in the original geometry."""
+def _euclidean_normal_matrix(p: Polytope, normals) -> np.ndarray:
+    """Integer-valued covectors (ints, or the hull's Fractions over 1) as
+    float rows, rescaled by the metric so that plain-dot tests against
+    standard Gaussian draws are isotropic in the original geometry.  Each
+    row comes out over a power of two of its own (`_bounded`), so that no
+    entry overflows.  Within the float range that is the correctly rounded
+    row scaled exactly, which moves no sample's sign and no closed form:
+    they read only a row's direction."""
     try:
         scale = np.array([1.0 / math.sqrt(float(g)) for g in p.metric])
     except OverflowError:
@@ -142,8 +128,8 @@ def _euclidean_normal_matrix(p: Polytope,
         # that range, so no common power of two would rescue them.
         raise TooLargeError("a metric column scale does not fit a float"
                             ) from None
-    mat = np.array([_normal_floats(n) for n in normals])
-    return mat.reshape(len(normals), len(scale)) * scale
+    return _bounded([[c.numerator for c in n] for n in normals],
+                    len(scale))[0] * scale
 
 
 def _check_samples(samples: int) -> None:

@@ -263,20 +263,23 @@ def cmd_describe(args) -> int:
     return 0
 
 
+def _hard_checks(p: Polytope) -> tuple[dict, list[str]]:
+    """The reports of the checks past the main bounds, keyed min_face,
+    few_vertex and unimodality, and the names of the violated ones (with
+    hyphens); a check that does not apply holds."""
+    checks = {"min_face": min_face_check(p).to_json(),
+              "few_vertex": few_vertex_check(p),
+              "unimodality": unimodality_check(p)}
+    return checks, [name.replace("_", "-") for name, check in checks.items()
+                    if not check.get("ok", True)]
+
+
 def cmd_verify_bounds(args) -> int:
     p = _load(args)
     report = verify_main_bounds(p)  # raises BoundViolationError on failure
-    min_face = min_face_check(p)
-    payload = {
-        "bounds": report.to_json(),
-        "min_face": min_face.to_json(),
-        "few_vertex": few_vertex_check(p),
-        "unimodality": unimodality_check(p),
-    }
-    _emit(payload, args.out)
-    hard_ok = (min_face.ok and payload["few_vertex"].get("ok", True)
-               and payload["unimodality"].get("ok", True))
-    return 0 if hard_ok else 1
+    checks, violated = _hard_checks(p)
+    _emit({"bounds": report.to_json(), **checks}, args.out)
+    return 1 if violated else 0
 
 
 def cmd_angles(args) -> int:
@@ -338,16 +341,7 @@ def _corpus_grid(families: list[str], dims: Sequence[int], seed: int):
 def _corpus_entry_rows(spec: FamilySpec) -> list[dict]:
     p = generate(spec)
     report = verify_main_bounds(p)
-    minf = min_face_check(p)
-    few = few_vertex_check(p)
-    uni = unimodality_check(p)
-    extra = []
-    if not minf.ok:
-        extra.append("min-face:VIOLATED")
-    if not few.get("ok", True):
-        extra.append("few-vertex:VIOLATED")
-    if not uni.get("ok", True):
-        extra.append("unimodality:VIOLATED")
+    extra = [f"{name}:VIOLATED" for name in _hard_checks(p)[1]]
     rows = []
     for r in report.csv_rows():
         row = {"family": spec.family, "dim": spec.dim,

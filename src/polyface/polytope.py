@@ -100,8 +100,9 @@ class Polytope:
         """The value cached under key, computed once by build().
 
         Everything derived from this immutable polytope lives here: its
-        face lattice, and from projection the integer geometry, per-face
-        affine data, and the shadow and facet partition of each direction.
+        face lattice, and from projection the integer geometry, each face
+        dimension's table, and the shadow and facet partition of each
+        direction.
         A build that raises stores nothing, so it raises again on the next
         call.
         """

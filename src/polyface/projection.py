@@ -283,20 +283,16 @@ def _int_geometry(q: Polytope):
 
 def _aff_data_int(q: Polytope, face: Face, verts, ifacets):
     """(base, spanning diffs, hull equations, facet triples not containing
-    the face) of a face's affine hull in the integer-scaled space, cached
-    per face (direction independent).  The facets that contain the face
-    hold with equality on its whole affine hull."""
-    def build():
-        idx = sorted(face.vertex_set)
-        base = verts[idx[0]]
-        diffs = [tuple(a - b for a, b in zip(verts[i], base))
-                 for i in idx[1:]]
-        outside = tuple(t for f, t in zip(q.facets, ifacets)
-                        if not face.vertex_set <= f.vertex_set)
-        return (base, tuple(span_basis(diffs)), tuple(null_space(diffs, q.dim)),
-                outside)
-
-    return q.memo(("face-affine", face.vertex_set), build)
+    the face) of a face's affine hull in the integer-scaled space.  The
+    facets that contain the face hold with equality on its whole affine
+    hull."""
+    idx = sorted(face.vertex_set)
+    base = verts[idx[0]]
+    diffs = [tuple(a - b for a, b in zip(verts[i], base)) for i in idx[1:]]
+    outside = tuple(t for f, t in zip(q.facets, ifacets)
+                    if not face.vertex_set <= f.vertex_set)
+    return (base, tuple(span_basis(diffs)), tuple(null_space(diffs, q.dim)),
+            outside)
 
 
 # -- the float filter of face pairs -------------------------------------------
@@ -370,10 +366,11 @@ def _face_floats(affs, k: int, dim: int, beta: int,
 class _FaceTable(NamedTuple):
     """The k-faces of a polytope for the diagram, in lattice order: each
     face's row index by vertex set, its incidence row over the vertices,
-    and its filter data."""
+    its exact affine data (`_aff_data_int`) and its filter data."""
 
     row: dict
     incidence: np.ndarray
+    affs: tuple
     floats: _FaceFloats
 
 
@@ -385,11 +382,10 @@ def _face_table(q: Polytope, k: int) -> _FaceTable:
         incidence = np.zeros((len(faces), q.n_vertices))
         for i, f in enumerate(faces):
             incidence[i, sorted(f.vertex_set)] = 1.0
+        affs = tuple(_aff_data_int(q, f, verts, ifacets) for f in faces)
         return _FaceTable(
-            {f.vertex_set: i for i, f in enumerate(faces)},
-            incidence, _face_floats(
-                [_aff_data_int(q, f, verts, ifacets) for f in faces], k,
-                q.dim, *_float_geometry(q)))
+            {f.vertex_set: i for i, f in enumerate(faces)}, incidence, affs,
+            _face_floats(affs, k, q.dim, *_float_geometry(q)))
 
     return q.memo(("face-table", k), build)
 
@@ -582,8 +578,8 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
       and under a general-position direction distinct lifts put it inside
       the shadow.  A crossing lies in both projected faces, so pairs whose
       projected vertices have disjoint bounding boxes are skipped (on
-      floats: rounding is monotone, so a strict float miss is an exact
-      one).
+      floats, each coordinate column over one power of two: rounding is
+      monotone, so a strict float miss is an exact one).
 
     The remaining pairs of a level go through one float filter with a
     certified error bound, batched.  For a one-vertex pair it computes D =
@@ -617,20 +613,15 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     image, vden = _shadow_map(v_int)
     pden = vden * scale
     pv = [image(p) for p in iverts]
-    # Shadow coordinates for the box test, each column shifted right until
-    # it fits a float: a floor, so still monotone.
-    shifts = [max(max(abs(c) for c in col).bit_length() - 1000, 0)
-              for col in zip(*pv)]
-    box_points = np.array([[float(c >> s) for c, s in zip(p, shifts)]
-                           for p in pv])
+    # Shadow coordinates for the box test, each column over a power of two
+    # that brings it below 1 in size: a monotone rounding.
+    box_points = _bounded(pv, dim - 1, [max(abs(c) for c in col).bit_length()
+                                        for col in zip(*pv)], False)[0]
 
     v_float, step_slacks = _direction_floats(_float_geometry(q)[1], v_int)
     # The shadow of vertex w and its JSON text, built once: it is every
     # boundary crossing at w.
     shadow_points: dict[int, tuple[Vector, tuple[str, ...]]] = {}
-
-    def aff(face):
-        return _aff_data_int(q, face, iverts, ifacets)
 
     def table_rows(faces, k):
         table = _face_table(q, k)
@@ -684,9 +675,9 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                                        touching[todo].tolist(),
                                        det[todo].tolist()):
                 x_plus, x_minus = uppers[a], lowers[b]
+                aff_p, aff_m = tu.affs[ru[a]], tl.affs[rl[b]]
                 if one:
-                    if isnan(sign) and _solve(aff(x_plus), aff(x_minus),
-                                              v_int) is None:
+                    if isnan(sign) and _solve(aff_p, aff_m, v_int) is None:
                         continue  # singular: the projected hulls overlap
                     (w,) = x_plus.vertex_set & x_minus.vertex_set
                     if w not in shadow_points:
@@ -696,8 +687,7 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                     out.append(DiagramVertex(point, x_plus, x_minus, l_plus,
                                              l_minus, False, text))
                 else:
-                    found = _disjoint_crossing(aff(x_plus), aff(x_minus),
-                                               v_int)
+                    found = _disjoint_crossing(aff_p, aff_m, v_int)
                     if found is not None:
                         den, y_plus = found
                         point = tuple(Fraction(c, den * pden)

@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyface._hull
@@ -180,6 +181,50 @@ class TestSolidAngle:
             "print(repr(solid_angle(cube(3), frozenset([0]), 200000, seed=4)))\n"
         )
         assert outs[0] == outs[1]
+
+
+@st.composite
+def big_integer_rows(draw):
+    """Nonzero integer rows of width 2..6 whose entries have up to 1,100
+    bits, each entry of its own size, inside or past the float range.  The
+    entries come from a drawn random generator: drawn directly, big
+    integers are mostly small."""
+    width = draw(st.integers(2, 6))
+    bits = draw(st.one_of(st.integers(1, 1000), st.integers(1025, 1100)))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [rnd.randint(-(1 << b), 1 << b)
+               for b in (rnd.randint(0, bits) for _ in range(width))]
+        assume(any(row))
+        rows.append(row)
+    return rows
+
+
+class TestNormalMatrix:
+    @given(big_integer_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_keep_their_directions(self, rows):
+        # Within the float range, each row is the correctly rounded row
+        # times one power of two.  Past it, every entry is finite and the
+        # row points the exact row's way to within a few ulps.
+        matrix = _euclidean_normal_matrix(simplex(len(rows[0])), rows)
+        assert np.isfinite(matrix).all()
+        try:
+            rounded = [[float(x) for x in row] for row in rows]
+        except OverflowError:  # an entry past the float range
+            rounded = None
+        for i, (row, got) in enumerate(zip(rows, matrix.tolist())):
+            top = max(range(len(row)), key=lambda j: abs(row[j]))
+            if rounded:
+                want = rounded[i]
+                shift = math.frexp(got[top])[1] - math.frexp(want[top])[1]
+                assert got == [math.ldexp(x, shift) for x in want], row
+            else:
+                ratio = Fraction(got[top]) / row[top]
+                slack = abs(Fraction(got[top])) * 2.0 ** -50 + 2.0 ** -1070
+                assert all(abs(Fraction(y) - ratio * x) <= slack
+                           for x, y in zip(row, got)), row
 
 
 def test_sampling_starts_no_thread(monkeypatch):

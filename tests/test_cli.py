@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import polyface.cli
 from polyface._rng import derive_seed
 from polyface.angles import DEFAULT_SAMPLES, curvature_checks
+from polyface.bounds import MinFaceReport
 from polyface.cli import DEFAULT_DIRECTIONS, _emit, _write_json, main
 from polyface.generators import cube
 
@@ -476,6 +477,30 @@ class TestCorpus:
             assert proc.returncode == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("check, key, failed", [
+    ("min_face_check", "min_face", MinFaceReport(False, ())),
+    ("few_vertex_check", "few_vertex",
+     {"applicable": True, "s": 0, "ok": False, "rows": []}),
+    ("unimodality_check", "unimodality", {"applicable": True, "ok": False}),
+])
+def test_violated_check_fails_both_commands(check, key, failed, monkeypatch,
+                                            tmp_path):
+    # No polytope breaks these theorems, so a mutant check stands in for
+    # one that would.
+    monkeypatch.setattr(polyface.cli, check, lambda p: failed)
+    report = tmp_path / "report.json"
+    assert main(["verify-bounds", "--family", "cube", "--dim", "3",
+                 "--out", str(report)]) == 1
+    assert strict_json(report.read_text())[key]["ok"] is False
+    out = tmp_path / "corpus.csv"
+    assert main(["corpus", "--families", "cube", "--dims", "3",
+                 "--out", str(out)]) == 1
+    rows = out.read_text().splitlines()[1:]
+    flag = key.replace("_", "-") + ":VIOLATED"
+    assert rows and all(row.count("VIOLATED") == 1 and flag in row
+                        for row in rows)
 
 
 def _written(obj) -> str:

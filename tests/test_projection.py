@@ -3,7 +3,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -118,18 +120,18 @@ def all_pairs_diagram_vertices(q, v):
         return all(fden * sum(a * b for a, b in zip(nrm, y)) <= num * den
                    for nrm, num, fden in ifacets)
 
+    aff = {f: projection._aff_data_int(q, f, iverts, ifacets)
+           for f in complexes.upper_faces + complexes.lower_faces}
     out = []
     for l_plus in range(dim):
         l_minus = dim - 1 - l_plus
         for x_plus in (f for f in complexes.upper_faces if f.dim == l_plus):
-            base_p, span_p, _, _ = projection._aff_data_int(
-                q, x_plus, iverts, ifacets)
+            base_p, span_p, _, _ = aff[x_plus]
             cols = span_p + (v_int,)
             m = len(cols)
             for x_minus in (f for f in complexes.lower_faces
                             if f.dim == l_minus):
-                base_m, _, eqs_m, _ = projection._aff_data_int(
-                    q, x_minus, iverts, ifacets)
+                base_m, _, eqs_m, _ = aff[x_minus]
                 reduced, pivots = echelon([
                     [sum(a * b for a, b in zip(eq, col)) for col in cols]
                     + [sum(a * (bm - bp) for a, bm, bp in
@@ -163,17 +165,18 @@ def shared_vertex_pairs(q, v, shared=1):
     complexes = upper_lower(q, v)
     _, iverts, ifacets = projection._int_geometry(q)
     v_int = tuple(int(c) for c in primitive(v.v))
+    aff = {f: projection._aff_data_int(q, f, iverts, ifacets)
+           for f in complexes.upper_faces + complexes.lower_faces}
     pairs = singular = 0
     for x_plus in complexes.upper_faces:
-        _, span_p, _, _ = projection._aff_data_int(q, x_plus, iverts, ifacets)
+        _, span_p, _, _ = aff[x_plus]
         cols = span_p + (v_int,)
         for x_minus in complexes.lower_faces:
             if (x_plus.dim + x_minus.dim != q.dim - 1
                     or len(x_plus.vertex_set & x_minus.vertex_set)
                     != shared):
                 continue
-            _, _, eqs_m, _ = projection._aff_data_int(q, x_minus, iverts,
-                                                      ifacets)
+            _, _, eqs_m, _ = aff[x_minus]
             rows = [[sum(a * b for a, b in zip(eq, col)) for col in cols]
                     for eq in eqs_m]
             pairs += 1
@@ -646,7 +649,57 @@ class TestDiagramVertices:
                 seed)
 
 
+@st.composite
+def huge_moment_curves(draw):
+    """Points (t, t^2, t^3) of the moment curve, every one a vertex of
+    their hull, with t of either sign and up to 1,130 bits, so each column
+    of shadow coordinates mixes signs and bit lengths up to about 3,400
+    bits (1,000 digits).  The values of t come from a drawn random
+    generator: drawn directly, big integers are mostly small."""
+    count = draw(st.integers(5, 8))
+    rnd = draw(st.randoms(use_true_random=True))
+    ts = set()
+    while len(ts) < count:
+        ts.add(rnd.choice((-1, 1)) * rnd.getrandbits(rnd.randint(1, 1130)))
+    return [(t, t * t, t ** 3) for t in sorted(ts)]
+
+
+class Converted(Exception):
+    """Carries the floats of one conversion out of the code under test."""
+
+
 class TestFloatFilter:
+    @given(huge_moment_curves(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_box_points_monotone_down_each_column(self, points, seed):
+        # The bounding-box test reads the shadow coordinates as floats; a
+        # strict float miss is an exact miss only if the floats keep the
+        # order of each column.  The spy stops diagram_vertices once it
+        # has converted them.
+        q = hull_from_points(points)
+        d = sample_direction(q, seed=seed)
+        _, iverts, _ = projection._int_geometry(q)
+        image = projection._shadow_map(
+            tuple(int(c) for c in primitive(d.v)))[0]
+        pv = [image(p) for p in iverts]
+        bounded = projection._bounded
+
+        def spy(rows, *args):
+            out = bounded(rows, *args)
+            if rows == pv:
+                raise Converted(out[0])
+            return out
+
+        with mock.patch.object(projection, "_bounded", spy), \
+                pytest.raises(Converted) as caught:
+            diagram_vertices(q, d)
+        box = caught.value.args[0]
+        assert np.isfinite(box).all()
+        for col, floats in zip(zip(*pv), box.T.tolist()):
+            ranked = [f for _, f in sorted(zip(col, floats))]
+            assert ranked == sorted(ranked)
+            assert max(map(abs, ranked)) >= 0.5
+
     @given(filter_systems())
     @settings(max_examples=300, deadline=None)
     def test_certified_signs_are_exact(self, system):

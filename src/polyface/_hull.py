@@ -191,7 +191,7 @@ def _merge_and_verify(
     pts: list[tuple[int, ...]],
     simplicial: list[_IntFacet],
     mult: int,
-) -> list[tuple[Vector, Fraction, frozenset[int]]]:
+) -> list[tuple[tuple[int, ...], Fraction, frozenset[int]]]:
     planes = sorted({(normal, offset) for _, normal, offset in simplicial})
     # A point certified strictly inside a plane needs no exact test; every
     # other cell, and so every point on a plane, gets one.
@@ -209,22 +209,18 @@ def _merge_and_verify(
                 raise PolyfaceError("hull produced a non-supporting hyperplane")
         # Back to original coordinates: points were scaled by mult, so the
         # hyperplane offset rescales while the normal is unchanged.
-        out.append((
-            tuple(Fraction(c) for c in normal),
-            Fraction(offset, mult),
-            frozenset(on),
-        ))
+        out.append((normal, Fraction(offset, mult), frozenset(on)))
     return out
 
 
 def incremental_facets(
     points: Sequence[Vector], dim: int
-) -> list[tuple[Vector, Fraction, frozenset[int]]]:
+) -> list[tuple[tuple[int, ...], Fraction, frozenset[int]]]:
     """Facets of the hull of full-dimensional points, exactly.
 
-    Returns (normal, offset, on_set) triples with primitive integer normals
-    oriented outward (inside means normal . x <= offset) and on_set the
-    indices of ALL input points lying on the hyperplane.
+    Returns (normal, offset, on_set) triples with primitive normals (tuples
+    of ints) oriented outward (inside means normal . x <= offset) and on_set
+    the indices of ALL input points lying on the hyperplane.
     """
     pts, mult = integer_scaled(points)
     return _merge_and_verify(pts, _simplicial_hull(pts, dim), mult)

@@ -64,7 +64,6 @@ from .errors import (
     TooLargeError,
     UnsupportedDimensionError,
 )
-from .exact import Vector
 from .polytope import Polytope
 from .projection import shadow
 
@@ -104,17 +103,17 @@ class AngleEstimate:
                 "samples": self.samples, "seed": self.seed}
 
 
-def tangent_cone(p: Polytope, face) -> tuple[Vector, ...]:
+def tangent_cone(p: Polytope, face) -> tuple[tuple[int, ...], ...]:
     """The tangent cone of p at a nonempty face (Face or vertex set): the
-    normals of exactly the facets containing the face.  A direction u
-    points into p from the face's relative interior iff n . u <= 0 for
-    each of them; the face itself has no normals."""
+    primitive integer normals of exactly the facets containing the face.
+    A direction u points into p from the face's relative interior iff
+    n . u <= 0 for each of them; the face itself has no normals."""
     vs = p.require_face(face).vertex_set
     return tuple(p.facets[i].plane.normal for i in p.facets_containing(vs))
 
 
 def _euclidean_normal_matrix(p: Polytope, normals) -> np.ndarray:
-    """Integer-valued covectors (ints, or the hull's Fractions over 1) as
+    """Integer covectors (rows of ints, such as the hull's facet normals) as
     float rows, rescaled by the metric so that plain-dot tests against
     standard Gaussian draws are isotropic in the original geometry.  Each
     row comes out over a power of two of its own (`_bounded`), so that no
@@ -128,8 +127,7 @@ def _euclidean_normal_matrix(p: Polytope, normals) -> np.ndarray:
         # that range, so no common power of two would rescue them.
         raise TooLargeError("a metric column scale does not fit a float"
                             ) from None
-    return _bounded([[c.numerator for c in n] for n in normals],
-                    len(scale))[0] * scale
+    return _bounded(normals, len(scale))[0] * scale
 
 
 def _check_samples(samples: int) -> None:
@@ -175,8 +173,8 @@ def solid_angle(p: Polytope, face, samples: int = DEFAULT_SAMPLES,
     return _cone_angle(p, tangent_cone(p, face), samples, seed)
 
 
-def _cone_angle(p: Polytope, normals: tuple[Vector, ...], samples: int,
-                seed: int) -> AngleEstimate:
+def _cone_angle(p: Polytope, normals: tuple[tuple[int, ...], ...],
+                samples: int, seed: int) -> AngleEstimate:
     """The solid angle of the cone {u : n . u <= 0 for each normal n} in
     p's space, sampled unless it is exact by construction."""
     if not normals:
@@ -220,7 +218,7 @@ def _angle_between(u, w) -> float:
         math.hypot(*(nw * a + nu * b for a, b in zip(u, w))))
 
 
-def _cone_fraction(normals, angle=_angle_between) -> float:
+def _cone_fraction(normals) -> float:
     """The measure, over the whole sphere, of the cone {u : n . u <= 0 for
     each normal n}, for irredundant Euclidean outward normals that span at
     most 3 dimensions; three or more must be 3-vectors.
@@ -231,14 +229,12 @@ def _cone_fraction(normals, angle=_angle_between) -> float:
     gives 1/2; two at angle theta make a polygon of perimeter 2 theta,
     which gives (pi - theta) / 2 pi.  Three or more are ordered around
     their unit sum, which is inside the polar cone, and P is the sum of
-    the angles between cyclically consecutive normals.  `angle(a, b)`
-    measures one such angle; a caller that meets a pair in several cones
-    can pass a cached one.
+    the angles between cyclically consecutive normals (_angle_between).
     """
     if len(normals) < 2:
         return 1.0 - 0.5 * len(normals)
     if len(normals) == 2:
-        perimeter = 2.0 * angle(*normals)
+        perimeter = 2.0 * _angle_between(*normals)
     else:
         axis = _unit([sum(c) for c in zip(*map(_unit, normals))])
         ref = (0.0, 1.0, 0.0) if abs(axis[0]) > 0.9 else (1.0, 0.0, 0.0)
@@ -248,7 +244,7 @@ def _cone_fraction(normals, angle=_angle_between) -> float:
         w = _cross(axis, u)
         ring = sorted(normals,
                       key=lambda n: math.atan2(_dot(n, w), _dot(n, u)))
-        perimeter = sum(angle(a, b)
+        perimeter = sum(_angle_between(a, b)
                         for a, b in zip(ring, ring[1:] + ring[:1]))
     return (2.0 * math.pi - perimeter) / (4.0 * math.pi)
 
@@ -409,7 +405,7 @@ def _facet_cones(p: Polytope, faces, containing, members):
                 neighbours[j].update(k for k in through if k != j)
     scale = math.lcm(*(g.numerator for g in p.metric))
     weights = [scale // g.numerator * g.denominator for g in p.metric]
-    normals = [[c.numerator for c in f.plane.normal] for f in p.facets]
+    normals = [f.plane.normal for f in p.facets]
     rows, starts, cones = [], [0], []
     for j, near in enumerate(map(sorted, neighbours)):
         n_j = normals[j]
@@ -432,8 +428,7 @@ def _facet_angles_exact(p: Polytope, faces, containing, members) -> dict:
 
     The angle is the _cone_fraction of the facet's cone rows (see
     _facet_cones) in an orthonormal basis of its hyperplane.  A ridge of
-    j has one row and gets 1/2.  Each pair of rows is measured once per
-    facet, however many cones share it.  Gram's relation is checked in
+    j has one row and gets 1/2.  Gram's relation is checked in
     every facet, ridges and the facet itself (1) included; a miss by more
     than EXACT_SLACK per term raises GramViolationError.
     """
@@ -449,18 +444,9 @@ def _facet_angles_exact(p: Polytope, faces, containing, members) -> dict:
     angles = {}
     for j, cone_rows in enumerate(cones):
         mine = local[starts[j]:starts[j + 1]]
-        measured = {}
-
-        def angle(a, b):
-            found = measured.get((a, b))
-            if found is None:
-                found = measured[a, b] = measured[b, a] = _angle_between(a, b)
-            return found
-
         gram = (-1.0) ** (d - 1)
         for g, cone in zip(members[j], cone_rows):
-            alpha = angles[g, j] = _cone_fraction([mine[i] for i in cone],
-                                                  angle)
+            alpha = angles[g, j] = _cone_fraction([mine[i] for i in cone])
             gram += (-1) ** faces[g].dim * alpha
         if abs(gram) > EXACT_SLACK * (len(members[j]) + 1):
             raise GramViolationError(

@@ -27,8 +27,9 @@ no rank, span or null space).  Rank is the number of pivots, null spaces
 are read off the reduced rows, and greedy bases of rows are the pivot
 columns of the transposed matrix.
 
-Hyperplane normals are kept unnormalized; all geometric sign tests in the
-package are scale invariant, which is what keeps coordinates rational.
+Hyperplane normals, null-space vectors and ``primitive`` vectors are
+tuples of Python ints with gcd 1, not unit vectors: every geometric sign
+test in the package is scale invariant, so no square root is needed.
 """
 from __future__ import annotations
 
@@ -100,13 +101,13 @@ def is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def primitive(v: Vector) -> Vector:
-    """Scale a nonzero rational vector to coprime integers (sign kept)."""
+def primitive(v: Vector) -> tuple[int, ...]:
+    """Scale a nonzero rational vector to coprime ints (sign kept)."""
     if is_zero(v):
         raise ZeroVectorError("cannot reduce the zero vector")
     (ints,), _ = integer_scaled([v])
     g = gcd(*ints)
-    return tuple(Fraction(a // g) for a in ints)
+    return tuple(a // g for a in ints)
 
 
 def integer_scaled(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
@@ -251,13 +252,14 @@ def gram_schmidt(vectors: Iterable[Vector], weights: Sequence[Fraction]
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """An oriented rational hyperplane {x : normal . x = offset}.
+    """An oriented hyperplane {x : normal . x = offset}: a primitive integer
+    normal (a tuple of ints with gcd 1) and a rational offset.
 
     The outward convention used throughout: a point x is inside the
     halfspace when normal . x <= offset.
     """
 
-    normal: Vector
+    normal: tuple[int, ...]
     offset: Fraction
 
     def __post_init__(self):

@@ -20,7 +20,7 @@ direction share them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -55,8 +55,8 @@ from .polytope import Polytope, _build
 
 @dataclass(frozen=True)
 class Direction:
-    """A rational direction, flagged when it is in general position by
-    construction."""
+    """A direction, flagged when it is in general position by construction:
+    a tuple of ints when sampled, rational as given otherwise."""
 
     v: Vector
     verified: bool
@@ -89,8 +89,8 @@ def sample_direction(q: Polytope, seed: int = 0) -> Direction:
     g = chunk_generator(seed, 0x61).standard_normal(d)
     u = [int(c) for c in np.rint(g * 1e6)]
     scale = m ** d
-    return Direction(tuple(Fraction(scale * ui + m ** i)
-                           for i, ui in enumerate(u)), True)
+    return Direction(tuple(scale * ui + m ** i for i, ui in enumerate(u)),
+                     True)
 
 
 def _direction_vector(v) -> Vector:
@@ -139,7 +139,7 @@ def shadow(q: Polytope, v) -> ShadowPolytope:
             raise MixedDimensionsError(
                 f"direction of dim {len(vec)} for a {q.dim}-polytope")
         scale, iverts, _ = _int_geometry(q)
-        image, den = _shadow_map(tuple(int(c) for c in primitive(vec)))
+        image, den = _shadow_map(primitive(vec))
         projected = [tuple(Fraction(c, den * scale) for c in image(p))
                      for p in iverts]
         poly = _build(projected, (Fraction(1),) * (q.dim - 1))
@@ -243,16 +243,12 @@ class DiagramVertex:
     l_plus: int
     l_minus: int
     interior: bool
-    # The point's coordinates as JSON strings, formatted once per shadow
-    # point when several vertices share it (the boundary crossings at one
-    # vertex's shadow); None means format on output.
-    point_text: tuple[str, ...] | None = field(default=None, compare=False,
-                                               repr=False)
 
-    def to_json(self) -> dict:
-        text = self.point_text
+    def to_json(self, point_text: list[str] | None = None) -> dict:
+        """The JSON record; point_text, when given, is the point's
+        coordinates already formatted."""
         return {
-            "point": list(text) if text is not None
+            "point": point_text if point_text is not None
             else [str(c) for c in self.point],
             "x_plus": sorted(self.x_plus.vertex_set),
             "x_minus": sorted(self.x_minus.vertex_set),
@@ -265,31 +261,31 @@ class DiagramVertex:
 def _int_geometry(q: Polytope):
     """Integer-scaled copy of the polytope's geometry, cached.
 
-    Returns (scale, int vertices, facet triples (normal, num, den)) where a
-    point y given as numerators Y over a positive denominator DEN (in the
-    scaled space) satisfies facet (a, num, den) iff den*(a.Y) <= num*DEN.
+    Returns (scale, int vertices, facet planes (a, c)): a is the facet's
+    primitive integer normal and c its offset in the scaled space, where a
+    point y given as numerators Y over a positive denominator DEN
+    satisfies the facet iff a.Y <= c*DEN.  c is an int: the facet holds a
+    vertex, whose scaled coordinates are ints, and c is a's integer dot
+    product with them.
     """
     def build():
         verts, scale = integer_scaled(q.vertices)
-        facets = []
-        for f in q.facets:
-            a = tuple(int(c) for c in f.plane.normal)
-            off = f.plane.offset * scale
-            facets.append((a, off.numerator, off.denominator))
-        return (scale, verts, facets)
+        planes = [(f.plane.normal, int(f.plane.offset * scale))
+                  for f in q.facets]
+        return (scale, verts, planes)
 
     return q.memo("int-geometry", build)
 
 
-def _aff_data_int(q: Polytope, face: Face, verts, ifacets):
-    """(base, spanning diffs, hull equations, facet triples not containing
+def _aff_data_int(q: Polytope, face: Face, verts, planes):
+    """(base, spanning diffs, hull equations, facet planes not containing
     the face) of a face's affine hull in the integer-scaled space.  The
     facets that contain the face hold with equality on its whole affine
     hull."""
     idx = sorted(face.vertex_set)
     base = verts[idx[0]]
     diffs = [tuple(a - b for a, b in zip(verts[i], base)) for i in idx[1:]]
-    outside = tuple(t for f, t in zip(q.facets, ifacets)
+    outside = tuple(t for f, t in zip(q.facets, planes)
                     if not face.vertex_set <= f.vertex_set)
     return (base, tuple(span_basis(diffs)), tuple(null_space(diffs, q.dim)),
             outside)
@@ -311,15 +307,14 @@ def _float_geometry(q: Polytope):
     """(beta, facet rows) of the integer-scaled geometry, cached.
 
     Positions are divided by 2^beta, which brings every vertex coordinate
-    below 1 in size.  Facet (a, num, den) becomes the row (den a,
-    -num / 2^beta) over a power of two of its own, so its slack at a
-    homogeneous point (y / 2^beta, 1) keeps its sign."""
+    below 1 in size.  Facet plane (a, c) becomes the row (a, -c / 2^beta)
+    over a power of two of its own, so its slack at a homogeneous point
+    (y / 2^beta, 1) keeps its sign."""
     def build():
-        _, verts, ifacets = _int_geometry(q)
+        _, verts, planes = _int_geometry(q)
         beta = max(c.bit_length() for p in verts for c in p)
-        rows = [tuple(den * c for c in a) + (-num,)
-                for a, num, den in ifacets]
-        return beta, _bounded(rows, q.dim + 1, (0,) * q.dim + (beta,))
+        return beta, _bounded([a + (-c,) for a, c in planes], q.dim + 1,
+                              (0,) * q.dim + (beta,))
 
     return q.memo("float-geometry", build)
 
@@ -377,12 +372,12 @@ class _FaceTable(NamedTuple):
 def _face_table(q: Polytope, k: int) -> _FaceTable:
     """The k-faces' table, cached (direction independent)."""
     def build():
-        _, verts, ifacets = _int_geometry(q)
+        _, verts, planes = _int_geometry(q)
         faces = q.face_lattice().faces_of_dim(k)
         incidence = np.zeros((len(faces), q.n_vertices))
         for i, f in enumerate(faces):
             incidence[i, sorted(f.vertex_set)] = 1.0
-        affs = tuple(_aff_data_int(q, f, verts, ifacets) for f in faces)
+        affs = tuple(_aff_data_int(q, f, verts, planes) for f in faces)
         return _FaceTable(
             {f.vertex_set: i for i, f in enumerate(faces)}, incidence, affs,
             _face_floats(affs, k, q.dim, *_float_geometry(q)))
@@ -607,8 +602,8 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     for face in complexes.lower_faces:
         lower_faces.setdefault(face.dim, []).append(face)
 
-    scale, iverts, ifacets = _int_geometry(q)
-    v_int = tuple(int(c) for c in primitive(vec))
+    scale, iverts, planes = _int_geometry(q)
+    v_int = primitive(vec)
     dim = q.dim
     image, vden = _shadow_map(v_int)
     pden = vden * scale
@@ -619,9 +614,9 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                                         for col in zip(*pv)], False)[0]
 
     v_float, step_slacks = _direction_floats(_float_geometry(q)[1], v_int)
-    # The shadow of vertex w and its JSON text, built once: it is every
-    # boundary crossing at w.
-    shadow_points: dict[int, tuple[Vector, tuple[str, ...]]] = {}
+    # The shadow of vertex w, built once: it is every boundary crossing at
+    # w, and they share it.
+    shadow_points: dict[int, Vector] = {}
 
     def table_rows(faces, k):
         table = _face_table(q, k)
@@ -666,7 +661,7 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                                      rounding)
             todo[ones] = det[ones] != 0
             width = max(max(comb(m + 1, r + 1) * (r + 1) for r in range(m)),
-                        (m + 1) * len(ifacets))
+                        (m + 1) * len(planes))
             for at in _in_chunks(np.flatnonzero(~touching), width):
                 todo[at] = ~_rejected(tu.floats.take(pu[at]),
                                       tl.floats.take(pl[at]), v_float,
@@ -681,11 +676,10 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                         continue  # singular: the projected hulls overlap
                     (w,) = x_plus.vertex_set & x_minus.vertex_set
                     if w not in shadow_points:
-                        point = tuple(Fraction(c, pden) for c in pv[w])
-                        shadow_points[w] = (point, tuple(map(str, point)))
-                    point, text = shadow_points[w]
-                    out.append(DiagramVertex(point, x_plus, x_minus, l_plus,
-                                             l_minus, False, text))
+                        shadow_points[w] = tuple(Fraction(c, pden)
+                                                 for c in pv[w])
+                    out.append(DiagramVertex(shadow_points[w], x_plus,
+                                             x_minus, l_plus, l_minus, False))
                 else:
                     found = _disjoint_crossing(aff_p, aff_m, v_int)
                     if found is not None:
@@ -697,12 +691,12 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     return tuple(out)
 
 
-def _contains_int(ifacets, y: list[int], den: int) -> bool:
-    for a, num, fden in ifacets:
+def _contains_int(planes, y: list[int], den: int) -> bool:
+    for a, c in planes:
         s = 0
         for ai, yi in zip(a, y):
             s += ai * yi
-        if fden * s > num * den:
+        if s > c * den:
             return False
     return True
 
@@ -764,12 +758,19 @@ class ShadowDiagram:
         return tuple(dv for dv in self.vertices if dv.interior)
 
     def to_json(self) -> dict:
+        # The boundary crossings at one vertex share its shadow point, one
+        # object: format each point object once.
+        texts: dict[int, list[str]] = {}
+        for dv in self.vertices:
+            if id(dv.point) not in texts:
+                texts[id(dv.point)] = [str(c) for c in dv.point]
         return {
             "direction": self.direction.to_json(),
             "partition": self.complexes.to_json(),
             "shadow_f_vector": list(self.shadow.poly.f_vector().counts),
             "boundary_homeomorphic": self.boundary_ok,
-            "diagram_vertices": [dv.to_json() for dv in self.vertices],
+            "diagram_vertices": [dv.to_json(texts[id(dv.point)])
+                                 for dv in self.vertices],
             "interior_count": len(self.interior_vertices),
             "gaps": [g.to_json() for g in self.gap_reports],
         }

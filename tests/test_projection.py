@@ -1,8 +1,9 @@
 """Projections: general-position directions, shadows, diagrams, gap checks."""
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 from unittest import mock
 
 import numpy as np
@@ -32,7 +33,7 @@ from polyface.generators import (
     simplex,
 )
 from polyface.lattice import quotient
-from polyface.polytope import hull_from_points
+from polyface.polytope import hull_from_points, polytope_from_json
 from polyface.projection import (
     DiagramVertex,
     Direction,
@@ -48,7 +49,7 @@ from polyface.projection import (
 from corpus import extended_corpus
 from test_angles import facet_as_polytope
 from test_exact import side
-from test_golden import huge_polytope
+from test_golden import FLAT_HEXAGON, huge_polytope
 from test_polytope import contains
 
 
@@ -111,16 +112,16 @@ def all_pairs_diagram_vertices(q, v):
     test both lifts against every facet."""
     vec = v.v if isinstance(v, Direction) else vector(v)
     complexes = upper_lower(q, vec)
-    scale, iverts, ifacets = projection._int_geometry(q)
-    v_int = tuple(int(c) for c in primitive(vec))
+    scale, iverts, planes = projection._int_geometry(q)
+    v_int = primitive(vec)
     dim = q.dim
     image, vden = projection._shadow_map(v_int)
 
     def contains(y, den):
-        return all(fden * sum(a * b for a, b in zip(nrm, y)) <= num * den
-                   for nrm, num, fden in ifacets)
+        return all(sum(a * b for a, b in zip(nrm, y)) <= c * den
+                   for nrm, c in planes)
 
-    aff = {f: projection._aff_data_int(q, f, iverts, ifacets)
+    aff = {f: projection._aff_data_int(q, f, iverts, planes)
            for f in complexes.upper_faces + complexes.lower_faces}
     out = []
     for l_plus in range(dim):
@@ -163,9 +164,9 @@ def shared_vertex_pairs(q, v, shared=1):
     dimensions that share exactly `shared` vertices, and how many of them
     have a singular system, by exact rank."""
     complexes = upper_lower(q, v)
-    _, iverts, ifacets = projection._int_geometry(q)
-    v_int = tuple(int(c) for c in primitive(v.v))
-    aff = {f: projection._aff_data_int(q, f, iverts, ifacets)
+    _, iverts, planes = projection._int_geometry(q)
+    v_int = primitive(v.v)
+    aff = {f: projection._aff_data_int(q, f, iverts, planes)
            for f in complexes.upper_faces + complexes.lower_faces}
     pairs = singular = 0
     for x_plus in complexes.upper_faces:
@@ -438,7 +439,7 @@ class TestMemo:
         d = sample_direction(q, seed=4)
         sh = shadow(q, d)
         assert shadow(q, d) is sh
-        assert shadow(q, tuple(int(c) for c in d.v)) is sh
+        assert shadow(q, d.v) is sh
         assert shadow(q, sample_direction(q, seed=5)) is not sh
 
     def test_upper_lower_cached_per_direction(self):
@@ -446,7 +447,7 @@ class TestMemo:
         d = sample_direction(q, seed=4)
         parts = upper_lower(q, d)
         assert upper_lower(q, d) is parts
-        assert upper_lower(q, tuple(int(c) for c in d.v)) is parts
+        assert upper_lower(q, d.v) is parts
 
     def test_zero_pairing_raises_on_every_call(self):
         q = cube(2)
@@ -550,6 +551,22 @@ class TestDiagramVertices:
             d = sample_direction(p, seed=seed)
             assert diagram_vertices(p, d) == all_pairs_diagram_vertices(p, d), (
                 p, seed)
+
+    def test_points_past_the_text_limit(self):
+        # Moment-curve points (t, t^2, t^3) with t up to 1,130 bits give
+        # shadow points of more than 4,300 digits, the interpreter's
+        # int-to-str limit: a library call must keep them exact and
+        # format nothing.
+        rnd = random.Random(3)
+        ts = set()
+        while len(ts) < 8:
+            ts.add(rnd.choice((-1, 1)) * rnd.getrandbits(rnd.randint(1, 1130)))
+        q = hull_from_points([(t, t * t, t ** 3) for t in sorted(ts)])
+        d = sample_direction(q, seed=0)
+        found = diagram_vertices(q, d)
+        assert max(abs(c.numerator) for dv in found
+                   for c in dv.point) > 10 ** 4300
+        assert found == all_pairs_diagram_vertices(q, d)
 
     @given(integer_hulls(), st.integers(0, 2**64 - 1))
     @settings(max_examples=30, deadline=None)
@@ -679,8 +696,7 @@ class TestFloatFilter:
         q = hull_from_points(points)
         d = sample_direction(q, seed=seed)
         _, iverts, _ = projection._int_geometry(q)
-        image = projection._shadow_map(
-            tuple(int(c) for c in primitive(d.v)))[0]
+        image = projection._shadow_map(primitive(d.v))[0]
         pv = [image(p) for p in iverts]
         bounded = projection._bounded
 
@@ -815,3 +831,31 @@ class TestShadowDiagramBundle:
         payload = diagram.to_json()
         assert payload["interior_count"] == len(diagram.interior_vertices)
         assert payload["shadow_f_vector"] == [6, 6]
+
+
+class TestIntegerFormat:
+    def test_planes_are_primitive_int_vectors(self):
+        # Facet normals, primitive vectors and sampled directions are
+        # tuples of ints, and each integer facet plane (a, c) holds with
+        # equality at its facet's scaled vertices and strictly at every
+        # other vertex.  The corpus holds random-sphere hulls (rational
+        # vertices); the flat hexagon is restricted to its affine hull.
+        flat = hull_from_points(FLAT_HEXAGON["vertices"])
+        assert flat.dim < flat.ambient_dim
+        polytopes = [e.polytope for e in extended_corpus()]
+        polytopes += [flat, polytope_from_json(huge_polytope(200))]
+        for p in polytopes:
+            for f in p.facets:
+                assert all(type(c) is int for c in f.plane.normal), p
+                assert gcd(*f.plane.normal) == 1, p
+            ints = primitive(vsub(p.vertices[1], p.vertices[0]))
+            assert all(type(c) is int for c in ints) and gcd(*ints) == 1
+            assert all(type(c) is int for c in sample_direction(p, 1).v)
+            _, verts, planes = projection._int_geometry(p)
+            for f, (a, c) in zip(p.facets, planes):
+                assert a == f.plane.normal and type(c) is int, p
+                for i, y in enumerate(verts):
+                    if i in f.vertex_set:
+                        assert idot(a, y) == c, (p, i)
+                    else:
+                        assert idot(a, y) < c, (p, i)

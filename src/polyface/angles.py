@@ -8,7 +8,7 @@ tangent cone, which is cut out by exactly the facets containing G.  Those
 facets are read off the hull's exact vertex-facet incidences, so building
 a cone does no arithmetic.  The probability is estimated by Monte Carlo
 over isotropic Gaussian directions (seeded, chunked, bit-reproducible; see
-_rng) and, in dimension <= 3, cross-checked against a closed form.
+_rng); the tests check it against solid_angle_exact in dimension <= 3.
 
 The closed form reads nothing but the cone's facet normals: when they span
 at most 3 dimensions, the cone's share of the sphere is (2 pi - P) / 4 pi
@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -333,7 +334,7 @@ def angle_sums(p: Polytope, samples: int = DEFAULT_SAMPLES,
         return [AngleSumReport(0, 1.0, 0.0, (half,) * len(level))
                 for level in levels]
     faces = [face for level in levels for face in level]
-    cones = [p.facets_containing(face.vertex_set) for face in faces]
+    cones = np.concatenate([lattice.containing(k) for k in range(p.dim)])
     matrix = _euclidean_normal_matrix(p, [f.plane.normal for f in p.facets])
     totals = _stream_totals(matrix, samples, seed, cones,
                             [f.dim for f in faces], p.dim)
@@ -374,9 +375,9 @@ class CurvatureReport:
                 "ok": self.ok}
 
 
-def _facet_cones(p: Polytope, faces, containing, members):
+def _facet_cones(p: Polytope, containing: np.ndarray):
     """(rows, starts, cones): each facet's cone at each of its faces, for
-    the faces of curvature_checks and their incidences.
+    the faces of curvature_checks, whose facets are the rows of containing.
 
     In facet j's hyperplane H, j's tangent cone at a face G is cut out by
     the facets of j through G.  Each is the ridge that j shares with a
@@ -394,35 +395,32 @@ def _facet_cones(p: Polytope, faces, containing, members):
     call.
 
     Facet j's rows are rows[starts[j]:starts[j + 1]], one per
-    ridge-neighbour, in facet order; cones[j] lists, for each face in
-    members[j], the indices of the rows of j's ridge-neighbours through
-    it, in j's rows.
+    ridge-neighbour, in facet order.  cones[j] pairs the indices of j's
+    faces with a bool matrix that has a row per face, marking j's rows of
+    the ridge-neighbours through it.
     """
-    neighbours = [set() for _ in p.facets]
-    for face, through in zip(faces, containing):
-        if face.dim == p.dim - 2:
-            for j in through:
-                neighbours[j].update(k for k in through if k != j)
+    # The two facets of each ridge (curvature_checks checks there are two).
+    ridges = p.face_lattice().containing(p.dim - 2)
+    pairs = np.nonzero(ridges)[1].reshape(-1, 2)
     scale = math.lcm(*(g.numerator for g in p.metric))
     weights = [scale // g.numerator * g.denominator for g in p.metric]
     normals = [f.plane.normal for f in p.facets]
     rows, starts, cones = [], [0], []
-    for j, near in enumerate(map(sorted, neighbours)):
-        n_j = normals[j]
+    for j, n_j in enumerate(normals):
+        near = np.sort(pairs[:, ::-1][pairs == j])  # j's ridge-neighbours
         weighted = [c * w for c, w in zip(n_j, weights)]
         jj = sum(a * b for a, b in zip(n_j, weighted))
-        for k in near:
+        for k in near.tolist():
             n_k = normals[k]
             kj = sum(a * b for a, b in zip(n_k, weighted))
             rows.append([jj * a - kj * b for a, b in zip(n_k, n_j)])
         starts.append(len(rows))
-        row_of = {k: i for i, k in enumerate(near)}
-        cones.append([[row_of[k] for k in containing[g] if k in row_of]
-                      for g in members[j]])
+        mine = np.flatnonzero(containing[:, j])
+        cones.append((mine.tolist(), containing[mine][:, near]))
     return _euclidean_normal_matrix(p, rows), starts, cones
 
 
-def _facet_angles_exact(p: Polytope, faces, containing, members) -> dict:
+def _facet_angles_exact(p: Polytope, faces, containing) -> dict:
     """Each facet's angle at each of its faces, in closed form, keyed (face
     index, facet index), for p of dimension 3 or 4.
 
@@ -433,40 +431,39 @@ def _facet_angles_exact(p: Polytope, faces, containing, members) -> dict:
     than EXACT_SLACK per term raises GramViolationError.
     """
     d = p.dim
-    rows, starts, cones = _facet_cones(p, faces, containing, members)
+    rows, starts, cones = _facet_cones(p, containing)
     normals = _euclidean_normal_matrix(p, [f.plane.normal for f in p.facets])
     # The other columns of a complete QR factor of a facet's normal are an
     # orthonormal basis of its hyperplane; each row goes into its facet's.
     bases = np.linalg.qr(normals[:, :, None], mode="complete")[0][:, :, 1:]
     owner = np.repeat(np.arange(p.n_facets), np.diff(starts))
-    local = list(map(tuple, np.einsum("ri,rik->rk", rows, bases[owner])
-                     .tolist()))
+    local = np.einsum("ri,rik->rk", rows, bases[owner]).tolist()
     angles = {}
-    for j, cone_rows in enumerate(cones):
+    for j, (members, cone_rows) in enumerate(cones):
         mine = local[starts[j]:starts[j + 1]]
         gram = (-1.0) ** (d - 1)
-        for g, cone in zip(members[j], cone_rows):
-            alpha = angles[g, j] = _cone_fraction([mine[i] for i in cone])
+        for g, cone in zip(members, cone_rows):
+            alpha = angles[g, j] = _cone_fraction(list(compress(mine, cone)))
             gram += (-1) ** faces[g].dim * alpha
-        if abs(gram) > EXACT_SLACK * (len(members[j]) + 1):
+        if abs(gram) > EXACT_SLACK * (len(members) + 1):
             raise GramViolationError(
                 f"Gram's relation fails by {gram:.3g} in facet {j}")
     return angles
 
 
 def _facet_hits(p: Polytope, samples: int, seeds: list[int], faces,
-                containing, members) -> dict:
+                containing) -> dict:
     """Each facet's hits at each of its faces, keyed (face index, facet
     index), from one stream of `samples` draws per facet, facet j's seeded
     by seeds[j], against j's cone rows (see _facet_cones and
     curvature_checks)."""
-    rows, starts, cones = _facet_cones(p, faces, containing, members)
+    rows, starts, cones = _facet_cones(p, containing)
     hits = {}
-    for j, cone_rows in enumerate(cones):
+    for j, (members, cone_rows) in enumerate(cones):
         totals = _stream_totals(
             rows[starts[j]:starts[j + 1]], samples, seeds[j], cone_rows,
-            [faces[g].dim for g in members[j]], p.dim - 1, f" in facet {j}")
-        hits.update(((g, j), h) for g, h in zip(members[j], totals))
+            [faces[g].dim for g in members], p.dim - 1, f" in facet {j}")
+        hits.update(((g, j), h) for g, h in zip(members, totals))
     return hits
 
 
@@ -505,27 +502,26 @@ def curvature_checks(p: Polytope, samples: int = DEFAULT_SAMPLES,
     _check_samples(samples)
     d = p.dim
     lattice = p.face_lattice()
+    if d < 2:
+        return []  # no face of dimension 0 .. d-2
     faces = [face for k in range(d - 1) for face in lattice.faces_of_dim(k)]
-    containing = [p.facets_containing(face.vertex_set) for face in faces]
-    members = [[] for _ in p.facets]  # facet -> indices of its faces
-    for g, through in enumerate(containing):
-        for j in through:
-            members[j].append(g)
+    containing = np.concatenate([lattice.containing(k) for k in range(d - 1)])
+    # A ridge lies in exactly two facets and is a facet of each, so both
+    # angles are flat halfspace angles of exactly 1/2.
+    if (lattice.containing(d - 2).sum(axis=1) != 2).any():
+        raise PolyfaceError("ridge not contained in exactly two facets")
     seeds = [derive_seed(seed, "facet", j) for j in range(p.n_facets)]
     # Below dimension 3 every face reported is a ridge: nothing to compute.
     if d < 3:
         found_at = {}
     elif d <= 4:
-        found_at = _facet_angles_exact(p, faces, containing, members)
+        found_at = _facet_angles_exact(p, faces, containing)
     else:
-        found_at = _facet_hits(p, samples, seeds, faces, containing, members)
+        found_at = _facet_hits(p, samples, seeds, faces, containing)
     reports = []
-    for g, (face, through) in enumerate(zip(faces, containing)):
+    for g, (face, row) in enumerate(zip(faces, containing.tolist())):
+        through = list(compress(range(p.n_facets), row))
         ridge = face.dim == d - 2
-        # A ridge lies in exactly two facets and is a facet of each, so
-        # both angles are flat halfspace angles of exactly 1/2.
-        if ridge and len(through) != 2:
-            raise PolyfaceError("ridge not contained in exactly two facets")
         exact = ridge or d <= 4
         found = [0.5, 0.5] if ridge else [found_at[g, j] for j in through]
         if exact:

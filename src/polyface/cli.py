@@ -23,12 +23,12 @@ even when nothing is drawn.
 
 Exit code 0 means every hard check passed (WARN verdicts do not fail a
 run).  Failures (a malformed or unknown option or a missing subcommand,
-malformed input, an input coordinate string (counting its exponent) or
-integer of more than 1,000 digits, an --out path that cannot be opened or
-written, --directions or --samples below 1, --samples above 10^9, a
-sample or a facet's closed-form angles that break Gram's relation) print
-a JSON error line to stderr and exit 1.  Output is byte-identical for a
-given seed.
+no polytope named, malformed input, an input coordinate string (counting
+its exponent) or integer of more than 1,000 digits, `project` below
+dimension 2, an --out path or stdout that cannot be written, --directions
+or --samples below 1, --samples above 10^9, a sample or a facet's
+closed-form angles that break Gram's relation) print a JSON error line
+to stderr and exit 1.  Output is byte-identical for a given seed.
 
 Every JSON report (every subcommand but corpus) is exactly the bytes of
 json.dump(obj, fh, indent=2, sort_keys=True), ASCII-escaped, plus a
@@ -60,8 +60,8 @@ from .bounds import (
     unimodality_check,
     verify_main_bounds,
 )
-from .errors import (BadOutputError, BadSpecError, OutOfRangeError,
-                     PolyfaceError)
+from .errors import (BadOutputError, BadSpecError, DimensionTooLowError,
+                     OutOfRangeError, PolyfaceError)
 from .generators import FamilySpec, generate
 from .polytope import Polytope, load_polytope, polytope_to_json
 from .projection import build_shadow_diagram, sample_direction
@@ -85,7 +85,7 @@ def _load(args) -> Polytope:
     if args.input:
         return load_polytope(args.input)
     if not args.family or args.dim is None:
-        raise PolyfaceError("need either --in FILE or --family and --dim")
+        raise BadSpecError("need either --in FILE or --family and --dim")
     return generate(FamilySpec(args.family, args.dim, args.n, args.seed))
 
 
@@ -307,7 +307,7 @@ def cmd_project(args) -> int:
     _require_positive(directions=args.directions)
     p = _load(args)
     if p.dim < 2:
-        raise PolyfaceError("projection reports need dim >= 2")
+        raise DimensionTooLowError("projection reports need dim >= 2")
     diagrams = []
     ok = True
     with _long_int_text():

@@ -40,7 +40,7 @@ class BadInputError(PolyfaceError):
 
 
 class BadOutputError(PolyfaceError):
-    """An --out path cannot be opened for writing."""
+    """Writing an --out path or stdout failed: open, write, flush or close."""
 
 
 class BadSpecError(PolyfaceError):
@@ -75,6 +75,6 @@ class DimensionTooLowError(PolyfaceError):
 
 
 class GramViolationError(PolyfaceError):
-    """A sampled direction broke Gram's relation: the faces whose tangent
-    cones hold it must have alternating dimension sum zero, so a violation
-    means a wrong cone or a floating-point tie, never noise."""
+    """Gram's relation failed, on a sampled direction (the faces whose
+    cones hold it have alternating dimension sum zero) or on a facet's
+    closed-form angles: a wrong cone or a float tie, never noise."""

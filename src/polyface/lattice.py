@@ -96,10 +96,12 @@ class FaceLattice:
     """
 
     def __init__(self, levels: Sequence[tuple[np.ndarray, np.ndarray]],
-                 dim: int, n_vertices: int):
+                 dim: int, n_vertices: int, coatoms: np.ndarray):
         # _levels[k + 1] holds the k-faces, for k = -1 .. dim.
-        self._levels = tuple(levels)
+        self._levels = list(levels)
         self._faces: list[tuple[Face, ...] | None] = [None] * len(levels)
+        self._containing: list[np.ndarray | None] = [None] * len(levels)
+        self._coatoms = coatoms
         self.dim = dim
         self.n_vertices = n_vertices
 
@@ -110,8 +112,22 @@ class FaceLattice:
         if not -1 <= k <= self.dim:
             return ()
         if self._faces[k + 1] is None:
-            self._faces[k + 1] = _level_faces(*self._levels[k + 1], k)
+            self._levels[k + 1], self._faces[k + 1] = _level_faces(
+                *self._levels[k + 1], k)
         return self._faces[k + 1]
+
+    def containing(self, k: int) -> np.ndarray:
+        """Which facets contain each k-face, cached: a (f_k, n_facets) bool
+        matrix, rows in faces_of_dim(k) order and columns in the order of
+        the facet sets the lattice was built from.  One AND of the level's
+        rows against the facet rows: F lies in G iff F & G is F."""
+        if not -1 <= k <= self.dim:
+            return np.zeros((0, len(self._coatoms)), dtype=bool)
+        if self._containing[k + 1] is None:
+            self.faces_of_dim(k)  # puts the level's rows in canonical order
+            rows = self._levels[k + 1][0][:, None, :]
+            self._containing[k + 1] = ((rows & self._coatoms) == rows).all(2)
+        return self._containing[k + 1]
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
@@ -143,28 +159,31 @@ class FaceLattice:
         return FVector(self.dim, tuple(len(s) for _, s in self._levels[1:-1]))
 
 
-def _level_faces(rows: np.ndarray, sizes: np.ndarray,
-                 k: int) -> tuple[Face, ...]:
-    """The k-faces of a level in canonical order, each atom tuple built
-    once from the set bits of its row.  The sort stays: the integer order
-    of the rows is not the tuple order, where a prefix sorts first."""
+def _level_faces(rows: np.ndarray, sizes: np.ndarray, k: int):
+    """A level's (rows, sizes) and its k-faces, all in canonical order,
+    each atom tuple built once from the set bits of its row.  The sort
+    stays: the integer order of the rows is not the tuple order, where a
+    prefix sorts first."""
     bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
     flat = np.nonzero(bits)[1].tolist()
     ends = np.cumsum(sizes).tolist()
-    tuples = sorted(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
-    return tuple(Face(frozenset(t), k) for t in tuples)
+    tuples = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+    order = sorted(range(len(tuples)), key=tuples.__getitem__)
+    return ((rows[order], sizes[order]),
+            tuple(Face(frozenset(tuples[i]), k) for i in order))
 
 
 def _bitmasks(n: int, sets: Iterable[Iterable[int]]) -> np.ndarray:
     """One row of max(1, ceil(n/64)) little-endian uint64 words per atom
-    set."""
+    set, an empty set included."""
+    sets = list(sets)
     rows, atoms = [], []
     for r, s in enumerate(sets):
         for a in s:
             rows.append(r)
             atoms.append(a)
     words = max(1, -(-n // 64))
-    bits = np.zeros((max(rows, default=-1) + 1, 64 * words), dtype=bool)
+    bits = np.zeros((len(sets), 64 * words), dtype=bool)
     bits[rows, atoms] = True
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
@@ -265,7 +284,7 @@ def build_face_lattice(n: int, coatom_sets: Iterable[Iterable[int]],
     for j in range(dim, 0, -1):
         levels.append(_facets_of(*levels[-1], coatoms, j))
     levels.append((np.zeros_like(top), np.zeros(1, size)))  # the empty face
-    return FaceLattice(levels[::-1], dim, n)
+    return FaceLattice(levels[::-1], dim, n, coatoms)
 
 
 def dual(lattice: FaceLattice) -> FaceLattice:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb, isnan, isqrt
 from operator import mul
 from typing import NamedTuple
@@ -187,23 +187,22 @@ def upper_lower(q: Polytope, v) -> ShadowComplexes:
                 raise ZeroDotProductError(
                     f"direction orthogonal to facet {i}: not in general position"
                 )
-        upper_sets = [q.facets[i].vertex_set for i in upper]
-        lower_sets = [q.facets[i].vertex_set for i in lower]
-        upper_faces, lower_faces = [], []
-        for face in q.face_lattice().faces:
-            if face.dim < 0 or face.dim == q.dim:
-                continue
-            vs = face.vertex_set
-            if any(vs <= u for u in upper_sets):
-                upper_faces.append(face)
-            if any(vs <= l for l in lower_sets):
-                lower_faces.append(face)
-        in_lower = set(lower_faces)
-        boundary = tuple(f for f in upper_faces if f in in_lower)
+        upper_faces, lower_faces, boundary = [], [], []
+        for k in range(q.dim):
+            faces = q.face_lattice().faces_of_dim(k)
+            up, low = _lies_in(q, upper, k), _lies_in(q, lower, k)
+            upper_faces += compress(faces, up)
+            lower_faces += compress(faces, low)
+            boundary += compress(faces, up & low)
         return ShadowComplexes(tuple(upper), tuple(lower), tuple(upper_faces),
-                               tuple(lower_faces), boundary)
+                               tuple(lower_faces), tuple(boundary))
 
     return q.memo(("upper-lower", vec), build)
+
+
+def _lies_in(q: Polytope, facets, k: int) -> np.ndarray:
+    """Which k-faces of q, in lattice order, lie in one of the facets."""
+    return q.face_lattice().containing(k)[:, facets].any(axis=1)
 
 
 def shadow_boundary_check(q: Polytope, v) -> bool:
@@ -359,11 +358,11 @@ def _face_floats(affs, k: int, dim: int, beta: int,
 
 
 class _FaceTable(NamedTuple):
-    """The k-faces of a polytope for the diagram, in lattice order: each
-    face's row index by vertex set, its incidence row over the vertices,
-    its exact affine data (`_aff_data_int`) and its filter data."""
+    """The k-faces of a polytope for the diagram, in lattice order: the
+    faces, each face's incidence row over the vertices, its exact affine
+    data (`_aff_data_int`) and its filter data."""
 
-    row: dict
+    faces: tuple
     incidence: np.ndarray
     affs: tuple
     floats: _FaceFloats
@@ -378,9 +377,8 @@ def _face_table(q: Polytope, k: int) -> _FaceTable:
         for i, f in enumerate(faces):
             incidence[i, sorted(f.vertex_set)] = 1.0
         affs = tuple(_aff_data_int(q, f, verts, planes) for f in faces)
-        return _FaceTable(
-            {f.vertex_set: i for i, f in enumerate(faces)}, incidence, affs,
-            _face_floats(affs, k, q.dim, *_float_geometry(q)))
+        return _FaceTable(faces, incidence, affs,
+                          _face_floats(affs, k, q.dim, *_float_geometry(q)))
 
     return q.memo(("face-table", k), build)
 
@@ -594,14 +592,6 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
         raise DimensionTooLowError("diagram construction needs dim >= 2")
     vec = _direction_vector(v)
     complexes = upper_lower(q, vec)
-
-    upper_faces: dict[int, list[Face]] = {}
-    lower_faces: dict[int, list[Face]] = {}
-    for face in complexes.upper_faces:
-        upper_faces.setdefault(face.dim, []).append(face)
-    for face in complexes.lower_faces:
-        lower_faces.setdefault(face.dim, []).append(face)
-
     scale, iverts, planes = _int_geometry(q)
     v_int = primitive(vec)
     dim = q.dim
@@ -618,10 +608,6 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     # w, and they share it.
     shadow_points: dict[int, Vector] = {}
 
-    def table_rows(faces, k):
-        table = _face_table(q, k)
-        return table, np.array([table.row[f.vertex_set] for f in faces])
-
     def boxes(table, rows):
         inside = table.incidence[rows, :, None] > 0
         return (np.where(inside, box_points, np.inf).min(axis=1),
@@ -630,11 +616,10 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     out = []
     for l_plus in range(0, dim):
         l_minus = dim - 1 - l_plus
-        if l_plus not in upper_faces or l_minus not in lower_faces:
-            continue
-        uppers, lowers = upper_faces[l_plus], lower_faces[l_minus]
-        tu, ru = table_rows(uppers, l_plus)
-        tl, rl = table_rows(lowers, l_minus)
+        tu, tl = _face_table(q, l_plus), _face_table(q, l_minus)
+        # The table rows of the upper l_plus- and lower l_minus-faces.
+        ru = np.flatnonzero(_lies_in(q, complexes.upper, l_plus))
+        rl = np.flatnonzero(_lies_in(q, complexes.lower, l_minus))
         shared = tu.incidence[ru] @ tl.incidence[rl].T
         lo_u, hi_u = boxes(tu, ru)
         lo_l, hi_l = boxes(tl, rl)
@@ -669,7 +654,7 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
             for a, b, one, sign in zip(iu[todo].tolist(), il[todo].tolist(),
                                        touching[todo].tolist(),
                                        det[todo].tolist()):
-                x_plus, x_minus = uppers[a], lowers[b]
+                x_plus, x_minus = tu.faces[ru[a]], tl.faces[rl[b]]
                 aff_p, aff_m = tu.affs[ru[a]], tl.affs[rl[b]]
                 if one:
                     if isnan(sign) and _solve(aff_p, aff_m, v_int) is None:

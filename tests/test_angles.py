@@ -43,7 +43,7 @@ from polyface.errors import (
 from polyface.generators import (
     cross_polytope, cube, cyclic, pyramid, random_sphere, simplex)
 from polyface.lattice import FaceLattice
-from polyface.polytope import Polytope, _build, hull_from_points
+from polyface.polytope import _build, hull_from_points
 from polyface.projection import sample_direction
 
 from corpus import near_cube
@@ -488,27 +488,33 @@ def sums_oracle(p, samples, seed):
 
 
 def drop_one_facet(monkeypatch, victim):
-    """Make every caller see one facet fewer through the vertex set
-    victim: a mutant whose tangent cone at that face is too wide."""
-    original = Polytope.facets_containing
+    """Make the lattice's incidences show one facet fewer through the face
+    with vertex set victim: a mutant whose tangent cone at that face is
+    too wide."""
+    original = FaceLattice.containing
 
-    def mutated(self, vertex_set):
-        found = original(self, vertex_set)
-        return found[1:] if vertex_set == victim else found
+    def mutated(self, k):
+        found = original(self, k).copy()
+        for row, face in zip(found, self.faces_of_dim(k)):
+            if face.vertex_set == victim:
+                row[row.argmax()] = False
+        return found
 
-    monkeypatch.setattr(Polytope, "facets_containing", mutated)
+    monkeypatch.setattr(FaceLattice, "containing", mutated)
 
 
 def drop_vertex_zero(monkeypatch):
-    """Make the lattice list every vertex but vertex 0."""
-    original = FaceLattice.faces_of_dim
+    """Make the lattice list every vertex but vertex 0, and drop its row
+    of incidences too, so that the rows still follow the faces."""
+    faces_of_dim, containing = FaceLattice.faces_of_dim, FaceLattice.containing
 
-    def mutated(self, k):
-        faces = original(self, k)
-        return tuple(f for f in faces if f.vertex_set != {0}) \
-            if k == 0 else faces
+    def kept(self, k):
+        return [k != 0 or f.vertex_set != {0} for f in faces_of_dim(self, k)]
 
-    monkeypatch.setattr(FaceLattice, "faces_of_dim", mutated)
+    monkeypatch.setattr(FaceLattice, "faces_of_dim", lambda self, k: tuple(
+        itertools.compress(faces_of_dim(self, k), kept(self, k))))
+    monkeypatch.setattr(FaceLattice, "containing",
+                        lambda self, k: containing(self, k)[kept(self, k)])
 
 
 class TestAngleSums:

@@ -131,6 +131,12 @@ BAD_INPUTS = [
      ["angles", "--family", "simplex", "--dim", "2", "--samples", "2000",
       "--directions", "1", "--tolerance-sigma", "4"], "BadSpecError"),
     ("no-subcommand", None, [], "BadSpecError"),
+    # No polytope named: neither --in nor --family with --dim.
+    ("no-input", None, ["verify-bounds"], "BadSpecError"),
+    ("family-without-dim", None, ["describe", "--family", "cube"],
+     "BadSpecError"),
+    ("project-segment", '{"ambient_dim": 1, "vertices": [[0], [1]]}',
+     ["project"], "DimensionTooLowError"),
     ("angles-too-many-samples", None,
      ["angles", "--family", "simplex", "--dim", "2",
       "--samples", "1000000000000000000", "--directions", "1"],

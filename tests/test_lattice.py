@@ -1,6 +1,7 @@
 """Face lattices, f-vectors, duals, quotients."""
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -405,14 +406,26 @@ class TestQuotient:
 
 def corpus_lattices():
     """Every corpus polytope's lattice, its dual and its quotients by each
-    nonempty proper face."""
+    nonempty proper face, each with the atom sets of the facets it was
+    built from, in the order given.  The dual's facets are the vertices,
+    each the set of facets through it; a quotient's are the facets
+    containing G, in lattice order, each the set of faces covering G that
+    it contains."""
     for entry in extended_corpus():
-        lattice = entry.polytope.face_lattice()
-        yield entry.name, lattice
-        yield f"dual {entry.name}", dual(lattice)
+        p = entry.polytope
+        lattice = p.face_lattice()
+        yield entry.name, lattice, [f.vertex_set for f in p.facets]
+        facets = [f.vertex_set for f in lattice.faces_of_dim(p.dim - 1)]
+        yield f"dual {entry.name}", dual(lattice), [
+            {i for i, f in enumerate(facets) if v in f}
+            for v in range(p.n_vertices)]
         for g in lattice.faces:
             if 0 <= g.dim < lattice.dim:
-                yield f"{entry.name} / {g}", quotient(lattice, g)
+                atoms = [f.vertex_set for f in lattice.faces_of_dim(g.dim + 1)
+                         if g.vertex_set < f.vertex_set]
+                yield f"{entry.name} / {g}", quotient(lattice, g), [
+                    {i for i, a in enumerate(atoms) if a <= f}
+                    for f in facets if g.vertex_set <= f]
 
 
 class TestLazyLevels:
@@ -460,12 +473,16 @@ class TestLazyLevels:
         edges = first.faces_of_dim(1)
         faces = first.faces
         found = [first.find(key) for key in keys]
+        incidences = [first.containing(k) for k in range(-1, p.dim + 1)]
 
+        incidences_rev = [second.containing(k) for k in range(-1, p.dim + 1)]
         found_rev = [second.find(key) for key in keys]
         faces_rev = second.faces
         edges_rev = second.faces_of_dim(1)
 
         assert (edges, faces, found) == (edges_rev, faces_rev, found_rev)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(incidences, incidences_rev))
         # One object per face, whichever view built it.
         for lattice in (first, second):
             ids = {id(f) for f in lattice.faces}
@@ -473,10 +490,22 @@ class TestLazyLevels:
             assert {id(lattice.find(f.vertex_set))
                     for f in lattice.faces} == ids
 
+    def test_containing_is_subset_of_each_facet(self):
+        # Polytopes, duals and quotients, every level from the empty face
+        # to the top: row i, column j says whether face i lies in the j-th
+        # facet set given to build_face_lattice.
+        for name, lattice, coatoms in corpus_lattices():
+            for k in range(-1, lattice.dim + 1):
+                expected = [[f.vertex_set <= c for c in coatoms]
+                            for f in lattice.faces_of_dim(k)]
+                found = lattice.containing(k)
+                assert found.shape == (len(expected), len(coatoms)), name
+                assert found.tolist() == expected, (name, k)
+
     def test_sizes_count_the_faces(self):
         # f_vector also checks that the 0-faces are the atoms, so every
         # corpus lattice, dual and quotient passes that check too.
-        for name, lattice in corpus_lattices():
+        for name, lattice, _ in corpus_lattices():
             counted = Counter(f.dim for f in lattice.faces)
             assert len(lattice) == len(lattice.faces), name
             assert tuple(lattice.f_vector()) == \

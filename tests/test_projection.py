@@ -492,6 +492,24 @@ class TestUpperLower:
         with pytest.raises(ZeroDotProductError):
             upper_lower(cube(2), Direction(vector((1, 0)), False))
 
+    def test_faces_match_subset_brute_force_on_corpus(self):
+        # The diagram oracles call upper_lower, so its faces are checked
+        # here by definition: a proper face is upper (lower) when its
+        # vertex set lies in an upper (lower) facet's.
+        for entry, seed in product(extended_corpus(), range(3)):
+            p = entry.polytope
+            if p.dim < 1:
+                continue
+            parts = upper_lower(p, sample_direction(p, seed=seed))
+            proper = [f for f in p.face_lattice().faces if 0 <= f.dim < p.dim]
+            upper, lower = ([f for f in proper if any(
+                f.vertex_set <= p.facets[i].vertex_set for i in side)]
+                for side in (parts.upper, parts.lower))
+            assert parts.upper_faces == tuple(upper), (entry.name, seed)
+            assert parts.lower_faces == tuple(lower), (entry.name, seed)
+            assert parts.boundary_faces == tuple(
+                f for f in upper if f in lower), (entry.name, seed)
+
     @pytest.mark.parametrize("p", [cube(3), simplex(3), cross_polytope(3),
                                    cyclic(6, 2), pyramid(cube(2))], ids=str)
     def test_boundary_homeomorphism(self, p):

@@ -180,9 +180,25 @@ def _write_json(obj, write) -> None:
     """Write exactly the bytes of json.dump(obj, fh, indent=2,
     sort_keys=True) through write(text), a few thousand pieces at a time.
     Dict keys must be str; any other key, and any value json would not
-    write, raises TypeError."""
+    write, raises TypeError.
+
+    Within one call, each list or tuple object whose items share one exact
+    scalar type is rendered once per depth (the depth sets the
+    indentation), keyed on its id: obj holds every object it contains
+    until the call returns, so no id is reused, and the memo holds one
+    text per distinct object, never more text than the output.  Each dict
+    layout (the keys in sorted order, with their '"key": ' heads) is made
+    once per depth, keyed on the keys in insertion order.  So a list object
+    that many records share (as `project`'s diagram vertices share their
+    face and point tuples) is rendered once.  A key that is not a str but
+    equals one, hash and all, takes that str's layout, as it would take
+    its dict slot."""
     pieces: list[str] = []
     newlines = ["\n"]  # "\n" plus two spaces per level, for each depth
+    # One memo of each kind per depth, so that no lookup builds a key
+    # tuple: list texts by the list's id, dict layouts by the keys.
+    lists: list[dict[int, str]] = [{}]
+    layouts: list[dict[tuple, tuple[tuple[int, str], ...]]] = [{}]
 
     def value(o, depth: int) -> None:
         text = _SCALARS.get(type(o))
@@ -197,23 +213,36 @@ def _write_json(obj, write) -> None:
             return
         if len(newlines) <= depth + 1:
             newlines.append(newlines[-1] + "  ")
+            lists.append({})
+            layouts.append({})
         inner, outer = newlines[depth + 1], newlines[depth]
         if isinstance(o, dict):
-            lead = "{" + inner
-            for key, item in sorted(o.items()):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not "
-                                    f"{type(key).__name__}")
-                pieces.append(lead + _encode_str(key) + ": ")
-                lead = "," + inner
-                value(item, depth + 1)
+            keys = tuple(o)
+            layout = layouts[depth].get(keys)
+            if layout is None:
+                layout = layouts[depth][keys] = _layout(keys, inner)
+            items = tuple(o.values())
+            for i, head in layout:
+                item = items[i]
+                text = _SCALARS.get(type(item))
+                if text is not None:
+                    pieces.append(head + text(item))
+                else:
+                    pieces.append(head)
+                    value(item, depth + 1)
             pieces.append(outer + "}")
         else:
-            kinds = set(map(type, o))
-            text = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+            text = lists[depth].get(id(o))
             if text is not None:
-                pieces.append("[" + inner + ("," + inner).join(map(text, o))
-                              + outer + "]")
+                pieces.append(text)
+                return
+            kinds = set(map(type, o))
+            scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+            if scalar is not None:
+                text = lists[depth][id(o)] = (
+                    "[" + inner + ("," + inner).join(map(scalar, o)) + outer
+                    + "]")
+                pieces.append(text)
                 return
             lead = "[" + inner
             for item in o:
@@ -227,6 +256,17 @@ def _write_json(obj, write) -> None:
 
     value(obj, 0)
     write("".join(pieces))
+
+
+def _layout(keys: tuple, inner: str) -> tuple[tuple[int, str], ...]:
+    """A dict's layout: the insertion index of each key in sorted key
+    order, with the piece that opens its entry."""
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return tuple((i, ("," if n else "{") + inner + _encode_str(keys[i]) + ": ")
+                 for n, i in enumerate(order))
 
 
 def _emit(payload: dict, out: str | None) -> None:

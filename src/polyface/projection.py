@@ -162,11 +162,14 @@ class ShadowComplexes:
     lower_faces: tuple[Face, ...]
     boundary_faces: tuple[Face, ...]
 
-    def to_json(self) -> dict:
+    def to_json(self, texts: dict | None = None) -> dict:
+        """The JSON record; texts as for DiagramVertex.to_json."""
+        texts = {} if texts is None else texts
         return {
             "upper": list(self.upper),
             "lower": list(self.lower),
-            "boundary_faces": [sorted(f.vertex_set) for f in self.boundary_faces],
+            "boundary_faces": [_shared(texts, f, _face_json)
+                               for f in self.boundary_faces],
         }
 
 
@@ -243,18 +246,36 @@ class DiagramVertex:
     l_minus: int
     interior: bool
 
-    def to_json(self, point_text: list[str] | None = None) -> dict:
-        """The JSON record; point_text, when given, is the point's
-        coordinates already formatted."""
+    def to_json(self, texts: dict | None = None) -> dict:
+        """The JSON record.  texts maps the id of a face or point to its
+        JSON tuple and gains the tuples made here, so records given one
+        texts share one tuple per face and per point."""
+        texts = {} if texts is None else texts
         return {
-            "point": point_text if point_text is not None
-            else [str(c) for c in self.point],
-            "x_plus": sorted(self.x_plus.vertex_set),
-            "x_minus": sorted(self.x_minus.vertex_set),
+            "point": _shared(texts, self.point, _point_json),
+            "x_plus": _shared(texts, self.x_plus, _face_json),
+            "x_minus": _shared(texts, self.x_minus, _face_json),
             "l_plus": self.l_plus,
             "l_minus": self.l_minus,
             "interior": self.interior,
         }
+
+
+def _face_json(face: Face) -> tuple[int, ...]:
+    return tuple(sorted(face.vertex_set))
+
+
+def _point_json(point: Vector) -> tuple[str, ...]:
+    return tuple(map(str, point))
+
+
+def _shared(texts: dict, obj, make):
+    """make(obj), made once per object: the caller holds obj while texts
+    lives, so its id names it."""
+    text = texts.get(id(obj))
+    if text is None:
+        text = texts[id(obj)] = make(obj)
+    return text
 
 
 def _int_geometry(q: Polytope):
@@ -743,19 +764,16 @@ class ShadowDiagram:
         return tuple(dv for dv in self.vertices if dv.interior)
 
     def to_json(self) -> dict:
-        # The boundary crossings at one vertex share its shadow point, one
-        # object: format each point object once.
-        texts: dict[int, list[str]] = {}
-        for dv in self.vertices:
-            if id(dv.point) not in texts:
-                texts[id(dv.point)] = [str(c) for c in dv.point]
+        # One tuple per face and per shadow point, shared by every record
+        # that names it (the boundary crossings at one vertex share its
+        # point): the JSON writer renders each shared object once.
+        texts: dict[int, tuple] = {}
         return {
             "direction": self.direction.to_json(),
-            "partition": self.complexes.to_json(),
+            "partition": self.complexes.to_json(texts),
             "shadow_f_vector": list(self.shadow.poly.f_vector().counts),
             "boundary_homeomorphic": self.boundary_ok,
-            "diagram_vertices": [dv.to_json(texts[id(dv.point)])
-                                 for dv in self.vertices],
+            "diagram_vertices": [dv.to_json(texts) for dv in self.vertices],
             "interior_count": len(self.interior_vertices),
             "gaps": [g.to_json() for g in self.gap_reports],
         }

@@ -534,6 +534,39 @@ _TREES = st.recursive(
         st.dictionaries(_TEXT, children, max_size=5)),
     max_leaves=40)
 
+# Trees that place one object at several positions and depths, which the
+# writer renders once per object and depth: lists of one scalar type, lists
+# that mix bool with int or hold np.float64 (never rendered as one type),
+# and dicts over a few keys, so that one key set recurs in several
+# insertion orders.
+_KEYS = st.sampled_from(["a", "b", "c", "\u00e9", ""])
+_SHARED_LISTS = st.one_of(
+    st.lists(st.integers(), min_size=1, max_size=4),
+    st.lists(_TEXT, min_size=1, max_size=4).map(tuple),
+    st.lists(st.one_of(st.booleans(), st.integers(-1, 2)), min_size=2,
+             max_size=4),
+    st.lists(_FLOATS.map(np.float64), min_size=1, max_size=4))
+
+
+@st.composite
+def _aliased_trees(draw):
+    shared = draw(st.lists(_SHARED_LISTS, min_size=1, max_size=3))
+    values = st.one_of(_SCALARS, st.sampled_from(shared))
+    shared += draw(st.lists(st.dictionaries(_KEYS, values, min_size=1,
+                                            max_size=5),
+                            min_size=1, max_size=2))
+    body = draw(st.recursive(
+        st.one_of(_SCALARS, st.sampled_from(shared)),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(_KEYS, children, max_size=4)),
+        max_leaves=30))
+    # Each shared object at depths 2 and 3 at least, and the last dict's
+    # keys also in reverse insertion order at depth 2.
+    turned = dict(reversed(shared[-1].items()))
+    return {"body": body, "once": shared, "twice": [shared, turned]}
+
 
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
@@ -541,20 +574,34 @@ class TestJsonWriter:
     def test_bytes_of_json_dump(self, obj):
         assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_aliased_trees())
+    def test_bytes_of_json_dump_with_shared_objects(self, obj):
+        assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
     def test_bool_next_to_int(self):
         obj = {"b": [True, 1, False, 0, None], "i": -(10 ** 80)}
         assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
-    @pytest.mark.parametrize("obj", [
-        Fraction(1, 2), {1, 2}, np.int64(3), {1: "one"}, {"a": 1, 2: "b"},
-        [0, {"deep": [Fraction(1, 3)]}],
+    _HALF = [Fraction(1, 2)]
+
+    @pytest.mark.parametrize("obj, message", [
+        (Fraction(1, 2), "Fraction is not JSON serializable"),
+        ({1, 2}, "set is not JSON serializable"),
+        (np.int64(3), "int64 is not JSON serializable"),
+        ({1: "one"}, "keys must be str, not int"),
+        ({"a": 1, 2: "b"}, "keys must be str, not int"),
+        ([0, {"deep": [Fraction(1, 3)]}], "Fraction is not JSON"),
+        ([{"a": 1}, {"a": 1, 2: "b"}], "keys must be str, not int"),
+        ([_HALF, {"again": _HALF}], "Fraction is not JSON serializable"),
     ], ids=["fraction", "set", "np-int64", "int-key", "mixed-keys",
-            "nested-fraction"])
-    def test_refuses_what_json_would_not_write_alike(self, obj):
-        with pytest.raises(TypeError):
+            "nested-fraction", "after-cached-layout", "shared-fraction"])
+    def test_refuses_what_json_would_not_write_alike(self, obj, message):
+        with pytest.raises(TypeError, match=message):
             _written(obj)
 
-    def test_streams_in_several_writes(self, monkeypatch):
+    @staticmethod
+    def _assert_streams(payload, monkeypatch):
         class Recording:
             def __init__(self):
                 self.writes = []
@@ -568,14 +615,25 @@ class TestJsonWriter:
 
         sink = Recording()
         monkeypatch.setattr(sys, "stdout", sink)
-        payload = {"rows": [{"point": [f"{i}/7", str(-i)], "index": i,
-                             "interior": i % 2 == 0} for i in range(40_000)]}
         _emit(payload, None)
         total = "".join(sink.writes)
         assert total == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert len(total) > 4_000_000
         assert len(sink.writes) >= 10
         assert max(map(len, sink.writes)) < len(total) / 10
+
+    def test_streams_in_several_writes(self, monkeypatch):
+        payload = {"rows": [{"point": [f"{i}/7", str(-i)], "index": i,
+                             "interior": i % 2 == 0} for i in range(40_000)]}
+        self._assert_streams(payload, monkeypatch)
+
+    def test_streams_shared_lists_in_several_writes(self, monkeypatch):
+        # The writer renders each of the 10 lists once, yet must still
+        # stream the output rather than gather it.
+        points = [(f"{i}/7", str(-i), "1") for i in range(10)]
+        payload = {"rows": [{"point": points[i % 10], "index": i,
+                             "interior": i % 2 == 0} for i in range(40_000)]}
+        self._assert_streams(payload, monkeypatch)
 
 
 @pytest.mark.parametrize("argv", [
@@ -584,9 +642,13 @@ class TestJsonWriter:
     ["verify-bounds", "--family", "prism", "--dim", "4"],
     ["project", "--family", "random-sphere", "--dim", "3", "--n", "8",
      "--directions", "2"],
+    # Many faces recur across the records of 8 directions.
+    ["project", "--family", "cube", "--dim", "4", "--directions", "8",
+     "--seed", "1"],
     ["angles", "--family", "cube", "--dim", "3", "--samples", "2000",
      "--directions", "1"],
-], ids=["gen", "describe", "verify-bounds", "project", "angles"])
+], ids=["gen", "describe", "verify-bounds", "project", "project-shared",
+        "angles"])
 def test_output_is_json_dump_format(argv, capsys):
     # angles has no golden hash (its floats depend on numpy's generator),
     # so this is what pins its float formatting.

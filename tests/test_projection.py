@@ -850,6 +850,35 @@ class TestShadowDiagramBundle:
         assert payload["interior_count"] == len(diagram.interior_vertices)
         assert payload["shadow_f_vector"] == [6, 6]
 
+    def test_records_share_face_and_point_tuples(self):
+        # One tuple per face and per shadow point, named by every record
+        # (and boundary face) that names it: the JSON writer renders each
+        # shared object once.
+        p = cube(4)
+        diagram = build_shadow_diagram(p, sample_direction(p, seed=1))
+        payload = diagram.to_json()
+        records = payload["diagram_vertices"]
+        tuples = {}
+        for dv, rec in zip(diagram.vertices, records):
+            for face, text in ((dv.x_plus, rec["x_plus"]),
+                               (dv.x_minus, rec["x_minus"])):
+                assert text == tuple(sorted(face.vertex_set))
+                assert tuples.setdefault(face.vertex_set, text) is text
+        assert len(tuples) < len(records)  # faces recur across records
+        for face, text in zip(diagram.complexes.boundary_faces,
+                              payload["partition"]["boundary_faces"]):
+            assert text == tuple(sorted(face.vertex_set))
+            assert tuples.get(face.vertex_set, text) is text
+        points = {}
+        crossings = 0
+        for dv, rec in zip(diagram.vertices, records):
+            assert rec["point"] == tuple(map(str, dv.point))
+            if not dv.interior:
+                crossings += 1
+                (w,) = dv.x_plus.vertex_set & dv.x_minus.vertex_set
+                assert points.setdefault(w, rec["point"]) is rec["point"]
+        assert len(points) < crossings
+
 
 class TestIntegerFormat:
     def test_planes_are_primitive_int_vectors(self):

@@ -49,6 +49,7 @@ forms, or on every sample.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -106,11 +107,19 @@ class AngleEstimate:
 
 def tangent_cone(p: Polytope, face) -> tuple[tuple[int, ...], ...]:
     """The tangent cone of p at a nonempty face (Face or vertex set): the
-    primitive integer normals of exactly the facets containing the face.
-    A direction u points into p from the face's relative interior iff
-    n . u <= 0 for each of them; the face itself has no normals."""
-    vs = p.require_face(face).vertex_set
-    return tuple(p.facets[i].plane.normal for i in p.facets_containing(vs))
+    primitive integer normals of exactly the facets containing the face,
+    in facet order.  A direction u points into p from the face's relative
+    interior iff n . u <= 0 for each of them; the face itself has no
+    normals.  The facets are the face's row of the lattice's `containing`,
+    found by bisecting its level's canonical order."""
+    face = p.require_face(face)
+    lattice = p.face_lattice()
+    row = bisect_left(lattice.faces_of_dim(face.dim),
+                      sorted(face.vertex_set),
+                      key=lambda f: sorted(f.vertex_set))
+    inside = lattice.containing(face.dim)[row]
+    return tuple(p.facets[j].plane.normal
+                 for j in np.flatnonzero(inside).tolist())
 
 
 def _euclidean_normal_matrix(p: Polytope, normals) -> np.ndarray:

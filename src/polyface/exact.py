@@ -8,7 +8,7 @@ with a positive denominator.  Vectors are plain tuples of scalars.
 Not every exact sign in the package is decided here.  The hull
 (``_hull``) tests which side of a facet a point is on, and rotates facets
 about ridges, in its own integer arithmetic on integer-scaled points.
-``projection`` tests containment in a face's hull with integer dot
+``projection`` tests containment in the polytope with integer dot
 products (``_contains_int``), which are exact as well.  Two callers put a
 floating-point filter (``_predicates``) in front of exact work: it
 certifies signs against a static error bound.  The hull's final
@@ -18,7 +18,9 @@ every point on a plane, get an exact dot product.  Before its exact
 solves, ``projection`` certifies signs of determinants and slacks
 (``_det_signs``, ``_rejected``), which decide whether a diagram face pair
 can cross; a pair whose sign the bound leaves open is solved here,
-exactly.  So no float ever reaches an output.
+exactly, and a lift is tested with ``_contains_int`` only against the
+facets whose slack the bound leaves open.  So no float ever reaches an
+output.
 
 All linear algebra runs through one kernel, ``echelon``: fraction-free
 Gauss-Jordan elimination on Python ints.  Rational input is first scaled
@@ -166,19 +168,10 @@ def rank(rows: Sequence[Vector]) -> int:
     return len(echelon(integer_scaled(rows)[0])[1])
 
 
-def _independent(rows: Sequence[Sequence]) -> list[int]:
-    """Indices of the rows independent of all rows before them: the pivot
-    columns of the transposed matrix."""
-    return echelon(list(zip(*integer_scaled(rows)[0])))[1]
-
-
-def span_basis(rows: Sequence[Vector]) -> list[Vector]:
-    """A subset of the given rows forming a basis of their span: each row
-    that is independent of the rows before it."""
-    if not rows:
-        return []
-    _check_same_dim(rows)
-    return [rows[i] for i in _independent(rows)]
+def _independent(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the integer rows independent of all rows before them: the
+    pivot columns of the transposed matrix."""
+    return echelon(list(zip(*rows)))[1]
 
 
 def null_space(rows: Sequence[Vector], dim: int) -> list[tuple[int, ...]]:
@@ -225,8 +218,8 @@ def affine_basis_indices(points: Sequence[Vector]) -> list[int]:
         return []
     _check_same_dim(points)
     base = points[0]
-    return [0] + [i + 1 for i in
-                  _independent([vsub(p, base) for p in points[1:]])]
+    diffs, _ = integer_scaled([vsub(p, base) for p in points[1:]])
+    return [0] + [i + 1 for i in _independent(diffs)]
 
 
 def gram_schmidt(vectors: Iterable[Vector], weights: Sequence[Fraction]

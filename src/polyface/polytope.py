@@ -101,8 +101,10 @@ class Polytope:
 
         Everything derived from this immutable polytope lives here: its
         face lattice, and from projection the integer geometry, its float
-        rows ("float-geometry"), each face dimension's table, and the
-        shadow and facet partition of each direction.
+        rows ("float-geometry"), each face dimension's table (its faces'
+        affine data, read off the lattice's `containing` rows and the
+        integer facet planes, and their filter data), and the shadow and
+        facet partition of each direction.
         A build that raises stores nothing, so it raises again on the next
         call.
         """
@@ -138,11 +140,6 @@ class Polytope:
     def is_simplicial(self) -> bool:
         """Every facet has exactly dim vertices."""
         return all(len(f.vertex_set) == self.dim for f in self.facets)
-
-    def facets_containing(self, vertex_set: frozenset[int]) -> list[int]:
-        return [
-            i for i, f in enumerate(self.facets) if vertex_set <= f.vertex_set
-        ]
 
     def require_face(self, face: Face | Iterable[int]) -> Face:
         """The lattice's own nonempty Face for a Face or vertex collection;

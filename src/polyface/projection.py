@@ -41,12 +41,11 @@ from .errors import (
 )
 from .exact import (
     Vector,
+    _independent,
     dot,
     echelon,
     integer_scaled,
-    null_space,
     primitive,
-    span_basis,
     vector,
 )
 from .lattice import Face
@@ -232,12 +231,11 @@ def shadow_boundary_check(q: Polytope, v) -> bool:
     return len(seen) == len(shadow_faces)
 
 
-@dataclass(frozen=True)
-class DiagramVertex:
+class DiagramVertex(NamedTuple):
     """A transversal crossing of an upper and a lower face seen in the
     shadow: the unique common point of their projections, labeled with both
     witness faces, their dimensions, and whether the point is interior to
-    the shadow."""
+    the shadow.  A tuple record: a pass builds thousands of them."""
 
     point: Vector
     x_plus: Face
@@ -297,18 +295,24 @@ def _int_geometry(q: Polytope):
     return q.memo("int-geometry", build)
 
 
-def _aff_data_int(q: Polytope, face: Face, verts, planes):
-    """(base, spanning diffs, hull equations, facet planes not containing
-    the face) of a face's affine hull in the integer-scaled space.  The
-    facets that contain the face hold with equality on its whole affine
-    hull."""
+def _aff_data_int(face: Face, inside, verts, planes, dim: int):
+    """(base, span basis, hull equations) of a face's affine hull in the
+    integer-scaled space; inside is the face's row of the lattice's
+    `containing`.  The span basis is the differences from the first
+    vertex that are independent of those before them (all of them for a
+    simplex).  The facets that contain a k-face hold with equality on its
+    affine hull, and their normals span the dim - k directions normal to
+    it, so the first dim - k independent ones are its hull equations (all
+    of them when exactly dim - k facets contain it)."""
     idx = sorted(face.vertex_set)
     base = verts[idx[0]]
     diffs = [tuple(a - b for a, b in zip(verts[i], base)) for i in idx[1:]]
-    outside = tuple(t for f, t in zip(q.facets, planes)
-                    if not face.vertex_set <= f.vertex_set)
-    return (base, tuple(span_basis(diffs)), tuple(null_space(diffs, q.dim)),
-            outside)
+    if len(diffs) > face.dim:
+        diffs = [diffs[i] for i in _independent(diffs)]
+    eqs = [planes[j][0] for j in np.flatnonzero(inside).tolist()]
+    if len(eqs) > dim - face.dim:
+        eqs = [eqs[i] for i in _independent(eqs)]
+    return base, tuple(diffs), tuple(eqs)
 
 
 # -- the float filter of face pairs -------------------------------------------
@@ -380,11 +384,13 @@ def _face_floats(affs, k: int, dim: int, beta: int,
 
 class _FaceTable(NamedTuple):
     """The k-faces of a polytope for the diagram, in lattice order: the
-    faces, each face's incidence row over the vertices, its exact affine
+    faces, each face's incidence row over the vertices, which facets do not
+    contain it (the complement of its `containing` row), its exact affine
     data (`_aff_data_int`) and its filter data."""
 
     faces: tuple
     incidence: np.ndarray
+    outside: np.ndarray
     affs: tuple
     floats: _FaceFloats
 
@@ -397,8 +403,10 @@ def _face_table(q: Polytope, k: int) -> _FaceTable:
         incidence = np.zeros((len(faces), q.n_vertices))
         for i, f in enumerate(faces):
             incidence[i, sorted(f.vertex_set)] = 1.0
-        affs = tuple(_aff_data_int(q, f, verts, planes) for f in faces)
-        return _FaceTable(faces, incidence, affs,
+        inside = q.face_lattice().containing(k)
+        affs = tuple(_aff_data_int(f, row, verts, planes, q.dim)
+                     for f, row in zip(faces, inside))
+        return _FaceTable(faces, incidence, ~inside, affs,
                           _face_floats(affs, k, q.dim, *_float_geometry(q)))
 
     return q.memo(("face-table", k), build)
@@ -500,19 +508,33 @@ def _filter_values(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
 
 
 def _rejected(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
-              step_slacks: np.ndarray, rounding: float) -> np.ndarray:
-    """Whether the float filter proves that the disjoint pair (up[i],
-    low[i]) gives no crossing: D = 0 certified (a singular system), or
-    D != 0 certified and either sign(c_t) sign(D) >= 0 (no step down from
-    the upper lift) or sign(D) times some lift's slack > 0 (a lift outside
-    the polytope)."""
+              step_slacks: np.ndarray, rounding: float):
+    """(rejected, open upper, open lower) of the disjoint pairs (up[i],
+    low[i]).  rejected: the float filter proves that the pair gives no
+    crossing: D = 0 certified (a singular system), or D != 0 certified and
+    either sign(c_t) sign(D) >= 0 (no step down from the upper lift) or
+    sign(D) times some lift's slack > 0 (a lift outside the polytope).
+    open upper and open lower (B, n_facets): the facets against which
+    the filter does not certify the upper or lower lift inside or on the
+    plane, every facet when D is uncertified."""
     cramer, upper, lower = _filter_values(up, low, v, step_slacks)
     det = _certified_signs(cramer[:, :, 0], rounding)
     step = _certified_signs(cramer[:, :, -1], rounding)
-    outside = ((_certified_signs(upper, rounding) * det[:, None] > 0)
-               | (_certified_signs(lower, rounding) * det[:, None] > 0))
-    return (det == 0) | ((abs(det) == 1) & (
-        (step * det > 0) | (step == 0) | outside.any(axis=1)))
+    # A NaN sign, of the slack or of D, leaves the product open.
+    upper = _certified_signs(upper, rounding) * det[:, None]
+    lower = _certified_signs(lower, rounding) * det[:, None]
+    outside = (upper > 0) | (lower > 0)
+    return ((det == 0) | ((abs(det) == 1) & (
+        (step * det > 0) | (step == 0) | outside.any(axis=1))),
+        ~(upper <= 0), ~(lower <= 0))
+
+
+def _open_planes(mask: np.ndarray, planes) -> list[list]:
+    """The facet planes of each row's True columns."""
+    out: list[list] = [[] for _ in range(len(mask))]
+    for r, j in zip(*(a.tolist() for a in np.nonzero(mask))):
+        out[r].append(planes[j])
+    return out
 
 
 def _in_chunks(rows: np.ndarray, width: int):
@@ -526,8 +548,8 @@ def _solve(aff_p, aff_m, v_int):
     """(den, numerators) of a pair's system by exact elimination: den > 0
     and the numerators of the coefficients along aff(x_plus), then of the
     step t along v.  None when the system is singular."""
-    base_p, span_p, _, _ = aff_p
-    base_m, _, eqs_m, _ = aff_m
+    base_p, span_p, _ = aff_p
+    base_m, _, eqs_m = aff_m
     cols = span_p + (v_int,)
     m = len(cols)
     # One equation per hull equation of x_minus in the unknowns; square
@@ -546,25 +568,28 @@ def _solve(aff_p, aff_m, v_int):
     return (den, nums) if den > 0 else (-den, [-x for x in nums])
 
 
-def _disjoint_crossing(aff_p, aff_m, v_int):
+def _disjoint_crossing(aff_p, aff_m, v_int, open_p, open_m):
     """(den, numerators) of the upper lift of a disjoint pair's interior
-    crossing; None when the pair does not cross."""
+    crossing; None when the pair does not cross.  open_p and open_m are
+    the facet planes that each lift is tested against exactly: the
+    others hold it, with equality or by the filter's certificate."""
     solved = _solve(aff_p, aff_m, v_int)
     # Disjoint faces cannot share a lift, and the upper lift must sit
     # strictly above the lower one: t < 0.
     if solved is None or solved[1][-1] >= 0:
         return None
     den, nums = solved
-    base_p, span_p, _, outside_p = aff_p
-    outside_m = aff_m[3]
+    base_p, span_p, _ = aff_p
     y_plus = [den * c for c in base_p]
     for coeff, b in zip(nums[:-1], span_p):
         if coeff:
             for j in range(len(y_plus)):
                 y_plus[j] += coeff * b[j]
-    y_minus = [yj + nums[-1] * vj for yj, vj in zip(y_plus, v_int)]
-    if not _contains_int(outside_p, y_plus, den) or \
-       not _contains_int(outside_m, y_minus, den):
+    if open_p and not _contains_int(open_p, y_plus, den):
+        return None
+    if open_m and not _contains_int(
+            open_m, [yj + nums[-1] * vj for yj, vj in zip(y_plus, v_int)],
+            den):
         return None
     return den, y_plus
 
@@ -603,11 +628,18 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     or with a lift outside the polytope.  A
     one-vertex pair with an uncertified D, and every disjoint pair not
     rejected, is solved exactly (`_solve`).  Each lift of a disjoint pair
-    is tested only against the facets not containing its witness face; the
-    others hold with equality on the face's affine hull.
+    is then tested exactly (`_contains_int`) only against the facets that
+    the filter left open: a facet containing the lift's witness face holds
+    with equality on the face's affine hull, and a slack the filter
+    certified at most 0 needs no test.  When D is uncertified, every slack
+    is open.  Which facets are open is kept only for the pairs each chunk
+    of the filter keeps.
 
-    Every emitted point is computed fraction-free on a uniformly scaled
-    integer copy of the geometry, so every output is exact.
+    The faces' exact data come from the face lattice (`_face_table`):
+    their hull equations are normals of the facets containing them, read
+    off the lattice's `containing` rows.  Every emitted point is computed
+    fraction-free on a uniformly scaled integer copy of the geometry, so
+    every output is exact.
     """
     if q.dim < 2:
         raise DimensionTooLowError("diagram construction needs dim >= 2")
@@ -668,13 +700,26 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
             todo[ones] = det[ones] != 0
             width = max(max(comb(m + 1, r + 1) * (r + 1) for r in range(m)),
                         (m + 1) * len(planes))
+            # The planes each kept disjoint pair's lifts are tested
+            # against exactly: those of the facets that neither contain
+            # the witness face nor are certified by the filter.
+            open_planes = {}
             for at in _in_chunks(np.flatnonzero(~touching), width):
-                todo[at] = ~_rejected(tu.floats.take(pu[at]),
-                                      tl.floats.take(pl[at]), v_float,
-                                      step_slacks, rounding)
-            for a, b, one, sign in zip(iu[todo].tolist(), il[todo].tolist(),
-                                       touching[todo].tolist(),
-                                       det[todo].tolist()):
+                rejected, open_u, open_l = _rejected(
+                    tu.floats.take(pu[at]), tl.floats.take(pl[at]), v_float,
+                    step_slacks, rounding)
+                keep = ~rejected
+                kept = at[keep]
+                todo[kept] = True
+                uppers = _open_planes(open_u[keep] & tu.outside[pu[kept]],
+                                      planes)
+                lowers = _open_planes(open_l[keep] & tl.outside[pl[kept]],
+                                      planes)
+                open_planes.update(zip(kept.tolist(), zip(uppers, lowers)))
+            for pos, a, b, one, sign in zip(
+                    np.flatnonzero(todo).tolist(), iu[todo].tolist(),
+                    il[todo].tolist(), touching[todo].tolist(),
+                    det[todo].tolist()):
                 x_plus, x_minus = tu.faces[ru[a]], tl.faces[rl[b]]
                 aff_p, aff_m = tu.affs[ru[a]], tl.affs[rl[b]]
                 if one:
@@ -687,7 +732,8 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                     out.append(DiagramVertex(shadow_points[w], x_plus,
                                              x_minus, l_plus, l_minus, False))
                 else:
-                    found = _disjoint_crossing(aff_p, aff_m, v_int)
+                    found = _disjoint_crossing(aff_p, aff_m, v_int,
+                                               *open_planes[pos])
                     if found is not None:
                         den, y_plus = found
                         point = tuple(Fraction(c, den * pden)

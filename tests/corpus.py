@@ -114,3 +114,9 @@ def near_cube(d: int, digits: int) -> Polytope:
     return hull_from_points([
         [(big if i >> j & 1 else -big) + rng.randint(-4, 4) for j in range(d)]
         for i in range(2**d)])
+
+
+def facets_containing(p, vertex_set) -> list[int]:
+    """The indices of p's facets whose vertex sets hold vertex_set, by a
+    scan of every facet: independent of the lattice's incidences."""
+    return [i for i, f in enumerate(p.facets) if vertex_set <= f.vertex_set]

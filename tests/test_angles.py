@@ -46,7 +46,7 @@ from polyface.lattice import FaceLattice
 from polyface.polytope import _build, hull_from_points
 from polyface.projection import sample_direction
 
-from corpus import near_cube
+from corpus import extended_corpus, facets_containing, near_cube
 
 SAMPLES = 120_000
 
@@ -121,6 +121,18 @@ class TestTangentCone:
     def test_not_a_face(self):
         with pytest.raises(NotAFaceError):
             tangent_cone(cube(2), frozenset([0, 3]))
+
+    def test_normals_match_facet_scan_on_corpus(self):
+        # The cone reads the face's row of the lattice's incidences; a scan
+        # of every facet must give the same normals in the same order.
+        for entry in extended_corpus():
+            p = entry.polytope
+            for face in p.face_lattice().faces:
+                if face.vertex_set:
+                    assert tangent_cone(p, face.vertex_set) == tuple(
+                        p.facets[i].plane.normal
+                        for i in facets_containing(p, face.vertex_set)), (
+                        entry.name, face)
 
 
 class TestSolidAngle:
@@ -395,7 +407,7 @@ def facet_angle(p, facet_index, face, samples=SAMPLES, seed=0):
     remap = {orig: i for i, orig in enumerate(local)}
     # A face of p inside the facet is a face of the facet: its cone there
     # needs only the facet polytope's incidences, not its lattice.
-    inside = fp.facets_containing(frozenset(remap[v] for v in vs))
+    inside = facets_containing(fp, frozenset(remap[v] for v in vs))
     return _cone_angle(fp, tuple(fp.facets[i].plane.normal for i in inside),
                        samples, seed)
 
@@ -709,7 +721,7 @@ class TestCurvature:
         samples, seed = 4_000, 21
         compared = pairs = 0
         for rep in curvature_checks(p, samples, seed):
-            through = p.facets_containing(frozenset(rep.face))
+            through = facets_containing(p, frozenset(rep.face))
             assert [e.seed for e in rep.facet_angles] == [
                 derive_seed(seed, "facet", j) for j in through]
             pairs += len(through)

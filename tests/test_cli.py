@@ -20,6 +20,7 @@ from polyface.bounds import MinFaceReport
 from polyface.cli import DEFAULT_DIRECTIONS, _emit, _write_json, main
 from polyface.generators import cube
 
+from corpus import facets_containing
 from test_angles import gaussian_points
 from test_golden import huge_polytope
 
@@ -391,8 +392,8 @@ class TestAngles:
         assert [r.to_json() for r in reports] == rows
         for rep in reports:
             seeds = [e.seed for e in rep.facet_angles]
-            assert seeds == [derive_seed(curv, "facet", j)
-                             for j in p.facets_containing(frozenset(rep.face))]
+            through = facets_containing(p, frozenset(rep.face))
+            assert seeds == [derive_seed(curv, "facet", j) for j in through]
             assert len(set(seeds)) == len(seeds) >= 2
 
     def test_huge_coordinates(self, tmp_path, capsys):

@@ -16,8 +16,8 @@ from polyface.exact import (
     echelon,
     null_space,
     primitive,
+    integer_scaled,
     rank,
-    span_basis,
     vector,
 )
 from polyface.polytope import (
@@ -36,6 +36,16 @@ def side(plane, point):
 
 def vecs(*rows):
     return [vector(r) for r in rows]
+
+
+def span_basis(rows):
+    """A subset of the given rows forming a basis of their span: each row
+    that is independent of the rows before it (the pivot columns of the
+    transposed matrix).  The diagram code once took its faces' span bases
+    from this; its test oracles still do."""
+    if not rows:
+        return []
+    return [rows[i] for i in echelon(list(zip(*integer_scaled(rows)[0])))[1]]
 
 
 class TestRank:

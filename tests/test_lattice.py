@@ -21,7 +21,7 @@ from polyface.generators import (
 from polyface.lattice import FVector, Face, build_face_lattice, dual, quotient
 from polyface.polytope import hull_from_points
 
-from corpus import extended_corpus
+from corpus import extended_corpus, facets_containing
 
 
 def reference_lattice(p):
@@ -259,11 +259,11 @@ class TestLatticeConstruction:
             for face in lattice.faces:
                 if face.dim in (-1, p.dim):
                     continue
-                count = len(p.facets_containing(face.vertex_set))
+                count = len(facets_containing(p, face.vertex_set))
                 assert count >= p.dim - face.dim
         simple = cube(4)
         for v in range(simple.n_vertices):
-            assert len(simple.facets_containing(frozenset([v]))) == 4
+            assert len(facets_containing(simple, frozenset([v]))) == 4
 
 
 class TestFVector:
@@ -312,7 +312,7 @@ class TestFVector:
         for p in (cube(3), cross_polytope(4), cyclic(7, 4)):
             by_facets = sum(len(f.vertex_set) for f in p.facets)
             by_vertices = sum(
-                len(p.facets_containing(frozenset([v])))
+                len(facets_containing(p, frozenset([v])))
                 for v in range(p.n_vertices)
             )
             assert by_facets == by_vertices

@@ -18,6 +18,7 @@ from polyface.exact import (
     echelon,
     integer_scaled,
     is_zero,
+    null_space,
     primitive,
     rank,
     vector,
@@ -48,7 +49,7 @@ from polyface.projection import (
 
 from corpus import extended_corpus
 from test_angles import facet_as_polytope
-from test_exact import side
+from test_exact import side, span_basis
 from test_golden import FLAT_HEXAGON, huge_polytope
 from test_polytope import contains
 
@@ -106,6 +107,22 @@ def integer_hulls():
     )).map(hull_from_points)
 
 
+def reference_aff_data(q, face, verts, planes):
+    """(base, span basis, hull equations, outside planes) of a face's
+    affine hull in the integer-scaled space, by a route that reads neither
+    the lattice's incidences nor the facet planes' normals: a greedy basis
+    of the vertex differences, their null space for the equations, and a
+    subset scan of the facets for the planes of those not containing the
+    face."""
+    idx = sorted(face.vertex_set)
+    base = verts[idx[0]]
+    diffs = [tuple(a - b for a, b in zip(verts[i], base)) for i in idx[1:]]
+    outside = tuple(t for f, t in zip(q.facets, planes)
+                    if not face.vertex_set <= f.vertex_set)
+    return (base, tuple(span_basis(diffs)), tuple(null_space(diffs, q.dim)),
+            outside)
+
+
 def all_pairs_diagram_vertices(q, v):
     """Reference for `diagram_vertices`: solve every upper x lower pair of
     complementary dimensions, with no classification or prefilter, and
@@ -121,7 +138,7 @@ def all_pairs_diagram_vertices(q, v):
         return all(sum(a * b for a, b in zip(nrm, y)) <= c * den
                    for nrm, c in planes)
 
-    aff = {f: projection._aff_data_int(q, f, iverts, planes)
+    aff = {f: reference_aff_data(q, f, iverts, planes)
            for f in complexes.upper_faces + complexes.lower_faces}
     out = []
     for l_plus in range(dim):
@@ -166,7 +183,7 @@ def shared_vertex_pairs(q, v, shared=1):
     complexes = upper_lower(q, v)
     _, iverts, planes = projection._int_geometry(q)
     v_int = primitive(v.v)
-    aff = {f: projection._aff_data_int(q, f, iverts, planes)
+    aff = {f: reference_aff_data(q, f, iverts, planes)
            for f in complexes.upper_faces + complexes.lower_faces}
     pairs = singular = 0
     for x_plus in complexes.upper_faces:
@@ -278,6 +295,11 @@ def complementary_pairs(q, v):
         sum(f.dim == l for f in complexes.upper_faces)
         * sum(f.dim == q.dim - 1 - l for f in complexes.lower_faces)
         for l in range(q.dim))
+
+
+def build_face_tables(q):
+    for k in range(q.dim):
+        projection._face_table(q, k)
 
 
 def has_interior_vertex(q, v):
@@ -596,7 +618,10 @@ class TestDiagramVertices:
     def test_solves_at_most_half_the_pairs(self, monkeypatch):
         # Pairs sharing two or more vertices, and disjoint pairs whose
         # projected bounding boxes miss, are decided without elimination.
+        # The face tables call echelon too, so they are built first: only
+        # the solves are counted.
         q = cube(4)
+        build_face_tables(q)
         calls = []
         solve = projection.echelon
         monkeypatch.setattr(projection, "echelon",
@@ -618,7 +643,9 @@ class TestDiagramVertices:
         # systems of both classes.  A cube's faces are axis-parallel, so
         # each of its singular systems is singular by its zero pattern,
         # which the filter certifies: only the interior crossings remain,
-        # and no one-vertex pair is solved.
+        # and no one-vertex pair is solved.  The face tables call echelon
+        # too, so they are built first: only the solves are counted.
+        build_face_tables(q)
         solve = projection.echelon
         for seed in range(3):
             d = sample_direction(q, seed=seed)
@@ -669,19 +696,36 @@ class TestDiagramVertices:
             assert diagram_vertices(p, d) == all_pairs_diagram_vertices(p, d)
 
     @pytest.mark.parametrize("p", [
-        cube(4), pyramid(cube(4)), prism(simplex(4)), cyclic(8, 4),
-        linear_image(PYRAMID_IMAGE, pyramid(cube(4)))],
-        ids=["cube-4", "pyramid-5", "prism-5", "cyclic-4-8", "pyramid-5-image"])
+        cube(4), cross_polytope(4), pyramid(cube(4)), prism(simplex(4)),
+        cyclic(8, 4), linear_image(PYRAMID_IMAGE, pyramid(cube(4)))],
+        ids=["cube-4", "cross-4", "pyramid-5", "prism-5", "cyclic-4-8",
+             "pyramid-5-image"])
     def test_uncertified_signs_match_all_pairs(self, p, monkeypatch):
         # With a bound of 1e300 the filter certifies only structural zeros,
         # so the sign of every other D is left open and each such pair is
-        # solved exactly.  The integer image of pyramid(cube(4)) has
-        # singular one-vertex systems whose D is not a structural zero.
+        # solved exactly, and every slack is left open too, so each lift is
+        # tested exactly against every facet that does not contain its
+        # witness face and has a nonzero slack.  The integer image of
+        # pyramid(cube(4)) has singular one-vertex systems whose D is not a
+        # structural zero.
         monkeypatch.setattr(projection, "_rounding", lambda m, dim: 1e300)
         for seed in range(2):
             d = sample_direction(p, seed=seed)
             assert diagram_vertices(p, d) == all_pairs_diagram_vertices(p, d), (
                 seed)
+
+    @pytest.mark.parametrize("q", [cube(4), cross_polytope(4)],
+                             ids=["cube-4", "cross-4"])
+    def test_no_exact_containment_at_the_real_bound(self, q, monkeypatch):
+        # The filter certifies every facet slack of the lifts of the pairs
+        # it keeps with a certified D on these polytopes, and the pairs
+        # whose D it leaves open are singular: no plane is tested exactly.
+        contains, tested = projection._contains_int, []
+        monkeypatch.setattr(projection, "_contains_int", lambda planes, *a: (
+            tested.append(len(planes)) or contains(planes, *a)))
+        for seed in range(3):
+            diagram_vertices(q, sample_direction(q, seed=seed))
+        assert sum(tested) == 0
 
 
 @st.composite
@@ -701,6 +745,42 @@ def huge_moment_curves(draw):
 
 class Converted(Exception):
     """Carries the floats of one conversion out of the code under test."""
+
+
+def check_face_data(q):
+    """A face's span basis spans its vertex differences, and its hull
+    equations, read off the planes of the facets that contain it, vanish
+    on them, have rank dim - k and span what the reference's do; the
+    facets that do not contain it are the subset scan's."""
+    _, verts, planes = projection._int_geometry(q)
+    for k in range(q.dim):
+        table = projection._face_table(q, k)
+        for face, (base, span, eqs), outside in zip(
+                table.faces, table.affs, table.outside):
+            diffs = [tuple(a - b for a, b in zip(verts[i], base))
+                     for i in sorted(face.vertex_set)]
+            assert len(span) == rank(span) == rank(diffs) == k
+            assert len(eqs) == rank(eqs) == q.dim - k
+            assert all(idot(eq, d) == 0 for eq in eqs for d in diffs)
+            ref = reference_aff_data(q, face, verts, planes)
+            assert rank(list(eqs) + list(ref[2])) == q.dim - k
+            assert tuple(planes[j] for j in np.flatnonzero(outside)) == ref[3]
+
+
+class TestFaceData:
+    def test_matches_reference_on_corpus(self):
+        polytopes = [e.polytope for e in extended_corpus()
+                     if 2 <= e.polytope.dim <= 5]
+        polytopes += [pyramid(cube(4)),
+                      linear_image(PYRAMID_IMAGE, pyramid(cube(4)))]
+        for q in polytopes:
+            check_face_data(q)
+
+    @given(integer_hulls())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, q):
+        assume(q.dim >= 2)
+        check_face_data(q)
 
 
 class TestFloatFilter:

@@ -14,9 +14,9 @@ from polyface.exact import (
     affine_dim,
     dot,
     echelon,
+    integer_scaled,
     null_space,
     primitive,
-    integer_scaled,
     rank,
     vector,
 )
@@ -41,8 +41,8 @@ def vecs(*rows):
 def span_basis(rows):
     """A subset of the given rows forming a basis of their span: each row
     that is independent of the rows before it (the pivot columns of the
-    transposed matrix).  The diagram code once took its faces' span bases
-    from this; its test oracles still do."""
+    transposed matrix).  The diagram's test oracles take their faces' span
+    bases from this."""
     if not rows:
         return []
     return [rows[i] for i in echelon(list(zip(*integer_scaled(rows)[0])))[1]]

@@ -618,8 +618,8 @@ class TestDiagramVertices:
     def test_solves_at_most_half_the_pairs(self, monkeypatch):
         # Pairs sharing two or more vertices, and disjoint pairs whose
         # projected bounding boxes miss, are decided without elimination.
-        # The face tables call echelon too, so they are built first: only
-        # the solves are counted.
+        # The face tables are built first, so that only the pairs' solves
+        # are counted, not the eliminations that pick face bases.
         q = cube(4)
         build_face_tables(q)
         calls = []
@@ -643,8 +643,9 @@ class TestDiagramVertices:
         # systems of both classes.  A cube's faces are axis-parallel, so
         # each of its singular systems is singular by its zero pattern,
         # which the filter certifies: only the interior crossings remain,
-        # and no one-vertex pair is solved.  The face tables call echelon
-        # too, so they are built first: only the solves are counted.
+        # and no one-vertex pair is solved.  The face tables are built
+        # first, so that only the pairs' solves are counted, not the
+        # eliminations that pick face bases.
         build_face_tables(q)
         solve = projection.echelon
         for seed in range(3):

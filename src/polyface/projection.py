@@ -632,8 +632,8 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     the filter left open: a facet containing the lift's witness face holds
     with equality on the face's affine hull, and a slack the filter
     certified at most 0 needs no test.  When D is uncertified, every slack
-    is open.  Which facets are open is kept only for the pairs each chunk
-    of the filter keeps.
+    is open.  A chunk's kept disjoint pairs are solved before the next
+    chunk is filtered, so the open facets are held for one chunk only.
 
     The faces' exact data come from the face lattice (`_face_table`):
     their hull equations are normals of the facets containing them, read
@@ -700,46 +700,47 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
             todo[ones] = det[ones] != 0
             width = max(max(comb(m + 1, r + 1) * (r + 1) for r in range(m)),
                         (m + 1) * len(planes))
-            # The planes each kept disjoint pair's lifts are tested
-            # against exactly: those of the facets that neither contain
-            # the witness face nor are certified by the filter.
-            open_planes = {}
+            # Each chunk's kept disjoint pairs are solved at once, their
+            # lifts tested exactly only against the facets that neither
+            # contain the witness face nor have a slack the filter
+            # certified; only the crossings' points outlive the chunk.
+            crossings = {}
             for at in _in_chunks(np.flatnonzero(~touching), width):
                 rejected, open_u, open_l = _rejected(
                     tu.floats.take(pu[at]), tl.floats.take(pl[at]), v_float,
                     step_slacks, rounding)
                 keep = ~rejected
                 kept = at[keep]
-                todo[kept] = True
-                uppers = _open_planes(open_u[keep] & tu.outside[pu[kept]],
-                                      planes)
-                lowers = _open_planes(open_l[keep] & tl.outside[pl[kept]],
-                                      planes)
-                open_planes.update(zip(kept.tolist(), zip(uppers, lowers)))
-            for pos, a, b, one, sign in zip(
-                    np.flatnonzero(todo).tolist(), iu[todo].tolist(),
-                    il[todo].tolist(), touching[todo].tolist(),
-                    det[todo].tolist()):
-                x_plus, x_minus = tu.faces[ru[a]], tl.faces[rl[b]]
-                aff_p, aff_m = tu.affs[ru[a]], tl.affs[rl[b]]
-                if one:
-                    if isnan(sign) and _solve(aff_p, aff_m, v_int) is None:
-                        continue  # singular: the projected hulls overlap
-                    (w,) = x_plus.vertex_set & x_minus.vertex_set
-                    if w not in shadow_points:
-                        shadow_points[w] = tuple(Fraction(c, pden)
-                                                 for c in pv[w])
-                    out.append(DiagramVertex(shadow_points[w], x_plus,
-                                             x_minus, l_plus, l_minus, False))
-                else:
-                    found = _disjoint_crossing(aff_p, aff_m, v_int,
-                                               *open_planes[pos])
+                for pos, a, b, open_p, open_m in zip(
+                        kept.tolist(), pu[kept].tolist(), pl[kept].tolist(),
+                        _open_planes(open_u[keep] & tu.outside[pu[kept]],
+                                     planes),
+                        _open_planes(open_l[keep] & tl.outside[pl[kept]],
+                                     planes)):
+                    found = _disjoint_crossing(tu.affs[a], tl.affs[b], v_int,
+                                               open_p, open_m)
                     if found is not None:
                         den, y_plus = found
-                        point = tuple(Fraction(c, den * pden)
-                                      for c in image(y_plus))
-                        out.append(DiagramVertex(point, x_plus, x_minus,
-                                                 l_plus, l_minus, True))
+                        crossings[pos] = tuple(Fraction(c, den * pden)
+                                               for c in image(y_plus))
+            todo[list(crossings)] = True
+            for pos, a, b, one, sign in zip(
+                    np.flatnonzero(todo).tolist(), pu[todo].tolist(),
+                    pl[todo].tolist(), touching[todo].tolist(),
+                    det[todo].tolist()):
+                x_plus, x_minus = tu.faces[a], tl.faces[b]
+                if not one:
+                    out.append(DiagramVertex(crossings[pos], x_plus, x_minus,
+                                             l_plus, l_minus, True))
+                    continue
+                if isnan(sign) and _solve(tu.affs[a], tl.affs[b],
+                                          v_int) is None:
+                    continue  # singular: the projected hulls overlap
+                (w,) = x_plus.vertex_set & x_minus.vertex_set
+                if w not in shadow_points:
+                    shadow_points[w] = tuple(Fraction(c, pden) for c in pv[w])
+                out.append(DiagramVertex(shadow_points[w], x_plus, x_minus,
+                                         l_plus, l_minus, False))
     return tuple(out)
 
 

@@ -10,10 +10,10 @@ a cone does no arithmetic.  The probability is estimated by Monte Carlo
 over isotropic Gaussian directions (seeded, chunked, bit-reproducible; see
 _rng); the tests check it against solid_angle_exact in dimension <= 3.
 
-The closed form reads nothing but the cone's facet normals: when they span
-at most 3 dimensions, the cone's share of the sphere is (2 pi - P) / 4 pi
-by Gauss-Bonnet, P being the perimeter of the spherical polygon that the
-unit normals make in cyclic order (see _cone_fraction).
+The closed form reads the cone's facet normals and, from the lattice, the
+pairs of them that meet in an edge of the cone: when they span at most 3
+dimensions, the cone's share of the sphere is (2 pi - S) / 4 pi by Girard's
+theorem, S summing the angles between those pairs (see _cone_fraction).
 
 Restricted polytopes carry a diagonal metric; the sampler folds the metric
 into the facet normals so that the sampled directions are isotropic with
@@ -52,7 +52,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -105,21 +105,26 @@ class AngleEstimate:
                 "samples": self.samples, "seed": self.seed}
 
 
-def tangent_cone(p: Polytope, face) -> tuple[tuple[int, ...], ...]:
-    """The tangent cone of p at a nonempty face (Face or vertex set): the
-    primitive integer normals of exactly the facets containing the face,
-    in facet order.  A direction u points into p from the face's relative
-    interior iff n . u <= 0 for each of them; the face itself has no
-    normals.  The facets are the face's row of the lattice's `containing`,
-    found by bisecting its level's canonical order."""
+def _facets_through(p: Polytope, face) -> np.ndarray:
+    """Which facets contain a nonempty face (Face or vertex set): the
+    face's row of the lattice's `containing`, found by bisecting its
+    level's canonical order."""
     face = p.require_face(face)
     lattice = p.face_lattice()
     row = bisect_left(lattice.faces_of_dim(face.dim),
                       sorted(face.vertex_set),
                       key=lambda f: sorted(f.vertex_set))
-    inside = lattice.containing(face.dim)[row]
-    return tuple(p.facets[j].plane.normal
-                 for j in np.flatnonzero(inside).tolist())
+    return lattice.containing(face.dim)[row]
+
+
+def tangent_cone(p: Polytope, face) -> tuple[tuple[int, ...], ...]:
+    """The tangent cone of p at a nonempty face (Face or vertex set): the
+    primitive integer normals of exactly the facets containing the face,
+    in facet order.  A direction u points into p from the face's relative
+    interior iff n . u <= 0 for each of them; the face itself has no
+    normals."""
+    return tuple(f.plane.normal
+                 for f in compress(p.facets, _facets_through(p, face)))
 
 
 def _euclidean_normal_matrix(p: Polytope, normals) -> np.ndarray:
@@ -204,20 +209,6 @@ def _cone_angle(p: Polytope, normals: tuple[tuple[int, ...], ...],
 # curvature_checks applies it inside each facet of a 3- or 4-polytope.
 
 
-def _unit(u) -> tuple[float, ...]:
-    norm = math.hypot(*u)
-    return tuple(c / norm for c in u)
-
-
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b) -> tuple[float, float, float]:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
 def _angle_between(u, w) -> float:
     """The angle between two nonzero vectors by Kahan's formula,
     2 atan2(| |w| u - |u| w |, | |w| u + |u| w |), which keeps its digits
@@ -228,47 +219,43 @@ def _angle_between(u, w) -> float:
         math.hypot(*(nw * a + nu * b for a, b in zip(u, w))))
 
 
-def _cone_fraction(normals) -> float:
+def _cone_fraction(normals, edges) -> float:
     """The measure, over the whole sphere, of the cone {u : n . u <= 0 for
     each normal n}, for irredundant Euclidean outward normals that span at
-    most 3 dimensions; three or more must be 3-vectors.
+    most 3 dimensions.  edges holds an index pair (a, b) into normals for
+    each edge of the cone, where the facets of normals a and b meet; only
+    three or more normals read it.
 
-    By Gauss-Bonnet the cone cuts the sphere in a region of area 2 pi - P,
-    P being the perimeter of the polar spherical polygon, whose vertices
-    are the unit normals in cyclic order.  So no normals give 1 and one
-    gives 1/2; two at angle theta make a polygon of perimeter 2 theta,
-    which gives (pi - theta) / 2 pi.  Three or more are ordered around
-    their unit sum, which is inside the polar cone, and P is the sum of
-    the angles between cyclically consecutive normals (_angle_between).
+    By Girard's theorem the cone's spherical polygon, whose angle at an
+    edge is pi - theta_ab (_angle_between), has area 2 pi - sum theta_ab:
+    no order of the normals and no frame.  So no normals give 1, one gives
+    1/2, and two at angle theta (a lune of two corners) (pi - theta) / 2 pi.
     """
     if len(normals) < 2:
         return 1.0 - 0.5 * len(normals)
     if len(normals) == 2:
-        perimeter = 2.0 * _angle_between(*normals)
+        turn = 2.0 * _angle_between(*normals)
     else:
-        axis = _unit([sum(c) for c in zip(*map(_unit, normals))])
-        ref = (0.0, 1.0, 0.0) if abs(axis[0]) > 0.9 else (1.0, 0.0, 0.0)
-        along = _dot(ref, axis)
-        # u is orthogonal to the axis, and so is w, of the same length.
-        u = tuple(r - along * a for r, a in zip(ref, axis))
-        w = _cross(axis, u)
-        ring = sorted(normals,
-                      key=lambda n: math.atan2(_dot(n, w), _dot(n, u)))
-        perimeter = sum(_angle_between(a, b)
-                        for a, b in zip(ring, ring[1:] + ring[:1]))
-    return (2.0 * math.pi - perimeter) / (4.0 * math.pi)
+        turn = sum(_angle_between(normals[a], normals[b]) for a, b in edges)
+    return (2.0 * math.pi - turn) / (4.0 * math.pi)
 
 
 def solid_angle_exact(p: Polytope, face) -> float:
     """Closed-form solid angle for polytopes of dimension <= 3: the
     _cone_fraction of the Euclidean normals of the facets through the
-    face, each of which cuts a facet of the tangent cone.  Serves as the
-    independent oracle for the Monte Carlo estimator.
+    face, each of which cuts a facet of the tangent cone.  Two of them
+    that share an edge of p meet in it, so it is an edge of the cone: the
+    cone's edges are the rows of containing(1) that hold two of them.
+    Serves as the independent oracle for the Monte Carlo estimator.
     """
     if p.dim > 3:
         raise UnsupportedDimensionError("closed forms stop at dimension 3")
-    return _cone_fraction(
-        _euclidean_normal_matrix(p, tangent_cone(p, face)).tolist())
+    inside = _facets_through(p, face)
+    normals = [f.plane.normal for f in compress(p.facets, inside)]
+    held = p.face_lattice().containing(1)[:, inside]
+    edges = np.nonzero(held[held.sum(axis=1) == 2])[1].reshape(-1, 2)
+    return _cone_fraction(_euclidean_normal_matrix(p, normals).tolist(),
+                          edges.tolist())
 
 
 # -- aggregates ---------------------------------------------------------------
@@ -434,25 +421,32 @@ def _facet_angles_exact(p: Polytope, faces, containing) -> dict:
     index, facet index), for p of dimension 3 or 4.
 
     The angle is the _cone_fraction of the facet's cone rows (see
-    _facet_cones) in an orthonormal basis of its hyperplane.  A ridge of
-    j has one row and gets 1/2.  Gram's relation is checked in
-    every facet, ridges and the facet itself (1) included; a miss by more
-    than EXACT_SLACK per term raises GramViolationError.
+    _facet_cones), read as they are: they lie in the facet's hyperplane,
+    where an angle between two of them needs no frame.  A ridge of j has
+    one row and gets 1/2.  Each (d-3)-face of j is a ridge of the polytope
+    j, so its row of j's cone matrix marks exactly two rows; two rows of a
+    face's cone meet in an edge of it iff such a pair holds both, since
+    two faces of j meet in one face.  Gram's relation is checked in every
+    facet, ridges and the facet itself (1) included; a miss by more than
+    EXACT_SLACK per term raises GramViolationError.
     """
     d = p.dim
     rows, starts, cones = _facet_cones(p, containing)
-    normals = _euclidean_normal_matrix(p, [f.plane.normal for f in p.facets])
-    # The other columns of a complete QR factor of a facet's normal are an
-    # orthonormal basis of its hyperplane; each row goes into its facet's.
-    bases = np.linalg.qr(normals[:, :, None], mode="complete")[0][:, :, 1:]
-    owner = np.repeat(np.arange(p.n_facets), np.diff(starts))
-    local = np.einsum("ri,rik->rk", rows, bases[owner]).tolist()
+    rows = rows.tolist()
     angles = {}
     for j, (members, cone_rows) in enumerate(cones):
-        mine = local[starts[j]:starts[j + 1]]
+        mine = rows[starts[j]:starts[j + 1]]
+        cone_rows = cone_rows.tolist()
+        meet = [list(compress(range(len(mine)), cone))
+                for g, cone in zip(members, cone_rows)
+                if faces[g].dim == d - 3]
         gram = (-1.0) ** (d - 1)
         for g, cone in zip(members, cone_rows):
-            alpha = angles[g, j] = _cone_fraction(list(compress(mine, cone)))
+            at = list(accumulate(cone))  # at[i] - 1: row i's index in cone
+            edges = [(at[a] - 1, at[b] - 1) for a, b in meet
+                     if cone[a] and cone[b]]
+            alpha = angles[g, j] = _cone_fraction(list(compress(mine, cone)),
+                                                  edges)
             gram += (-1) ** faces[g].dim * alpha
         if abs(gram) > EXACT_SLACK * (len(members) + 1):
             raise GramViolationError(

@@ -19,6 +19,13 @@ curvature sweep is restricted to the standard one.
 into nearly coplanar simplices: ridges whose two facets are nearly
 parallel, where a float projection of one facet's normal onto the
 other's hyperplane is rounding noise.
+
+``NEEDLE_INPUTS`` are `--in` files of 4-polytopes with needle-thin facets
+at 31-digit coordinates, and ``needle_corpus`` their polytopes.  The
+closed-form facet angles once ordered a cone's unit normals around their
+sum: at one vertex of ``needle-tip`` that sum is 0.0 in floats (a
+ZeroDivisionError), and at one of ``needle-facet`` the order came out
+wrong ("Gram's relation fails by -0.0644 in facet 2").
 """
 from __future__ import annotations
 
@@ -34,13 +41,29 @@ from polyface.generators import (
     random_sphere,
     simplex,
 )
-from polyface.polytope import Polytope, hull_from_points
+from polyface.polytope import Polytope, hull_from_points, polytope_from_json
 
 RANDOM_COUNT = 20
 
 # A well-rounded convex pentagon (moment-curve polygons are nearly flat at
 # their middle vertices, which would spoil prism/pyramid margins).
 PENTAGON_POINTS = [(4, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)]
+
+NEEDLE_INPUTS = {
+    # Simplicial, f = (8, 26, 36, 18).
+    "needle-tip": {"ambient_dim": 4, "vertices": [
+        [3, -2, 0, 3], [0.5, 1, "-5/1", -1.25], [-1, "2/3", 0, "2.97"],
+        [0, -2, -3, 0], [0, 1, 3, -1], [0, 0.5, -3, -2],
+        [1000000000000000000000000000001, 2, 2, 0], ["-1.33", -1, 1, -1]]},
+    # f = (9, 31, 43, 21); facet 2 has vertices 0, 1, 4, 5 and 6.
+    "needle-facet": {"ambient_dim": 4, "vertices": [
+        ["2.13", 999999999999999999999999999999, "3/4", -1],
+        ["1/3", 0, -3, -1],
+        ["2/3", "-1.12", -1000000000000000000000000000001, "0/3"],
+        [-3, "2.86", "-1/4", 0], ["3/2", "5/2", 2, -1], [2, 1, 2, -1],
+        ["0/4", 1, 1, -1], [1000000000000000000000000000002, "2/4", 0, "0/2"],
+        [-2, "3/2", -3, 0.001]]},
+}
 
 
 @dataclass(frozen=True)
@@ -104,6 +127,11 @@ def flat_extras() -> list[CorpusEntry]:
 
 def extended_corpus() -> list[CorpusEntry]:
     return standard_corpus() + flat_extras()
+
+
+def needle_corpus() -> list[CorpusEntry]:
+    return [_entry(name, "needle", polytope_from_json(data))
+            for name, data in NEEDLE_INPUTS.items()]
 
 
 def near_cube(d: int, digits: int) -> Polytope:

@@ -18,12 +18,15 @@ from polyface._rng import chunk_generator, chunk_sizes, derive_seed
 from polyface.angles import (
     EXACT_SLACK,
     MAX_SAMPLES,
+    SIGMA_FACTOR,
     AngleEstimate,
     AngleSumReport,
     _check_samples,
     _cone_angle,
     _cone_fraction,
     _euclidean_normal_matrix,
+    _facet_angles_exact,
+    _facet_hits,
     angle_sum_lower_check,
     angle_sums,
     curvature_checks,
@@ -46,7 +49,7 @@ from polyface.lattice import FaceLattice
 from polyface.polytope import _build, hull_from_points
 from polyface.projection import sample_direction
 
-from corpus import extended_corpus, facets_containing, near_cube
+from corpus import extended_corpus, facets_containing, near_cube, needle_corpus
 
 SAMPLES = 120_000
 
@@ -274,18 +277,20 @@ def fan_fraction(rays):
 
 
 def extreme_rays(normals):
-    """The unit extreme rays of the pointed 3d cone {u : n . u <= 0}, by
-    brute force: n_i x n_j, signed into the cone, for every pair whose
-    cross product the other normals keep inside."""
+    """(rays, edges): the unit extreme rays of the pointed 3d cone
+    {u : n . u <= 0}, by brute force, and the pair (i, j) of normals whose
+    facets meet in each: n_i x n_j, signed into the cone, for every pair
+    whose cross product the other normals keep inside."""
     normals = np.asarray(normals, dtype=float)
-    rays = []
+    rays, edges = [], []
     for i, j in itertools.combinations(range(len(normals)), 2):
         r = np.cross(normals[i], normals[j])
         r /= np.linalg.norm(r)
         for ray in (r, -r):
             if (normals @ ray <= 1e-9 * np.linalg.norm(normals, axis=1)).all():
                 rays.append(ray)
-    return rays
+                edges.append((i, j))
+    return rays, edges
 
 
 def rotation(q):
@@ -325,9 +330,34 @@ class TestConeFraction:
     @settings(max_examples=300, deadline=None)
     @given(pointed_cones())
     def test_pointed_cone_matches_fan_over_extreme_rays(self, normals):
-        rays = extreme_rays(normals)
+        rays, edges = extreme_rays(normals)
         assert len(rays) == len(normals)
-        assert abs(_cone_fraction(normals) - fan_fraction(rays)) <= 1e-12
+        assert abs(_cone_fraction(normals, edges) - fan_fraction(rays)
+                   ) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(pointed_cones(), st.integers(0, 2**32 - 1))
+    def test_cone_in_a_rotated_hyperplane_of_four_space(self, normals, seed):
+        # Facet cone rows of a 4-polytope are 4-vectors in the facet's
+        # hyperplane, measured there with no frame: the same cone, put in
+        # a rotated 3-space of R^4, measures the same.
+        _, edges = extreme_rays(normals)
+        turn = np.linalg.qr(
+            np.random.default_rng(seed).standard_normal((4, 4)))[0]
+        lifted = [tuple(turn @ (n + (0.0,))) for n in normals]
+        assert abs(_cone_fraction(lifted, edges)
+                   - _cone_fraction(normals, edges)) <= 1e-14
+
+    def test_needle_whose_unit_normals_sum_to_zero(self):
+        # A square cone around the third axis, of half-angle about 1e-330:
+        # each unit normal's third entry underflows to 0.0, so the four
+        # sum to 0.0 and give no axis to order them around.
+        normals = [(1e30, 0.0, -1e-300), (0.0, 1e30, -1e-300),
+                   (-1e30, 0.0, -1e-300), (0.0, -1e30, -1e-300)]
+        units = [[c / math.hypot(*n) for c in n] for n in normals]
+        assert [math.fsum(c) for c in zip(*units)] == [0.0, 0.0, 0.0]
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        assert abs(_cone_fraction(normals, edges)) <= 1e-15
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.05, math.pi - 0.05), quaternions, scales, scales)
@@ -338,22 +368,23 @@ class TestConeFraction:
         n1 = (0.0, -s1)
         n2 = (-s2 * math.sin(opening), s2 * math.cos(opening))
         expected = opening / (2 * math.pi)
-        assert abs(_cone_fraction([n1, n2]) - expected) <= 1e-14
+        assert abs(_cone_fraction([n1, n2], ()) - expected) <= 1e-14
         turn = rotation(q)
         turned = [tuple(turn @ (n + (0.0,))) for n in (n1, n2)]
-        assert abs(_cone_fraction(turned) - expected) <= 1e-14
+        assert abs(_cone_fraction(turned, ()) - expected) <= 1e-14
 
     @settings(max_examples=50, deadline=None)
     @given(quaternions, scales)
     def test_halfspace(self, q, s):
-        assert _cone_fraction([tuple(rotation(q) @ (0.0, 0.0, s))]) == 0.5
+        assert _cone_fraction([tuple(rotation(q) @ (0.0, 0.0, s))], ()) == 0.5
 
     def test_whole_space(self):
-        assert _cone_fraction([]) == 1.0
+        assert _cone_fraction([], ()) == 1.0
 
     def test_octant(self):
         normals = [(-1.0, 0.0, 0.0), (0.0, -2.0, 0.0), (0.0, 0.0, -3.0)]
-        assert abs(_cone_fraction(normals) - 0.125) <= 1e-15
+        edges = [(0, 1), (1, 2), (2, 0)]
+        assert abs(_cone_fraction(normals, edges) - 0.125) <= 1e-15
 
 
 class TestExactLowDim:
@@ -748,6 +779,29 @@ class TestCurvature:
                 compared += 1
         # pyramid-square has only 32 (face, facet) pairs: it compares all.
         assert compared >= min(100, pairs)
+
+    @pytest.mark.parametrize("entry", needle_corpus(), ids=lambda e: e.name)
+    def test_needle_closed_forms_match_sampled_cones(self, entry):
+        # Each closed-form facet angle of a needle-thin 4-polytope against
+        # 20,000 draws per facet of the same cone rows (the stream that
+        # curvature_checks reads from dimension 5), within SIGMA_FACTOR
+        # standard errors of the closed form.  Ordering the unit normals
+        # around their sum once divided by 0.0 on needle-tip and measured
+        # -0.0644 at a vertex of needle-facet, where no draw hits.
+        p, samples, seed = entry.polytope, 20_000, 1
+        lattice = p.face_lattice()
+        faces = [f for k in range(p.dim - 1) for f in lattice.faces_of_dim(k)]
+        containing = np.concatenate([lattice.containing(k)
+                                     for k in range(p.dim - 1)])
+        exact = _facet_angles_exact(p, faces, containing)
+        seeds = [derive_seed(seed, "facet", j) for j in range(p.n_facets)]
+        hits = _facet_hits(p, samples, seeds, faces, containing)
+        assert exact.keys() == hits.keys()
+        for key, alpha in exact.items():
+            assert -EXACT_SLACK <= alpha <= 1.0 + EXACT_SLACK, key
+            spread = math.sqrt(max(alpha * (1.0 - alpha), 0.0) / samples)
+            assert abs(hits[key] / samples - alpha) <= (
+                SIGMA_FACTOR * spread + EXACT_SLACK), key
 
     def test_dropped_face_breaks_gram(self, monkeypatch):
         # Vertex 0 missing from every facet's face list: its quadrant of

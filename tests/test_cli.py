@@ -20,7 +20,7 @@ from polyface.bounds import MinFaceReport
 from polyface.cli import DEFAULT_DIRECTIONS, _emit, _write_json, main
 from polyface.generators import cube
 
-from corpus import facets_containing
+from corpus import NEEDLE_INPUTS, facets_containing
 from test_angles import gaussian_points
 from test_golden import huge_polytope
 
@@ -414,6 +414,18 @@ class TestAngles:
         # GramViolationError ("fails by 0.341 in facet 4" at 8 digits).
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(huge_polytope(digits)))
+        assert main(["angles", "--in", str(path), "--samples", "2000",
+                     "--directions", "1"]) == 0
+        data = strict_json(capsys.readouterr().out)
+        assert data["curvature"] and all(c["ok"] for c in data["curvature"])
+
+    @pytest.mark.parametrize("name", NEEDLE_INPUTS)
+    def test_needle_thin_facets(self, name, tmp_path, capsys):
+        # Ordering each closed-form cone's unit normals around their sum
+        # ended needle-tip in a ZeroDivisionError traceback and
+        # needle-facet in a false GramViolationError.
+        path = tmp_path / "needle.json"
+        path.write_text(json.dumps(NEEDLE_INPUTS[name]))
         assert main(["angles", "--in", str(path), "--samples", "2000",
                      "--directions", "1"]) == 0
         data = strict_json(capsys.readouterr().out)

@@ -6,16 +6,20 @@ handles every degenerate input (points on facet hyperplanes, interior
 points, duplicated hyperplanes) because all side tests are exact.
 
 It works on integer-scaled copies of the points (``exact.integer_scaled``:
-a uniform scaling, so the combinatorics are untouched) and returns facets as
-primitive integer hyperplanes expressed in the original coordinates,
+a uniform scaling, so the combinatorics are untouched; integer input, as
+``polytope._build`` passes, comes back as it is) and returns facets as
+primitive integer hyperplanes expressed in the input's coordinates,
 together with the set of input points lying exactly on each facet
 hyperplane.  Only the seed simplex's d+1 facets need elimination (a normal
 is the null vector of the edge differences, from the exact kernel); every
 later facet is the plane of a neighbouring facet rotated about a horizon
-ridge, in integer arithmetic.  The final check that every plane supports
-the points is one float product per hull, points against planes, whose
-signs a static error bound certifies (``_predicates``); only the cells it
-leaves open, among them every point on a plane, are tested exactly.
+ridge, in integer arithmetic.  Simplices and ridges are keyed by the int
+bitmask of their vertex indices: a simplex's ridges are its key with one
+bit cleared, and a rotated simplex is a ridge's key with the new point's
+bit set.  The final check that every plane supports the points is one
+float product per hull, points against planes, whose signs a static error
+bound certifies (``_predicates``); only the cells it leaves open, among
+them every point on a plane, are tested exactly.
 """
 from __future__ import annotations
 
@@ -31,9 +35,9 @@ from ._predicates import _bounded, _certified_signs
 from .errors import PolyfaceError
 from .exact import Vector, affine_basis_indices, integer_scaled, null_space
 
-# A facet in integer working coordinates: (sorted defining vertex indices,
+# A simplex in integer working coordinates: (bitmask of its vertex indices,
 # primitive outward normal, offset).
-_IntFacet = tuple[tuple[int, ...], tuple[int, ...], int]
+_IntFacet = tuple[int, tuple[int, ...], int]
 
 
 def cross_normal(diffs: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:
@@ -54,7 +58,7 @@ def _idot(n: tuple[int, ...], p: tuple[int, ...]) -> int:
 
 
 def _facet_through(
-    pts: list[tuple[int, ...]], verts: tuple[int, ...], dim: int,
+    pts: list[tuple[int, ...]], verts: Sequence[int], dim: int,
     centroid_sum: tuple[int, ...], centroid_count: int,
 ) -> _IntFacet:
     base = pts[verts[0]]
@@ -70,20 +74,28 @@ def _facet_through(
         offset = -offset
     elif ref == offset * centroid_count:
         raise PolyfaceError("interior reference point on a facet hyperplane")
-    return (verts, normal, offset)
+    return (sum(1 << v for v in verts), normal, offset)
 
 
-def _ridges(verts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [verts[:j] + verts[j + 1:] for j in range(len(verts))]
+def _ridges(key: int) -> list[int]:
+    """A simplex's ridges: its vertex bitmask with each set bit cleared in
+    turn, lowest first."""
+    out = []
+    rest = key
+    while rest:
+        low = rest & -rest
+        out.append(key ^ low)
+        rest ^= low
+    return out
 
 
-def _check_two_regular(owners: dict[tuple[int, ...], list[tuple[int, ...]]],
-                       touched: set[tuple[int, ...]]) -> None:
+def _check_two_regular(owners: dict, touched: set) -> None:
     """Every ridge an insertion touched (a ridge of a removed or of a new
     facet) must lie in exactly 2 facets or in none.  That is as strong as
     recounting every ridge: an untouched ridge's facets did not change, so
     it still lies in 2, by induction from the seed simplex, whose ridges
-    are all touched."""
+    are all touched.  owners maps each ridge key (any hashable; the hull
+    uses vertex bitmasks) to the keys of the facets through it."""
     counts = [len(owners.get(ridge, ())) for ridge in touched]
     if any(c > 2 for c in counts):
         raise PolyfaceError("hull invariant violated: overcounted ridge")
@@ -92,18 +104,19 @@ def _check_two_regular(owners: dict[tuple[int, ...], list[tuple[int, ...]]],
                             f"ridges not in exactly 2 facets")
 
 
-def _rotated(ridge: tuple[int, ...], idx: int, p: tuple[int, ...],
-             visible: _IntFacet, hidden: _IntFacet,
-             centroid_sum: tuple[int, ...], centroid_count: int) -> _IntFacet:
-    """The facet through a horizon ridge and the new point p: the visible
-    facet's plane rotated about the ridge towards the hidden one's (gift
-    wrapping).  Both planes contain the ridge, so (a*n1 + b*n2).x =
-    a*c1 + b*c2 does too, and p lies on it.  a >= 0 (p is not beyond the
-    hidden facet) and b > 0 (p is beyond the visible one), so the normal
-    is a nonnegative mix of outward normals; a = 0 gives back the hidden
-    plane (a coplanar point, joined by the final merge)."""
+def _rotated(ridge: int, idx: int, visible: _IntFacet, hidden: _IntFacet,
+             a: int, b: int, centroid_sum: tuple[int, ...],
+             centroid_count: int) -> _IntFacet:
+    """The facet through a horizon ridge (a vertex bitmask) and the new
+    point p of index idx: the visible facet's plane (n1, c1) rotated about
+    the ridge towards the hidden one's (n2, c2) (gift wrapping), with
+    a = c2 - n2.p and b = n1.p - c1 from the insertion's scan.  Both
+    planes contain the ridge, so (a*n1 + b*n2).x = a*c1 + b*c2 does too,
+    and p lies on it.  a >= 0 (p is not beyond the hidden facet) and
+    b > 0 (p is beyond the visible one), so the normal is a nonnegative
+    mix of outward normals; a = 0 gives back the hidden plane (a coplanar
+    point, joined by the final merge)."""
     (_, n1, c1), (_, n2, c2) = visible, hidden
-    a, b = c2 - _idot(n2, p), _idot(n1, p) - c1
     normal = tuple(a * x + b * y for x, y in zip(n1, n2))
     g = gcd(*normal)
     if g == 0:
@@ -111,10 +124,15 @@ def _rotated(ridge: tuple[int, ...], idx: int, p: tuple[int, ...],
     normal, offset = tuple(c // g for c in normal), (a * c1 + b * c2) // g
     if _idot(normal, centroid_sum) >= offset * centroid_count:
         raise PolyfaceError("interior reference point on a facet hyperplane")
-    return (tuple(sorted(ridge + (idx,))), normal, offset)
+    return (ridge | 1 << idx, normal, offset)
 
 
 def _simplicial_hull(pts: list[tuple[int, ...]], dim: int) -> list[_IntFacet]:
+    """The simplices of a triangulated hull boundary, each keyed by the
+    bitmask of its d vertex indices.  A ridge is its simplex's key with
+    one bit cleared, and a rotated simplex is a ridge's key with the new
+    point's bit set, so no vertex tuple is ever built or sorted.  At most
+    64 points (``polytope.MAX_POINTS``) keep every key below 2**64."""
     # Greedy affinely independent seed simplex.
     chosen = affine_basis_indices(pts)
     if len(chosen) != dim + 1:
@@ -122,42 +140,47 @@ def _simplicial_hull(pts: list[tuple[int, ...]], dim: int) -> list[_IntFacet]:
 
     centroid_sum = tuple(sum(pts[i][j] for i in chosen) for j in range(dim))
     cc = dim + 1
-    # The facets by vertex tuple, and the facets through each ridge.
-    facets: dict[tuple[int, ...], _IntFacet] = {}
-    owners: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    # The facets by vertex bitmask, and the facets through each ridge.
+    facets: dict[int, _IntFacet] = {}
+    owners: dict[int, list[int]] = {}
 
-    def add(new: list[_IntFacet], touched: set[tuple[int, ...]]) -> None:
+    def add(new: list[_IntFacet], touched: set[int]) -> None:
         for facet in new:
-            facets[facet[0]] = facet
-            for ridge in _ridges(facet[0]):
-                owners.setdefault(ridge, []).append(facet[0])
+            key = facet[0]
+            facets[key] = facet
+            for ridge in _ridges(key):
+                owners.setdefault(ridge, []).append(key)
                 touched.add(ridge)
         _check_two_regular(owners, touched)
 
-    add([_facet_through(pts, tuple(v for v in chosen if v != drop), dim,
+    add([_facet_through(pts, [v for v in chosen if v != drop], dim,
                         centroid_sum, cc) for drop in chosen], set())
     seeded = set(chosen)
     for idx, p in enumerate(pts):
         if idx in seeded:
             continue
-        # Strictly beyond only: a point on a facet's plane leaves it alone,
+        # Each facet's n.p - c, which the rotations read back.  Visible is
+        # strictly beyond only: a point on a facet's plane leaves it alone,
         # and the final merge scans every point against every plane.
-        visible = {verts for verts, normal, offset in facets.values()
-                   if _idot(normal, p) > offset}
+        excess = {key: sum(map(mul, normal, p)) - offset
+                  for key, normal, offset in facets.values()}
+        visible = {key for key, e in excess.items() if e > 0}
         if not visible:
             continue  # inside or on the current hull, never a new vertex
         new: list[_IntFacet] = []
-        touched: set[tuple[int, ...]] = set()
-        for verts in visible:
-            facet = facets.pop(verts)
-            for ridge in _ridges(verts):
+        touched: set[int] = set()
+        for key in visible:
+            facet = facets.pop(key)
+            for ridge in _ridges(key):
                 pair = owners[ridge]
-                pair.remove(verts)
+                pair.remove(key)
                 touched.add(ridge)
                 if not pair:
                     del owners[ridge]
                 elif pair[0] not in visible:  # a horizon ridge
-                    new.append(_rotated(ridge, idx, p, facet, facets[pair[0]],
+                    hidden = pair[0]
+                    new.append(_rotated(ridge, idx, facet, facets[hidden],
+                                        -excess[hidden], excess[key],
                                         centroid_sum, cc))
         add(new, touched)
     return list(facets.values())

@@ -230,6 +230,8 @@ def _cone_fraction(normals, edges) -> float:
     edge is pi - theta_ab (_angle_between), has area 2 pi - sum theta_ab:
     no order of the normals and no frame.  So no normals give 1, one gives
     1/2, and two at angle theta (a lune of two corners) (pi - theta) / 2 pi.
+    A needle-thin cone's area is float rounding around 0, which can come
+    out below it; a measure is never negative, so that reads 0.
     """
     if len(normals) < 2:
         return 1.0 - 0.5 * len(normals)
@@ -237,7 +239,7 @@ def _cone_fraction(normals, edges) -> float:
         turn = 2.0 * _angle_between(*normals)
     else:
         turn = sum(_angle_between(normals[a], normals[b]) for a, b in edges)
-    return (2.0 * math.pi - turn) / (4.0 * math.pi)
+    return max(0.0, (2.0 * math.pi - turn) / (4.0 * math.pi))
 
 
 def solid_angle_exact(p: Polytope, face) -> float:

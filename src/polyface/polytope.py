@@ -29,6 +29,7 @@ from .exact import (
     affine_basis_indices,
     affine_dim,
     gram_schmidt,
+    integer_scaled,
     vadd,
     vector,
     vscale,
@@ -186,7 +187,13 @@ def _restrict(points: list[Vector], metric: tuple[Fraction, ...]):
 
 def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
     """Shared construction path: dedupe, restrict, enumerate facets, drop
-    non-vertex points, assemble the Polytope."""
+    non-vertex points, assemble the Polytope.
+
+    A full-dimensional input is scaled to integers once
+    (``exact.integer_scaled``); the dimension test and the hull both read
+    those rows, and the hull's offsets are divided by the multiplier.  A
+    lower-dimensional input goes to the hull in its intrinsic rational
+    coordinates."""
     if not points:
         raise EmptyInputError("a polytope needs at least one point")
     ambient = len(points[0])
@@ -205,7 +212,8 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
             f"{len(distinct)} points exceeds the guard of {MAX_POINTS}"
         )
 
-    dim = affine_dim(distinct)
+    scaled, mult = integer_scaled(distinct)
+    dim = affine_dim(scaled)
     if dim > MAX_DIM:
         raise TooLargeError(f"dimension {dim} exceeds the guard of {MAX_DIM}")
 
@@ -213,13 +221,15 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
         intrinsic = distinct
         embedding = AffineEmbedding.identity(ambient)
         child_metric = metric
+        hull_points = scaled
     else:
         intrinsic, embedding, child_metric = _restrict(distinct, metric)
+        hull_points, mult = intrinsic, 1
 
     if dim == 0:
         return Polytope(ambient, 0, intrinsic, (), embedding, child_metric)
 
-    raw = _hull.incremental_facets(intrinsic, dim)
+    raw = _hull.incremental_facets(hull_points, dim)
 
     # A point is a vertex iff the facets through it meet in that point
     # alone: every nonempty proper face is the intersection of the facets
@@ -235,7 +245,7 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
     facets = []
     for normal, offset, on in raw:
         vs = frozenset(remap[i] for i in on if i in remap)
-        facets.append(FacetRecord(vs, Hyperplane(normal, offset)))
+        facets.append(FacetRecord(vs, Hyperplane(normal, offset / mult)))
     facets.sort(key=lambda f: sorted(f.vertex_set))
     return Polytope(ambient, dim, vertices, facets, embedding, child_metric)
 

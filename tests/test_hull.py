@@ -111,7 +111,10 @@ class TestRotation:
         facets = _simplicial_hull(pts, dim)
         assert len(facets) > dim + 1
         for facet in facets:
-            assert facet == _facet_through(pts, facet[0], dim, centroid_sum,
+            # Each simplex is keyed by the bitmask of its vertex indices.
+            verts = [i for i in range(len(pts)) if facet[0] >> i & 1]
+            assert len(verts) == dim
+            assert facet == _facet_through(pts, verts, dim, centroid_sum,
                                            dim + 1)
 
     def test_point_on_a_facet_leaves_it_alone(self):
@@ -123,6 +126,17 @@ class TestRotation:
         facets = incremental_facets(points_of(pts), 3)
         base = next(on for normal, _, on in facets if normal == (0, 0, -1))
         assert base == {0, 1, 2, 4}
+
+    def test_top_mask_bit(self):
+        # 64 points, the most a hull takes: vertex 63 is bit 63 of the
+        # simplex keys, and the merged facets still find it.
+        p = cube(6)
+        assert p.n_vertices == 64 and p.n_facets == 12
+        assert all(len(f.vertex_set) == 32 for f in p.facets)
+        assert sum(63 in f.vertex_set for f in p.facets) == 6
+        pts, _ = integer_scaled(p.vertices)
+        keys = [key for key, _, _ in _simplicial_hull(pts, 6)]
+        assert max(keys).bit_length() == 64
 
     def test_touched_ridge_check(self):
         owners = {(0, 1): [(0, 1, 2), (0, 1, 3)],
@@ -182,6 +196,32 @@ class TestHullFromPoints:
                 [f.vertex_set for f in p.facets]
             assert [(f.plane.normal, f.plane.offset) for f in rebuilt.facets] == \
                 [(f.plane.normal, f.plane.offset) for f in p.facets]
+
+    @given(st.integers(2, 5).flatmap(lambda dim: st.lists(
+        st.tuples(*[st.builds(Fraction, st.integers(-3, 3),
+                              st.integers(1, 7))] * dim),
+        min_size=dim + 1, max_size=dim + 5, unique=True)))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_points_match_oracle(self, rows):
+        # The hull reads the points scaled to integers; its offsets must
+        # come back in the input's units.  Vertices are the points whose
+        # oracle facets meet in them alone.
+        dim = len(rows[0])
+        assume(affine_dim(rows) == dim)
+        oracle = brute_force_facets(rows, dim)
+        meet = {}
+        for _, _, on in oracle:
+            for i in on:
+                meet[i] = meet.get(i, on) & on
+        vertices = {i for i, on in meet.items() if on == {i}}
+        expected = sorted(
+            (normal, offset, sorted(rows[i] for i in on & vertices))
+            for normal, offset, on in oracle)
+        p = hull_from_points(rows)
+        assert p.dim == dim and p.n_vertices == len(vertices)
+        assert sorted((f.plane.normal, f.plane.offset,
+                       sorted(p.vertices[v] for v in f.vertex_set))
+                      for f in p.facets) == expected
 
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                     min_size=3, max_size=10, unique=True))

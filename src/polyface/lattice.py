@@ -6,9 +6,11 @@ Pfetsch, "Computing the face lattice of a polytope from its vertex-facet
 incidences", CGTA 2002).  Working top down on vertex bitmasks, the facets
 of a face F are the inclusion-maximal sets among the intersections of F
 with the polytope's facets, so each pass yields the faces one dimension
-lower.  A lattice is its levels of faces by dimension, each kept as the
-word rows and atom counts that the level step produces; level sizes give
-the f-vector, and a level's `Face` tuple is built on first use.  The
+lower.  Repeated candidates go by value sorts of the word rows, once per
+row block and once per level, with no (face, candidate) pair sorted.  A
+lattice is its levels of faces by dimension, each kept as the word rows
+and atom counts that the level step produces; level sizes give the
+f-vector, and a level's `Face` tuple is built on first use.  The
 order is read off the vertex sets, F <= G iff F's vertex set is a subset
 of G's.  The polytope's dimension is given, so the lattice does no
 arithmetic at all.  The dual and the quotients reuse the same
@@ -188,22 +190,46 @@ def _bitmasks(n: int, sets: Iterable[Iterable[int]]) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
-def _runs(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts the rows given by their columns (first column
-    first), and True at each sorted row that differs from the one before."""
-    order = np.lexsort(columns[::-1])
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = False
-    for column in columns:
-        column = column[order]
-        first[1:] |= column[1:] != column[:-1]
-    return order, first
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, in ascending order of their words, word 0 first:
+    one value sort of one-word rows, a lexsort of the words past that."""
+    if rows.shape[1] == 1:
+        rows = np.sort(rows, axis=0)
+    else:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
 
 
 def _as_ints(rows: np.ndarray) -> list[int]:
     data, step = rows.tobytes(), 8 * rows.shape[1]
     return [int.from_bytes(data[i:i + step], "little")
             for i in range(0, len(data), step)]
+
+
+def _maximal(owner: np.ndarray, meet: np.ndarray,
+             count: np.ndarray) -> np.ndarray:
+    """False at each candidate, of a face whose candidates differ in size,
+    that lies in a larger or an earlier candidate of that face: its
+    maximal ones stay, each once.  ``owner`` is ascending.  Distinct sets
+    of one size never contain each other, so a face whose candidates all
+    have one size keeps them all, repeats included."""
+    keep = np.ones(len(owner), dtype=bool)
+    resized = (owner[1:] == owner[:-1]) & (count[1:] != count[:-1])
+    if not resized.any():
+        return keep
+    mixed = sorted(set(owner[1:][resized].tolist()))
+    ints, size = _as_ints(meet), count.tolist()
+    for a, b in zip(np.searchsorted(owner, mixed).tolist(),
+                    np.searchsorted(owner, mixed, "right").tolist()):
+        kept: list[int] = []
+        for i in sorted(range(a, b), key=size.__getitem__, reverse=True):
+            if any(ints[i] & k == ints[i] for k in kept):
+                keep[i] = False
+            else:
+                kept.append(ints[i])
+    return keep
 
 
 def _facets_of(level: np.ndarray, sizes: np.ndarray, coatoms: np.ndarray,
@@ -213,45 +239,22 @@ def _facets_of(level: np.ndarray, sizes: np.ndarray, coatoms: np.ndarray,
     block = max(1, BLOCK_CELLS // max(1, len(coatoms) * words))
     # Seeded empty: with no faces or no facets the next level is empty, and
     # f_vector refuses a lattice whose 0-faces are not its atoms.
-    owner = [np.empty(0, np.intp)]
-    meets = [np.empty((0, words), level.dtype)]
-    counts = [np.empty(0, sizes.dtype)]
+    found = [np.empty((0, words), level.dtype)]
     for lo in range(0, len(level), block):
         meet = level[lo:lo + block, None, :] & coatoms
         count = np.bitwise_count(meet).sum(axis=2, dtype=sizes.dtype)
         # F & G is F exactly when it keeps all of F's atoms.  A facet of a
         # j-face has at least j atoms, and so has every set containing one.
         hit = np.flatnonzero((count >= j) & (count < sizes[lo:lo + block, None]))
-        face, meet = lo + hit // len(coatoms), meet.reshape(-1, words)[hit]
-        # A face lies in one block, so its duplicate candidates do too.
-        order, first = _runs((face, *meet.T))
-        unique = order[first]
-        owner.append(face[unique])
-        meets.append(meet[unique])
-        counts.append(count.ravel()[hit[unique]])
-    owner, meets, counts = (np.concatenate(owner), np.concatenate(meets),
-                            np.concatenate(counts))
-
-    # The facets of F are its maximal candidates.  Distinct sets of one size
-    # never contain each other, so only a face whose candidates differ in
-    # size needs the subset test.
-    resized = (owner[1:] == owner[:-1]) & (counts[1:] != counts[:-1])
-    if resized.any():
-        mixed = sorted(set(owner[1:][resized].tolist()))
-        keep = np.ones(len(owner), dtype=bool)
-        ints, size = _as_ints(meets), counts.tolist()
-        for a, b in zip(np.searchsorted(owner, mixed).tolist(),
-                        np.searchsorted(owner, mixed, "right").tolist()):
-            kept: list[int] = []
-            for i in sorted(range(a, b), key=size.__getitem__, reverse=True):
-                if any(ints[i] & k == ints[i] for k in kept):
-                    keep[i] = False
-                else:
-                    kept.append(ints[i])
-        owner, meets, counts = owner[keep], meets[keep], counts[keep]
-
-    order, first = _runs(meets.T)
-    return meets[order[first]], counts[order[first]]
+        meet = meet.reshape(-1, words)[hit]
+        # The facets of F are its maximal candidates.  A face lies in one
+        # block, and a repeated candidate lies in its first copy, so the
+        # subset test drops repeats too; faces with candidates of one size
+        # leave theirs to the value sort.
+        keep = _maximal(hit // len(coatoms), meet, count.ravel()[hit])
+        found.append(_distinct(meet[keep]))
+    rows = _distinct(np.concatenate(found))
+    return rows, np.bitwise_count(rows).sum(axis=1, dtype=sizes.dtype)
 
 
 def build_face_lattice(n: int, coatom_sets: Iterable[Iterable[int]],
@@ -266,14 +269,18 @@ def build_face_lattice(n: int, coatom_sets: Iterable[Iterable[int]],
     of its faces against all facets, in row blocks of at most BLOCK_CELLS
     words.  A candidate with fewer than j atoms is dropped before any
     subset test, and the floor is exact: a facet of F is a (j-1)-face, so
-    it has at least j atoms, and so has every set containing it.  Duplicate
-    (face, candidate) pairs go by one lexsort per block.  Only a face whose
-    candidates differ in size gets the subset test, since distinct sets of
-    one size never contain each other; a simplicial polytope needs none.
-    The empty face, one all-zero row, lies below the atoms.  Each level is
-    one dimension lower, so the faces come graded, and the order is read
-    off the atom sets: F <= G iff F's atom set is a subset of G's.  The
-    levels stay word rows; Face objects are built only when asked for.
+    it has at least j atoms, and so has every set containing it.  Only a
+    face whose candidates differ in size gets the subset test, since
+    distinct sets of one size never contain each other; a simplicial
+    polytope needs none.  The test also drops a face's repeated
+    candidates, and one value sort of each block's kept rows, then one of
+    the level's, drops the rest: a one-word row is sorted as a single
+    uint64, a longer one by a lexsort of its words, word 0 first.  Sizes
+    are the popcounts of the level's distinct rows.  The empty face, one
+    all-zero row, lies below the atoms.  Each level is one dimension
+    lower, so the faces come graded, and the order is read off the atom
+    sets: F <= G iff F's atom set is a subset of G's.  The levels stay
+    word rows; Face objects are built only when asked for.
     """
     coatoms = _bitmasks(n, coatom_sets)
     top = _bitmasks(n, [range(n)])

@@ -191,9 +191,9 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
 
     A full-dimensional input is scaled to integers once
     (``exact.integer_scaled``); the dimension test and the hull both read
-    those rows, and the hull's offsets are divided by the multiplier.  A
-    lower-dimensional input goes to the hull in its intrinsic rational
-    coordinates."""
+    those rows, and the hull's offsets, Fractions already, are divided by
+    the multiplier unless it is 1.  A lower-dimensional input goes to the
+    hull in its intrinsic rational coordinates."""
     if not points:
         raise EmptyInputError("a polytope needs at least one point")
     ambient = len(points[0])
@@ -245,7 +245,8 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
     facets = []
     for normal, offset, on in raw:
         vs = frozenset(remap[i] for i in on if i in remap)
-        facets.append(FacetRecord(vs, Hyperplane(normal, offset / mult)))
+        facets.append(FacetRecord(
+            vs, Hyperplane(normal, offset if mult == 1 else offset / mult)))
     facets.sort(key=lambda f: sorted(f.vertex_set))
     return Polytope(ambient, dim, vertices, facets, embedding, child_metric)
 

@@ -1,5 +1,6 @@
 """Face lattices, f-vectors, duals, quotients."""
 from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
@@ -190,11 +191,25 @@ class TestWordBoundaries:
         assert as_sets(d) == dual_by_labels(lattice)
         check_canonical_graded(d)
 
+    def test_dual_of_cross_seven_is_cube_seven(self):
+        """128 atoms, so two words a row.  A k-face of cube-7 is a facet of
+        7 - k of the (k+1)-faces, so each level's repeats span faces and
+        blocks, and only a value sort of both words drops them."""
+        lattice = cross_polytope(7).face_lattice()
+        d = dual(lattice)
+        assert d.n_vertices == 128
+        assert d.f_vector().counts == tuple(2 ** (7 - k) * comb(7, k)
+                                            for k in range(7))
+        assert as_sets(d) == dual_by_labels(lattice)
+        check_canonical_graded(d)
+
 
 class TestRowBlocks:
     @pytest.mark.parametrize("p", [
         cyclic(15, 6), cross_polytope(7), random_sphere(6, 15, 1),
-    ], ids=["cyclic-15-6", "cross-7", "random-sphere-6-15"])
+        SQUARE_PLUS_CUBE, pyramid(cube(5)),
+    ], ids=["cyclic-15-6", "cross-7", "random-sphere-6-15",
+            "square-plus-cube", "pyramid-cube-5"])
     def test_one_row_blocks_give_the_same_lattice(self, p, monkeypatch):
         args = (p.n_vertices, [f.vertex_set for f in p.facets], p.dim)
         default = build_face_lattice(*args)

@@ -111,9 +111,8 @@ def _facets_through(p: Polytope, face) -> np.ndarray:
     level's canonical order."""
     face = p.require_face(face)
     lattice = p.face_lattice()
-    row = bisect_left(lattice.faces_of_dim(face.dim),
-                      sorted(face.vertex_set),
-                      key=lambda f: sorted(f.vertex_set))
+    row = bisect_left(lattice.faces_of_dim(face.dim), face.vertices,
+                      key=lambda f: f.vertices)
     return lattice.containing(face.dim)[row]
 
 
@@ -542,7 +541,7 @@ def curvature_checks(p: Polytope, samples: int = DEFAULT_SAMPLES,
             estimates = tuple(_estimate(h, samples, seeds[j])
                               for h, j in zip(found, through))
         reports.append(CurvatureReport(
-            tuple(sorted(face.vertex_set)), face.dim, total, stderr, exact,
+            face.vertices, face.dim, total, stderr, exact,
             equality=abs(total - 1.0) <= tol, ok=total <= 1.0 + tol,
             facet_angles=estimates))
     return reports

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -36,13 +37,19 @@ BLOCK_CELLS = 1 << 14
 
 @dataclass(frozen=True)
 class Face:
-    """A face as a set of vertex indices plus its dimension."""
+    """A face as a set of vertex indices plus its dimension.  ``vertices``
+    is the indices in ascending order, one tuple per face, built on first
+    read (its JSON list); equality and hash read the two fields alone."""
 
     vertex_set: frozenset[int]
     dim: int
 
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(self.vertex_set))
+
     def __repr__(self):
-        verts = ",".join(str(v) for v in sorted(self.vertex_set))
+        verts = ",".join(map(str, self.vertices))
         return f"Face(dim={self.dim}, {{{verts}}})"
 
 
@@ -175,18 +182,15 @@ def _level_faces(rows: np.ndarray, sizes: np.ndarray, k: int):
             tuple(Face(frozenset(tuples[i]), k) for i in order))
 
 
-def _bitmasks(n: int, sets: Iterable[Iterable[int]]) -> np.ndarray:
+def _bitmasks(n: int, sets: Iterable[Collection[int]]) -> np.ndarray:
     """One row of max(1, ceil(n/64)) little-endian uint64 words per atom
     set, an empty set included."""
     sets = list(sets)
-    rows, atoms = [], []
-    for r, s in enumerate(sets):
-        for a in s:
-            rows.append(r)
-            atoms.append(a)
+    sizes = [len(s) for s in sets]
+    atoms = np.fromiter(chain.from_iterable(sets), np.intp, sum(sizes))
     words = max(1, -(-n // 64))
     bits = np.zeros((len(sets), 64 * words), dtype=bool)
-    bits[rows, atoms] = True
+    bits[np.repeat(np.arange(len(sets)), sizes), atoms] = True
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
@@ -257,7 +261,7 @@ def _facets_of(level: np.ndarray, sizes: np.ndarray, coatoms: np.ndarray,
     return rows, np.bitwise_count(rows).sum(axis=1, dtype=sizes.dtype)
 
 
-def build_face_lattice(n: int, coatom_sets: Iterable[Iterable[int]],
+def build_face_lattice(n: int, coatom_sets: Iterable[Collection[int]],
                        dim: int) -> FaceLattice:
     """The face lattice of a dim-polytope (dim >= 0) on atoms 0..n-1 whose
     facets have the given atom sets, from the incidences alone; no

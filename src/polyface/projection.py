@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
-from math import comb, isnan, isqrt
-from operator import mul
+from math import comb, isqrt
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -153,7 +153,9 @@ def shadow(q: Polytope, v) -> ShadowPolytope:
 class ShadowComplexes:
     """Facet partition by the sign of the pairing with v, the proper faces
     of the two subcomplexes the parts generate (in lattice order), and the
-    faces lying in both (the shadow boundary)."""
+    faces lying in both (the shadow boundary).  The JSON record lists each
+    boundary face as its `Face.vertices`, the tuple that every direction's
+    records share."""
 
     upper: tuple[int, ...]
     lower: tuple[int, ...]
@@ -161,14 +163,11 @@ class ShadowComplexes:
     lower_faces: tuple[Face, ...]
     boundary_faces: tuple[Face, ...]
 
-    def to_json(self, texts: dict | None = None) -> dict:
-        """The JSON record; texts as for DiagramVertex.to_json."""
-        texts = {} if texts is None else texts
+    def to_json(self) -> dict:
         return {
             "upper": list(self.upper),
             "lower": list(self.lower),
-            "boundary_faces": [_shared(texts, f, _face_json)
-                               for f in self.boundary_faces],
+            "boundary_faces": [f.vertices for f in self.boundary_faces],
         }
 
 
@@ -245,34 +244,27 @@ class DiagramVertex(NamedTuple):
     interior: bool
 
     def to_json(self, texts: dict | None = None) -> dict:
-        """The JSON record.  texts maps the id of a face or point to its
-        JSON tuple and gains the tuples made here, so records given one
-        texts share one tuple per face and per point."""
+        """The JSON record.  Each witness face is its `Face.vertices`, one
+        tuple per face.  texts maps the id of a shadow point to its JSON
+        tuple and gains the tuples made here, so records given one texts
+        share one tuple per point."""
         texts = {} if texts is None else texts
         return {
-            "point": _shared(texts, self.point, _point_json),
-            "x_plus": _shared(texts, self.x_plus, _face_json),
-            "x_minus": _shared(texts, self.x_minus, _face_json),
+            "point": _point_json(texts, self.point),
+            "x_plus": self.x_plus.vertices,
+            "x_minus": self.x_minus.vertices,
             "l_plus": self.l_plus,
             "l_minus": self.l_minus,
             "interior": self.interior,
         }
 
 
-def _face_json(face: Face) -> tuple[int, ...]:
-    return tuple(sorted(face.vertex_set))
-
-
-def _point_json(point: Vector) -> tuple[str, ...]:
-    return tuple(map(str, point))
-
-
-def _shared(texts: dict, obj, make):
-    """make(obj), made once per object: the caller holds obj while texts
-    lives, so its id names it."""
-    text = texts.get(id(obj))
+def _point_json(texts: dict, point: Vector) -> tuple[str, ...]:
+    """The point's JSON tuple, made once per point object: the caller holds
+    the point while texts lives, so its id names it."""
+    text = texts.get(id(point))
     if text is None:
-        text = texts[id(obj)] = make(obj)
+        text = texts[id(point)] = tuple(map(str, point))
     return text
 
 
@@ -304,7 +296,7 @@ def _aff_data_int(face: Face, inside, verts, planes, dim: int):
     affine hull, and their normals span the dim - k directions normal to
     it, so the first dim - k independent ones are its hull equations (all
     of them when exactly dim - k facets contain it)."""
-    idx = sorted(face.vertex_set)
+    idx = face.vertices
     base = verts[idx[0]]
     diffs = [tuple(a - b for a, b in zip(verts[i], base)) for i in idx[1:]]
     if len(diffs) > face.dim:
@@ -402,7 +394,7 @@ def _face_table(q: Polytope, k: int) -> _FaceTable:
         faces = q.face_lattice().faces_of_dim(k)
         incidence = np.zeros((len(faces), q.n_vertices))
         for i, f in enumerate(faces):
-            incidence[i, sorted(f.vertex_set)] = 1.0
+            incidence[i, f.vertices] = 1.0
         inside = q.face_lattice().containing(k)
         affs = tuple(_aff_data_int(f, row, verts, planes, q.dim)
                      for f, row in zip(faces, inside))
@@ -620,20 +612,23 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
       floats, each coordinate column over one power of two: rounding is
       monotone, so a strict float miss is an exact one).
 
-    The remaining pairs of a level go through one float filter with a
-    certified error bound, batched.  For a one-vertex pair it computes D =
-    det A alone (`_det_signs`): the pair crosses when the filter certifies
-    D != 0, and is skipped when it certifies D = 0.  A disjoint pair is
-    rejected (`_rejected`) when the filter proves it singular, with t >= 0,
-    or with a lift outside the polytope.  A
-    one-vertex pair with an uncertified D, and every disjoint pair not
-    rejected, is solved exactly (`_solve`).  Each lift of a disjoint pair
-    is then tested exactly (`_contains_int`) only against the facets that
-    the filter left open: a facet containing the lift's witness face holds
-    with equality on the face's affine hull, and a slack the filter
-    certified at most 0 needs no test.  When D is uncertified, every slack
-    is open.  A chunk's kept disjoint pairs are solved before the next
-    chunk is filtered, so the open facets are held for one chunk only.
+    The remaining pairs of a level go through a float filter with a
+    certified error bound, batched, and each pair kind is decided
+    completely in its own loop over chunks of its pairs.  For a one-vertex
+    pair the filter computes D = det A alone (`_det_signs`): the pair
+    crosses when the filter certifies D != 0, is skipped when it certifies
+    D = 0, and is solved exactly (`_solve`) when D is uncertified.  A
+    disjoint pair is rejected (`_rejected`) when the filter proves it
+    singular, with t >= 0, or with a lift outside the polytope; every
+    other one is solved exactly, and each lift is then tested exactly
+    (`_contains_int`) only against the facets that the filter left open:
+    a facet containing the lift's witness face holds with equality on the
+    face's affine hull, and a slack the filter certified at most 0 needs
+    no test.  When D is uncertified, every slack is open.  A chunk's kept
+    disjoint pairs are solved before the next chunk is filtered, so the
+    open facets are held for one chunk only.  Each loop records its
+    crossings with their pair indices, and the level's vertices are the
+    two lists merged by pair index: (upper, lower) index order.
 
     The faces' exact data come from the face lattice (`_face_table`):
     their hull equations are normals of the facets containing them, read
@@ -682,65 +677,61 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
         # boxes always do, in (upper, lower) index order: the order of
         # the level's vertices.
         iu, il = np.nonzero((shared == 1) | ((shared == 0) & ~miss))
-        if len(iu):
-            m = l_plus + 1
-            rounding = _rounding(m, dim)
-            pu, pl = ru[iu], rl[il]  # each pair's table rows
-            touching = shared[iu, il] == 1
-            det = np.full(len(iu), np.nan)
-            todo = np.zeros(len(iu), dtype=bool)
-            # A one-vertex pair needs only the sign of D, and is skipped
-            # when D = 0 is certified.
-            ones = np.flatnonzero(touching)
-            for at in _in_chunks(ones, max(comb(m, r + 1) * (r + 1)
-                                           for r in range(m))):
-                det[at] = _det_signs(tu.floats.span[:, pu[at]],
-                                     tl.floats.eqs[:, pl[at]], v_float,
-                                     rounding)
-            todo[ones] = det[ones] != 0
-            width = max(max(comb(m + 1, r + 1) * (r + 1) for r in range(m)),
-                        (m + 1) * len(planes))
-            # Each chunk's kept disjoint pairs are solved at once, their
-            # lifts tested exactly only against the facets that neither
-            # contain the witness face nor have a slack the filter
-            # certified; only the crossings' points outlive the chunk.
-            crossings = {}
-            for at in _in_chunks(np.flatnonzero(~touching), width):
-                rejected, open_u, open_l = _rejected(
-                    tu.floats.take(pu[at]), tl.floats.take(pl[at]), v_float,
-                    step_slacks, rounding)
-                keep = ~rejected
-                kept = at[keep]
-                for pos, a, b, open_p, open_m in zip(
-                        kept.tolist(), pu[kept].tolist(), pl[kept].tolist(),
-                        _open_planes(open_u[keep] & tu.outside[pu[kept]],
-                                     planes),
-                        _open_planes(open_l[keep] & tl.outside[pl[kept]],
-                                     planes)):
-                    found = _disjoint_crossing(tu.affs[a], tl.affs[b], v_int,
-                                               open_p, open_m)
-                    if found is not None:
-                        den, y_plus = found
-                        crossings[pos] = tuple(Fraction(c, den * pden)
-                                               for c in image(y_plus))
-            todo[list(crossings)] = True
-            for pos, a, b, one, sign in zip(
-                    np.flatnonzero(todo).tolist(), pu[todo].tolist(),
-                    pl[todo].tolist(), touching[todo].tolist(),
-                    det[todo].tolist()):
-                x_plus, x_minus = tu.faces[a], tl.faces[b]
-                if not one:
-                    out.append(DiagramVertex(crossings[pos], x_plus, x_minus,
-                                             l_plus, l_minus, True))
-                    continue
-                if isnan(sign) and _solve(tu.affs[a], tl.affs[b],
-                                          v_int) is None:
+        m = l_plus + 1
+        rounding = _rounding(m, dim)
+        pu, pl = ru[iu], rl[il]  # each pair's table rows
+        touching = shared[iu, il] == 1
+        # (pair index, vertex) of the level's crossings, each pair kind
+        # decided in its own loop.
+        found = []
+        # A one-vertex pair needs only the sign of D, and is skipped when
+        # D = 0 is certified; an open D is settled by the exact solve.
+        for at in _in_chunks(np.flatnonzero(touching),
+                             max(comb(m, r + 1) * (r + 1) for r in range(m))):
+            sign = _det_signs(tu.floats.span[:, pu[at]],
+                              tl.floats.eqs[:, pl[at]], v_float, rounding)
+            nonzero = sign != 0  # NaN, an open D, included
+            live = at[nonzero]
+            for pos, a, b, unsure in zip(
+                    live.tolist(), pu[live].tolist(), pl[live].tolist(),
+                    np.isnan(sign[nonzero]).tolist()):
+                if unsure and _solve(tu.affs[a], tl.affs[b], v_int) is None:
                     continue  # singular: the projected hulls overlap
+                x_plus, x_minus = tu.faces[a], tl.faces[b]
                 (w,) = x_plus.vertex_set & x_minus.vertex_set
                 if w not in shadow_points:
                     shadow_points[w] = tuple(Fraction(c, pden) for c in pv[w])
-                out.append(DiagramVertex(shadow_points[w], x_plus, x_minus,
-                                         l_plus, l_minus, False))
+                found.append((pos, DiagramVertex(shadow_points[w], x_plus,
+                                                 x_minus, l_plus, l_minus,
+                                                 False)))
+        width = max(max(comb(m + 1, r + 1) * (r + 1) for r in range(m)),
+                    (m + 1) * len(planes))
+        # Each chunk's kept disjoint pairs are solved at once, their lifts
+        # tested exactly only against the facets that neither contain the
+        # witness face nor have a slack the filter certified.
+        for at in _in_chunks(np.flatnonzero(~touching), width):
+            rejected, open_u, open_l = _rejected(
+                tu.floats.take(pu[at]), tl.floats.take(pl[at]), v_float,
+                step_slacks, rounding)
+            keep = ~rejected
+            kept = at[keep]
+            for pos, a, b, open_p, open_m in zip(
+                    kept.tolist(), pu[kept].tolist(), pl[kept].tolist(),
+                    _open_planes(open_u[keep] & tu.outside[pu[kept]], planes),
+                    _open_planes(open_l[keep] & tl.outside[pl[kept]],
+                                 planes)):
+                crossing = _disjoint_crossing(tu.affs[a], tl.affs[b], v_int,
+                                              open_p, open_m)
+                if crossing is not None:
+                    den, y_plus = crossing
+                    point = tuple(Fraction(c, den * pden)
+                                  for c in image(y_plus))
+                    found.append((pos, DiagramVertex(point, tu.faces[a],
+                                                     tl.faces[b], l_plus,
+                                                     l_minus, True)))
+        # found is two ascending runs, one per kind: the sort merges them.
+        found.sort(key=itemgetter(0))
+        out += (vertex for _, vertex in found)
     return tuple(out)
 
 
@@ -811,13 +802,14 @@ class ShadowDiagram:
         return tuple(dv for dv in self.vertices if dv.interior)
 
     def to_json(self) -> dict:
-        # One tuple per face and per shadow point, shared by every record
-        # that names it (the boundary crossings at one vertex share its
-        # point): the JSON writer renders each shared object once.
+        # One tuple per shadow point, shared by every record that names it
+        # (the boundary crossings at one vertex share its point), as each
+        # face's records share its `Face.vertices`: the JSON writer renders
+        # each shared object once.
         texts: dict[int, tuple] = {}
         return {
             "direction": self.direction.to_json(),
-            "partition": self.complexes.to_json(texts),
+            "partition": self.complexes.to_json(),
             "shadow_f_vector": list(self.shadow.poly.f_vector().counts),
             "boundary_homeomorphic": self.boundary_ok,
             "diagram_vertices": [dv.to_json(texts) for dv in self.vertices],

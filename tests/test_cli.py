@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
@@ -668,3 +669,58 @@ def test_output_is_json_dump_format(argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# The CLI contract on any input: exit 0 with exactly json.dumps' bytes and
+# nothing on stderr, or exit 1 with nothing on stdout and one JSON error
+# line naming a typed refusal.  The errors below mean a broken invariant or
+# theorem, never a refused input.  CONTRACT_EXAMPLES sets the example count
+# (the CI step "Contract fuzz" runs many more than tier-1 does).
+CONTRACT_EXAMPLES = int(os.environ.get("CONTRACT_EXAMPLES", "80"))
+CONTRACT_COMMANDS = [["describe"], ["verify-bounds"], ["gen"],
+                     ["project", "--directions", "1"],
+                     ["angles", "--samples", "256", "--directions", "1"]]
+BUG_ERRORS = {"PolyfaceError", "GramViolationError", "BoundViolationError",
+              "EulerViolationError"}
+_COORDS = st.one_of(
+    st.integers(-3, 3),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(10 ** 30, 10 ** 31 - 1),
+    st.integers(-(10 ** 31 - 1), -(10 ** 30)),
+)
+
+
+@st.composite
+def _point_sets(draw):
+    """1-8 points in R^1..R^4, at times with a repeated point, at times all
+    on one hyperplane x_j = c."""
+    dim = draw(st.integers(1, 4))
+    points = draw(st.lists(st.lists(_COORDS, min_size=dim, max_size=dim),
+                           min_size=1, max_size=8))
+    if len(points) < 8 and draw(st.booleans()):
+        points.append(list(draw(st.sampled_from(points))))
+    if dim > 1 and draw(st.booleans()):
+        j, c = draw(st.integers(0, dim - 1)), draw(_COORDS)
+        for p in points:
+            p[j] = c
+    return {"ambient_dim": dim, "vertices": points}
+
+
+@settings(max_examples=CONTRACT_EXAMPLES, deadline=None, derandomize=True)
+@given(data=_point_sets())
+def test_contract_on_any_input(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "contract-input.json"
+    path.write_text(json.dumps(data))
+    for command in CONTRACT_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*command, "--in", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert out == json.dumps(json.loads(out), indent=2,
+                                     sort_keys=True) + "\n", command
+            assert err == "", command
+        else:
+            assert code == 1 and out == "", command
+            assert err.endswith("\n") and err.count("\n") == 1, command
+            assert json.loads(err)["error"] not in BUG_ERRORS, (command, err)

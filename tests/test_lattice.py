@@ -237,6 +237,52 @@ class TestFacesOfDim:
         check_canonical_graded(lattice)
 
 
+class TestFaceVertices:
+    """Face.vertices is the vertex tuple in ascending order, built once,
+    and leaves equality and hashing to the two fields."""
+
+    @pytest.mark.parametrize("lattice", [
+        cube(4).face_lattice(), cyclic(13, 4).face_lattice(),
+        dual(cross_polytope(6).face_lattice()),
+    ], ids=["cube-4", "cyclic-13-4", "dual-cross-6"])
+    def test_sorted_once_and_equal_to_a_fresh_face(self, lattice):
+        for face in lattice.faces:
+            verts = face.vertices
+            assert verts == tuple(sorted(face.vertex_set))
+            assert all(a < b for a, b in zip(verts, verts[1:]))
+            assert face.vertices is verts
+            fresh = Face(face.vertex_set, face.dim)
+            assert fresh == face and hash(fresh) == hash(face)
+            assert fresh.vertices == verts
+            assert lattice.find(fresh) is face
+
+
+class TestBitmasks:
+    """The coatom rows against one built word by word from the sets."""
+
+    @staticmethod
+    def dense(n, sets):
+        words = max(1, -(-n // 64))
+        return np.array([[sum(1 << (a - 64 * w) for a in s
+                              if 64 * w <= a < 64 * (w + 1))
+                          for w in range(words)] for s in sets],
+                        dtype="<u8").reshape(len(sets), words)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_matches_dense_reference(self, n):
+        rng = np.random.default_rng(n)
+        sets = [[], range(n), frozenset(), []]
+        sets += [sorted(set(rng.integers(0, n, rng.integers(1, 9)).tolist()))
+                 for _ in range(12 if n else 0)]
+        sets += [{n - 1}, (0,)] if n else []
+        for case in (sets, [], [[]]):
+            found = polyface.lattice._bitmasks(n, iter(case))
+            expected = self.dense(n, case)
+            assert found.dtype == expected.dtype
+            assert found.shape == expected.shape
+            assert found.tolist() == expected.tolist()
+
+
 class TestLatticeConstruction:
     def test_square_face_count(self):
         assert len(cube(2).face_lattice()) == 10  # empty + 4 + 4 + itself

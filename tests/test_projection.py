@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyface import projection
+from polyface import cli, projection
 from polyface._hull import cross_normal
 from polyface.errors import DimensionTooLowError, ZeroDotProductError
 from polyface.exact import (
@@ -959,6 +959,28 @@ class TestShadowDiagramBundle:
                 (w,) = dv.x_plus.vertex_set & dv.x_minus.vertex_set
                 assert points.setdefault(w, rec["point"]) is rec["point"]
         assert len(points) < crossings
+
+
+    def test_directions_share_face_tuples(self, monkeypatch):
+        # A face's JSON tuple is its Face.vertices: one object in every
+        # diagram's records and boundary faces, so the writer renders it
+        # once per depth for the whole report.
+        payloads = []
+        monkeypatch.setattr(cli, "_emit",
+                            lambda payload, out: payloads.append(payload))
+        assert cli.main(["project", "--family", "cube", "--dim", "4",
+                         "--directions", "2", "--seed", "1"]) == 0
+        (payload,) = payloads
+        tuples, directions = {}, {}
+        for i, diagram in enumerate(payload["diagrams"]):
+            named = diagram["partition"]["boundary_faces"] + [
+                rec[key] for rec in diagram["diagram_vertices"]
+                for key in ("x_plus", "x_minus")]
+            for text in named:
+                assert type(text) is tuple
+                assert tuples.setdefault(text, text) is text
+                directions.setdefault(text, set()).add(i)
+        assert any(len(seen) == 2 for seen in directions.values())
 
 
 class TestIntegerFormat:

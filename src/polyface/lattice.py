@@ -6,11 +6,14 @@ Pfetsch, "Computing the face lattice of a polytope from its vertex-facet
 incidences", CGTA 2002).  Working top down on vertex bitmasks, the facets
 of a face F are the inclusion-maximal sets among the intersections of F
 with the polytope's facets, so each pass yields the faces one dimension
-lower.  Repeated candidates go by value sorts of the word rows, once per
-row block and once per level, with no (face, candidate) pair sorted.  A
-lattice is its levels of faces by dimension, each kept as the word rows
-and atom counts that the level step produces; level sizes give the
-f-vector, and a level's `Face` tuple is built on first use.  The
+lower.  Below the top, a j-face with j + 1 vertices is a simplex, whose
+face lattice is Boolean: its facets are its j-subsets, taken with no
+intersection, so a simplicial polytope ANDs against its facets only at
+the top.  Repeated candidates go by value sorts of the word rows, once
+per row block and once per level, with no (face, candidate) pair
+sorted.  A lattice is its levels of faces by dimension, each kept as the
+word rows and atom counts that the level step produces; level sizes give
+the f-vector, and a level's `Face` tuple is built on first use.  The
 order is read off the vertex sets, F <= G iff F's vertex set is a subset
 of G's.  The polytope's dimension is given, so the lattice does no
 arithmetic at all.  The dual and the quotients reuse the same
@@ -236,14 +239,35 @@ def _maximal(owner: np.ndarray, meet: np.ndarray,
     return keep
 
 
+def _simplex_facets(rows: np.ndarray) -> np.ndarray:
+    """Each row once per set bit, with that bit cleared: a simplex's facets
+    are its subsets of one atom fewer.  Only the nonzero words are
+    unpacked, since a row of many words holds few set bits."""
+    face, word = np.nonzero(rows)
+    bits = np.unpackbits(rows[face, word].view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    which, bit = np.nonzero(bits)
+    out = rows[face[which]]
+    out[np.arange(len(which)), word[which]] ^= \
+        np.uint64(1) << bit.astype(np.uint64)
+    return out
+
+
 def _facets_of(level: np.ndarray, sizes: np.ndarray, coatoms: np.ndarray,
-               j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The facets of the j-faces in ``level`` (j >= 1) with their sizes."""
+               j: int, top: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The facets of the j-faces in ``level`` (j >= 1) with their sizes.
+    Below the top, a face of j + 1 atoms is a simplex and takes its
+    j-subsets; every other face, and the top, whose facets are the given
+    coatoms, is ANDed against the coatoms."""
     words = level.shape[1]
     block = max(1, BLOCK_CELLS // max(1, len(coatoms) * words))
     # Seeded empty: with no faces or no facets the next level is empty, and
     # f_vector refuses a lattice whose 0-faces are not its atoms.
     found = [np.empty((0, words), level.dtype)]
+    simplex = sizes == j + 1
+    if not top and simplex.any():
+        found.append(_simplex_facets(level[simplex]))
+        level, sizes = level[~simplex], sizes[~simplex]
     for lo in range(0, len(level), block):
         meet = level[lo:lo + block, None, :] & coatoms
         count = np.bitwise_count(meet).sum(axis=2, dtype=sizes.dtype)
@@ -269,17 +293,23 @@ def build_face_lattice(n: int, coatom_sets: Iterable[Collection[int]],
 
     Top down, one level at a time: the facets of a j-face F are the
     inclusion-maximal sets among F & G over the facets G not containing F.
-    A face is a row of ceil(n/64) uint64 words, so a level is one numpy AND
-    of its faces against all facets, in row blocks of at most BLOCK_CELLS
-    words.  A candidate with fewer than j atoms is dropped before any
-    subset test, and the floor is exact: a facet of F is a (j-1)-face, so
-    it has at least j atoms, and so has every set containing it.  Only a
-    face whose candidates differ in size gets the subset test, since
-    distinct sets of one size never contain each other; a simplicial
-    polytope needs none.  The test also drops a face's repeated
-    candidates, and one value sort of each block's kept rows, then one of
-    the level's, drops the rest: a one-word row is sorted as a single
-    uint64, a longer one by a lexsort of its words, word 0 first.  Sizes
+    A face is a row of ceil(n/64) uint64 words.  Below the top, a j-face
+    with j + 1 atoms is a simplex: its facets are its j + 1 subsets of j
+    atoms, its row with each set bit cleared in turn, with no AND against
+    the facets.  The top keeps the general step, since its facets are the
+    given ones.  Every other face is ANDed against all facets in one numpy
+    step per level, in row blocks of at most BLOCK_CELLS words, so a
+    simplicial polytope runs the AND at the top alone, and no polytope
+    runs it from its edges.  A candidate with fewer than j atoms is
+    dropped before any subset test, and the floor is exact: a facet of F
+    is a (j-1)-face, so it has at least j atoms, and so has every set
+    containing it.  Only a face whose candidates differ in size gets the
+    subset test, since distinct sets of one size never contain each
+    other.  The test also drops a face's repeated candidates, and one
+    value sort of each block's kept rows, then one of the level's,
+    simplices' subsets included, drops the rest: a one-word row is sorted
+    as a single uint64, a longer one by a lexsort of its words, word 0
+    first.  Sizes
     are the popcounts of the level's distinct rows.  The empty face, one
     all-zero row, lies below the atoms.  Each level is one dimension
     lower, so the faces come graded, and the order is read off the atom
@@ -293,7 +323,7 @@ def build_face_lattice(n: int, coatom_sets: Iterable[Collection[int]],
     size = np.min_scalar_type(n)
     levels = [(top, np.array([n], size))]
     for j in range(dim, 0, -1):
-        levels.append(_facets_of(*levels[-1], coatoms, j))
+        levels.append(_facets_of(*levels[-1], coatoms, j, j == dim))
     levels.append((np.zeros_like(top), np.zeros(1, size)))  # the empty face
     return FaceLattice(levels[::-1], dim, n, coatoms)
 

@@ -23,6 +23,7 @@ from polyface.lattice import FVector, Face, build_face_lattice, dual, quotient
 from polyface.polytope import hull_from_points
 
 from corpus import extended_corpus, facets_containing
+from test_generators import gale_evenness_facets
 
 
 def reference_lattice(p):
@@ -43,6 +44,30 @@ def reference_lattice(p):
     covers = {(a, b) for a in faces for b in faces
               if a < b and dims[b] == dims[a] + 1}
     return dims, covers
+
+
+def cyclic_four_facets(n):
+    """The facets of the cyclic 4-polytope on n >= 5 vertices, listed
+    directly: by Gale's evenness condition they are the n(n - 3)/2 unions
+    of two disjoint, cyclically adjacent pairs {i, i + 1 mod n}."""
+    return [{i, i + 1, k, (k + 1) % n}
+            for i in range(n) for k in range(i + 2, n) if (k + 1) % n != i]
+
+
+def general_step_levels(n, coatom_sets, dim):
+    """Each level's sorted vertex tuples, k = -1 .. dim, from the top down
+    by the general step alone: the facets of a face F are the maximal
+    proper sets among F & G over the given facets G."""
+    coatoms = [frozenset(c) for c in coatom_sets]
+    levels = [{frozenset(range(n))}]
+    for _ in range(dim):
+        below = set()
+        for face in levels[-1]:
+            meets = {face & g for g in coatoms} - {face}
+            below |= {m for m in meets if not any(m < o for o in meets)}
+        levels.append(below)
+    levels.append({frozenset()})
+    return [sorted(tuple(sorted(f)) for f in level) for level in levels[::-1]]
 
 
 def as_sets(lattice):
@@ -169,6 +194,15 @@ class TestAgainstReference:
     def test_random_hulls(self, p):
         check_against_oracles(p)
 
+    def test_levels_match_the_general_step(self):
+        # Polytopes, duals and quotients: every level as the pure-Python
+        # general step finds it, with no rule for simplex faces.
+        for name, lattice, coatoms in corpus_lattices():
+            assert [[f.vertices for f in lattice.faces_of_dim(k)]
+                    for k in range(-1, lattice.dim + 1)] == \
+                general_step_levels(lattice.n_vertices, coatoms,
+                                    lattice.dim), name
+
 
 class TestWordBoundaries:
     """Faces are rows of 64-bit words: a full word, and one bit past it."""
@@ -204,20 +238,103 @@ class TestWordBoundaries:
         check_canonical_graded(d)
 
 
+def incidences(p):
+    """build_face_lattice's arguments for p: its atoms, facets and dim."""
+    return p.n_vertices, [f.vertex_set for f in p.facets], p.dim
+
+
+def dual_incidences(p):
+    """build_face_lattice's arguments for p's dual: the facets are the
+    atoms, and each vertex gives the set of facets through it."""
+    return len(p.facets), [
+        {i for i, f in enumerate(p.facets) if v in f.vertex_set}
+        for v in range(p.n_vertices)], p.dim
+
+
+@pytest.fixture
+def general_blocks(monkeypatch):
+    """(j, faces) for each row block of the general step, the faces being
+    those with a candidate in the block, as build_face_lattice runs."""
+    blocks = []
+    level = []
+    facets_of = polyface.lattice._facets_of
+    maximal = polyface.lattice._maximal
+
+    def tracking(*args):
+        level.append(args[3])
+        return facets_of(*args)
+
+    def counting(owner, meet, count):
+        blocks.append((level[-1], len(set(owner.tolist()))))
+        return maximal(owner, meet, count)
+
+    monkeypatch.setattr(polyface.lattice, "_facets_of", tracking)
+    monkeypatch.setattr(polyface.lattice, "_maximal", counting)
+    return blocks
+
+
 class TestRowBlocks:
-    @pytest.mark.parametrize("p", [
-        cyclic(15, 6), cross_polytope(7), random_sphere(6, 15, 1),
-        SQUARE_PLUS_CUBE, pyramid(cube(5)),
+    @pytest.mark.parametrize("args", [
+        incidences(cyclic(15, 6)), incidences(cross_polytope(7)),
+        incidences(random_sphere(6, 15, 1)), incidences(SQUARE_PLUS_CUBE),
+        incidences(pyramid(cube(5))), dual_incidences(cross_polytope(7)),
+        dual_incidences(cyclic(15, 6)),
     ], ids=["cyclic-15-6", "cross-7", "random-sphere-6-15",
-            "square-plus-cube", "pyramid-cube-5"])
-    def test_one_row_blocks_give_the_same_lattice(self, p, monkeypatch):
-        args = (p.n_vertices, [f.vertex_set for f in p.facets], p.dim)
+            "square-plus-cube", "pyramid-cube-5", "dual-cross-7",
+            "dual-cyclic-15-6"])
+    def test_one_row_blocks_give_the_same_lattice(self, args, monkeypatch,
+                                                  general_blocks):
+        dim = args[2]
         default = build_face_lattice(*args)
         monkeypatch.setattr(polyface.lattice, "BLOCK_CELLS", 1)
+        general_blocks.clear()
         single = build_face_lattice(*args)
         assert single.faces == default.faces
-        assert [single.faces_of_dim(k) for k in range(-1, p.dim + 1)] == \
-            [default.faces_of_dim(k) for k in range(-1, p.dim + 1)]
+        assert [single.faces_of_dim(k) for k in range(-1, dim + 1)] == \
+            [default.faces_of_dim(k) for k in range(-1, dim + 1)]
+        # One block for the top and one for each face below it that is no
+        # simplex: the duals are not simplicial, so each runs over a thousand.
+        general = sum(len(f.vertex_set) > f.dim + 1 for f in default.faces
+                      if 1 <= f.dim < dim)
+        assert len(general_blocks) == 1 + general
+
+
+class TestSimplexFaces:
+    """Below the top, a j-face with j + 1 atoms is a simplex: its facets
+    are its j-subsets, and it never reaches the general step."""
+
+    @pytest.mark.parametrize("p,expected", [
+        (cyclic(15, 6), {6: 1}), (cross_polytope(6), {6: 1}),
+        # Squares and larger cubes meet the facets; the edges do not.
+        (cube(5), {5: 1, 4: 10, 3: 40, 2: 80}),
+    ], ids=["cyclic-15-6", "cross-6", "cube-5"])
+    def test_faces_seen_by_the_general_step(self, p, expected,
+                                            general_blocks):
+        build_face_lattice(*incidences(p))
+        seen = Counter()
+        for j, faces in general_blocks:
+            seen[j] += faces
+        assert seen == expected
+
+    def test_cyclic_seventy_four(self, general_blocks):
+        """70 atoms, so two words a row, and every face below the top a
+        simplex; the f-vector is the closed form from the h-vector."""
+        n, d = 70, 4
+        lattice = build_face_lattice(n, cyclic_four_facets(n), d)
+        assert general_blocks == [(4, 1)]
+        # h_i = C(n - d - 1 + i, i) for i <= d/2 and h_i = h_(d-i) past it
+        # (Dehn-Sommerville); f_(k-1) = sum over i of C(d - i, k - i) h_i.
+        h = [comb(n - d - 1 + min(i, d - i), min(i, d - i))
+             for i in range(d + 1)]
+        f = [sum(comb(d - i, k - i) * h[i] for i in range(k + 1))
+             for k in range(1, d + 1)]
+        assert f == [70, 2415, 4690, 2345]
+        assert list(lattice.f_vector()) == f
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_direct_facets_match_gale_evenness(self, n):
+        assert sorted(tuple(sorted(f)) for f in cyclic_four_facets(n)) == \
+            gale_evenness_facets(n, 4)
 
 
 class TestFacesOfDim:

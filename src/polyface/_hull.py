@@ -10,10 +10,12 @@ a uniform scaling, so the combinatorics are untouched; integer input, as
 ``polytope._build`` passes, comes back as it is) and returns facets as
 primitive integer hyperplanes expressed in the input's coordinates,
 together with the set of input points lying exactly on each facet
-hyperplane.  Only the seed simplex's d+1 facets need elimination (a normal
-is the null vector of the edge differences, from the exact kernel); every
-later facet is the plane of a neighbouring facet rotated about a horizon
-ridge, in integer arithmetic.  Simplices and ridges are keyed by the int
+hyperplane.  Only the seed simplex's d+1 facets need elimination, and one
+elimination gives them all: the exact kernel reduces [E | I], E the
+simplex's edges from one vertex, to D * [I | E^-1], whose columns and
+their sum are the d+1 facet normals (``_seed_facets``).  Every later
+facet is the plane of a neighbouring facet rotated about a horizon ridge,
+in integer arithmetic.  Simplices and ridges are keyed by the int
 bitmask of their vertex indices: a simplex's ridges are its key with one
 bit cleared, and a rotated simplex is a ridge's key with the new point's
 bit set.  The final check that every plane supports the points is one
@@ -33,48 +35,56 @@ import numpy as np
 
 from ._predicates import _bounded, _certified_signs
 from .errors import PolyfaceError
-from .exact import Vector, affine_basis_indices, integer_scaled, null_space
+from .exact import Vector, affine_basis_indices, echelon, integer_scaled
 
 # A simplex in integer working coordinates: (bitmask of its vertex indices,
 # primitive outward normal, offset).
 _IntFacet = tuple[int, tuple[int, ...], int]
 
 
-def cross_normal(diffs: list[tuple[int, ...]], dim: int) -> tuple[int, ...] | None:
-    """Primitive integer normal of the span of dim-1 difference vectors.
-
-    The single null vector of the differences, from one fraction-free
-    elimination.  Returns None when the differences do not span a
-    hyperplane (rank < dim-1, so the null space is larger than a line).
-    The sign is not normalized: every caller orients the normal itself.
-    The hull runs it only on the seed simplex's d+1 facets.
-    """
-    basis = null_space(diffs, dim)
-    return basis[0] if len(basis) == 1 else None
-
-
 def _idot(n: tuple[int, ...], p: tuple[int, ...]) -> int:
     return sum(map(mul, n, p))
 
 
-def _facet_through(
-    pts: list[tuple[int, ...]], verts: Sequence[int], dim: int,
+def _seed_facets(
+    pts: list[tuple[int, ...]], chosen: list[int],
     centroid_sum: tuple[int, ...], centroid_count: int,
-) -> _IntFacet:
-    base = pts[verts[0]]
-    diffs = [tuple(a - b for a, b in zip(pts[v], base)) for v in verts[1:]]
-    normal = cross_normal(diffs, dim)
-    if normal is None:
+) -> list[_IntFacet]:
+    """The seed simplex's d+1 facets, one for each vertex of chosen that it
+    leaves out, in the order of chosen.
+
+    E has the rows p_i - p_0 for chosen = (p_0, ..., p_d).  One
+    fraction-free elimination of [E | I] gives D * [I | E^-1]: E times
+    column j of D * E^-1 is D times unit vector j, so that column is normal
+    to every edge from p_0 but the one to p_(j+1), the facet opposite
+    p_(j+1).  The sum of the columns has the same product D with every
+    edge from p_0, so it is normal to every difference of two of p_1..p_d,
+    the facet opposite p_0.  Each normal is made primitive and oriented
+    away from the simplex's centroid."""
+    dim = len(chosen) - 1
+    base = pts[chosen[0]]
+    reduced, pivots = echelon(
+        [[a - b for a, b in zip(pts[v], base)] + [int(i == j) for j in range(dim)]
+         for i, v in enumerate(chosen[1:])])
+    if pivots != list(range(dim)):
         raise PolyfaceError("degenerate facet candidate in hull construction")
-    offset = _idot(normal, base)
-    # Orient outward: the reference interior point must satisfy n.x < b.
-    ref = _idot(normal, centroid_sum)
-    if ref > offset * centroid_count:
-        normal = tuple(-c for c in normal)
-        offset = -offset
-    elif ref == offset * centroid_count:
-        raise PolyfaceError("interior reference point on a facet hyperplane")
-    return (sum(1 << v for v in verts), normal, offset)
+    columns = list(zip(*reduced))[dim:]
+    everything = sum(1 << v for v in chosen)
+    out = []
+    for k, column in enumerate([tuple(map(sum, zip(*columns)))] + columns):
+        g = gcd(*column)
+        normal = tuple(c // g for c in column)
+        # p_1 is on the facet opposite p_0, and p_0 on every other one.
+        offset = _idot(normal, pts[chosen[k == 0]])
+        # Orient outward: the reference interior point must satisfy n.x < b.
+        ref = _idot(normal, centroid_sum)
+        if ref > offset * centroid_count:
+            normal = tuple(-c for c in normal)
+            offset = -offset
+        elif ref == offset * centroid_count:
+            raise PolyfaceError("interior reference point on a facet hyperplane")
+        out.append((everything ^ 1 << chosen[k], normal, offset))
+    return out
 
 
 def _ridges(key: int) -> list[int]:
@@ -153,8 +163,7 @@ def _simplicial_hull(pts: list[tuple[int, ...]], dim: int) -> list[_IntFacet]:
                 touched.add(ridge)
         _check_two_regular(owners, touched)
 
-    add([_facet_through(pts, [v for v in chosen if v != drop], dim,
-                        centroid_sum, cc) for drop in chosen], set())
+    add(_seed_facets(pts, chosen, centroid_sum, cc), set())
     seeded = set(chosen)
     for idx, p in enumerate(pts):
         if idx in seeded:

@@ -1,6 +1,6 @@
 """Exact rational scalars, vectors and linear algebra.
 
-Rank, affine dimension, null spaces and spans are decided here, exactly:
+Rank, affine dimension and spans are decided here, exactly:
 arbitrary-precision rationals, no floats, no tolerances.  Scalars are
 ``fractions.Fraction`` values, which are always stored in lowest terms
 with a positive denominator.  Vectors are plain tuples of scalars.
@@ -25,13 +25,13 @@ output.
 All linear algebra runs through one kernel, ``echelon``: fraction-free
 Gauss-Jordan elimination on Python ints.  Rational input is first scaled
 to integers by ``integer_scaled`` (one lcm of denominators, which changes
-no rank, span or null space).  Rank is the number of pivots, null spaces
-are read off the reduced rows, and greedy bases of rows are the pivot
-columns of the transposed matrix.
+no rank, span or null space).  Rank is the number of pivots, greedy bases
+of rows are the pivot columns of the transposed matrix, and the hull's
+seed simplex reads its facet normals off one reduced [E | I].
 
-Hyperplane normals, null-space vectors and ``primitive`` vectors are
-tuples of Python ints with gcd 1, not unit vectors: every geometric sign
-test in the package is scale invariant, so no square root is needed.
+Hyperplane normals and ``primitive`` vectors are tuples of Python ints
+with gcd 1, not unit vectors: every geometric sign test in the package is
+scale invariant, so no square root is needed.
 """
 from __future__ import annotations
 
@@ -172,32 +172,6 @@ def _independent(rows: Sequence[Sequence[int]]) -> list[int]:
     """Indices of the integer rows independent of all rows before them: the
     pivot columns of the transposed matrix."""
     return echelon(list(zip(*rows)))[1]
-
-
-def null_space(rows: Sequence[Vector], dim: int) -> list[tuple[int, ...]]:
-    """Basis of {x : r . x = 0 for every row r}, as primitive integer vectors.
-
-    Rows may be rational or integer.  There is one basis vector per free
-    (non-pivot) column c of the reduced rows: D at c, minus row i's entry
-    at c at pivot i, and 0 elsewhere, made primitive with a positive entry
-    at c.  The reduced row echelon form is unique, so the basis is too.
-    """
-    if rows and _check_same_dim(rows) != dim:
-        raise MixedDimensionsError("rows do not match the stated dimension")
-    reduced, pivots = echelon(integer_scaled(rows)[0])
-    common = reduced[0][pivots[0]] if pivots else 1
-    sign = 1 if common > 0 else -1
-    basis = []
-    for free in range(dim):
-        if free in pivots:
-            continue
-        vec = [0] * dim
-        vec[free] = common
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[free]
-        g = gcd(*vec) * sign
-        basis.append(tuple(c // g for c in vec))
-    return basis
 
 
 def affine_dim(points: Sequence[Vector]) -> int:

@@ -1,16 +1,22 @@
 """Deterministic constructors for the polytope families used in tests and
 corpus runs: simplices, cubes, cross-polytopes, cyclic polytopes on the
 moment curve, pyramids, prisms, and seeded near-sphere random hulls.
+
+Every family polytope costs one hull.  The pyramid and prism families
+build theirs straight from the base's known vertex list, never from the
+base's own hull, and each hull's seed simplex takes all d+1 facet normals
+from one fraction-free elimination of [E | I] (``_hull``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BadSpecError, TooLargeError
-from .exact import Vector
+from .exact import Vector, vector
 from .polytope import MAX_DIM, MAX_POINTS, Polytope, _build, hull_from_points
 
 FAMILIES = ("simplex", "cube", "cross", "cyclic", "pyramid", "prism",
@@ -50,20 +56,29 @@ class FamilySpec:
             raise BadSpecError("random-sphere needs n >= 1")
 
 
-def simplex(dim: int) -> Polytope:
-    """The standard simplex: the origin plus the dim unit points."""
+def _simplex_points(dim: int) -> list[list[int]]:
+    """The origin plus the dim unit points."""
     pts = [[0] * dim]
     for i in range(dim):
         e = [0] * dim
         e[i] = 1
         pts.append(e)
-    return hull_from_points(pts)
+    return pts
+
+
+def _cube_points(dim: int) -> list[list[int]]:
+    """{0,1}^dim, point m with bit i of m as coordinate i."""
+    return [[(m >> i) & 1 for i in range(dim)] for m in range(2 ** dim)]
+
+
+def simplex(dim: int) -> Polytope:
+    """The standard simplex: the origin plus the dim unit points."""
+    return hull_from_points(_simplex_points(dim))
 
 
 def cube(dim: int) -> Polytope:
     """The unit cube {0,1}^dim."""
-    pts = [[(m >> i) & 1 for i in range(dim)] for m in range(2 ** dim)]
-    return hull_from_points(pts)
+    return hull_from_points(_cube_points(dim))
 
 
 def cross_polytope(dim: int) -> Polytope:
@@ -113,19 +128,31 @@ def random_sphere(dim: int, n: int, seed: int = 0) -> Polytope:
     return hull_from_points(pts)
 
 
+def _over(family: str, vertices: Sequence[Vector],
+          metric: Sequence[Fraction]) -> Polytope:
+    """The pyramid or the prism over a base given by its vertices and
+    metric, with one hull: the pyramid's apex is one unit above the
+    vertices' centroid, and the prism's second copy of the base one unit
+    above the first.  The hull's seed simplex, as every hull's, takes all
+    its d+1 facet normals from one elimination of [E | I] (``_hull``)."""
+    verts = [v + (Fraction(0),) for v in vertices]
+    if family == "pyramid":
+        n = len(vertices)
+        verts.append(tuple(Fraction(sum(c), n) for c in zip(*vertices))
+                     + (Fraction(1),))
+    else:
+        verts += [v + (Fraction(1),) for v in vertices]
+    return _build(verts, tuple(metric) + (Fraction(1),))
+
+
 def pyramid(base: Polytope) -> Polytope:
     """Apex added one unit above the centroid of the base's vertices."""
-    verts = [v + (Fraction(0),) for v in base.vertices]
-    centroid = base.centroid_of(range(base.n_vertices))
-    verts.append(centroid + (Fraction(1),))
-    return _build(verts, base.metric + (Fraction(1),))
+    return _over("pyramid", base.vertices, base.metric)
 
 
 def prism(base: Polytope) -> Polytope:
     """Two parallel copies of the base joined at unit height."""
-    verts = [v + (Fraction(0),) for v in base.vertices]
-    verts += [v + (Fraction(1),) for v in base.vertices]
-    return _build(verts, base.metric + (Fraction(1),))
+    return _over("prism", base.vertices, base.metric)
 
 
 def generate(spec: FamilySpec) -> Polytope:
@@ -140,13 +167,15 @@ def generate(spec: FamilySpec) -> Polytope:
         return cyclic(spec.n, spec.dim)
     if spec.family == "random-sphere":
         return random_sphere(spec.dim, spec.n, spec.seed)
-    if spec.family == "pyramid":
-        # Pyramid over a (dim-1)-cube: a compact default for CLI use.
+    if spec.family in ("pyramid", "prism"):
+        # A pyramid over a (dim-1)-cube or a prism over a (dim-1)-simplex:
+        # compact defaults for CLI use.  The base's vertices are known, so
+        # its own hull is never built; they are the same Fraction tuples,
+        # in the same order, as cube() and simplex() keep.
         if spec.dim < 2:
-            raise BadSpecError("pyramid family needs dim >= 2")
-        return pyramid(cube(spec.dim - 1))
-    if spec.family == "prism":
-        if spec.dim < 2:
-            raise BadSpecError("prism family needs dim >= 2")
-        return prism(simplex(spec.dim - 1))
+            raise BadSpecError(f"{spec.family} family needs dim >= 2")
+        points = (_cube_points if spec.family == "pyramid"
+                  else _simplex_points)(spec.dim - 1)
+        return _over(spec.family, [vector(p) for p in points],
+                     (Fraction(1),) * (spec.dim - 1))
     raise BadSpecError(f"unknown family {spec.family!r}")

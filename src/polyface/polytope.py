@@ -152,13 +152,6 @@ class Polytope:
 
     # -- geometry ------------------------------------------------------------
 
-    def centroid_of(self, vertex_set: Iterable[int]) -> Vector:
-        vs = sorted(set(vertex_set))
-        acc = self.vertices[vs[0]]
-        for i in vs[1:]:
-            acc = vadd(acc, self.vertices[i])
-        return vscale(Fraction(1, len(vs)), acc)
-
     def ambient_vertices(self) -> tuple[Vector, ...]:
         return tuple(self.embedding.apply(v) for v in self.vertices)
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyface._hull import cross_normal
 from polyface.errors import MixedDimensionsError, ZeroVectorError
 from polyface.exact import (
     Hyperplane,
@@ -15,7 +14,6 @@ from polyface.exact import (
     dot,
     echelon,
     integer_scaled,
-    null_space,
     primitive,
     rank,
     vector,
@@ -36,6 +34,29 @@ def side(plane, point):
 
 def vecs(*rows):
     return [vector(r) for r in rows]
+
+
+def null_space(rows, dim):
+    """Basis of {x : r . x = 0 for every row r}, as primitive integer
+    vectors.  One per free (non-pivot) column c of echelon's reduced rows:
+    D at c, minus row i's entry at c at pivot i, and 0 elsewhere, made
+    primitive with a positive entry at c.  The reduced row echelon form is
+    unique, so the basis is too.  The hull's seed-facet oracle
+    (``test_hull.cross_normal``) takes its normals from this."""
+    reduced, pivots = echelon(integer_scaled(rows)[0])
+    common = reduced[0][pivots[0]] if pivots else 1
+    sign = 1 if common > 0 else -1
+    basis = []
+    for free in range(dim):
+        if free in pivots:
+            continue
+        vec = [0] * dim
+        vec[free] = common
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free]
+        g = gcd(*vec) * sign
+        basis.append(tuple(c // g for c in vec))
+    return basis
 
 
 def span_basis(rows):
@@ -196,6 +217,8 @@ class TestKernelOracles:
         st.just(d))))
     @settings(max_examples=200, deadline=None)
     def test_cross_normal(self, case):
+        # test_hull imports this module, so its oracle is imported here.
+        from test_hull import cross_normal
         diffs, d = case
         normal = cross_normal(diffs, d)
         if minor_rank(diffs, d) < d - 1:

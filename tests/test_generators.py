@@ -1,9 +1,12 @@
 """Family generators: closed-form f-vectors, determinism, validation."""
+import json
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from polyface import _hull
+from polyface.cli import main
 from polyface.errors import BadSpecError
 from polyface.generators import (
     FamilySpec,
@@ -97,6 +100,55 @@ class TestPyramidPrism:
         p = cube(2)
         assert pyramid(p).dim == 3
         assert prism(p).dim == 3
+
+
+def facet_data(p):
+    return (p.vertices, [(f.vertex_set, f.plane.normal, f.plane.offset)
+                         for f in p.facets], p.metric,
+            tuple(p.f_vector().counts))
+
+
+def count_hulls(monkeypatch):
+    calls = []
+    hull = _hull.incremental_facets
+    monkeypatch.setattr(_hull, "incremental_facets",
+                        lambda *args: calls.append(1) or hull(*args))
+    return calls
+
+
+class TestFamilyPath:
+    """generate() builds the pyramid and prism families straight from the
+    base's vertex list, with no hull of the base; the result must equal
+    pyramid() and prism() over the base's own hull."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_pyramid_equals_pyramid_over_cube(self, d):
+        assert facet_data(generate(FamilySpec("pyramid", d))) == \
+            facet_data(pyramid(cube(d - 1)))
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_prism_equals_prism_over_simplex(self, d):
+        assert facet_data(generate(FamilySpec("prism", d))) == \
+            facet_data(prism(simplex(d - 1)))
+
+    @pytest.mark.parametrize("family", ["pyramid", "prism"])
+    def test_one_hull(self, family, monkeypatch):
+        calls = count_hulls(monkeypatch)
+        generate(FamilySpec(family, 5))
+        assert len(calls) == 1
+        base = cube(4) if family == "pyramid" else simplex(4)
+        (pyramid if family == "pyramid" else prism)(base)
+        assert len(calls) == 3  # the base's hull, then the polytope's
+
+    def test_pyramid_past_the_point_guard(self, capsys):
+        # cube(6) has 64 vertices, the most a hull takes; its pyramid has 65.
+        assert main(["gen", "--family", "pyramid", "--dim", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "TooLargeError",
+            "message": "65 points exceeds the guard of 64"}
+        assert captured.err.count("\n") == 1
 
 
 class TestRandomSphere:

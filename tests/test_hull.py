@@ -1,4 +1,5 @@
 """Facet enumeration: the incremental hull against the brute-force oracle."""
+import os
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -7,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyface import _hull
-from polyface._hull import (_check_two_regular, _facet_through,
-                            _merge_and_verify, _plane_signs, _simplicial_hull,
-                            cross_normal, incremental_facets)
+from polyface._hull import (_check_two_regular, _merge_and_verify,
+                            _plane_signs, _seed_facets, _simplicial_hull,
+                            incremental_facets)
 from polyface.errors import EmptyInputError, PolyfaceError, TooLargeError
 from polyface.exact import (affine_basis_indices, affine_dim, integer_scaled,
                             rank, vector)
@@ -17,12 +18,55 @@ from polyface.generators import (cross_polytope, cube, cyclic, random_sphere,
                                  simplex)
 from polyface.polytope import hull_from_points
 
-from test_exact import side
+from test_exact import null_space, side
 from test_golden import huge_polytope
+
+# Examples of the seed-facet property: a few in tier-1, many in CI's
+# "Seed fuzz" step.
+SEED_EXAMPLES = int(os.environ.get("SEED_EXAMPLES", "60"))
 
 
 def dot(n, p):
     return sum(a * b for a, b in zip(n, p))
+
+
+def cross_normal(diffs, dim):
+    """Primitive integer normal of the span of dim-1 difference vectors:
+    the single null vector of the differences, or None when they do not
+    span a hyperplane.  The sign is not normalized."""
+    basis = null_space(diffs, dim)
+    return basis[0] if len(basis) == 1 else None
+
+
+def facet_through(pts, verts, dim, centroid_sum, centroid_count):
+    """The hull's simplex (key, normal, offset) through the integer points
+    verts, by its own elimination: the normal is the null vector of the
+    edges from verts[0], oriented away from the reference centroid."""
+    base = pts[verts[0]]
+    diffs = [tuple(a - b for a, b in zip(pts[v], base)) for v in verts[1:]]
+    normal = cross_normal(diffs, dim)
+    if normal is None:
+        raise PolyfaceError("degenerate facet candidate in hull construction")
+    offset = dot(normal, base)
+    ref = dot(normal, centroid_sum)
+    if ref > offset * centroid_count:
+        normal = tuple(-c for c in normal)
+        offset = -offset
+    elif ref == offset * centroid_count:
+        raise PolyfaceError("interior reference point on a facet hyperplane")
+    return (sum(1 << v for v in verts), normal, offset)
+
+
+def seed_oracle(pts):
+    """(seed facets, the same by facet_through): one facet for each vertex
+    of the greedy seed simplex that it leaves out, in the seed's order."""
+    dim = len(pts[0])
+    chosen = affine_basis_indices(pts)
+    assert len(chosen) == dim + 1
+    centroid_sum = tuple(map(sum, zip(*(pts[i] for i in chosen))))
+    return (_seed_facets(pts, chosen, centroid_sum, dim + 1),
+            [facet_through(pts, [v for v in chosen if v != drop], dim,
+                           centroid_sum, dim + 1) for drop in chosen])
 
 
 def brute_force_facets(points, dim):
@@ -114,8 +158,8 @@ class TestRotation:
             # Each simplex is keyed by the bitmask of its vertex indices.
             verts = [i for i in range(len(pts)) if facet[0] >> i & 1]
             assert len(verts) == dim
-            assert facet == _facet_through(pts, verts, dim, centroid_sum,
-                                           dim + 1)
+            assert facet == facet_through(pts, verts, dim, centroid_sum,
+                                          dim + 1)
 
     def test_point_on_a_facet_leaves_it_alone(self):
         # (1, 1, 0) is inside the seed simplex's facet z = 0, beyond no
@@ -147,6 +191,84 @@ class TestRotation:
             _check_two_regular(owners, {(0, 1), (0, 2)})
         with pytest.raises(PolyfaceError, match="1 ridges not in exactly 2"):
             _check_two_regular(owners, {(0, 1), (1, 2)})
+
+
+# Seed-simplex coordinates: small integers, 40-digit integers of either
+# sign (drawn from their own ranges: drawn from one wide range, big
+# integers are mostly small) and rationals.
+SEED_COORDS = {
+    "small": st.integers(-3, 3),
+    "40-digit": st.one_of(st.integers(10 ** 39, 10 ** 40 - 1),
+                          st.integers(-(10 ** 40 - 1), -(10 ** 39))),
+    "rational": st.fractions(min_value=-5, max_value=5, max_denominator=30),
+}
+
+
+@st.composite
+def seed_points(draw):
+    """Integer-scaled points of full dimension d = 1..7, with up to two
+    more than d + 1, so that the greedy seed simplex is not always the
+    first d + 1 points."""
+    dim = draw(st.integers(1, 7))
+    coord = SEED_COORDS[draw(st.sampled_from(sorted(SEED_COORDS)))]
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1,
+                         max_size=dim + 3, unique=True))
+    pts, _ = integer_scaled(points_of(rows))
+    assume(affine_dim(pts) == dim)
+    return pts
+
+
+# A tetrahedron in R^4 at 31-digit coordinates: the hull gets it restricted
+# to its 3-flat, in rational intrinsic coordinates.
+TETRAHEDRON_31 = [
+    (10 ** 30 + 1, 2 * 10 ** 30 - 3, -(10 ** 30) + 7, 5),
+    (-(10 ** 30) + 2, 10 ** 30 + 11, 3 * 10 ** 30, -(10 ** 30) - 1),
+    (4, -(2 * 10 ** 30) + 9, 10 ** 30 - 5, 10 ** 30 + 3),
+    (3 * 10 ** 30 - 7, 6, -(10 ** 30) + 2, 2 * 10 ** 30 + 1),
+]
+
+
+class TestSeedFacets:
+    """The seed simplex takes its d + 1 facets from one elimination of
+    [E | I]; d + 1 separate null-vector eliminations are the oracle."""
+
+    @given(seed_points())
+    @settings(max_examples=SEED_EXAMPLES, deadline=None, derandomize=True)
+    def test_one_elimination_matches_oracle(self, pts):
+        seed, oracle = seed_oracle(pts)
+        assert seed == oracle
+
+    @pytest.mark.parametrize("rows", [
+        [(0,), (1,), ("1/2",)],                       # a segment, d = 1
+        huge_polytope(200)["vertices"],
+    ], ids=["segment", "huge-200"])
+    def test_edge_cases(self, rows):
+        pts = points_of(rows)
+        dim = len(pts[0])
+        seed, oracle = seed_oracle(integer_scaled(pts)[0])
+        assert seed == oracle
+        assert canon(incremental_facets(pts, dim)) == \
+            canon(brute_force_facets(pts, dim))
+
+    def test_restricted_tetrahedron(self):
+        p = hull_from_points(TETRAHEDRON_31)
+        assert p.ambient_dim == 4 and p.dim == 3
+        assert p.n_vertices == 4 and p.is_simplicial()
+        assert max(v.denominator for q in p.vertices for v in q) > 10 ** 30
+        seed, oracle = seed_oracle(integer_scaled(p.vertices)[0])
+        assert seed == oracle
+        assert canon(incremental_facets(p.vertices, 3)) == \
+            canon(brute_force_facets(p.vertices, 3))
+
+    def test_segment_normals(self):
+        # Leaving out 0 keeps the end x = 2, leaving out 2 the end x = 0.
+        seed, _ = seed_oracle([(0,), (2,), (1,)])
+        assert seed == [(0b010, (1,), 2), (0b001, (-1,), 0)]
+
+    def test_degenerate_seed_raises(self):
+        # Three collinear points in the plane: [E | I] has a pivot in I.
+        with pytest.raises(PolyfaceError, match="degenerate facet candidate"):
+            _seed_facets([(0, 0), (1, 1), (2, 2)], [0, 1, 2], (3, 3), 3)
 
 
 class TestHullFromPoints:

@@ -12,13 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyface import cli, projection
-from polyface._hull import cross_normal
 from polyface.errors import DimensionTooLowError, ZeroDotProductError
 from polyface.exact import (
     echelon,
     integer_scaled,
     is_zero,
-    null_space,
     primitive,
     rank,
     vector,
@@ -49,8 +47,9 @@ from polyface.projection import (
 
 from corpus import extended_corpus
 from test_angles import facet_as_polytope
-from test_exact import side, span_basis
+from test_exact import null_space, side, span_basis
 from test_golden import FLAT_HEXAGON, huge_polytope
+from test_hull import cross_normal
 from test_polytope import contains
 
 

@@ -190,7 +190,9 @@ def _write_json(obj, write) -> None:
     layout (the keys in sorted order, with their '"key": ' heads) is made
     once per depth, keyed on the keys in insertion order.  So a list object
     that many records share (as `project`'s diagram vertices share their
-    face and point tuples) is rendered once.  A key that is not a str but
+    face and point tuples) is rendered once, and a dict value whose text
+    the memo holds for the value's depth is written with its key's head
+    and no nested call.  A key that is not a str but
     equals one, hash and all, takes that str's layout, as it would take
     its dict slot."""
     pieces: list[str] = []
@@ -222,11 +224,14 @@ def _write_json(obj, write) -> None:
             if layout is None:
                 layout = layouts[depth][keys] = _layout(keys, inner)
             items = tuple(o.values())
+            below = lists[depth + 1]
             for i, head in layout:
                 item = items[i]
                 text = _SCALARS.get(type(item))
                 if text is not None:
                     pieces.append(head + text(item))
+                elif (known := below.get(id(item))) is not None:
+                    pieces.append(head + known)
                 else:
                     pieces.append(head)
                     value(item, depth + 1)

@@ -243,30 +243,6 @@ class DiagramVertex(NamedTuple):
     l_minus: int
     interior: bool
 
-    def to_json(self, texts: dict | None = None) -> dict:
-        """The JSON record.  Each witness face is its `Face.vertices`, one
-        tuple per face.  texts maps the id of a shadow point to its JSON
-        tuple and gains the tuples made here, so records given one texts
-        share one tuple per point."""
-        texts = {} if texts is None else texts
-        return {
-            "point": _point_json(texts, self.point),
-            "x_plus": self.x_plus.vertices,
-            "x_minus": self.x_minus.vertices,
-            "l_plus": self.l_plus,
-            "l_minus": self.l_minus,
-            "interior": self.interior,
-        }
-
-
-def _point_json(texts: dict, point: Vector) -> tuple[str, ...]:
-    """The point's JSON tuple, made once per point object: the caller holds
-    the point while texts lives, so its id names it."""
-    text = texts.get(id(point))
-    if text is None:
-        text = texts[id(point)] = tuple(map(str, point))
-    return text
-
 
 def _int_geometry(q: Polytope):
     """Integer-scaled copy of the polytope's geometry, cached.
@@ -604,7 +580,9 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
       is singular and the pair never crosses.
     * Exactly one shared vertex w: w solves the system with t = 0, so the
       pair crosses iff the system is nonsingular, and the crossing is w's
-      shadow, a boundary crossing.
+      shadow, a boundary crossing.  w is where the product of the two
+      faces' incidence rows is 1, read for a chunk of pairs at once; the
+      crossings at w share one point tuple.
     * No shared vertex: the faces are disjoint, so a crossing needs t < 0,
       and under a general-position direction distinct lifts put it inside
       the shadow.  A crossing lies in both projected faces, so pairs whose
@@ -692,17 +670,21 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
                               tl.floats.eqs[:, pl[at]], v_float, rounding)
             nonzero = sign != 0  # NaN, an open D, included
             live = at[nonzero]
-            for pos, a, b, unsure in zip(
-                    live.tolist(), pu[live].tolist(), pl[live].tolist(),
-                    np.isnan(sign[nonzero]).tolist()):
+            a_rows, b_rows = pu[live], pl[live]
+            # The incidence rows' product is 1 at the shared vertex alone.
+            shared_w = (tu.incidence[a_rows]
+                        * tl.incidence[b_rows]).argmax(axis=1)
+            for pos, a, b, w, unsure in zip(
+                    live.tolist(), a_rows.tolist(), b_rows.tolist(),
+                    shared_w.tolist(), np.isnan(sign[nonzero]).tolist()):
                 if unsure and _solve(tu.affs[a], tl.affs[b], v_int) is None:
                     continue  # singular: the projected hulls overlap
-                x_plus, x_minus = tu.faces[a], tl.faces[b]
-                (w,) = x_plus.vertex_set & x_minus.vertex_set
-                if w not in shadow_points:
-                    shadow_points[w] = tuple(Fraction(c, pden) for c in pv[w])
-                found.append((pos, DiagramVertex(shadow_points[w], x_plus,
-                                                 x_minus, l_plus, l_minus,
+                point = shadow_points.get(w)
+                if point is None:
+                    point = shadow_points[w] = tuple(Fraction(c, pden)
+                                                     for c in pv[w])
+                found.append((pos, DiagramVertex(point, tu.faces[a],
+                                                 tl.faces[b], l_plus, l_minus,
                                                  False)))
         width = max(max(comb(m + 1, r + 1) * (r + 1) for r in range(m)),
                     (m + 1) * len(planes))
@@ -802,17 +784,24 @@ class ShadowDiagram:
         return tuple(dv for dv in self.vertices if dv.interior)
 
     def to_json(self) -> dict:
-        # One tuple per shadow point, shared by every record that names it
-        # (the boundary crossings at one vertex share its point), as each
-        # face's records share its `Face.vertices`: the JSON writer renders
-        # each shared object once.
-        texts: dict[int, tuple] = {}
+        # One text tuple per shadow point object, shared by every record
+        # that names it (the boundary crossings at one vertex share its
+        # point), as each face's records share its `Face.vertices`: the
+        # JSON writer renders each shared object once.  The records hold
+        # the points, so their ids name them while texts lives.
+        points = {id(dv.point): dv.point for dv in self.vertices}
+        texts = {key: tuple(map(str, point)) for key, point in points.items()}
         return {
             "direction": self.direction.to_json(),
             "partition": self.complexes.to_json(),
             "shadow_f_vector": list(self.shadow.poly.f_vector().counts),
             "boundary_homeomorphic": self.boundary_ok,
-            "diagram_vertices": [dv.to_json(texts) for dv in self.vertices],
+            "diagram_vertices": [
+                {"point": texts[id(point)], "x_plus": x_plus.vertices,
+                 "x_minus": x_minus.vertices, "l_plus": l_plus,
+                 "l_minus": l_minus, "interior": interior}
+                for point, x_plus, x_minus, l_plus, l_minus, interior
+                in self.vertices],
             "interior_count": len(self.interior_vertices),
             "gaps": [g.to_json() for g in self.gap_reports],
         }

@@ -597,6 +597,16 @@ class TestJsonWriter:
         obj = {"b": [True, 1, False, 0, None], "i": -(10 ** 80)}
         assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
+    @pytest.mark.parametrize("shared", [[1, 2], ("x", "y")],
+                             ids=["list", "tuple"])
+    def test_shared_list_as_dict_value_at_two_depths(self, shared):
+        # One scalar list is a dict value at depth 1 and at depth 2: each
+        # must be written with its own depth's indentation, whichever
+        # comes first.
+        for obj in ({"a": shared, "b": {"c": shared}},
+                    {"a": {"c": shared}, "b": shared}):
+            assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
     _HALF = [Fraction(1, 2)]
 
     @pytest.mark.parametrize("obj, message", [

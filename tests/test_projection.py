@@ -959,6 +959,27 @@ class TestShadowDiagramBundle:
                 assert points.setdefault(w, rec["point"]) is rec["point"]
         assert len(points) < crossings
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("p", [cube(4), cross_polytope(4),
+                                   pyramid(cube(4))],
+                             ids=["cube-4", "cross-4", "pyramid-cube-4"])
+    def test_boundary_records_at_a_vertex_share_one_point(self, p, seed):
+        # The writer renders a point once only while every boundary
+        # crossing at one vertex names one point object and its record one
+        # text tuple.  Were that sharing lost, no byte would change.
+        direction = sample_direction(p, seed=seed)
+        diagram = build_shadow_diagram(p, direction)
+        sh = shadow(p, direction)
+        records = diagram.to_json()["diagram_vertices"]
+        points, texts = {}, {}
+        for dv, rec in zip(diagram.vertices, records):
+            if dv.interior:
+                continue
+            (w,) = dv.x_plus.vertex_set & dv.x_minus.vertex_set
+            assert dv.point == sh.poly.vertices[sh.vertex_map[w]]
+            assert points.setdefault(w, dv.point) is dv.point
+            assert texts.setdefault(w, rec["point"]) is rec["point"]
+        assert len(points) < sum(not dv.interior for dv in diagram.vertices)
 
     def test_directions_share_face_tuples(self, monkeypatch):
         # A face's JSON tuple is its Face.vertices: one object in every

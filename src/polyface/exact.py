@@ -17,10 +17,12 @@ float product, and only the cells the bound leaves open, among them
 every point on a plane, get an exact dot product.  Before its exact
 solves, ``projection`` certifies signs of determinants and slacks
 (``_det_signs``, ``_rejected``), which decide whether a diagram face pair
-can cross; a pair whose sign the bound leaves open is solved here,
-exactly, and a lift is tested with ``_contains_int`` only against the
-facets whose slack the bound leaves open.  So no float ever reaches an
-output.
+can cross.  A pair whose determinant's sign the bound leaves open is
+settled by ``echelon``: first the rank of its faces' span bases, which
+drops the pair unsolved when their direction spaces meet (the system is
+then singular for every direction), and otherwise an exact solve of its
+system.  A lift is tested with ``_contains_int`` only against the facets
+whose slack the bound leaves open.  So no float ever reaches an output.
 
 All linear algebra runs through one kernel, ``echelon``: fraction-free
 Gauss-Jordan elimination on Python ints.  Rational input is first scaled

@@ -20,12 +20,13 @@ direction share them.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, islice
 from math import comb, isqrt
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -42,9 +43,9 @@ from .errors import (
 from .exact import (
     Vector,
     _independent,
-    dot,
     echelon,
     integer_scaled,
+    is_zero,
     primitive,
     vector,
 )
@@ -173,13 +174,20 @@ class ShadowComplexes:
 
 def upper_lower(q: Polytope, v) -> ShadowComplexes:
     """Exact sign partition of the facets; a zero pairing means the
-    direction is not in general position and is rejected (on every call)."""
+    direction is not in general position and is rejected (on every call).
+    Each sign is an integer dot product with the primitive multiple of v,
+    which has the same signs; a zero v pairs to 0 with every facet."""
     vec = _direction_vector(v)
 
     def build() -> ShadowComplexes:
+        if q.facets and len(q.facets[0].plane.normal) != len(vec):
+            raise MixedDimensionsError(
+                f"dot of dim {len(q.facets[0].plane.normal)} with dim "
+                f"{len(vec)}")
+        ints = vec if is_zero(vec) else primitive(vec)
         upper, lower = [], []
         for i, f in enumerate(q.facets):
-            s = dot(f.plane.normal, vec)
+            s = sum(map(mul, f.plane.normal, ints))
             if s > 0:
                 upper.append(i)
             elif s < 0:
@@ -263,10 +271,11 @@ def _int_geometry(q: Polytope):
     return q.memo("int-geometry", build)
 
 
-def _aff_data_int(face: Face, inside, verts, planes, dim: int):
+def _aff_data_int(face: Face, inside: list[int], verts, planes, dim: int):
     """(base, span basis, hull equations) of a face's affine hull in the
-    integer-scaled space; inside is the face's row of the lattice's
-    `containing`.  The span basis is the differences from the first
+    integer-scaled space; inside lists the facets that contain the face,
+    ascending (the True columns of its row of the lattice's
+    `containing`).  The span basis is the differences from the first
     vertex that are independent of those before them (all of them for a
     simplex).  The facets that contain a k-face hold with equality on its
     affine hull, and their normals span the dim - k directions normal to
@@ -277,7 +286,7 @@ def _aff_data_int(face: Face, inside, verts, planes, dim: int):
     diffs = [tuple(a - b for a, b in zip(verts[i], base)) for i in idx[1:]]
     if len(diffs) > face.dim:
         diffs = [diffs[i] for i in _independent(diffs)]
-    eqs = [planes[j][0] for j in np.flatnonzero(inside).tolist()]
+    eqs = [planes[j][0] for j in inside]
     if len(eqs) > dim - face.dim:
         eqs = [eqs[i] for i in _independent(eqs)]
     return base, tuple(diffs), tuple(eqs)
@@ -326,9 +335,6 @@ class _FaceFloats(NamedTuple):
     offsets: np.ndarray
     slacks: np.ndarray
 
-    def take(self, rows) -> _FaceFloats:
-        return _FaceFloats(*(a[:, rows] for a in self))
-
 
 def _face_floats(affs, k: int, dim: int, beta: int,
                  facet_rows: np.ndarray) -> _FaceFloats:
@@ -368,12 +374,19 @@ def _face_table(q: Polytope, k: int) -> _FaceTable:
     def build():
         _, verts, planes = _int_geometry(q)
         faces = q.face_lattice().faces_of_dim(k)
+        # The incidence in one scatter of every face's vertices.
+        sizes = [len(f.vertex_set) for f in faces]
         incidence = np.zeros((len(faces), q.n_vertices))
-        for i, f in enumerate(faces):
-            incidence[i, f.vertices] = 1.0
+        incidence[np.repeat(np.arange(len(faces)), sizes),
+                  np.fromiter(chain.from_iterable(f.vertices for f in faces),
+                              np.intp, sum(sizes))] = 1.0
+        # Each face's containing facets, ascending, from one nonzero scan
+        # of the level's rows.
         inside = q.face_lattice().containing(k)
-        affs = tuple(_aff_data_int(f, row, verts, planes, q.dim)
-                     for f, row in zip(faces, inside))
+        columns = iter(np.nonzero(inside)[1].tolist())
+        affs = tuple(_aff_data_int(f, list(islice(columns, count)), verts,
+                                   planes, q.dim)
+                     for f, count in zip(faces, inside.sum(axis=1).tolist()))
         return _FaceTable(faces, incidence, ~inside, affs,
                           _face_floats(affs, k, q.dim, *_float_geometry(q)))
 
@@ -446,10 +459,13 @@ def _det_signs(span: np.ndarray, eqs: np.ndarray, v: np.ndarray,
                             rounding)
 
 
-def _filter_values(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
+def _filter_values(span: np.ndarray, base: np.ndarray, slacks: np.ndarray,
+                   eqs: np.ndarray, offsets: np.ndarray, v: np.ndarray,
                    step_slacks: np.ndarray):
-    """(Cramer values, upper slacks, lower slacks) of the pairs (up[i],
-    low[i]) of one level, each with its magnitudes on the leading axis.
+    """(Cramer values, upper slacks, lower slacks) of the pairs of one
+    level, each with its magnitudes on the leading axis: pair i is the
+    upper face of span[:, i], base[:, i] and slacks[:, i] (`_FaceFloats`)
+    with the lower face of eqs[:, i] and offsets[:, i].
 
     The system A (`_system`) has the upper face's span and v for columns
     and the lower face's hull equations for rows; b is those equations'
@@ -461,9 +477,9 @@ def _filter_values(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
     (span_i, 0)), and the lower one adds c_t (f_j . (v, 0)).  Each is the
     lift's exact slack times D, times a positive power of two."""
     aug = np.concatenate([
-        _system(up.span, low.eqs, v),
-        (low.offsets + _MINUS[:, None, None]
-         * (low.eqs @ up.base[..., None])[..., 0])[..., None]], axis=3)
+        _system(span, eqs, v),
+        (offsets + _MINUS[:, None, None]
+         * (eqs @ base[..., None])[..., 0])[..., None]], axis=3)
     m = aug.shape[2]
     # The minor without column k sits at m - k; c_k is it times
     # (-1)^(m-1-k), which moves the right-hand side back into column k.
@@ -471,21 +487,24 @@ def _filter_values(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
                       [1.0] * (m + 1)])
     cramer = _minors(aug)[:, :, [0] + list(range(m, 0, -1))] \
         * signs[:, None, :]
-    upper = np.einsum("xbr,xbrj->xbj", cramer[:, :, :m], up.slacks)
+    upper = np.einsum("xbr,xbrj->xbj", cramer[:, :, :m], slacks)
     return cramer, upper, upper + cramer[:, :, m, None] * step_slacks[:, None]
 
 
-def _rejected(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
+def _rejected(span: np.ndarray, base: np.ndarray, slacks: np.ndarray,
+              eqs: np.ndarray, offsets: np.ndarray, v: np.ndarray,
               step_slacks: np.ndarray, rounding: float):
-    """(rejected, open upper, open lower) of the disjoint pairs (up[i],
-    low[i]).  rejected: the float filter proves that the pair gives no
-    crossing: D = 0 certified (a singular system), or D != 0 certified and
-    either sign(c_t) sign(D) >= 0 (no step down from the upper lift) or
-    sign(D) times some lift's slack > 0 (a lift outside the polytope).
-    open upper and open lower (B, n_facets): the facets against which
-    the filter does not certify the upper or lower lift inside or on the
-    plane, every facet when D is uncertified."""
-    cramer, upper, lower = _filter_values(up, low, v, step_slacks)
+    """(rejected, open D, open upper, open lower) of the disjoint pairs of
+    `_filter_values`.  rejected: the float filter proves that the pair
+    gives no crossing: D = 0 certified (a singular system), or D != 0
+    certified and either sign(c_t) sign(D) >= 0 (no step down from the
+    upper lift) or sign(D) times some lift's slack > 0 (a lift outside the
+    polytope).  open D: the sign of D is uncertified.  open upper and open
+    lower (B, n_facets): the facets against which the filter does not
+    certify the upper or lower lift inside or on the plane, every facet
+    when D is uncertified."""
+    cramer, upper, lower = _filter_values(span, base, slacks, eqs, offsets,
+                                          v, step_slacks)
     det = _certified_signs(cramer[:, :, 0], rounding)
     step = _certified_signs(cramer[:, :, -1], rounding)
     # A NaN sign, of the slack or of D, leaves the product open.
@@ -494,7 +513,7 @@ def _rejected(up: _FaceFloats, low: _FaceFloats, v: np.ndarray,
     outside = (upper > 0) | (lower > 0)
     return ((det == 0) | ((abs(det) == 1) & (
         (step * det > 0) | (step == 0) | outside.any(axis=1))),
-        ~(upper <= 0), ~(lower <= 0))
+        np.isnan(det), ~(upper <= 0), ~(lower <= 0))
 
 
 def _open_planes(mask: np.ndarray, planes) -> list[list]:
@@ -510,6 +529,15 @@ def _in_chunks(rows: np.ndarray, width: int):
     float cells a row hold at most _FILTER_CELLS."""
     chunk = max(1, _FILTER_CELLS // (2 * width))
     return (rows[at:at + chunk] for at in range(0, len(rows), chunk))
+
+
+def _transversal(aff_p, aff_m, dim: int) -> bool:
+    """Whether the direction spaces of a pair's faces meet only in 0: their
+    span bases, l_plus + l_minus = dim - 1 rows, are independent.  When
+    they meet, a common vector w = sum x_i span_i lies in aff(x_minus)'s
+    directions, so (x, t = 0) solves the homogeneous system: it is
+    singular for every direction."""
+    return len(echelon(aff_p[1] + aff_m[1])[1]) == dim - 1
 
 
 def _solve(aff_p, aff_m, v_int):
@@ -595,18 +623,29 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     completely in its own loop over chunks of its pairs.  For a one-vertex
     pair the filter computes D = det A alone (`_det_signs`): the pair
     crosses when the filter certifies D != 0, is skipped when it certifies
-    D = 0, and is solved exactly (`_solve`) when D is uncertified.  A
-    disjoint pair is rejected (`_rejected`) when the filter proves it
-    singular, with t >= 0, or with a lift outside the polytope; every
-    other one is solved exactly, and each lift is then tested exactly
-    (`_contains_int`) only against the facets that the filter left open:
-    a facet containing the lift's witness face holds with equality on the
-    face's affine hull, and a slack the filter certified at most 0 needs
-    no test.  When D is uncertified, every slack is open.  A chunk's kept
-    disjoint pairs are solved before the next chunk is filtered, so the
-    open facets are held for one chunk only.  Each loop records its
-    crossings with their pair indices, and the level's vertices are the
-    two lists merged by pair index: (upper, lower) index order.
+    D = 0, and is settled exactly when D is uncertified.  A disjoint pair
+    is rejected (`_rejected`) when the filter proves it singular, with
+    t >= 0, or with a lift outside the polytope; the filter reads only the
+    arrays it needs, gathered per chunk: the upper faces' span, base
+    point and slacks, and the lower faces' equations and their offsets.
+    Every pair the filter keeps is solved exactly, and each lift is then
+    tested exactly (`_contains_int`) only against the facets that the
+    filter left open: a facet containing the lift's witness face holds
+    with equality on the face's affine hull, and a slack the filter
+    certified at most 0 needs no test.  When D is uncertified, every slack
+    is open.  A chunk's kept disjoint pairs are solved before the next
+    chunk is filtered, so the open facets are held for one chunk only.
+
+    Before any pair of either kind whose D is uncertified is solved, it
+    is tested for transversality (`_transversal`): when the two faces'
+    span bases have rank below l_plus + l_minus = dim - 1, their direction
+    spaces meet, the system is singular for every direction, and the pair
+    is dropped with no solve and no containment test.  The test does not
+    read v, so verified and given directions share it.  The level's
+    vertices are in (upper, lower) pair index order: the one-vertex loop
+    keeps its crossings' pair indices, ascending, and each disjoint
+    crossing, also found in ascending order, is merged in after those of
+    lower index, found by bisection.
 
     The faces' exact data come from the face lattice (`_face_table`):
     their hull equations are normals of the facets containing them, read
@@ -633,6 +672,9 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     # The shadow of vertex w, built once: it is every boundary crossing at
     # w, and they share it.
     shadow_points: dict[int, Vector] = {}
+    # Records built as plain tuples of the NamedTuple's class, without its
+    # Python-level __new__.
+    record = tuple.__new__
 
     def boxes(table, rows):
         inside = table.incidence[rows, :, None] > 0
@@ -659,11 +701,12 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
         rounding = _rounding(m, dim)
         pu, pl = ru[iu], rl[il]  # each pair's table rows
         touching = shared[iu, il] == 1
-        # (pair index, vertex) of the level's crossings, each pair kind
-        # decided in its own loop.
-        found = []
+        # The level's one-vertex crossings and their pair indices, both
+        # ascending: each pair kind is decided in its own loop.
+        where, found = [], []
         # A one-vertex pair needs only the sign of D, and is skipped when
-        # D = 0 is certified; an open D is settled by the exact solve.
+        # D = 0 is certified; an open D is settled by the transversality
+        # check and then the exact solve.
         for at in _in_chunks(np.flatnonzero(touching),
                              max(comb(m, r + 1) * (r + 1) for r in range(m))):
             sign = _det_signs(tu.floats.span[:, pu[at]],
@@ -677,43 +720,53 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
             for pos, a, b, w, unsure in zip(
                     live.tolist(), a_rows.tolist(), b_rows.tolist(),
                     shared_w.tolist(), np.isnan(sign[nonzero]).tolist()):
-                if unsure and _solve(tu.affs[a], tl.affs[b], v_int) is None:
+                if unsure and (
+                        not _transversal(tu.affs[a], tl.affs[b], dim)
+                        or _solve(tu.affs[a], tl.affs[b], v_int) is None):
                     continue  # singular: the projected hulls overlap
                 point = shadow_points.get(w)
                 if point is None:
                     point = shadow_points[w] = tuple(Fraction(c, pden)
                                                      for c in pv[w])
-                found.append((pos, DiagramVertex(point, tu.faces[a],
-                                                 tl.faces[b], l_plus, l_minus,
-                                                 False)))
+                where.append(pos)
+                found.append(record(DiagramVertex, (
+                    point, tu.faces[a], tl.faces[b], l_plus, l_minus,
+                    False)))
         width = max(max(comb(m + 1, r + 1) * (r + 1) for r in range(m)),
                     (m + 1) * len(planes))
         # Each chunk's kept disjoint pairs are solved at once, their lifts
         # tested exactly only against the facets that neither contain the
-        # witness face nor have a slack the filter certified.
+        # witness face nor have a slack the filter certified.  Their
+        # crossings come in ascending pair index too: each goes to out
+        # after the one-vertex crossings of lower index (found[start:i]).
+        start = 0
         for at in _in_chunks(np.flatnonzero(~touching), width):
-            rejected, open_u, open_l = _rejected(
-                tu.floats.take(pu[at]), tl.floats.take(pl[at]), v_float,
-                step_slacks, rounding)
+            a_rows, b_rows = pu[at], pl[at]
+            rejected, unsure, open_u, open_l = _rejected(
+                tu.floats.span[:, a_rows], tu.floats.base[:, a_rows],
+                tu.floats.slacks[:, a_rows], tl.floats.eqs[:, b_rows],
+                tl.floats.offsets[:, b_rows], v_float, step_slacks, rounding)
             keep = ~rejected
+            for i in np.flatnonzero(keep & unsure).tolist():
+                keep[i] = _transversal(tu.affs[a_rows[i]],
+                                       tl.affs[b_rows[i]], dim)
             kept = at[keep]
+            a_rows, b_rows = a_rows[keep], b_rows[keep]
             for pos, a, b, open_p, open_m in zip(
-                    kept.tolist(), pu[kept].tolist(), pl[kept].tolist(),
-                    _open_planes(open_u[keep] & tu.outside[pu[kept]], planes),
-                    _open_planes(open_l[keep] & tl.outside[pl[kept]],
-                                 planes)):
+                    kept.tolist(), a_rows.tolist(), b_rows.tolist(),
+                    _open_planes(open_u[keep] & tu.outside[a_rows], planes),
+                    _open_planes(open_l[keep] & tl.outside[b_rows], planes)):
                 crossing = _disjoint_crossing(tu.affs[a], tl.affs[b], v_int,
                                               open_p, open_m)
                 if crossing is not None:
                     den, y_plus = crossing
-                    point = tuple(Fraction(c, den * pden)
-                                  for c in image(y_plus))
-                    found.append((pos, DiagramVertex(point, tu.faces[a],
-                                                     tl.faces[b], l_plus,
-                                                     l_minus, True)))
-        # found is two ascending runs, one per kind: the sort merges them.
-        found.sort(key=itemgetter(0))
-        out += (vertex for _, vertex in found)
+                    i = bisect(where, pos, start)
+                    out += found[start:i]
+                    out.append(record(DiagramVertex, (
+                        tuple(Fraction(c, den * pden) for c in image(y_plus)),
+                        tu.faces[a], tl.faces[b], l_plus, l_minus, True)))
+                    start = i
+        out += found[start:]
     return tuple(out)
 
 

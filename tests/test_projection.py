@@ -1,4 +1,5 @@
 """Projections: general-position directions, shadows, diagrams, gap checks."""
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from polyface import cli, projection
 from polyface.errors import DimensionTooLowError, ZeroDotProductError
 from polyface.exact import (
+    dot,
     echelon,
     integer_scaled,
     is_zero,
@@ -32,7 +34,7 @@ from polyface.generators import (
     simplex,
 )
 from polyface.lattice import quotient
-from polyface.polytope import hull_from_points, polytope_from_json
+from polyface.polytope import Polytope, hull_from_points, polytope_from_json
 from polyface.projection import (
     DiagramVertex,
     Direction,
@@ -46,11 +48,17 @@ from polyface.projection import (
 )
 
 from corpus import extended_corpus
+from record_outputs import WORKLOADS
 from test_angles import facet_as_polytope
 from test_exact import null_space, side, span_basis
 from test_golden import FLAT_HEXAGON, huge_polytope
 from test_hull import cross_normal
 from test_polytope import contains
+
+
+# Examples of the diagram's all-pairs property: a few in tier-1, many in
+# CI's "Diagram fuzz" step.
+DIAGRAM_EXAMPLES = int(os.environ.get("DIAGRAM_EXAMPLES", "30"))
 
 
 def gp_oracle(p, v):
@@ -513,6 +521,27 @@ class TestUpperLower:
         with pytest.raises(ZeroDotProductError):
             upper_lower(cube(2), Direction(vector((1, 0)), False))
 
+    def test_integer_sides_match_fraction_directions(self):
+        # The sides are integer dot products with the primitive multiple of
+        # the direction: a rational direction and that multiple give equal
+        # complexes, whose parts are the facets of positive and negative
+        # rational dot product.  A zero direction pairs to 0 with every
+        # facet and is refused as not in general position.
+        entries = [e for e in extended_corpus() if e.polytope.dim == 3]
+        assert len(entries) >= 3
+        for entry, seed in product(entries[:4], range(2)):
+            p = entry.polytope
+            rational = vscale(Fraction(3, 7), vector(
+                sample_direction(p, seed=seed).v))
+            parts = upper_lower(p, rational)
+            assert parts == upper_lower(p, primitive(rational)), entry.name
+            assert parts.upper == tuple(i for i, f in enumerate(p.facets)
+                                        if dot(f.plane.normal, rational) > 0)
+            assert parts.lower == tuple(i for i, f in enumerate(p.facets)
+                                        if dot(f.plane.normal, rational) < 0)
+            with pytest.raises(ZeroDotProductError):
+                upper_lower(p, (0, 0, 0))
+
     def test_faces_match_subset_brute_force_on_corpus(self):
         # The diagram oracles call upper_lower, so its faces are checked
         # here by definition: a proper face is upper (lower) when its
@@ -608,7 +637,7 @@ class TestDiagramVertices:
         assert found == all_pairs_diagram_vertices(q, d)
 
     @given(integer_hulls(), st.integers(0, 2**64 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=DIAGRAM_EXAMPLES, deadline=None)
     def test_matches_all_pairs_reference(self, p, seed):
         assume(p.dim >= 2)
         d = sample_direction(p, seed=seed)
@@ -686,6 +715,42 @@ class TestDiagramVertices:
                 assert len(solves) - len(disjoint) <= most(singular), (
                     q, seed)
 
+    def test_non_transversal_pairs_never_reach_the_solver(self,
+                                                          monkeypatch):
+        # A pair whose faces' direction spaces meet is singular for every
+        # direction, so it is dropped unsolved: every pair that reaches the
+        # exact solve has span bases of full rank l_plus + l_minus = dim - 1,
+        # judged here on the reference's span bases.  A transversal pair
+        # is nonsingular under a verified direction, so each disjoint pair
+        # that reaches `_disjoint_crossing` gives an interior crossing.
+        cross = cross_polytope(4)
+        (op,) = [op for op in WORKLOADS.build("shadows", 1)
+                 if op.label == "project:cross-4:dir8"]
+        runs = [(q, sample_direction(q, seed=seed))
+                for q in (cube(4), cross) for seed in range(3)]
+        runs += [(cross, d)
+                 for d in cli._directions(cross, op.seed, op.directions)]
+        solve, crossing = projection._solve, projection._disjoint_crossing
+        for q, d in runs:
+            _, verts, planes = projection._int_geometry(q)
+            span = {}
+            for k in range(q.dim):
+                table = projection._face_table(q, k)
+                for face, aff in zip(table.faces, table.affs):
+                    span[id(aff)] = reference_aff_data(q, face, verts,
+                                                       planes)[1]
+            solved, crossed = [], []
+            monkeypatch.setattr(projection, "_solve", lambda p, m, v: (
+                solved.append((p, m)) or solve(p, m, v)))
+            monkeypatch.setattr(projection, "_disjoint_crossing",
+                                lambda *a: crossed.append(1) or crossing(*a))
+            interior = sum(dv.interior for dv in diagram_vertices(q, d))
+            monkeypatch.setattr(projection, "_solve", solve)
+            monkeypatch.setattr(projection, "_disjoint_crossing", crossing)
+            assert all(rank(span[id(p)] + span[id(m)]) == q.dim - 1
+                       for p, m in solved), (q, d)
+            assert len(crossed) == interior, (q, d)
+
     def test_matches_all_pairs_reference_with_huge_coordinates(self):
         # 200-digit coordinates give a direction of 1,212 digits, far past
         # the range of a float: the filter's inputs must be scaled.
@@ -748,13 +813,34 @@ class Converted(Exception):
 
 
 def check_face_data(q):
-    """A face's span basis spans its vertex differences, and its hull
-    equations, read off the planes of the facets that contain it, vanish
+    """A face's incidence row is its vertex set; its hull equations are
+    read off the planes of exactly the facets of its `containing` row; its
+    span basis spans its vertex differences, and its hull equations vanish
     on them, have rank dim - k and span what the reference's do; the
-    facets that do not contain it are the subset scan's."""
+    facets that do not contain it are the subset scan's.  The tables are
+    built on a fresh copy of q, so that every `_aff_data_int` call is
+    seen."""
+    q = Polytope(q.ambient_dim, q.dim, q.vertices, q.facets, q.embedding,
+                 q.metric)
     _, verts, planes = projection._int_geometry(q)
+    aff_data, received = projection._aff_data_int, []
+
+    def spy(face, inside, *rest):
+        received.append((face, list(inside)))
+        return aff_data(face, inside, *rest)
+
     for k in range(q.dim):
-        table = projection._face_table(q, k)
+        received.clear()
+        with mock.patch.object(projection, "_aff_data_int", spy):
+            table = projection._face_table(q, k)
+        assert [face for face, _ in received] == list(table.faces)
+        assert [inside for _, inside in received] == [
+            np.flatnonzero(row).tolist()
+            for row in q.face_lattice().containing(k)]
+        for face, row in zip(table.faces, table.incidence):
+            expected = np.zeros(q.n_vertices)
+            expected[list(face.vertex_set)] = 1.0
+            assert np.array_equal(row, expected), face
         for face, (base, span, eqs), outside in zip(
                 table.faces, table.affs, table.outside):
             diffs = [tuple(a - b for a, b in zip(verts[i], base))
@@ -832,7 +918,8 @@ class TestFloatFilter:
             [(tuple(base_l), [(0,) * dim] * (dim - m),
               [tuple(r) for r in eqs])], dim - m, dim, beta, rows)
         v, steps = projection._direction_floats(rows, cols[-1])
-        values = projection._filter_values(up, low, v, steps)
+        values = projection._filter_values(up.span, up.base, up.slacks,
+                                           low.eqs, low.offsets, v, steps)
         rounding = projection._rounding(m, dim)
         certified = [projection._certified_signs(x, rounding)[0].tolist()
                      for x in values]

@@ -15,9 +15,13 @@ pairs of them that meet in an edge of the cone: when they span at most 3
 dimensions, the cone's share of the sphere is (2 pi - S) / 4 pi by Girard's
 theorem, S summing the angles between those pairs (see _cone_fraction).
 
-Restricted polytopes carry a diagonal metric; the sampler folds the metric
-into the facet normals so that the sampled directions are isotropic with
-respect to the geometry of the original space.
+Restricted polytopes carry an integer form W (see polytope): a^T W b is
+the Euclidean product of covectors a and b up to one positive factor.
+_euclidean_normal_matrix folds it into the float normals, through the
+Cholesky factor L sqrt(D) of W = L D L^T (_factor): each normal a becomes
+L^T a, exactly, then floats times sqrt(D).  So the sampled directions are
+isotropic with respect to the geometry of the original space.
+_facet_cones takes its exact products through W itself.
 
 Two cases are exact by construction and never sampled: the cone with no
 constraints (the angle at the polytope itself, which is 1) and any cone in
@@ -53,12 +57,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
+from operator import mul
 
 import numpy as np
 
 from ._predicates import _bounded
 from ._rng import chunk_generator, chunk_sizes, derive_seed
 from .bounds import ratio_bound
+from .exact import integer_scaled
 from .errors import (
     GramViolationError,
     OutOfRangeError,
@@ -126,22 +132,59 @@ def tangent_cone(p: Polytope, face) -> tuple[tuple[int, ...], ...]:
                  for f in compress(p.facets, _facets_through(p, face)))
 
 
+def _factor(p: Polytope):
+    """p's form W = L D L^T (L unit lower triangular, D diagonal) as
+    (columns of an integer multiple T of L, float column scales), kept in
+    p's memo, or None when W is the identity.  The scales are
+    sqrt(D / 2^e), 2^e bringing D's largest entry into [1, 2).  A row a
+    then has the Euclidean direction of (T^T a) * scales: its product with
+    b's is a^T W b up to one positive factor.
+
+    T^T a is exact, so each entry is rounded once, however skewed p's
+    frame is; a float Cholesky factor of W would lose all digits once W's
+    condition number passes 1 / 2^-53.  A D whose entries span more than
+    the float range raises TooLargeError."""
+    def build():
+        k = p.dim
+        if all(c == (i == j) for i, row in enumerate(p.form)
+               for j, c in enumerate(row)):
+            return None
+        low = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        diag = []
+        for j in range(k):
+            diag.append(p.form[j][j] - sum((low[j][m] ** 2 * diag[m]
+                                            for m in range(j)), Fraction(0)))
+            for i in range(j + 1, k):
+                low[i][j] = (p.form[i][j] - sum(low[i][m] * low[j][m] * diag[m]
+                                                for m in range(j))) / diag[j]
+        columns, _ = integer_scaled(list(zip(*low)))
+        e = max(d.numerator.bit_length() - d.denominator.bit_length()
+                for d in diag)
+        scales = np.sqrt([float(d / Fraction(2) ** e) for d in diag])
+        if not (scales >= np.sqrt(np.finfo(float).tiny)).all():
+            raise TooLargeError("the diagonal of the form of the polytope's "
+                                "flat spans more than the float range")
+        return columns, scales
+    return p.memo("factor", build)
+
+
 def _euclidean_normal_matrix(p: Polytope, normals) -> np.ndarray:
     """Integer covectors (rows of ints, such as the hull's facet normals) as
-    float rows, rescaled by the metric so that plain-dot tests against
-    standard Gaussian draws are isotropic in the original geometry.  Each
-    row comes out over a power of two of its own (`_bounded`), so that no
-    entry overflows.  Within the float range that is the correctly rounded
-    row scaled exactly, which moves no sample's sign and no closed form:
-    they read only a row's direction."""
-    try:
-        scale = np.array([1.0 / math.sqrt(float(g)) for g in p.metric])
-    except OverflowError:
-        # An entry past the float range.  Entries can differ by more than
-        # that range, so no common power of two would rescue them.
-        raise TooLargeError("a metric column scale does not fit a float"
-                            ) from None
-    return _bounded(normals, len(scale))[0] * scale
+    float rows whose plain dot products are those of the covectors under
+    p's form W, up to one positive factor, so that plain-dot tests against
+    standard Gaussian draws are isotropic in the original geometry: each
+    row a becomes T^T a in integers, then floats times the column scales
+    (see _factor); for a full-dimensional p it stays as it is.  Each row is
+    taken over a power of two of its own (`_bounded`), so that no entry
+    overflows.  Within the float range that is the correctly rounded row
+    scaled exactly, which moves no sample's sign and no closed form: they
+    read only a row's direction."""
+    factor = _factor(p)
+    if factor is None:
+        return _bounded(normals, p.dim)[0]
+    columns, scales = factor
+    return _bounded([[sum(map(mul, col, n)) for col in columns]
+                     for n in normals], p.dim)[0] * scales
 
 
 def _check_samples(samples: int) -> None:
@@ -203,7 +246,7 @@ def _cone_angle(p: Polytope, normals: tuple[tuple[int, ...], ...],
 
 # -- closed forms -------------------------------------------------------------
 #
-# One formula, on float vectors of Euclidean normals (the metric folded in):
+# One formula, on float vectors of Euclidean normals (W's factor folded in):
 # solid_angle_exact applies it to p itself, in dimension <= 3;
 # curvature_checks applies it inside each facet of a 3- or 4-polytope.
 
@@ -382,14 +425,13 @@ def _facet_cones(p: Polytope, containing: np.ndarray):
 
         m_k = <n_j, n_j> n_k - <n_k, n_j> n_j,
 
-    with <a, b> = sum a_i b_i / g_i the product of covectors under p's
-    metric g; the other facets through G meet j in smaller faces and
-    would be redundant.  m_k is computed exactly, in integers: the hull's
-    normals are primitive integer vectors, and the metric enters as the
-    integer weights lcm(numerators of g) / g_i.  So a neighbour nearly
+    with <a, b> = a^T W b the product of covectors under p's integer form
+    W; the other facets through G meet j in smaller faces and would be
+    redundant.  m_k is computed exactly, in integers: the hull's normals
+    are primitive integer vectors, and so is W.  So a neighbour nearly
     parallel to j keeps its direction in H.  Every m_k of every facet is
-    then rounded, with the metric folded in, by one _euclidean_normal_matrix
-    call.
+    then rounded, with W's factor folded in, by one
+    _euclidean_normal_matrix call.
 
     Facet j's rows are rows[starts[j]:starts[j + 1]], one per
     ridge-neighbour, in facet order.  cones[j] pairs the indices of j's
@@ -399,13 +441,11 @@ def _facet_cones(p: Polytope, containing: np.ndarray):
     # The two facets of each ridge (curvature_checks checks there are two).
     ridges = p.face_lattice().containing(p.dim - 2)
     pairs = np.nonzero(ridges)[1].reshape(-1, 2)
-    scale = math.lcm(*(g.numerator for g in p.metric))
-    weights = [scale // g.numerator * g.denominator for g in p.metric]
     normals = [f.plane.normal for f in p.facets]
     rows, starts, cones = [], [0], []
     for j, n_j in enumerate(normals):
         near = np.sort(pairs[:, ::-1][pairs == j])  # j's ridge-neighbours
-        weighted = [c * w for c, w in zip(n_j, weights)]
+        weighted = [sum(map(mul, row, n_j)) for row in p.form]
         jj = sum(a * b for a, b in zip(n_j, weighted))
         for k in near.tolist():
             n_k = normals[k]

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import MixedDimensionsError, ZeroVectorError
 
@@ -66,39 +66,10 @@ def _check_same_dim(vectors: Sequence[Vector]) -> int:
     return dims.pop() if dims else 0
 
 
-def dot(u: Vector, v: Vector) -> Fraction:
-    if len(u) != len(v):
-        raise MixedDimensionsError(f"dot of dim {len(u)} with dim {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def wdot(u: Vector, v: Vector, weights: Sequence[Fraction]) -> Fraction:
-    """Inner product with a diagonal metric.
-
-    Affine restrictions (a facet treated as a polytope in its own right)
-    carry a diagonal metric recording the squared lengths of their basis
-    vectors in the original space; this is the pairing that makes angle
-    computations in restricted coordinates agree with the ambient ones.
-    """
-    if not (len(u) == len(v) == len(weights)):
-        raise MixedDimensionsError("weighted dot with inconsistent dimensions")
-    return sum((a * b * w for a, b, w in zip(u, v, weights)), Fraction(0))
-
-
-def vadd(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise MixedDimensionsError("adding vectors of different dimensions")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise MixedDimensionsError("subtracting vectors of different dimensions")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
 
 
 def is_zero(v: Vector) -> bool:
@@ -196,27 +167,6 @@ def affine_basis_indices(points: Sequence[Vector]) -> list[int]:
     base = points[0]
     diffs, _ = integer_scaled([vsub(p, base) for p in points[1:]])
     return [0] + [i + 1 for i in _independent(diffs)]
-
-
-def gram_schmidt(vectors: Iterable[Vector], weights: Sequence[Fraction]
-                 ) -> Iterator[tuple[Vector, Fraction]]:
-    """Unnormalized Gram-Schmidt under a diagonal metric.
-
-    Yields (b, |b|^2) for each vector that is independent of the vectors
-    before it: b is its part orthogonal to them, made primitive, so every
-    coordinate stays rational (unit vectors would force square roots).
-    Vectors dependent on earlier ones yield nothing.
-    """
-    basis: list[tuple[Vector, Fraction]] = []
-    for b in vectors:
-        for prev, nb in basis:
-            c = wdot(b, prev, weights) / nb
-            if c != 0:
-                b = vsub(b, vscale(c, prev))
-        if not is_zero(b):
-            b = primitive(b)
-            basis.append((b, wdot(b, b, weights)))
-            yield basis[-1]
 
 
 @dataclass(frozen=True)

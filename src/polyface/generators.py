@@ -128,13 +128,13 @@ def random_sphere(dim: int, n: int, seed: int = 0) -> Polytope:
     return hull_from_points(pts)
 
 
-def _over(family: str, vertices: Sequence[Vector],
-          metric: Sequence[Fraction]) -> Polytope:
-    """The pyramid or the prism over a base given by its vertices and
-    metric, with one hull: the pyramid's apex is one unit above the
-    vertices' centroid, and the prism's second copy of the base one unit
-    above the first.  The hull's seed simplex, as every hull's, takes all
-    its d+1 facet normals from one elimination of [E | I] (``_hull``)."""
+def _over(family: str, vertices: Sequence[Vector]) -> Polytope:
+    """The pyramid or the prism over a base given by its vertices, with one
+    hull, in the base's space plus one coordinate: the pyramid's apex is
+    one unit above the vertices' centroid, and the prism's second copy of
+    the base one unit above the first.  The hull's seed simplex, as every
+    hull's, takes all its d+1 facet normals from one elimination of
+    [E | I] (``_hull``)."""
     verts = [v + (Fraction(0),) for v in vertices]
     if family == "pyramid":
         n = len(vertices)
@@ -142,17 +142,21 @@ def _over(family: str, vertices: Sequence[Vector],
                      + (Fraction(1),))
     else:
         verts += [v + (Fraction(1),) for v in vertices]
-    return _build(verts, tuple(metric) + (Fraction(1),))
+    return _build(verts)
 
 
 def pyramid(base: Polytope) -> Polytope:
-    """Apex added one unit above the centroid of the base's vertices."""
-    return _over("pyramid", base.vertices, base.metric)
+    """Apex added one unit above the centroid of the base's vertices, in
+    the base's ambient space plus one coordinate: a restricted base gives
+    a restricted pyramid."""
+    return _over("pyramid", base.ambient_vertices())
 
 
 def prism(base: Polytope) -> Polytope:
-    """Two parallel copies of the base joined at unit height."""
-    return _over("prism", base.vertices, base.metric)
+    """Two parallel copies of the base joined at unit height, in the
+    base's ambient space plus one coordinate: a restricted base gives a
+    restricted prism."""
+    return _over("prism", base.ambient_vertices())
 
 
 def generate(spec: FamilySpec) -> Polytope:
@@ -176,6 +180,5 @@ def generate(spec: FamilySpec) -> Polytope:
             raise BadSpecError(f"{spec.family} family needs dim >= 2")
         points = (_cube_points if spec.family == "pyramid"
                   else _simplex_points)(spec.dim - 1)
-        return _over(spec.family, [vector(p) for p in points],
-                     (Fraction(1),) * (spec.dim - 1))
+        return _over(spec.family, [vector(p) for p in points])
     raise BadSpecError(f"unknown family {spec.family!r}")

@@ -1,18 +1,28 @@
 """Polytopes from vertex sets: exact hulls, facets, lattices, JSON.
 
 A Polytope always stores full-dimensional intrinsic coordinates.  Inputs
-whose affine hull is lower dimensional are restricted automatically: an
-orthogonal (unnormalized) rational basis of the hull is chosen and the
-polytope keeps the affine embedding back into the ambient space together
-with a diagonal metric (the squared basis lengths).  The metric is what
-lets angle computations on restricted polytopes agree with the ambient
-geometry while every coordinate stays rational.
+whose affine hull is lower dimensional are restricted automatically, in
+one integer frame: the intrinsic coordinates of a point are its
+coordinates at the k pivot columns S of the input's edge rows (``echelon``
+on the differences from the first point), which the projection onto them
+maps the affine hull onto R^k one to one.  So the hull reads the input's
+own numbers.  A full-dimensional input is the frame of all its
+coordinates.  The polytope keeps its ambient vertices, the input points
+it kept, and a primitive symmetric integer form W: for intrinsic
+covectors a and b, a^T W b is a fixed positive multiple of the Euclidean
+inner product of the gradients they define on the affine hull.  With D any k
+independent edge rows, W is the primitive multiple of D_S^T adj(D D^T) D_S;
+for a full-dimensional input it is the identity.  The form is what lets angle
+computations on restricted polytopes agree with the ambient geometry
+while every coordinate stays rational.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import gcd
 from typing import Any, Callable, Iterable, Sequence
 
 from . import _hull
@@ -26,15 +36,10 @@ from .errors import (
 from .exact import (
     Hyperplane,
     Vector,
-    affine_basis_indices,
     affine_dim,
-    gram_schmidt,
+    echelon,
     integer_scaled,
-    vadd,
     vector,
-    vscale,
-    vsub,
-    wdot,
 )
 from .lattice import Face, FaceLattice, FVector, build_face_lattice
 
@@ -55,46 +60,23 @@ class FacetRecord:
     plane: Hyperplane
 
 
-@dataclass(frozen=True)
-class AffineEmbedding:
-    """Affine map from intrinsic to ambient coordinates: x = offset + B c."""
-
-    offset: Vector
-    basis: tuple[Vector, ...]
-
-    def apply(self, point: Vector) -> Vector:
-        out = self.offset
-        for c, b in zip(point, self.basis):
-            if c != 0:
-                out = vadd(out, vscale(c, b))
-        return out
-
-    @staticmethod
-    def identity(dim: int) -> "AffineEmbedding":
-        zero = tuple(Fraction(0) for _ in range(dim))
-        basis = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(dim))
-            for i in range(dim)
-        )
-        return AffineEmbedding(zero, basis)
-
-
 class Polytope:
-    """An immutable polytope: intrinsic vertices, facets, embedding, metric.
+    """An immutable polytope: intrinsic vertices, facets, the ambient
+    vertices (by vertex index) and the form W of its frame.
 
     Construct via :func:`hull_from_points` (or the generators module); the
     constructor itself trusts its arguments.
     """
 
     def __init__(self, ambient_dim: int, dim: int, vertices: Sequence[Vector],
-                 facets: Sequence[FacetRecord], embedding: AffineEmbedding,
-                 metric: Sequence[Fraction]):
+                 facets: Sequence[FacetRecord], ambient: Sequence[Vector],
+                 form: tuple[tuple[int, ...], ...]):
         self.ambient_dim = ambient_dim
         self.dim = dim
         self.vertices = tuple(vertices)
         self.facets = tuple(facets)
-        self.embedding = embedding
-        self.metric = tuple(metric)
+        self._ambient = tuple(ambient)
+        self.form = form
         self._memo: dict = {}
 
     def memo(self, key, build: Callable[[], Any]) -> Any:
@@ -153,46 +135,54 @@ class Polytope:
     # -- geometry ------------------------------------------------------------
 
     def ambient_vertices(self) -> tuple[Vector, ...]:
-        return tuple(self.embedding.apply(v) for v in self.vertices)
+        return self._ambient
 
     def __repr__(self):
         return (f"Polytope(dim={self.dim}, vertices={self.n_vertices}, "
                 f"facets={self.n_facets})")
 
 
-def _restrict(points: list[Vector], metric: tuple[Fraction, ...]):
-    """Orthogonal affine restriction onto the hull of the points.
-
-    Returns (intrinsic points, embedding, child metric).  The basis is
-    Gram-Schmidt orthogonalized with respect to the given diagonal metric
-    but not normalized, so the child metric is again diagonal.
-    """
-    idx = affine_basis_indices(points)
-    base = points[idx[0]]
-    pairs = list(gram_schmidt((vsub(points[i], base) for i in idx[1:]), metric))
-    intrinsic = [
-        tuple(wdot(vsub(p, base), b, metric) / nb for b, nb in pairs)
-        for p in points
-    ]
-    embedding = AffineEmbedding(base, tuple(b for b, _ in pairs))
-    return intrinsic, embedding, tuple(nb for _, nb in pairs)
+@cache
+def _identity(k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
-def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
-    """Shared construction path: dedupe, restrict, enumerate facets, drop
+def _frame(scaled: list[tuple[int, ...]]):
+    """(pivot columns S, form W) of the integer points' affine hull.
+
+    W is primitive(adj(R R^T)), R echelon's reduced edge rows: R_S is
+    the common pivot value times I, so this is D_S^T adj(D D^T) D_S for
+    any k independent edge rows D, up to a positive factor.  adj(G) is
+    read off one elimination of [G | I], up to sign, and the sign is
+    taken that makes W positive definite."""
+    base = scaled[0]
+    rows, pivots = echelon([[a - b for a, b in zip(p, base)]
+                            for p in scaled[1:]])
+    k = len(pivots)
+    if k == 0:
+        return pivots, ()
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+    inverse, _ = echelon([g + list(e) for g, e in zip(gram, _identity(k))])
+    adj = [row[k:] for row in inverse]
+    g = gcd(*(c for row in adj for c in row))
+    if adj[0][0] < 0:
+        g = -g
+    return pivots, tuple(tuple(c // g for c in row) for row in adj)
+
+
+def _build(points: Sequence[Vector]) -> Polytope:
+    """Shared construction path: dedupe, frame, enumerate facets, drop
     non-vertex points, assemble the Polytope.
 
-    A full-dimensional input is scaled to integers once
-    (``exact.integer_scaled``); the dimension test and the hull both read
-    those rows, and the hull's offsets, Fractions already, are divided by
-    the multiplier unless it is 1.  A lower-dimensional input goes to the
-    hull in its intrinsic rational coordinates."""
+    The input is scaled to integers once (``exact.integer_scaled``); the
+    dimension test and the hull both read those rows, a restricted input's
+    at its pivot columns only (``_frame``), and the hull's offsets,
+    Fractions already, are divided by the multiplier unless it is 1."""
     if not points:
         raise EmptyInputError("a polytope needs at least one point")
     ambient = len(points[0])
     if any(len(p) != ambient for p in points):
         raise MixedDimensionsError("points of mixed dimensions")
-    metric = tuple(metric)
 
     seen: dict[Vector, int] = {}
     distinct: list[Vector] = []
@@ -211,16 +201,14 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
         raise TooLargeError(f"dimension {dim} exceeds the guard of {MAX_DIM}")
 
     if dim == ambient:
-        intrinsic = distinct
-        embedding = AffineEmbedding.identity(ambient)
-        child_metric = metric
-        hull_points = scaled
+        intrinsic, hull_points, form = distinct, scaled, _identity(dim)
     else:
-        intrinsic, embedding, child_metric = _restrict(distinct, metric)
-        hull_points, mult = intrinsic, 1
+        pivots, form = _frame(scaled)
+        intrinsic = [tuple(p[s] for s in pivots) for p in distinct]
+        hull_points = [tuple(p[s] for s in pivots) for p in scaled]
 
     if dim == 0:
-        return Polytope(ambient, 0, intrinsic, (), embedding, child_metric)
+        return Polytope(ambient, 0, intrinsic, (), distinct, form)
 
     raw = _hull.incremental_facets(hull_points, dim)
 
@@ -233,7 +221,6 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
             meet[i] = meet[i] & on if i in meet else on
     keep = [i for i in range(len(intrinsic)) if meet.get(i) == {i}]
     remap = {old: new for new, old in enumerate(keep)}
-    vertices = [intrinsic[i] for i in keep]
 
     facets = []
     for normal, offset, on in raw:
@@ -241,7 +228,8 @@ def _build(points: Sequence[Vector], metric: Sequence[Fraction]) -> Polytope:
         facets.append(FacetRecord(
             vs, Hyperplane(normal, offset if mult == 1 else offset / mult)))
     facets.sort(key=lambda f: sorted(f.vertex_set))
-    return Polytope(ambient, dim, vertices, facets, embedding, child_metric)
+    return Polytope(ambient, dim, [intrinsic[i] for i in keep], facets,
+                    [distinct[i] for i in keep], form)
 
 
 def hull_from_points(points: Sequence) -> Polytope:
@@ -252,11 +240,7 @@ def hull_from_points(points: Sequence) -> Polytope:
     rejected.  Redundant (non-vertex) points are dropped; facets are
     enumerated with exact arithmetic and never trusted from anywhere else.
     """
-    if not points:
-        raise EmptyInputError("a polytope needs at least one point")
-    pts = [vector(p) for p in points]
-    ones = tuple(Fraction(1) for _ in range(len(pts[0])))
-    return _build(pts, ones)
+    return _build([vector(p) for p in points])
 
 
 # -- serialization ----------------------------------------------------------

@@ -105,7 +105,7 @@ class ShadowPolytope:
     x_j = 0 (j the last index with v_j != 0), coordinate j dropped: the
     same combinatorial type as any other projection along v.
 
-    ``poly`` has the unit metric; ``vertex_map[i]`` gives the shadow vertex
+    ``poly`` is full-dimensional; ``vertex_map[i]`` gives the shadow vertex
     index that vertex i of the source projects to, or None when the
     projection lands inside the shadow (not a vertex of it).
     """
@@ -142,7 +142,7 @@ def shadow(q: Polytope, v) -> ShadowPolytope:
         image, den = _shadow_map(primitive(vec))
         projected = [tuple(Fraction(c, den * scale) for c in image(p))
                      for p in iverts]
-        poly = _build(projected, (Fraction(1),) * (q.dim - 1))
+        poly = _build(projected)
         locate = {p: i for i, p in enumerate(poly.vertices)}
         vmap = tuple(locate.get(p) for p in projected)
         return ShadowPolytope(poly, vmap)

@@ -20,6 +20,12 @@ into nearly coplanar simplices: ridges whose two facets are nearly
 parallel, where a float projection of one facet's normal onto the
 other's hyperplane is rounding noise.
 
+``restricted_tetrahedron`` is a tetrahedron in R^4 at huge coordinates,
+and ``HUGE_PLANE_HEXAGON`` a hexagon in R^3 at 201 digits, each restricted
+to its flat.  An orthogonal (Gram-Schmidt) frame with a diagonal metric
+once put `angles` past the float range on both: the tetrahedron from 31
+digits on.
+
 ``NEEDLE_INPUTS`` are `--in` files of 4-polytopes with needle-thin facets
 at 31-digit coordinates, and ``needle_corpus`` their polytopes.  The
 closed-form facet angles once ordered a cone's unit normals around their
@@ -142,6 +148,21 @@ def near_cube(d: int, digits: int) -> Polytope:
     return hull_from_points([
         [(big if i >> j & 1 else -big) + rng.randint(-4, 4) for j in range(d)]
         for i in range(2**d)])
+
+
+HUGE_PLANE_HEXAGON = {"ambient_dim": 3, "vertices": [
+    [str(a * x + b * y) for x, y in zip(
+        (10**200 + 1, 2, 10**200), (0, 10**200 + 1, 10**200 + 5))]
+    for a, b in [(0, 0), (1, 0), (1, 1), (0, 1), (2, 3), (3, 1)]]}
+
+
+def restricted_tetrahedron(digits: int) -> dict:
+    """The `--in` JSON of four points in R^4 with coordinates drawn by
+    random.Random(3).randrange(-10^digits, 10^digits), row by row."""
+    rng = random.Random(3)
+    big = 10**digits
+    return {"ambient_dim": 4, "vertices": [
+        [str(rng.randrange(-big, big)) for _ in range(4)] for _ in range(4)]}
 
 
 def facets_containing(p, vertex_set) -> list[int]:

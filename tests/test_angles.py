@@ -46,7 +46,7 @@ from polyface.errors import (
 from polyface.generators import (
     cross_polytope, cube, cyclic, pyramid, random_sphere, simplex)
 from polyface.lattice import FaceLattice
-from polyface.polytope import _build, hull_from_points
+from polyface.polytope import _build, hull_from_points, polytope_to_json
 from polyface.projection import sample_direction
 
 from corpus import extended_corpus, facets_containing, near_cube, needle_corpus
@@ -55,15 +55,15 @@ SAMPLES = 120_000
 
 
 def facet_as_polytope(p, index):
-    """Facet `index` of p as a polytope in its own (dim-1)-dimensional
-    rational coordinates, hulled again in exact arithmetic and kept in p's
-    memo; its ambient space is p's intrinsic space, and its metric makes
-    its angles those of the facet in p."""
+    """Facet `index` of p as a polytope in its own right, hulled again in
+    exact arithmetic from p's ambient vertices on it and kept in p's memo:
+    a restricted input in p's ambient space, whose frame's form makes its
+    angles those of the facet in p."""
     if not 0 <= index < p.n_facets:
         raise OutOfRangeError(f"facet index {index} out of range")
+    ambient = p.ambient_vertices()
     return p.memo(("facet", index), lambda: _build(
-        [p.vertices[i] for i in sorted(p.facets[index].vertex_set)],
-        p.metric))
+        [ambient[i] for i in sorted(p.facets[index].vertex_set)]))
 
 
 def gaussian_points(digits):
@@ -92,6 +92,26 @@ def in_fresh_processes(code):
                            env=dict(os.environ, PYTHONHASHSEED=hash_seed)
                            ).stdout
             for hash_seed in ("1", "2")]
+
+
+def tilt(v):
+    """(x, ...) -> (3x/5, 4x/5, ...): an isometry into one more dimension."""
+    return (v[0] * 3 / 5, v[0] * 4 / 5) + v[1:]
+
+
+def tilt_form(k):
+    """The form of tilt's image of a k-polytope: the pivot coordinates are
+    3x/5 and the others, so W = diag(9, 25, ..., 25)."""
+    return tuple(tuple((9 if i == 0 else 25) * (i == j) for j in range(k))
+                 for i in range(k))
+
+
+def hadamard(v):
+    """x -> H x / 2, H the first three columns of a 4 x 4 Hadamard matrix:
+    an isometry of R^3 into R^4."""
+    x, y, z = v
+    return ((x + y + z) / 2, (x + y - z) / 2, (x - y + z) / 2,
+            (x - y - z) / 2)
 
 
 # Rational-coordinate regular tetrahedron (all edges sqrt(2)).
@@ -393,7 +413,7 @@ class TestExactLowDim:
         assert solid_angle_exact(seg, frozenset([1])) == 0.5
 
     def test_equilateral_triangle_vertex(self):
-        # A facet of the regular tetrahedron, in its intrinsic metric.
+        # A facet of the regular tetrahedron, restricted to its plane.
         tri = facet_as_polytope(REGULAR_TETRA, 0)
         assert abs(solid_angle_exact(tri, frozenset([0])) - 1.0 / 6.0) < 1e-12
 
@@ -565,7 +585,7 @@ class TestAngleSums:
         (simplex(3), 70_000),
         (cross_polytope(4), 20_000),
         (cyclic(7, 3), 9_000),
-        # A restricted polytope: its metric scales the normals.
+        # A restricted polytope: its form W enters the normals.
         (facet_as_polytope(REGULAR_TETRA, 0), 5_000),
     ], ids=("simplex-3", "cross-4", "cyclic-7-3", "tetra-facet"))
     def test_matches_per_face_oracle(self, p, samples):
@@ -684,28 +704,72 @@ class TestCurvature:
         assert any(not r.exact for r in curvature_checks(s5, 2000, seed=6))
         assert calls == []
 
-    @pytest.mark.parametrize("base,metric,totals", [
-        (hull_from_points([[x, y, z] for x in (0, 1) for y in (0, 1)
-                           for z in (0, 1)]),
-         (1, 1, 25), {0: 0.75, 1: 1.0}),
+    @pytest.mark.parametrize("base,embed,form,totals", [
+        (cube(3), tilt, ((9, 0, 0), (0, 25, 0), (0, 0, 25)),
+         {0: 0.75, 1: 1.0}),
         # A box of sides 1, 1, 1, 2.
         (hull_from_points([[x, y, z, 2 * w] for x in (0, 1) for y in (0, 1)
                            for z in (0, 1) for w in (0, 1)]),
-         (1, 1, 1, 25), {0: 0.5, 1: 0.75, 2: 1.0}),
-        # Not a box: read without its metric, it is no octahedron.
-        (cross_polytope(3), (25, 1, 1), {0: 2 / 3, 1: 1.0}),
-    ], ids=("cube-3", "box-1112", "cross-3"))
-    def test_isometric_embedding(self, base, metric, totals):
-        # (x, ...) -> (3x/5, 4x/5, ...) is an isometry with rational
-        # coordinates; the polytope is restricted to its hull, with a metric.
-        p = hull_from_points([(c[0] * 3 / 5, c[0] * 4 / 5) + c[1:]
-                              for c in base.vertices])
-        assert (p.dim, p.ambient_dim) == (base.dim, base.dim + 1)
-        assert p.metric == metric
-        for rep in curvature_checks(p, 1000, seed=3):
-            assert rep.exact
-            assert abs(rep.total - totals[rep.face_dim]) <= (
-                EXACT_SLACK * len(rep.facet_angles))
+         tilt, tilt_form(4), {0: 0.5, 1: 0.75, 2: 1.0}),
+        # Not a box: read without its form, it is no octahedron.
+        (cross_polytope(3), tilt, tilt_form(3), {0: 2 / 3, 1: 1.0}),
+        # A 4-polytope in R^5: 8 regular tetrahedra at each vertex and 4
+        # at each edge.  A 5-polytope in R^6, whose curvature is sampled.
+        (cross_polytope(4), tilt, tilt_form(4),
+         {0: 8 * (3 * math.acos(1 / 3) - math.pi) / (4 * math.pi),
+          1: 4 * math.acos(1 / 3) / (2 * math.pi), 2: 1.0}),
+        (cube(5), tilt, tilt_form(5), {0: 5 / 16, 1: 0.5, 2: 0.75, 3: 1.0}),
+        # A form that is not diagonal: its factor is not symmetric.
+        (cube(3), hadamard, ((3, 1, 1), (1, 3, -1), (1, -1, 3)),
+         {0: 0.75, 1: 1.0}),
+    ], ids=("cube-3", "box-1112", "cross-3", "cross-4", "cube-5",
+            "cube-3-hadamard"))
+    def test_isometric_embedding(self, base, embed, form, totals, tmp_path):
+        # p, the image of q under an isometry with rational coordinates into
+        # one more dimension, is restricted to its hull, with the form W of
+        # its frame.  Its vertices are q's images, in q's order, so their
+        # faces and reports line up.  Its angle sums and curvature rows
+        # match q's (closed forms within EXACT_SLACK per term, sampled ones
+        # within SIGMA_FACTOR standard errors of their difference), its
+        # curvature totals are the known ones, and everything that describe
+        # and verify-bounds print but the ambient dimension is q's.
+        q = base
+        p = hull_from_points([embed(v) for v in q.vertices])
+        assert (p.dim, p.ambient_dim) == (q.dim, q.dim + 1)
+        assert p.form == form
+        samples, seed = 4000, 3
+
+        def close(r, total, stderr, terms):
+            if r.stderr == stderr == 0.0:
+                return abs(r.total - total) <= EXACT_SLACK * terms
+            return abs(r.total - total) <= SIGMA_FACTOR * math.hypot(
+                r.stderr, stderr)
+
+        for r, s in zip(angle_sums(p, samples, seed),
+                        angle_sums(q, samples, seed), strict=True):
+            assert r.k == s.k
+            assert close(r, s.total, s.stderr, len(r.estimates)), r.k
+        sampled = False
+        for r, s in zip(curvature_checks(p, samples, seed),
+                        curvature_checks(q, samples, seed), strict=True):
+            assert (r.face, r.exact) == (s.face, s.exact)
+            terms = len(r.facet_angles)
+            assert close(r, s.total, s.stderr, terms), r.face
+            assert close(r, totals[r.face_dim], 0.0, terms), r.face
+            sampled = sampled or not r.exact
+        assert sampled == (q.dim >= 5)
+        reports = []
+        for poly in (p, q):
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(polytope_to_json(poly)))
+            for command in ("describe", "verify-bounds"):
+                out = tmp_path / "out.json"
+                assert main([command, "--in", str(path), "--out",
+                             str(out)]) == 0
+                report = json.loads(out.read_text())
+                report.pop("ambient_dim", None)
+                reports.append(report)
+        assert reports[:2] == reports[2:]
 
     def test_face_dim_guard(self):
         # One report per face of dimension 0..dim-2, in lattice order; the

@@ -21,7 +21,8 @@ from polyface.bounds import MinFaceReport
 from polyface.cli import DEFAULT_DIRECTIONS, _emit, _write_json, main
 from polyface.generators import cube
 
-from corpus import NEEDLE_INPUTS, facets_containing
+from corpus import (HUGE_PLANE_HEXAGON, NEEDLE_INPUTS, facets_containing,
+                    restricted_tetrahedron)
 from test_angles import gaussian_points
 from test_golden import huge_polytope
 
@@ -167,14 +168,12 @@ BAD_INPUTS = [
      "BadSpecError"),
     ("corpus-dim-past-guard", None, ["corpus", "--dims", "2..8"],
      "TooLargeError"),
-    # A planar hexagon in R^3 spanned by u and w of 201 digits: its
-    # restricted metric has entries of about 2^1330 and 2^3989, past the
-    # float range and too far apart for one common power of two.
-    ("angles-huge-plane",
+    # A triangle in R^3 whose edge (1, 10^300, 0) makes the frame's
+    # first pivot column 0: the diagonal of its form spans about 2^1993,
+    # past the float range.
+    ("angles-skewed-plane",
      json.dumps({"ambient_dim": 3, "vertices": [
-         [str(a * x + b * y) for x, y in zip(
-             (10**200 + 1, 2, 10**200), (0, 10**200 + 1, 10**200 + 5))]
-         for a, b in [(0, 0), (1, 0), (1, 1), (0, 1), (2, 3), (3, 1)]]}),
+         [0, 0, 0], [1, 10**300, 0], [0, 0, 1]]}),
      ["angles", "--samples", "2000", "--directions", "1"], "TooLargeError"),
 ]
 
@@ -431,6 +430,22 @@ class TestAngles:
                      "--directions", "1"]) == 0
         data = strict_json(capsys.readouterr().out)
         assert data["curvature"] and all(c["ok"] for c in data["curvature"])
+
+    @pytest.mark.parametrize("data", [
+        restricted_tetrahedron(31), restricted_tetrahedron(150),
+        restricted_tetrahedron(999), HUGE_PLANE_HEXAGON],
+        ids=["tetrahedron-31", "tetrahedron-150", "tetrahedron-999",
+             "hexagon-201"])
+    def test_restricted_huge_inputs(self, data, tmp_path, capsys):
+        # Restricted to their flats, in frames of their own coordinates,
+        # up to the 1,000-digit guard.  A Gram-Schmidt frame's diagonal
+        # metric once ended each of them in TooLargeError.
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(data))
+        assert main(["angles", "--in", str(path), "--samples", "2000",
+                     "--directions", "1"]) == 0
+        data = strict_json(capsys.readouterr().out)
+        assert data["angle_sums"] and all(c["ok"] for c in data["curvature"])
 
     def test_point_has_no_checks(self, tmp_path, capsys):
         path = tmp_path / "point.json"

@@ -11,7 +11,6 @@ from polyface.errors import MixedDimensionsError, ZeroVectorError
 from polyface.exact import (
     Hyperplane,
     affine_dim,
-    dot,
     echelon,
     integer_scaled,
     primitive,
@@ -23,6 +22,14 @@ from polyface.polytope import (
     polytope_from_json,
     polytope_to_json,
 )
+
+
+def dot(u, v):
+    """The exact dot product of two equally long vectors: an int for ints,
+    a Fraction for Fractions."""
+    if len(u) != len(v):
+        raise MixedDimensionsError(f"dot of dim {len(u)} with dim {len(v)}")
+    return sum(a * b for a, b in zip(u, v))
 
 
 def side(plane, point):

@@ -104,7 +104,7 @@ class TestPyramidPrism:
 
 def facet_data(p):
     return (p.vertices, [(f.vertex_set, f.plane.normal, f.plane.offset)
-                         for f in p.facets], p.metric,
+                         for f in p.facets], p.ambient_vertices(), p.form,
             tuple(p.f_vector().counts))
 
 

@@ -18,16 +18,13 @@ from polyface.generators import (cross_polytope, cube, cyclic, random_sphere,
                                  simplex)
 from polyface.polytope import hull_from_points
 
-from test_exact import null_space, side
+from test_exact import dot, null_space, side
 from test_golden import huge_polytope
 
 # Examples of the seed-facet property: a few in tier-1, many in CI's
 # "Seed fuzz" step.
 SEED_EXAMPLES = int(os.environ.get("SEED_EXAMPLES", "60"))
 
-
-def dot(n, p):
-    return sum(a * b for a, b in zip(n, p))
 
 
 def cross_normal(diffs, dim):
@@ -219,7 +216,7 @@ def seed_points(draw):
 
 
 # A tetrahedron in R^4 at 31-digit coordinates: the hull gets it restricted
-# to its 3-flat, in rational intrinsic coordinates.
+# to its 3-flat, in three of its own coordinates.
 TETRAHEDRON_31 = [
     (10 ** 30 + 1, 2 * 10 ** 30 - 3, -(10 ** 30) + 7, 5),
     (-(10 ** 30) + 2, 10 ** 30 + 11, 3 * 10 ** 30, -(10 ** 30) - 1),
@@ -254,7 +251,10 @@ class TestSeedFacets:
         p = hull_from_points(TETRAHEDRON_31)
         assert p.ambient_dim == 4 and p.dim == 3
         assert p.n_vertices == 4 and p.is_simplicial()
-        assert max(v.denominator for q in p.vertices for v in q) > 10 ** 30
+        # Its intrinsic coordinates are some of the input's own integers.
+        assert all(v.denominator == 1 for q in p.vertices for v in q)
+        assert 10 ** 30 < max(abs(v) for q in p.vertices for v in q) <= max(
+            abs(c) for q in TETRAHEDRON_31 for c in q)
         seed, oracle = seed_oracle(integer_scaled(p.vertices)[0])
         assert seed == oracle
         assert canon(incremental_facets(p.vertices, 3)) == \

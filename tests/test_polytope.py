@@ -1,11 +1,12 @@
 """Polytope construction details: flags, facet polytopes, serialization."""
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from polyface.errors import NotAFaceError, OutOfRangeError, TooLargeError
-from polyface.exact import wdot
+from polyface.exact import rank, vector
 from polyface.generators import cross_polytope, cube, cyclic, pyramid, simplex
 from polyface.polytope import (
     MAX_COORD_DIGITS,
@@ -14,8 +15,10 @@ from polyface.polytope import (
     polytope_to_json,
 )
 
+from corpus import restricted_tetrahedron
 from test_angles import facet_as_polytope
-from test_exact import side
+from test_exact import dot, side
+from test_hull import TETRAHEDRON_31
 
 
 def contains(p, point):
@@ -122,25 +125,89 @@ class TestFacetAsPolytope:
         assert facet_as_polytope(p, 2) is not facet_as_polytope(p, 3)
 
     def test_metric_preserves_lengths(self):
-        # Squared edge lengths measured in the facet's intrinsic
-        # coordinates (with its metric) match the parent coordinates.
-        p = cross_polytope(3)
-        fp = facet_as_polytope(p, 0)
-        parent_pts = [p.vertices[i] for i in sorted(p.facets[0].vertex_set)]
-        ones = tuple(Fraction(1) for _ in range(p.dim))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                d_parent = tuple(a - b for a, b in zip(parent_pts[i], parent_pts[j]))
-                d_child = tuple(a - b for a, b in zip(fp.vertices[i], fp.vertices[j]))
-                assert wdot(d_parent, d_parent, ones) == \
-                    wdot(d_child, d_child, fp.metric)
+        # a^T W b, over every pair of facet normals a and b, is one positive
+        # multiple of the Euclidean products of the ambient gradients they
+        # define on the affine hull, computed here in Fractions.  W is a
+        # primitive symmetric integer form, the identity at full dimension.
+        for points in restricted_inputs():
+            p = hull_from_points(points)
+            k = p.dim
+            assert all(len(row) == k for row in p.form)
+            assert all(p.form[i][j] == p.form[j][i]
+                       for i in range(k) for j in range(k))
+            assert gcd(*(c for row in p.form for c in row)) == 1
+            gradients = [ambient_gradient(points, pivot_columns(points),
+                                          f.plane.normal) for f in p.facets]
+            normals = [f.plane.normal for f in p.facets]
+            products = [[sum(x * w * y for row, x in zip(p.form, a)
+                             for w, y in zip(row, b)) for b in normals]
+                        for a in normals]
+            euclidean = [[dot(u, v) for v in gradients] for u in gradients]
+            ratio = products[0][0] / euclidean[0][0]
+            assert ratio > 0 and products == [[ratio * x for x in row]
+                                              for row in euclidean]
+        assert cross_polytope(3).form == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_embedding_round_trip(self):
-        p = cross_polytope(3)
-        fp = facet_as_polytope(p, 0)
-        originals = [p.vertices[i] for i in sorted(p.facets[0].vertex_set)]
-        for intrinsic, original in zip(fp.vertices, originals):
-            assert fp.embedding.apply(intrinsic) == original
+        # The ambient vertices are the input points, and the intrinsic ones
+        # their coordinates at the pivot columns of the edge rows.
+        for points in restricted_inputs():
+            p = hull_from_points(points)
+            pivots = pivot_columns(points)
+            assert len(pivots) == p.dim < p.ambient_dim
+            assert p.ambient_vertices() == tuple(points)
+            assert p.vertices == tuple(tuple(v[c] for c in pivots)
+                                       for v in points)
+
+
+def restricted_inputs():
+    """A cross-3 facet, the 3-cube tilted into R^4, whose pivot columns
+    0, 2, 3 are not the indices of its first independent edges, and two
+    tetrahedra in R^4 at 31-digit coordinates, each a list of exact points
+    that are all vertices."""
+    octahedron = cross_polytope(3)
+    facet = [octahedron.ambient_vertices()[i]
+             for i in sorted(octahedron.facets[0].vertex_set)]
+    tilted = [(x * 3 / 5, x * 4 / 5, y, z) for x, y, z in cube(3).vertices]
+    return [facet, tilted, [vector(v) for v in TETRAHEDRON_31],
+            [vector(v) for v in restricted_tetrahedron(31)["vertices"]]]
+
+
+def pivot_columns(points):
+    """The columns at which the points' edges from the first point first
+    gain rank, left to right."""
+    edges = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
+    pivots = []
+    for c in range(len(points[0])):
+        if rank([[e[i] for i in pivots + [c]] for e in edges]) > len(pivots):
+            pivots.append(c)
+    return pivots
+
+
+def ambient_gradient(points, pivots, a):
+    """The vector u in the span of the points' edges with u . e = a . e_S
+    for every edge e: the gradient of y -> a . y_S on their affine hull.
+    Found by Gauss-Jordan elimination of the Gram system of an edge basis,
+    in Fractions."""
+    basis = []
+    for p in points[1:]:
+        e = tuple(x - y for x, y in zip(p, points[0]))
+        if rank(basis + [e]) > len(basis):
+            basis.append(e)
+    system = [[dot(e, f) for f in basis] + [sum(a_i * e[c] for a_i, c in
+                                                zip(a, pivots))]
+              for e in basis]
+    n = len(basis)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if system[r][col])
+        system[col], system[pivot] = system[pivot], system[col]
+        head = system[col]
+        system = [row if r == col else
+                  [x - row[col] / head[col] * y for x, y in zip(row, head)]
+                  for r, row in enumerate(system)]
+    coefficients = [row[n] / row[i] for i, row in enumerate(system)]
+    return tuple(sum(t * e[i] for t, e in zip(coefficients, basis))
+                 for i in range(len(points[0])))
 
 
 class TestSerialization:

@@ -15,14 +15,12 @@ from hypothesis import strategies as st
 from polyface import cli, projection
 from polyface.errors import DimensionTooLowError, ZeroDotProductError
 from polyface.exact import (
-    dot,
     echelon,
     integer_scaled,
     is_zero,
     primitive,
     rank,
     vector,
-    vscale,
     vsub,
 )
 from polyface.generators import (
@@ -50,7 +48,7 @@ from polyface.projection import (
 from corpus import extended_corpus
 from record_outputs import WORKLOADS
 from test_angles import facet_as_polytope
-from test_exact import null_space, side, span_basis
+from test_exact import dot, null_space, side, span_basis
 from test_golden import FLAT_HEXAGON, huge_polytope
 from test_hull import cross_normal
 from test_polytope import contains
@@ -437,7 +435,8 @@ class TestShadow:
         assert set(sh.poly.vertices) == {
             (x - z / 3, y - 2 * z / 3) for x, y, z in q.vertices
             if len({x, y, z}) == 2}
-        assert sh.poly.metric == (1, 1)
+        assert sh.poly.form == ((1, 0), (0, 1))
+        assert sh.poly.ambient_vertices() == sh.poly.vertices
 
     def test_projection_exactness(self):
         # A shadow point lifted back by re-inserting coordinate j as 0 (j
@@ -452,7 +451,8 @@ class TestShadow:
             sh = shadow(q, d)
             for p, image in zip(q.vertices, sh.vertex_map):
                 if image is None:
-                    on_plane = vsub(p, vscale(p[j] / d.v[j], d.v))
+                    on_plane = vsub(p, tuple(p[j] / d.v[j] * c
+                                             for c in d.v))
                     coords = on_plane[:j] + on_plane[j + 1:]
                     assert all(side(f.plane, coords) < 0
                                for f in sh.poly.facets)
@@ -531,8 +531,8 @@ class TestUpperLower:
         assert len(entries) >= 3
         for entry, seed in product(entries[:4], range(2)):
             p = entry.polytope
-            rational = vscale(Fraction(3, 7), vector(
-                sample_direction(p, seed=seed).v))
+            rational = tuple(Fraction(3, 7) * c
+                             for c in sample_direction(p, seed=seed).v)
             parts = upper_lower(p, rational)
             assert parts == upper_lower(p, primitive(rational)), entry.name
             assert parts.upper == tuple(i for i, f in enumerate(p.facets)
@@ -820,8 +820,8 @@ def check_face_data(q):
     facets that do not contain it are the subset scan's.  The tables are
     built on a fresh copy of q, so that every `_aff_data_int` call is
     seen."""
-    q = Polytope(q.ambient_dim, q.dim, q.vertices, q.facets, q.embedding,
-                 q.metric)
+    q = Polytope(q.ambient_dim, q.dim, q.vertices, q.facets,
+                 q.ambient_vertices(), q.form)
     _, verts, planes = projection._int_geometry(q)
     aff_data, received = projection._aff_data_int, []
 

@@ -17,8 +17,9 @@ scaled below 2 in size.  Each caller bounds its own N.
 
 _bounded is the package's one conversion of exact integer vectors to
 floats.  The hull's supporting-plane check and the diagram's face-pair
-filter use it with the certified signs; the diagram's bounding-box test
-reads its values (each column over one power of two, so the rounding is
+filter use it with the certified signs; the diagram's separating-axis
+test reads its values (the shadow coordinates and their pairwise sums and
+differences, each column over one power of two, so the rounding is
 monotone down a column), and so does the solid-angle sampler with its
 closed forms (each facet normal over a power of two of its own, which
 keeps its direction).  The module imports nothing from the rest of the

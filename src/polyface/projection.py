@@ -360,13 +360,17 @@ class _FaceTable(NamedTuple):
     """The k-faces of a polytope for the diagram, in lattice order: the
     faces, each face's incidence row over the vertices, which facets do not
     contain it (the complement of its `containing` row), its exact affine
-    data (`_aff_data_int`) and its filter data."""
+    data (`_aff_data_int`) and its filter data.  members concatenates the
+    faces' `Face.vertices`, and starts[i] is where face i's run begins
+    (`_extents`)."""
 
     faces: tuple
     incidence: np.ndarray
     outside: np.ndarray
     affs: tuple
     floats: _FaceFloats
+    members: np.ndarray
+    starts: np.ndarray
 
 
 def _face_table(q: Polytope, k: int) -> _FaceTable:
@@ -376,10 +380,10 @@ def _face_table(q: Polytope, k: int) -> _FaceTable:
         faces = q.face_lattice().faces_of_dim(k)
         # The incidence in one scatter of every face's vertices.
         sizes = [len(f.vertex_set) for f in faces]
+        members = np.fromiter(chain.from_iterable(f.vertices for f in faces),
+                              np.intp, sum(sizes))
         incidence = np.zeros((len(faces), q.n_vertices))
-        incidence[np.repeat(np.arange(len(faces)), sizes),
-                  np.fromiter(chain.from_iterable(f.vertices for f in faces),
-                              np.intp, sum(sizes))] = 1.0
+        incidence[np.repeat(np.arange(len(faces)), sizes), members] = 1.0
         # Each face's containing facets, ascending, from one nonzero scan
         # of the level's rows.
         inside = q.face_lattice().containing(k)
@@ -388,7 +392,8 @@ def _face_table(q: Polytope, k: int) -> _FaceTable:
                                    planes, q.dim)
                      for f, count in zip(faces, inside.sum(axis=1).tolist()))
         return _FaceTable(faces, incidence, ~inside, affs,
-                          _face_floats(affs, k, q.dim, *_float_geometry(q)))
+                          _face_floats(affs, k, q.dim, *_float_geometry(q)),
+                          members, np.cumsum([0] + sizes)[:-1])
 
     return q.memo(("face-table", k), build)
 
@@ -433,11 +438,26 @@ def _minors(a: np.ndarray) -> np.ndarray:
     return minors
 
 
+@lru_cache(maxsize=None)
+def _cramer_plan(m: int):
+    """(columns, signs) that take the m x m minors of an m x (m + 1)
+    system [A | b] to Cramer's values D, c_0 .. c_(m-1): the minor without
+    column k sits at m - k, and c_k is it times (-1)^(m-1-k), which moves
+    the right-hand side back into column k."""
+    signs = np.array([[1.0] + [(-1.0) ** (m - 1 - k) for k in range(m)],
+                      [1.0] * (m + 1)])
+    return np.array([0] + list(range(m, 0, -1))), signs[:, None, :]
+
+
 def _rounding(m: int, dim: int) -> float:
     """A bound on gamma_N / (1 - gamma_N), with a factor 2 to spare, for the
     deepest value of the filter: inputs 2 roundings each, system entries
     dim + 5 deep, m x m minors m (dim + 5) + m (m + 1) / 2, and facet
-    slacks (m + 1)(dim + 6) + m (m + 1) / 2."""
+    slacks (m + 1)(dim + 6) + m (m + 1) / 2.  Each depth counts a sum of
+    t terms as t - 1 roundings of every term, which holds in whatever order
+    the terms are added (a matmul's or a BLAS kernel's): each addition of a
+    summation tree rounds once, and no term passes through more than t - 1
+    of them (Higham, 4.2).  A fused multiply-add rounds less, not more."""
     n = (m + 1) * (dim + 6) + m * (m + 1) // 2
     return 2 * (n + 4) * 2.0 ** -53
 
@@ -481,13 +501,9 @@ def _filter_values(span: np.ndarray, base: np.ndarray, slacks: np.ndarray,
         (offsets + _MINUS[:, None, None]
          * (eqs @ base[..., None])[..., 0])[..., None]], axis=3)
     m = aug.shape[2]
-    # The minor without column k sits at m - k; c_k is it times
-    # (-1)^(m-1-k), which moves the right-hand side back into column k.
-    signs = np.array([[1.0] + [(-1.0) ** (m - 1 - k) for k in range(m)],
-                      [1.0] * (m + 1)])
-    cramer = _minors(aug)[:, :, [0] + list(range(m, 0, -1))] \
-        * signs[:, None, :]
-    upper = np.einsum("xbr,xbrj->xbj", cramer[:, :, :m], slacks)
+    columns, signs = _cramer_plan(m)
+    cramer = _minors(aug)[:, :, columns] * signs
+    upper = (cramer[:, :, None, :m] @ slacks)[:, :, 0]
     return cramer, upper, upper + cramer[:, :, m, None] * step_slacks[:, None]
 
 
@@ -505,11 +521,14 @@ def _rejected(span: np.ndarray, base: np.ndarray, slacks: np.ndarray,
     when D is uncertified."""
     cramer, upper, lower = _filter_values(span, base, slacks, eqs, offsets,
                                           v, step_slacks)
-    det = _certified_signs(cramer[:, :, 0], rounding)
-    step = _certified_signs(cramer[:, :, -1], rounding)
+    n = upper.shape[2]
+    # D, c_t and both lifts' slacks, certified in one pass.
+    signs = _certified_signs(np.concatenate(
+        [cramer[:, :, [0, -1]], upper, lower], axis=2), rounding)
+    det, step = signs[:, 0], signs[:, 1]
     # A NaN sign, of the slack or of D, leaves the product open.
-    upper = _certified_signs(upper, rounding) * det[:, None]
-    lower = _certified_signs(lower, rounding) * det[:, None]
+    upper = signs[:, 2:n + 2] * det[:, None]
+    lower = signs[:, n + 2:] * det[:, None]
     outside = (upper > 0) | (lower > 0)
     return ((det == 0) | ((abs(det) == 1) & (
         (step * det > 0) | (step == 0) | outside.any(axis=1))),
@@ -529,6 +548,43 @@ def _in_chunks(rows: np.ndarray, width: int):
     float cells a row hold at most _FILTER_CELLS."""
     chunk = max(1, _FILTER_CELLS // (2 * width))
     return (rows[at:at + chunk] for at in range(0, len(rows), chunk))
+
+
+def _separation_points(pv) -> np.ndarray:
+    """(vertices, axes) floats of the shadow's integer points pv on the
+    separation axes: the coordinates x_i, then x_i + x_j for i < j, then
+    x_i - x_j for i < j.  Each column is exact in integers and goes to
+    floats over one power of two of its own, which brings it below 1 in
+    size: a monotone rounding, so a strict order of two floats of a column
+    is the order of their integers."""
+    pairs = list(combinations(range(len(pv[0])), 2))
+    rows = [p + tuple(p[i] + p[j] for i, j in pairs)
+            + tuple(p[i] - p[j] for i, j in pairs) for p in pv]
+    return _bounded(rows, len(rows[0]),
+                    [max(map(abs, col)).bit_length() for col in zip(*rows)],
+                    False)[0]
+
+
+def _extents(table: _FaceTable, rows: np.ndarray, points: np.ndarray):
+    """(lowest, highest) (len(rows), axes) of the table's faces at rows on
+    each separation axis, from one reduction of each face's own vertices;
+    every face of a table has some, so no run of `reduceat` is empty."""
+    at = points[table.members]
+    return (np.minimum.reduceat(at, table.starts)[rows],
+            np.maximum.reduceat(at, table.starts)[rows])
+
+
+def _apart(tu: _FaceTable, ru: np.ndarray, tl: _FaceTable, rl: np.ndarray,
+           points: np.ndarray) -> np.ndarray:
+    """(len(ru), len(rl)): whether the projections of upper face ru[i] and
+    lower face rl[j] miss on some separation axis of points
+    (`_separation_points`), their extents apart strictly.  A projected
+    face is the hull of its projected vertices, so the two then share no
+    point (a separating axis; Gottschalk, Lin & Manocha 1996)."""
+    lo_u, hi_u = _extents(tu, ru, points)
+    lo_l, hi_l = _extents(tl, rl, points)
+    return ((hi_u[:, None] < lo_l[None]) | (hi_l[None] < lo_u[:, None])
+            ).any(axis=2)
 
 
 def _transversal(aff_p, aff_m, dim: int) -> bool:
@@ -613,10 +669,15 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
       crossings at w share one point tuple.
     * No shared vertex: the faces are disjoint, so a crossing needs t < 0,
       and under a general-position direction distinct lifts put it inside
-      the shadow.  A crossing lies in both projected faces, so pairs whose
-      projected vertices have disjoint bounding boxes are skipped (on
-      floats, each coordinate column over one power of two: rounding is
-      monotone, so a strict float miss is an exact one).
+      the shadow.  A crossing lies in both projected faces, so a pair is
+      skipped when some separation axis parts its projected vertices
+      (`_apart`): a shadow coordinate x_i, or a sum x_i + x_j or
+      difference x_i - x_j of two, on which one face's extent lies
+      strictly below the other's.  These axes part a slanted edge from a
+      triangle that the coordinates alone cannot.  Each axis column is
+      exact in integers and read on floats over one power of two: rounding
+      is monotone, so a strict float miss is an exact one.  Each face's
+      extents come from its own vertices (`_FaceTable.members`).
 
     The remaining pairs of a level go through a float filter with a
     certified error bound, batched, and each pair kind is decided
@@ -663,10 +724,7 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     image, vden = _shadow_map(v_int)
     pden = vden * scale
     pv = [image(p) for p in iverts]
-    # Shadow coordinates for the box test, each column over a power of two
-    # that brings it below 1 in size: a monotone rounding.
-    box_points = _bounded(pv, dim - 1, [max(abs(c) for c in col).bit_length()
-                                        for col in zip(*pv)], False)[0]
+    points = _separation_points(pv)
 
     v_float, step_slacks = _direction_floats(_float_geometry(q)[1], v_int)
     # The shadow of vertex w, built once: it is every boundary crossing at
@@ -676,11 +734,6 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
     # Python-level __new__.
     record = tuple.__new__
 
-    def boxes(table, rows):
-        inside = table.incidence[rows, :, None] > 0
-        return (np.where(inside, box_points, np.inf).min(axis=1),
-                np.where(inside, box_points, -np.inf).max(axis=1))
-
     out = []
     for l_plus in range(0, dim):
         l_minus = dim - 1 - l_plus
@@ -689,14 +742,11 @@ def diagram_vertices(q: Polytope, v) -> tuple[DiagramVertex, ...]:
         ru = np.flatnonzero(_lies_in(q, complexes.upper, l_plus))
         rl = np.flatnonzero(_lies_in(q, complexes.lower, l_minus))
         shared = tu.incidence[ru] @ tl.incidence[rl].T
-        lo_u, hi_u = boxes(tu, ru)
-        lo_l, hi_l = boxes(tl, rl)
-        miss = ((hi_u[:, None] < lo_l[None]) | (hi_l[None] < lo_u[:, None])
-                ).any(axis=2)
-        # Disjoint pairs whose boxes meet, and one-vertex pairs, whose
-        # boxes always do, in (upper, lower) index order: the order of
-        # the level's vertices.
-        iu, il = np.nonzero((shared == 1) | ((shared == 0) & ~miss))
+        # Disjoint pairs whose shadows no axis separates, and one-vertex
+        # pairs, whose shadows always meet, in (upper, lower) index order:
+        # the order of the level's vertices.
+        iu, il = np.nonzero((shared == 1) | (
+            (shared == 0) & ~_apart(tu, ru, tl, rl, points)))
         m = l_plus + 1
         rounding = _rounding(m, dim)
         pu, pl = ru[iu], rl[il]  # each pair's table rows

@@ -645,7 +645,8 @@ class TestDiagramVertices:
 
     def test_solves_at_most_half_the_pairs(self, monkeypatch):
         # Pairs sharing two or more vertices, and disjoint pairs whose
-        # projected bounding boxes miss, are decided without elimination.
+        # projections a separation axis parts, are decided without
+        # elimination.
         # The face tables are built first, so that only the pairs' solves
         # are counted, not the eliminations that pick face bases.
         q = cube(4)
@@ -751,6 +752,24 @@ class TestDiagramVertices:
                        for p, m in solved), (q, d)
             assert len(crossed) == interior, (q, d)
 
+    def test_separation_axes_spare_cross_4_rank_tests(self, monkeypatch):
+        # cross-4's faces come in parallel pairs whose shadows' bounding
+        # boxes overlap though the shadows do not meet.  The sums and
+        # differences of the shadow coordinates separate most of them, so
+        # at the 8 directions of the seed-1 `cross-4:dir8` op at most 200
+        # pairs reach the transversality test (760 with the coordinate
+        # axes alone).
+        cross = cross_polytope(4)
+        (op,) = [op for op in WORKLOADS.build("shadows", 1)
+                 if op.label == "project:cross-4:dir8"]
+        transversal, ranked = projection._transversal, []
+        monkeypatch.setattr(projection, "_transversal", lambda *a: (
+            ranked.append(1) or transversal(*a)))
+        for d in cli._directions(cross, op.seed, op.directions):
+            assert diagram_vertices(cross, d) == all_pairs_diagram_vertices(
+                cross, d), d
+        assert 0 < len(ranked) <= 200
+
     def test_matches_all_pairs_reference_with_huge_coordinates(self):
         # 200-digit coordinates give a direction of 1,212 digits, far past
         # the range of a float: the filter's inputs must be scaled.
@@ -810,6 +829,23 @@ def huge_moment_curves(draw):
 
 class Converted(Exception):
     """Carries the floats of one conversion out of the code under test."""
+
+
+def shadow_integers(q, d):
+    """The integer shadow coordinates of q's scaled vertices along d."""
+    _, iverts, _ = projection._int_geometry(q)
+    image = projection._shadow_map(primitive(d.v))[0]
+    return [image(p) for p in iverts]
+
+
+def separation_columns(pv):
+    """The separation axes' exact integer columns over the points pv: each
+    coordinate, then x_i + x_j for i < j, then x_i - x_j for i < j."""
+    cols = list(zip(*pv))
+    pairs = list(combinations(range(len(cols)), 2))
+    return (cols
+            + [tuple(map(int.__add__, cols[i], cols[j])) for i, j in pairs]
+            + [tuple(map(int.__sub__, cols[i], cols[j])) for i, j in pairs])
 
 
 def check_face_data(q):
@@ -873,32 +909,59 @@ class TestFloatFilter:
     @given(huge_moment_curves(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_box_points_monotone_down_each_column(self, points, seed):
-        # The bounding-box test reads the shadow coordinates as floats; a
-        # strict float miss is an exact miss only if the floats keep the
-        # order of each column.  The spy stops diagram_vertices once it
-        # has converted them.
+        # The separation test reads the shadow coordinates and their
+        # pairwise sums and differences as floats; a strict float miss is
+        # an exact miss only if the floats keep the order of each column's
+        # integers.  The spy stops diagram_vertices once it has converted
+        # them.
         q = hull_from_points(points)
         d = sample_direction(q, seed=seed)
-        _, iverts, _ = projection._int_geometry(q)
-        image = projection._shadow_map(primitive(d.v))[0]
-        pv = [image(p) for p in iverts]
-        bounded = projection._bounded
+        pv = shadow_integers(q, d)
+        convert = projection._separation_points
 
-        def spy(rows, *args):
-            out = bounded(rows, *args)
-            if rows == pv:
-                raise Converted(out[0])
-            return out
+        def spy(rows):
+            raise Converted(rows, convert(rows))
 
-        with mock.patch.object(projection, "_bounded", spy), \
+        with mock.patch.object(projection, "_separation_points", spy), \
                 pytest.raises(Converted) as caught:
             diagram_vertices(q, d)
-        box = caught.value.args[0]
-        assert np.isfinite(box).all()
-        for col, floats in zip(zip(*pv), box.T.tolist()):
-            ranked = [f for _, f in sorted(zip(col, floats))]
+        rows, floats = caught.value.args
+        assert rows == pv
+        exact = separation_columns(pv)
+        assert floats.shape == (len(pv), len(exact))
+        assert np.isfinite(floats).all()
+        for col, column in zip(exact, floats.T.tolist()):
+            ranked = [f for _, f in sorted(zip(col, column))]
             assert ranked == sorted(ranked)
             assert max(map(abs, ranked)) >= 0.5
+
+    @given(st.one_of(integer_hulls(),
+                     huge_moment_curves().map(hull_from_points)),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=DIAGRAM_EXAMPLES, deadline=None)
+    def test_separated_pairs_miss_exactly(self, q, seed):
+        # Every pair that the separation test drops has exact integer
+        # extents that miss strictly on some axis, so no crossing is lost:
+        # small points put equal integers in a column, and huge ones
+        # equal floats (a column's small entries underflow to 0).
+        assume(q.dim >= 2)
+        d = sample_direction(q, seed=seed)
+        axes = list(zip(*separation_columns(shadow_integers(q, d))))
+        apart, dropped = projection._apart, []
+
+        def spy(tu, ru, tl, rl, points):
+            out = apart(tu, ru, tl, rl, points)
+            dropped.extend((tu.faces[ru[i]], tl.faces[rl[j]])
+                           for i, j in zip(*np.nonzero(out)))
+            return out
+
+        with mock.patch.object(projection, "_apart", spy):
+            diagram_vertices(q, d)
+        for up, low in dropped:
+            u = list(zip(*(axes[i] for i in up.vertices)))
+            w = list(zip(*(axes[i] for i in low.vertices)))
+            assert any(max(a) < min(b) or max(b) < min(a)
+                       for a, b in zip(u, w)), (up, low)
 
     @given(filter_systems())
     @settings(max_examples=300, deadline=None)
